@@ -40,6 +40,8 @@ from .approx import (
     check_residual,
     global_approx,
     local_approx,
+    place_and_certify,
+    plan_partition,
     rhs_from_exprs,
     solve_jet,
     taylor_poly,

@@ -2,10 +2,15 @@
 
 Given a system ``T u = f`` and a band width ``eps``, the construction
 places one Taylor piece per subcell, with the jet at the subcell center
-solved so that the residual there equals exactly ``-eps/2``.  Subcell
-diameters come from a probe-and-halve search for a radius on which the
-sampled residual stays inside ``[-eps - eta, eta]``.  A certificate then
-re-checks the band on an independent off-skeleton sample set.
+solved so that the residual there equals exactly ``-eps/2``.  It runs in
+two stages.  ``plan_partition`` probes a 3^n grid of points in every
+cell in one batch: it solves all probe jets together, then halves each
+probe's radius until the sampled residual on its ball stays inside
+``[-eps - eta, eta]``, and subdivides to the smallest radius found.
+``place_and_certify`` takes a fixed partition, solves the jet at every
+subcell center, and re-checks the band on an independent off-skeleton
+sample set.  ``global_approx`` is the two stages in sequence;
+``local_approx`` is the probe stage for a single point.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation, a geometric bracket scan out to |t| = 1e6, and plain
@@ -37,6 +42,8 @@ __all__ = [
     "solve_jet",
     "default_pivots",
     "local_approx",
+    "plan_partition",
+    "place_and_certify",
     "global_approx",
     "check_residual",
     "rhs_from_exprs",
@@ -46,6 +53,7 @@ __all__ = [
 SOLVE_TOL = 1e-10
 BISECT_TOL = 1e-12
 SCAN_LIMIT = 1e6
+SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
 DEFAULT_ETA = 1e-9
 DEFAULT_MARGIN = 0.05
@@ -59,16 +67,21 @@ class RangeViolation(Exception):
     window.  This means either the right-hand side leaves the attainable
     range of the operator at this point (no classical solution nearby),
     or the pivot slot was a poor choice for this equation; the two cases
-    cannot be told apart from scan failure alone.
+    cannot be told apart from scan failure alone.  It is also raised,
+    with ``reason`` saying so, when the pivot sweeps end with a residual
+    still above SOLVE_TOL; ``component`` and ``x`` then name the worst
+    residual.
     """
 
-    def __init__(self, component: int, x, detail: str = ""):
+    def __init__(self, component: int, x, detail: str = "", *, reason: str | None = None):
         self.component = component
         self.x = tuple(float(v) for v in np.atleast_1d(x))
-        msg = (
-            f"component {component} at x={self.x}: bracket scan found no sign change "
-            f"within |t| <= {SCAN_LIMIT:g} (range condition violated or pivot ill-chosen)"
-        )
+        if reason is None:
+            reason = (
+                f"bracket scan found no sign change within |t| <= {SCAN_LIMIT:g} "
+                "(range condition violated or pivot ill-chosen)"
+            )
+        msg = f"component {component} at x={self.x}: {reason}"
         if detail:
             msg += f"; {detail}"
         super().__init__(msg)
@@ -174,12 +187,6 @@ class TaylorPiece:
         coeffs = np.broadcast_to(self.coeffs, (len(pts),) + self.coeffs.shape)
         return _jets_from_coeffs(coeffs, centers, self.alphas, pts)[:, j - 1, b]
 
-    def jet_all(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        centers = np.broadcast_to(np.asarray(self.center), pts.shape)
-        coeffs = np.broadcast_to(self.coeffs, (len(pts),) + self.coeffs.shape)
-        return _jets_from_coeffs(coeffs, centers, self.alphas, pts)
-
 
 def taylor_poly(x0, xi) -> TaylorPiece:
     """Build the polynomial whose derivatives at x0 realize the jet xi.
@@ -219,11 +226,6 @@ class PiecewisePoly:
     @property
     def n_pieces(self) -> int:
         return self.coeffs.shape[0]
-
-    def piece(self, s: int) -> TaylorPiece:
-        return TaylorPiece(
-            center=tuple(self.centers[s]), alphas=self.alphas, coeffs=self.coeffs[s].copy()
-        )
 
     def jets(self, pts: np.ndarray) -> np.ndarray:
         """Full jets (N, K, A) at off-skeleton points; on-face points raise."""
@@ -309,12 +311,42 @@ def _scan_candidates() -> np.ndarray:
     return np.asarray(sorted({-t for t in ups} | {0.0} | set(ups)))
 
 
-def _solve_jet_batch(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> np.ndarray:
+# failure codes of a batched jet solve, one per point; 0 means solved
+_NO_SIGN_CHANGE, _NO_SLOT, _UNDEFINED, _NOT_CONVERGED = 1, 2, 3, 4
+_FAILURE_DETAIL = {
+    _NO_SIGN_CHANGE: "",
+    _NO_SLOT: "equation has no jet slots to adjust",
+    _UNDEFINED: "operator undefined at solved jet",
+}
+
+
+@dataclass
+class _JetSolve:
+    """Per-point outcome of a batched jet solve."""
+
+    xi: np.ndarray  # (M, S) jet vectors
+    fail: np.ndarray  # (S,) failure code, 0 where the point was solved
+    component: np.ndarray  # (S,) 1-based component of the failure
+    residual: np.ndarray  # (S,) worst |residual| over components after the last sweep
+
+    def error(self, s: int, x) -> RangeViolation:
+        component = int(self.component[s])
+        if self.fail[s] == _NOT_CONVERGED:
+            return RangeViolation(component, x, reason=(
+                f"jet solve did not converge: residual {self.residual[s]:g} above "
+                f"{SOLVE_TOL:g} after {SWEEPS} pivot sweeps"
+            ))
+        return RangeViolation(component, x, _FAILURE_DETAIL[int(self.fail[s])])
+
+
+def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> _JetSolve:
     """Solve the pivot slots so every component meets its target at its center.
 
-    centers: (S, n); targets: (S, K).  Returns jet vectors (S, M).
-    Equations are solved in order; if pivot slots couple equations, extra
-    sweeps run until every residual is within SOLVE_TOL.
+    centers: (S, n); targets: (S, K).  Equations are solved in order; if
+    pivot slots couple equations, extra sweeps run until every residual
+    is within SOLVE_TOL.  A point keeps the first failure it meets and
+    drops out of the convergence test, so one failing point never stops
+    the others.
     """
     S = len(centers)
     K = system.K
@@ -325,20 +357,24 @@ def _solve_jet_batch(system, centers: np.ndarray, targets: np.ndarray, anchor, p
         XI = np.tile(np.asarray(anchor, dtype=float).reshape(-1, 1), (1, S))
     pivot_rows = [None if p is None else system.slot(*p) for p in pivots]
     cands = _scan_candidates()
+    fail = np.zeros(S, dtype=np.int8)
+    comp = np.zeros(S, dtype=np.int32)
+
+    def mark(bad, code, component):
+        new = bad & (fail == 0)
+        fail[new] = code
+        comp[new] = np.broadcast_to(component, (S,))[new]
 
     def g(i, tvals):
         row = pivot_rows[i]
         XI[row] = tvals
         return ex.eval_component_batch(system, i, X, XI) - targets[:, i]
 
-    for sweep in range(8):
+    for _ in range(SWEEPS):
         for i in range(K):
             if pivot_rows[i] is None:
                 resid = ex.eval_component_batch(system, i, X, XI) - targets[:, i]
-                bad = ~(np.abs(resid) <= SOLVE_TOL)
-                if bad.any():
-                    w = int(np.argmax(bad))
-                    raise RangeViolation(i + 1, centers[w], "equation has no jet slots to adjust")
+                mark(~(np.abs(resid) <= SOLVE_TOL), _NO_SLOT, i + 1)
                 continue
             lo = np.zeros(S)
             hi = np.zeros(S)
@@ -358,9 +394,7 @@ def _solve_jet_batch(system, centers: np.ndarray, targets: np.ndarray, anchor, p
                         hi[sel] = t
                         found |= sel
                 prev_t, prev_g, prev_ok = t, gt, ok
-            if not found.all():
-                w = int(np.argmax(~found))
-                raise RangeViolation(i + 1, centers[w])
+            mark(~found, _NO_SIGN_CHANGE, i + 1)
             # bisection: 80 halvings take the bracket width below 1e-12
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
@@ -372,17 +406,30 @@ def _solve_jet_batch(system, centers: np.ndarray, targets: np.ndarray, anchor, p
                 if np.max(hi - lo) <= BISECT_TOL * 1e-3:
                     break
             XI[pivot_rows[i]] = 0.5 * (lo + hi)
-        worst = 0.0
+        resid = np.abs(np.stack([
+            ex.eval_component_batch(system, i, X, XI) - targets[:, i] for i in range(K)
+        ]))
         for i in range(K):
-            resid = ex.eval_component_batch(system, i, X, XI) - targets[:, i]
-            finite = np.isfinite(resid)
-            if not finite.all():
-                w = int(np.argmax(~finite))
-                raise RangeViolation(i + 1, centers[w], "operator undefined at solved jet")
-            worst = max(worst, float(np.max(np.abs(resid))))
-        if worst <= SOLVE_TOL:
-            return XI.T.copy()
-    raise RangeViolation(1, centers[0], f"coupled pivots failed to converge (residual {worst:g})")
+            mark(~np.isfinite(resid[i]), _UNDEFINED, i + 1)
+        worst = resid.max(axis=0)
+        solved = fail == 0
+        if not solved.any() or np.max(worst[solved]) <= SOLVE_TOL:
+            break
+    else:
+        mark(worst > SOLVE_TOL, _NOT_CONVERGED, np.argmax(resid, axis=0) + 1)
+    return _JetSolve(xi=XI, fail=fail, component=comp, residual=worst)
+
+
+def _solve_jet_batch(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> np.ndarray:
+    """Jet vectors (S, M) from _solve_jets, or the error of its first hard
+    failure; when the sweeps only failed to converge, the error names the
+    point and component of the worst residual."""
+    solve = _solve_jets(system, centers, targets, anchor, pivots)
+    if solve.fail.any():
+        hard = (solve.fail != 0) & (solve.fail != _NOT_CONVERGED)
+        s = int(np.argmax(hard)) if hard.any() else int(np.argmax(solve.residual))
+        raise solve.error(s, centers[s])
+    return solve.xi.T.copy()
 
 
 def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, pivots=None) -> JetPoint:
@@ -411,33 +458,91 @@ def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, 
 # ---------------------------------------------------------------------------
 # local and global construction
 
-def _ball_points(x0: np.ndarray, delta: float, box: Box) -> np.ndarray:
-    """Deterministic verification samples in the closed ball, clipped to the box."""
-    n = len(x0)
+def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic verification samples in the closed ball around each
+    center, clipped to the box, with the center itself last.
+
+    x0s: (B, n), deltas: (B,).  Returns points (B, P, n) and a mask
+    (B, P) of the grid points that lie in their ball.
+    """
+    B, n = x0s.shape
+    lo = x0s - deltas[:, None]
+    hi = x0s + deltas[:, None]
     if n == 1:
-        pts = np.linspace(x0[0] - delta, x0[0] + delta, 33).reshape(-1, 1)
+        pts = np.linspace(lo, hi, 33, axis=1)
+        inside = np.ones(pts.shape[:2], dtype=bool)
     else:
         per_axis = 9 if n == 2 else 5
-        grids = [np.linspace(x0[d] - delta, x0[d] + delta, per_axis) for d in range(n)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        pts = pts[np.linalg.norm(pts - x0, axis=1) <= delta * (1 + 1e-12)]
+        grids = np.linspace(lo, hi, per_axis, axis=2)  # (B, n, per_axis)
+        mesh = np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")
+        idx = np.stack([g.ravel() for g in mesh], axis=1)  # (P, n)
+        pts = grids[:, np.arange(n), idx]
+        inside = np.linalg.norm(pts - x0s[:, None, :], axis=2) <= deltas[:, None] * (1 + 1e-12)
     pts = np.clip(pts, np.asarray(box.lo), np.asarray(box.hi))
-    return np.vstack([pts, x0])
+    pts = np.concatenate([pts, x0s[:, None, :]], axis=1)
+    inside = np.concatenate([inside, np.ones((B, 1), dtype=bool)], axis=1)
+    return pts, inside
 
 
-def _band_ok(system, piece: TaylorPiece, rhs, pts: np.ndarray, eps: float, eta: float) -> bool:
-    jets = piece.jet_all(pts)
-    XI = jets.reshape(len(pts), -1).T
-    fvals = rhs(pts)
+def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarray,
+             box: Box, eps: float, eta: float) -> np.ndarray:
+    """Per center: does the residual of its piece stay in
+    [-eps - eta, eta] at every sample of its ball?"""
+    pts, inside = _ball_points(x0s, deltas, box)
+    B, P, n = pts.shape
+    flat = pts.reshape(-1, n)
+    jets = _jets_from_coeffs(np.repeat(coeffs, P, axis=0), np.repeat(x0s, P, axis=0),
+                             system.alphas, flat)
+    XI = jets.reshape(len(flat), -1).T
+    fvals = rhs(flat)
+    ok = np.ones((B, P), dtype=bool)
     for i in range(system.K):
-        tv = ex.eval_component_batch(system, i, pts.T, XI)
-        r = tv - fvals[i]
-        if not np.all(np.isfinite(r)):
-            return False
-        if np.max(r) > eta or np.min(r) < -eps - eta:
-            return False
-    return True
+        r = (ex.eval_component_batch(system, i, flat.T, XI) - fvals[i]).reshape(B, P)
+        ok &= np.isfinite(r) & (r <= eta) & (r >= -eps - eta)
+    return np.all(ok | ~inside, axis=1)
+
+
+def _taylor_coeffs(system, jets: np.ndarray) -> np.ndarray:
+    """Piece coefficients (S, K, A), c = xi / alpha!, from jet vectors (S, M)."""
+    A = len(system.alphas)
+    return jets.reshape(len(jets), system.K, A) / np.asarray(
+        [ex.multi_factorial(a) for a in system.alphas]
+    )
+
+
+def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box,
+           eta: float, pivots) -> tuple[np.ndarray, np.ndarray]:
+    """Validity radius (B,) and piece coefficients (B, K, A) at every probe point.
+
+    The jet at each point is solved for f(x0) - eps/2, centering the
+    residual in the band; each point's radius starts at its entry of
+    start and halves until the band check on its ball passes.  Raises
+    the error of the first point, in array order, whose solve fails or
+    whose radius falls below the floor.
+    """
+    B = len(x0s)
+    solve = _solve_jets(system, x0s, rhs(x0s).T - 0.5 * eps, None, pivots)
+    coeffs = _taylor_coeffs(system, solve.xi.T)
+    delta = np.array(start, dtype=float)
+    floor = DELTA_FLOOR_FACTOR * max(box.sides)
+    collapsed = np.zeros(B, dtype=bool)
+    active = solve.fail == 0
+    while active.any():
+        idx = np.flatnonzero(active)
+        passed = _band_ok(system, rhs, x0s[idx], coeffs[idx], delta[idx], box, eps, eta)
+        active[idx[passed]] = False
+        halve = idx[~passed]
+        delta[halve] *= 0.5
+        low = halve[delta[halve] < floor]
+        collapsed[low] = True
+        active[low] = False
+    bad = (solve.fail != 0) | collapsed
+    if bad.any():
+        s = int(np.argmax(bad))
+        if collapsed[s]:
+            raise DeltaCollapse(x0s[s], delta[s])
+        raise solve.error(s, x0s[s])
+    return delta, coeffs
 
 
 def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
@@ -447,81 +552,85 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
 
     The jet at x0 is solved for the target f(x0) - eps/2, centering the
     residual in the band; the radius starts at start_delta and halves
-    until the sampled band check passes.
+    until the sampled band check passes.  This is one probe of
+    plan_partition, run alone.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     x0 = np.asarray(x0, dtype=float)
-    f0 = rhs(x0.reshape(1, -1))[:, 0]
-    jet = solve_jet(system, x0, f0 - 0.5 * eps, pivots=pivots)
-    piece = taylor_poly(tuple(x0), jet)
-    delta = float(start_delta) if start_delta is not None else box.diameter
-    floor = DELTA_FLOOR_FACTOR * max(box.sides)
-    while True:
-        if _band_ok(system, piece, rhs, _ball_points(x0, delta, box), eps, eta):
-            return delta, piece
-        delta *= 0.5
-        if delta < floor:
-            raise DeltaCollapse(x0, delta)
+    if pivots is None:
+        pivots = default_pivots(system)
+    start = float(start_delta) if start_delta is not None else box.diameter
+    deltas, coeffs = _probe(system, rhs, x0.reshape(1, -1), np.asarray([start]), eps, box,
+                            eta, pivots)
+    return float(deltas[0]), TaylorPiece(center=tuple(x0), alphas=system.alphas, coeffs=coeffs[0])
 
 
 _PROBE_FRACTIONS = (0.25, 0.5, 0.75)
+
+
+def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
+                   eta: float = DEFAULT_ETA) -> CellPartition:
+    """Subdivide p to the smallest validity radius over all probe points.
+
+    Every cell is probed at the 3^n points at fractions 1/4, 1/2, 3/4 of
+    its sides, each radius starting at the cell's diameter, all in one
+    batch.  The returned partition records that radius as ``delta``.
+    Raises the error of the first failing probe, cells in C order and
+    probes in lexicographic order within a cell.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    fracs = np.asarray(list(itertools.product(_PROBE_FRACTIONS, repeat=p.n)))
+    boxes = [p.cell_box(c) for c in range(p.n_cells)]
+    lo = np.asarray([b.lo for b in boxes])
+    hi = np.asarray([b.hi for b in boxes])
+    x0s = (lo[:, None, :] + fracs * (hi - lo)[:, None, :]).reshape(-1, p.n)
+    start = np.repeat([b.diameter for b in boxes], len(fracs))
+    deltas, _ = _probe(system, rhs, x0s, start, eps, p.bounds, eta, default_pivots(system))
+    return subdivide(p, float(deltas.min()))
+
+
+def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float, *,
+                      eta: float = DEFAULT_ETA, samples_per_cell: int | None = None,
+                      margin: float = DEFAULT_MARGIN, seed: int = 0,
+                      workers: int = 1) -> tuple[PiecewisePoly, "ResidualCertificate"]:
+    """Place one piece per subcell of a fixed partition and certify the band.
+
+    The jet at every subcell center is solved for f - eps/2 there.  The
+    certificate checks the band on a fresh off-skeleton sample set, at
+    least TARGET_SAMPLES points unless samples_per_cell is given, with
+    the residual sweep shared by ``workers`` threads.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    skel = skeleton_of(fine)
+    centers = fine.subcell_centers()
+    targets = rhs(centers).T - 0.5 * eps
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("right-hand side not finite at subcell centers")
+    jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
+    U = PiecewisePoly(partition=fine, skeleton=skel, alphas=system.alphas,
+                      coeffs=_taylor_coeffs(system, jets), centers=centers)
+    if samples_per_cell is None:
+        samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
+    samples = sample_points(fine, samples_per_cell, margin, seed)
+    cert = check_residual(system, U, rhs, eps, samples, eta=eta, workers=workers)
+    return U, cert
 
 
 def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
                   eta: float = DEFAULT_ETA, samples_per_cell: int | None = None,
                   margin: float = DEFAULT_MARGIN, seed: int = 0,
                   workers: int = 1) -> tuple[PiecewisePoly, "ResidualCertificate"]:
-    """Assemble a certified one-sided approximant over the whole partition.
-
-    Probes a 3^n grid in every cell with local_approx to pick the
-    subdivision diameter, re-solves the jet at every subcell center, and
-    certifies the band on a fresh off-skeleton sample set.
+    """Assemble a certified one-sided approximant over the whole partition:
+    plan_partition picks the subdivision, then place_and_certify places
+    the pieces on it and certifies the band.  ``workers`` applies to the
+    certificate's residual sweep only; probing runs as one batch.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = p.n
-    pivots = default_pivots(system)
-    probe_offsets = list(itertools.product(_PROBE_FRACTIONS, repeat=n))
-
-    def probe_cell(flat: int) -> float:
-        cbox = p.cell_box(flat)
-        best = math.inf
-        for frac in probe_offsets:
-            x0 = tuple(a + f * (b - a) for a, b, f in zip(cbox.lo, cbox.hi, frac))
-            delta, _ = local_approx(
-                system, rhs, x0, eps,
-                box=p.bounds, start_delta=cbox.diameter, eta=eta, pivots=pivots,
-            )
-            best = min(best, delta)
-        return best
-
-    cell_ids = list(range(p.n_cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(probe_cell, cell_ids))
-    else:
-        deltas = [probe_cell(c) for c in cell_ids]
-    delta_min = min(deltas)
-
-    fine = subdivide(p, delta_min)
-    skel = skeleton_of(fine)
-    centers = fine.subcell_centers()
-    targets = rhs(centers).T - 0.5 * eps
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("right-hand side not finite at subcell centers")
-    jets = _solve_jet_batch(system, centers, targets, None, pivots)
-    A = len(system.alphas)
-    coeffs = jets.reshape(len(centers), system.K, A) / np.asarray(
-        [ex.multi_factorial(a) for a in system.alphas]
-    )
-    U = PiecewisePoly(partition=fine, skeleton=skel, alphas=system.alphas,
-                      coeffs=coeffs, centers=centers)
-    if samples_per_cell is None:
-        samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
-    samples = sample_points(fine, samples_per_cell, margin, seed)
-    cert = check_residual(system, U, rhs, eps, samples, eta=eta, workers=workers)
-    return U, cert
+    fine = plan_partition(system, rhs, p, eps, eta=eta)
+    return place_and_certify(system, rhs, fine, eps, eta=eta, samples_per_cell=samples_per_cell,
+                             margin=margin, seed=seed, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ Config files are sectioned key-value text:
 
 Values are numbers, double-quoted strings, or bracketed arrays of
 either; ``#`` starts a comment.  Exit codes: 0 success, 2 config error,
-3 range-condition violation, 4 validity-radius collapse, 5 certificate
-or self-check failure.  All randomness comes from the seed; the env var
-``OCM_THREADS`` caps the worker count (default: machine parallelism)
-and never changes any output byte.
+3 range-condition violation or jet-solve non-convergence, 4
+validity-radius collapse, 5 certificate or self-check failure.  All
+randomness comes from the seed; the env var ``OCM_THREADS`` caps the
+worker count of the certificate's residual sweeps (default: machine
+parallelism) and never changes any output byte.
 """
 
 from __future__ import annotations

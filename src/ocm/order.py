@@ -3,11 +3,11 @@ driver that produces a Cauchy sequence of certified approximants.
 
 Grid functions are compared only at nodes that avoid the given skeleton
 and both masks: equality and order modulo a closed nowhere dense set.
-The refinement driver fixes one partition (the one the finest step
-needs) and re-solves every step on it, so the operator images rise
-monotonically step over step with no repairs in exact arithmetic; the
-running nodewise maximum enforces the invariant and counts any repairs
-float wobble would introduce.
+The refinement driver plans one partition (the one the finest step
+needs, from a single probe round) and places every step's pieces on
+it, so the operator images rise monotonically step over step with no
+repairs in exact arithmetic; the running nodewise maximum enforces the
+invariant and counts any repairs float wobble would introduce.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .approx import PiecewisePoly, ResidualCertificate, global_approx
+from .approx import PiecewisePoly, ResidualCertificate, global_approx, place_and_certify
 from .baire import GridFn, EnvelopePair, lattice_nodes, nlsc_regularize
 from .domain import CellPartition, Skeleton
 
@@ -231,8 +231,10 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
                     image_hook=None) -> SolutionTrace:
     """Run the band construction for eps = 1, 1/2, ..., 1/n_max.
 
-    The partition is fixed to the one the finest step needs, so every
-    step shares centers and skeleton and the image sequence increases
+    The partition is planned once, by global_approx at eps = 1/n_max,
+    whose approximant and certificate serve as step n_max; every other
+    step only places and certifies pieces on that partition.  All steps
+    share centers and skeleton, so the image sequence increases
     pointwise; the running nodewise maximum makes that an invariant and
     repairs count any node where a raw image dropped below the running
     maximum by more than eta.  ``image_hook`` is a test seam that may
@@ -241,9 +243,9 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    U_fine, _ = global_approx(system, rhs, p, 1.0 / n_max, eta=eta,
-                              samples_per_cell=samples_per_cell, margin=margin,
-                              seed=seed, workers=workers)
+    U_fine, cert_fine = global_approx(system, rhs, p, 1.0 / n_max, eta=eta,
+                                      samples_per_cell=samples_per_cell, margin=margin,
+                                      seed=seed, workers=workers)
     base = U_fine.partition
     shape = tuple(len(a) for a in axes)
     nodes = lattice_nodes(axes)
@@ -254,9 +256,12 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     running: list[GridFn] | None = None
     for n in range(1, n_max + 1):
         eps = 1.0 / n
-        U_n, cert = global_approx(system, rhs, base, eps, eta=eta,
-                                  samples_per_cell=samples_per_cell, margin=margin,
-                                  seed=seed, workers=workers)
+        if n == n_max:
+            U_n, cert = U_fine, cert_fine
+        else:
+            U_n, cert = place_and_certify(system, rhs, base, eps, eta=eta,
+                                          samples_per_cell=samples_per_cell, margin=margin,
+                                          seed=seed, workers=workers)
         raw = operator_image(system, U_n, axes)
         if image_hook is not None:
             raw = image_hook(n, raw)

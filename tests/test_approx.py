@@ -1,5 +1,6 @@
 """Jet construction, local/global band assembly, and certification tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,14 @@ from ocm.approx import (
     default_pivots,
     global_approx,
     local_approx,
+    place_and_certify,
+    plan_partition,
     rhs_from_exprs,
     solve_jet,
     taylor_poly,
 )
 from ocm.domain import Box, build_partition, sample_points
-from ocm.expr import parse_system
+from ocm.expr import eval_component_batch, parse_system
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -160,6 +163,40 @@ def test_solve_jet_coupled_system_meets_both_targets():
     assert got[1] == pytest.approx(1.2, abs=1e-10)
 
 
+@pytest.mark.parametrize("eqs,K,target,component", [
+    ("exp(u1)", 1, (2.0,), 1),
+    # the first equation has no jet slot and holds exactly, so only the
+    # second can carry the leftover residual
+    ("x1\nexp(u2)", 2, (0.25, 2.0), 2),
+])
+def test_solve_jet_non_convergence_names_the_worst_component(monkeypatch, eqs, K, target, component):
+    monkeypatch.setattr("ocm.approx.SOLVE_TOL", 0.0)
+    sys_ = parse_system(eqs, 1, K, 0)
+    with pytest.raises(RangeViolation) as exc:
+        solve_jet(sys_, (0.25,), target)
+    assert exc.value.component == component
+    assert exc.value.x == (0.25,)
+    assert "did not converge" in str(exc.value)
+    assert "sign change" not in str(exc.value)
+
+
+def test_placement_non_convergence_reports_the_worst_center(monkeypatch):
+    sys_ = parse_system("exp(u1)", 1, 1, 0)
+    rhs = rhs_from_exprs(["2 + x1"], 1)
+    p = build_partition(UNIT, 8)
+    U, _ = place_and_certify(sys_, rhs, p, 0.1)
+    # m = 0: the coefficients are the solved jets themselves
+    resid = np.abs(eval_component_batch(sys_, 0, U.centers.T, U.coeffs[:, :, 0].T)
+                   - (rhs(U.centers)[0] - 0.05))
+    worst = int(np.argmax(resid))
+    assert worst != 0 and resid[worst] > 0.0
+    monkeypatch.setattr("ocm.approx.SOLVE_TOL", 0.0)
+    with pytest.raises(RangeViolation) as exc:
+        place_and_certify(sys_, rhs, p, 0.1)
+    assert exc.value.x == tuple(U.centers[worst])
+    assert "did not converge" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # local construction
 
@@ -197,6 +234,62 @@ def test_local_delta_collapse_on_steep_rhs():
     rhs = rhs_from_exprs(["10000 * x1"], 1)
     with pytest.raises(DeltaCollapse):
         local_approx(sys_, rhs, (0.5,), 0.01, box=UNIT, start_delta=1.0)
+
+
+# ---------------------------------------------------------------------------
+# partition planning
+
+def per_point_plan(sys_, rhs, p, eps):
+    """The probe loop one point at a time, as a reference: local_approx at
+    every 3^n probe point of every cell, cells in C order; the first
+    failing probe raises."""
+    best = math.inf
+    for c in range(p.n_cells):
+        cbox = p.cell_box(c)
+        for frac in itertools.product((0.25, 0.5, 0.75), repeat=p.n):
+            x0 = tuple(a + f * (b - a) for a, b, f in zip(cbox.lo, cbox.hi, frac))
+            delta, _ = local_approx(sys_, rhs, x0, eps, box=p.bounds, start_delta=cbox.diameter)
+            best = min(best, delta)
+    return best
+
+
+SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("eqs,rhs_texts,n,K,box,cells,eps", [
+    ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.1),
+    ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.01),
+    ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1),
+    ("D(u1,(1))\nu2 + D(u1,(1))", ["x1", "1 + x1"], 1, 2, UNIT, 10, 0.05),
+])
+def test_planned_diameter_matches_per_point_probes(eqs, rhs_texts, n, K, box, cells, eps):
+    sys_ = parse_system(eqs, n, K, 1)
+    rhs = rhs_from_exprs(rhs_texts, n)
+    p = build_partition(box, cells)
+    fine = plan_partition(sys_, rhs, p, eps)
+    assert fine.delta == per_point_plan(sys_, rhs, p, eps)
+    assert fine.total_subcells > p.n_cells
+
+
+@pytest.mark.parametrize("eqs,rhs_text,eps,error", [
+    # steeper as x1 grows: the third probe of the first cell collapses
+    ("u1", "10000 * x1^2", 0.01, DeltaCollapse),
+    # unattainable for x1 > 0.45 only: the first probe of the third cell fails
+    ("D(u1,(1))^2", "0.5 - x1", 0.1, RangeViolation),
+    # radius collapse at the first probe, unattainable targets past x1 = 0.7
+    ("exp(u1)", "20000 * (0.7 - x1)", 0.01, DeltaCollapse),
+])
+def test_planner_raises_at_the_first_failing_probe(eqs, rhs_text, eps, error):
+    sys_ = parse_system(eqs, 1, 1, 1)
+    rhs = rhs_from_exprs([rhs_text], 1)
+    p = build_partition(UNIT, 4)
+    with pytest.raises(error) as ref:
+        per_point_plan(sys_, rhs, p, eps)
+    with pytest.raises(error) as got:
+        plan_partition(sys_, rhs, p, eps)
+    assert type(got.value) is type(ref.value)
+    assert got.value.x == ref.value.x
+    assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,32 @@ def test_refine_single_step_trace():
     assert trace.steps[0].cauchy_gap_prev == 0.0
 
 
+def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
+    import ocm.approx
+    import ocm.order
+
+    plans, planned = [], []
+    plan, global_approx = ocm.approx.plan_partition, ocm.order.global_approx
+
+    def counting_plan(*args, **kwargs):
+        plans.append(args[3])  # eps
+        return plan(*args, **kwargs)
+
+    def recording_global(*args, **kwargs):
+        planned.append(global_approx(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
+    monkeypatch.setattr(ocm.order, "global_approx", recording_global)
+    _, trace = _refine(["D(u1,(1))"], ["x1"], 4)
+    assert plans == [1 / 4]
+    U, cert = planned[0]
+    assert trace.steps[-1].approximant is U
+    assert trace.steps[-1].certificate is cert
+    assert all(s.approximant.partition is U.partition for s in trace.steps)
+    assert trace.all_certified
+
+
 def test_refine_image_hook_counts_repairs():
     sys_ = parse_system("u1", 1, 1, 1)
     rhs = rhs_from_exprs(["0"], 1)
