@@ -9,8 +9,10 @@ probe's radius until the sampled residual on its ball stays inside
 ``[-eps - eta, eta]``, and subdivides to the smallest radius found.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
-sample set.  ``global_approx`` is the two stages in sequence;
-``local_approx`` is the probe stage for a single point.
+sample set, located once in the partition: that one lookup both rejects
+samples on the skeleton and picks each sample's piece.
+``global_approx`` is the two stages in sequence; ``local_approx`` is the
+probe stage for a single point.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation, a geometric bracket scan out to |t| = 1e6, and plain
@@ -68,8 +70,10 @@ class RangeViolation(Exception):
     range of the operator at this point (no classical solution nearby),
     or the pivot slot was a poor choice for this equation; the two cases
     cannot be told apart from scan failure alone.  It is also raised,
-    with ``reason`` saying so, when the pivot sweeps end with a residual
-    still above SOLVE_TOL; ``component`` and ``x`` then name the worst
+    with ``reason`` saying which, when an equation has no jet slot to
+    adjust and misses its target, when the operator is undefined at the
+    solved jet, and when the pivot sweeps end with a residual still
+    above SOLVE_TOL; ``component`` and ``x`` then name the worst
     residual.
     """
 
@@ -313,8 +317,8 @@ def _scan_candidates() -> np.ndarray:
 
 # failure codes of a batched jet solve, one per point; 0 means solved
 _NO_SIGN_CHANGE, _NO_SLOT, _UNDEFINED, _NOT_CONVERGED = 1, 2, 3, 4
-_FAILURE_DETAIL = {
-    _NO_SIGN_CHANGE: "",
+# RangeViolation reasons; a failed bracket scan keeps the class's default
+_FAILURE_REASON = {
     _NO_SLOT: "equation has no jet slots to adjust",
     _UNDEFINED: "operator undefined at solved jet",
 }
@@ -336,7 +340,7 @@ class _JetSolve:
                 f"jet solve did not converge: residual {self.residual[s]:g} above "
                 f"{SOLVE_TOL:g} after {SWEEPS} pivot sweeps"
             ))
-        return RangeViolation(component, x, _FAILURE_DETAIL[int(self.fail[s])])
+        return RangeViolation(component, x, reason=_FAILURE_REASON.get(int(self.fail[s])))
 
 
 def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> _JetSolve:
@@ -591,6 +595,46 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     return subdivide(p, float(deltas.min()))
 
 
+def _locate_off_skeleton(p: CellPartition, pts: np.ndarray) -> np.ndarray:
+    """Subcell index of every sample; a sample on a face has no piece, so
+    it is rejected, and a sample outside the domain makes locate raise."""
+    loc, on_face = p.locate(pts)
+    if on_face.any():
+        raise ValueError("verification sample lies on the skeleton")
+    return loc
+
+
+def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate's sample set on fine and the subcell index of each
+    sample: at least TARGET_SAMPLES points unless samples_per_cell is given."""
+    if samples_per_cell is None:
+        samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
+    pts = sample_points(fine, samples_per_cell, margin, seed)
+    return pts, _locate_off_skeleton(fine, pts)
+
+
+def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
+    """One piece per subcell of fine, its jet solved for f - eps/2 at the
+    subcell center."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    centers = fine.subcell_centers()
+    targets = rhs(centers).T - 0.5 * eps
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("right-hand side not finite at subcell centers")
+    jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
+    return PiecewisePoly(partition=fine, skeleton=skeleton_of(fine), alphas=system.alphas,
+                         coeffs=_taylor_coeffs(system, jets), centers=centers)
+
+
+def _certify(system, U: PiecewisePoly, rhs, eps: float, located, *, eta: float,
+             workers: int) -> "ResidualCertificate":
+    """check_residual on a (samples, subcell index) pair from _located_samples."""
+    pts, loc = located
+    return check_residual(system, U, rhs, eps, pts, eta=eta, workers=workers, _loc=loc)
+
+
 def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float, *,
                       eta: float = DEFAULT_ETA, samples_per_cell: int | None = None,
                       margin: float = DEFAULT_MARGIN, seed: int = 0,
@@ -599,24 +643,15 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
 
     The jet at every subcell center is solved for f - eps/2 there.  The
     certificate checks the band on a fresh off-skeleton sample set, at
-    least TARGET_SAMPLES points unless samples_per_cell is given, with
-    the residual sweep shared by ``workers`` threads.
+    least TARGET_SAMPLES points unless samples_per_cell is given, located
+    once in fine (which also proves it misses the skeleton), with the
+    residual sweep shared by ``workers`` threads.  The set depends only
+    on fine, samples_per_cell, margin and seed, so refine_solution draws
+    it once for all steps on its common partition.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    skel = skeleton_of(fine)
-    centers = fine.subcell_centers()
-    targets = rhs(centers).T - 0.5 * eps
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("right-hand side not finite at subcell centers")
-    jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
-    U = PiecewisePoly(partition=fine, skeleton=skel, alphas=system.alphas,
-                      coeffs=_taylor_coeffs(system, jets), centers=centers)
-    if samples_per_cell is None:
-        samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
-    samples = sample_points(fine, samples_per_cell, margin, seed)
-    cert = check_residual(system, U, rhs, eps, samples, eta=eta, workers=workers)
-    return U, cert
+    U = _place(system, rhs, fine, eps)
+    located = _located_samples(fine, samples_per_cell, margin, seed)
+    return U, _certify(system, U, rhs, eps, located, eta=eta, workers=workers)
 
 
 def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
@@ -669,8 +704,17 @@ class ResidualCertificate:
 
 
 def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samples,
-                   *, eta: float = DEFAULT_ETA, workers: int = 1) -> ResidualCertificate:
-    """Independent band check at the given off-skeleton samples."""
+                   *, eta: float = DEFAULT_ETA, workers: int = 1,
+                   _loc: np.ndarray | None = None) -> ResidualCertificate:
+    """Independent band check at the given off-skeleton samples.
+
+    The samples are located in U's partition once: a sample on a subcell
+    face raises ValueError (the face flag of the lookup is exactly
+    skeleton membership), one outside the domain too, and the subcell
+    index picks the piece whose jets are evaluated there.  ``_loc`` is
+    for callers in this module that pass samples already located off
+    the skeleton, as refine_solution does to share one set across steps.
+    """
     if tuple(U.alphas) != system.alphas or U.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -681,11 +725,12 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
             for i in range(system.K)
         ]
         return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=True)
-    if U.skeleton.contains_batch(pts).any():
-        raise ValueError("verification sample lies on the skeleton")
+    loc = _locate_off_skeleton(U.partition, pts) if _loc is None else _loc
 
-    def residuals(chunk: np.ndarray) -> np.ndarray:
-        jets = U.jets(chunk)
+    def residuals(start: int) -> np.ndarray:
+        chunk = pts[start: start + chunk_size]
+        piece = loc[start: start + chunk_size]
+        jets = _jets_from_coeffs(U.coeffs[piece], U.centers[piece], U.alphas, chunk)
         XI = jets.reshape(len(chunk), -1).T
         fv = rhs(chunk)
         out = np.empty((system.K, len(chunk)))
@@ -694,12 +739,12 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
         return out
 
     chunk_size = 65536
-    chunks = [pts[i: i + chunk_size] for i in range(0, len(pts), chunk_size)]
-    if workers > 1 and len(chunks) > 1:
+    starts = range(0, len(pts), chunk_size)
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(residuals, chunks))
+            parts = list(pool.map(residuals, starts))
     else:
-        parts = [residuals(c) for c in chunks]
+        parts = [residuals(s) for s in starts]
     res = np.concatenate(parts, axis=1)
 
     stats = []

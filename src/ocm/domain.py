@@ -64,6 +64,19 @@ class Box:
         return all(a <= x <= b for x, a, b in zip(pt, self.lo, self.hi))
 
 
+def _edge_index(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval index of each x in the sorted edge array, and whether x
+    equals an edge.
+
+    The index j satisfies edges[j] <= x < edges[j + 1], clipped to the
+    first and last interval, so x == edges[-1] lands in the last one.
+    Since searchsorted already brackets x, the edge test only compares
+    x with its two neighbouring edges instead of searching all of them.
+    """
+    j = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    return j, (edges[j] == x) | (edges[j + 1] == x)
+
+
 @dataclass
 class CellPartition:
     """A box tiled by cells, each cell tiled by an axis grid of subcells.
@@ -191,9 +204,8 @@ class CellPartition:
             on_face = np.zeros(len(pts), dtype=bool)
             for d in range(self.n):
                 edges = self._grid_edges[d]
-                j = np.searchsorted(edges, pts[:, d], side="right") - 1
-                j = np.clip(j, 0, len(edges) - 2)
-                on_face |= np.isin(pts[:, d], edges)
+                j, on = _edge_index(edges, pts[:, d])
+                on_face |= on
                 flat = flat * (len(edges) - 1) + j
             return flat, on_face
         flat_out = np.empty(len(pts), dtype=np.int64)
@@ -210,9 +222,8 @@ class CellPartition:
                 on = np.zeros(int(inside.sum()), dtype=bool)
                 p = pts[inside]
                 for d in range(self.n):
-                    j = np.searchsorted(edges[d], p[:, d], side="right") - 1
-                    j = np.clip(j, 0, len(edges[d]) - 2)
-                    on |= np.isin(p[:, d], edges[d])
+                    j, on_d = _edge_index(edges[d], p[:, d])
+                    on |= on_d
                     sub = sub * (len(edges[d]) - 1) + j
                 flat_out[inside] = base + sub
                 on_out[inside] = on
@@ -306,7 +317,7 @@ class Skeleton:
             vals = self.axis_values(axis)
             if len(vals) == 0:
                 continue
-            hits = np.nonzero(np.isin(pts[:, axis], vals))[0]
+            hits = np.nonzero(_edge_index(vals, pts[:, axis])[1])[0]
             for i in hits:
                 if out[i]:
                     continue

@@ -7,7 +7,10 @@ The refinement driver plans one partition (the one the finest step
 needs, from a single probe round) and places every step's pieces on
 it, so the operator images rise monotonically step over step with no
 repairs in exact arithmetic; the running nodewise maximum enforces the
-invariant and counts any repairs float wobble would introduce.
+invariant and counts any repairs float wobble would introduce.  The
+steps also share one verification sample set, drawn and located in
+that partition once; locating it is also what proves it misses the
+skeleton.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .approx import PiecewisePoly, ResidualCertificate, global_approx, place_and_certify
+from .approx import (PiecewisePoly, ResidualCertificate, _certify, _located_samples, _place,
+                     global_approx)
 from .baire import GridFn, EnvelopePair, lattice_nodes, nlsc_regularize
 from .domain import CellPartition, Skeleton
 
@@ -233,7 +237,10 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
 
     The partition is planned once, by global_approx at eps = 1/n_max,
     whose approximant and certificate serve as step n_max; every other
-    step only places and certifies pieces on that partition.  All steps
+    step only places and certifies pieces on that partition.  Those
+    steps certify on one shared sample set, drawn and located once; it
+    is the set place_and_certify would draw for the same partition and
+    seed, so each certificate equals a standalone one.  All steps
     share centers and skeleton, so the image sequence increases
     pointwise; the running nodewise maximum makes that an invariant and
     repairs count any node where a raw image dropped below the running
@@ -252,6 +259,8 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     fvals = rhs(nodes)
     rhs_grid = [GridFn(axes, fvals[i].reshape(shape)) for i in range(system.K)]
 
+    located = _located_samples(base, samples_per_cell, margin, seed) if n_max > 1 else None
+
     steps: list[StepRecord] = []
     running: list[GridFn] | None = None
     for n in range(1, n_max + 1):
@@ -259,9 +268,8 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
         if n == n_max:
             U_n, cert = U_fine, cert_fine
         else:
-            U_n, cert = place_and_certify(system, rhs, base, eps, eta=eta,
-                                          samples_per_cell=samples_per_cell, margin=margin,
-                                          seed=seed, workers=workers)
+            U_n = _place(system, rhs, base, eps)
+            cert = _certify(system, U_n, rhs, eps, located, eta=eta, workers=workers)
         raw = operator_image(system, U_n, axes)
         if image_hook is not None:
             raw = image_hook(n, raw)

@@ -180,6 +180,20 @@ def test_solve_jet_non_convergence_names_the_worst_component(monkeypatch, eqs, K
     assert "sign change" not in str(exc.value)
 
 
+@pytest.mark.parametrize("eqs,K,target,component,reason", [
+    # x1 = 2 holds nowhere and no jet slot can change that
+    ("x1", 1, (2.0,), 1, "equation has no jet slots to adjust"),
+    # solving u2 = -1 after u1 leaves sqrt(u2) in equation 1 undefined
+    ("u1 + sqrt(u2)\nu2", 2, (1.0, -1.0), 1, "operator undefined at solved jet"),
+])
+def test_solve_jet_failure_reasons(eqs, K, target, component, reason):
+    sys_ = parse_system(eqs, 1, K, 0)
+    with pytest.raises(RangeViolation) as exc:
+        solve_jet(sys_, (0.25,), target)
+    assert exc.value.component == component
+    assert str(exc.value) == f"component {component} at x=(0.25,): {reason}"
+
+
 def test_placement_non_convergence_reports_the_worst_center(monkeypatch):
     sys_ = parse_system("exp(u1)", 1, 1, 0)
     rhs = rhs_from_exprs(["2 + x1"], 1)
@@ -391,8 +405,10 @@ def test_check_residual_empty_is_vacuous_but_flagged():
 
 def test_check_residual_rejects_skeleton_samples():
     sys_, rhs, U, _ = _transport_setup()
-    with pytest.raises(ValueError):
-        check_residual(sys_, U, rhs, 0.1, np.asarray([[0.5]]))
+    with pytest.raises(ValueError, match="on the skeleton"):
+        check_residual(sys_, U, rhs, 0.1, np.asarray([[0.3], [0.5]]))
+    with pytest.raises(ValueError, match="outside domain"):
+        check_residual(sys_, U, rhs, 0.1, np.asarray([[0.3], [1.5]]))
 
 
 def test_solve_jet_respects_anchor_and_explicit_pivot():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ocm.domain import Box, build_partition, sample_points, skeleton_of, subdivide
+from ocm.domain import Box, CellPartition, build_partition, sample_points, skeleton_of, subdivide
 
 
 def test_build_uniform_1d():
@@ -86,15 +86,55 @@ def test_skeleton_2d_cross():
     assert not s.contains((0.3, 0.7))
 
 
+def _per_cell_partitions():
+    """2D and 3D partitions whose two cells carry different subcell grids,
+    so locate takes its per-cell path."""
+    halves, unit = np.asarray([0.0, 0.5, 1.0]), np.asarray([0.0, 1.0])
+    two = CellPartition(Box((0.0, 0.0), (1.0, 1.0)), (halves, unit),
+                        [(halves[:2], np.asarray([0.0, 0.3, 1.0])),
+                         (np.asarray([0.5, 0.75, 1.0]), unit)])
+    three = CellPartition(Box((0.0,) * 3, (1.0,) * 3), (halves, unit, unit),
+                          [(halves[:2], unit, np.asarray([0.0, 0.6, 1.0])),
+                           (np.asarray([0.5, 0.625, 1.0]), np.asarray([0.0, 0.2, 1.0]), unit)])
+    return [two, three]
+
+
+def _random_tensor_partitions(rng, count):
+    for k in range(count):
+        n = 1 + k % 3
+        lo = rng.uniform(-1.0, 1.0, n)
+        box = Box(tuple(lo), tuple(lo + rng.uniform(0.5, 2.0, n)))
+        p = build_partition(box, tuple(rng.integers(1, 4, n)))
+        yield subdivide(p, rng.uniform(0.2, 1.5)) if k % 2 else p
+
+
 def test_skeleton_batch_matches_scalar():
-    p = subdivide(build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2)), 0.4)
-    s = skeleton_of(p)
+    # locate's face flag, contains_batch and the scalar contains agree on
+    # points with about a third of their coordinates forced onto an edge,
+    # the upper corner included; on tensor grids they also equal the
+    # plain np.isin test against each axis's edge set
     rng = np.random.default_rng(3)
-    pts = rng.random((200, 2))
-    pts[:50, 0] = 0.5  # force some hits
-    batch = s.contains_batch(pts)
-    scalar = np.asarray([s.contains(tuple(p_)) for p_ in pts])
-    np.testing.assert_array_equal(batch, scalar)
+    parts = [(p, False) for p in _per_cell_partitions()]
+    parts += [(p, True) for p in _random_tensor_partitions(rng, 30)]
+    for p, tensor in parts:
+        s = skeleton_of(p)
+        lo, hi = np.asarray(p.bounds.lo), np.asarray(p.bounds.hi)
+        pts = lo + rng.random((200, p.n)) * (hi - lo)
+        for d in range(p.n):
+            edges = s.axis_values(d)
+            force = rng.random(len(pts)) < 0.3
+            pts[force, d] = rng.choice(edges, int(force.sum()))
+        pts[0] = hi
+        pts[1, 0] = hi[0]
+        _, on_face = p.locate(pts)
+        batch = s.contains_batch(pts)
+        scalar = np.asarray([s.contains(tuple(q)) for q in pts])
+        np.testing.assert_array_equal(on_face, batch)
+        np.testing.assert_array_equal(batch, scalar)
+        assert on_face[:2].all() and on_face.any() and not on_face.all()
+        if tensor:
+            ref = np.any([np.isin(pts[:, d], s.axis_values(d)) for d in range(p.n)], axis=0)
+            np.testing.assert_array_equal(on_face, ref)
 
 
 def test_sample_points_containment_and_margin():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocm.approx import PiecewisePoly, rhs_from_exprs, taylor_poly
+from ocm.approx import PiecewisePoly, place_and_certify, rhs_from_exprs, taylor_poly
 from ocm.baire import GridFn, make_lattice
 from ocm.domain import Box, build_partition, skeleton_of
 from ocm.expr import parse_system
@@ -186,8 +186,9 @@ def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
     import ocm.approx
     import ocm.order
 
-    plans, planned = [], []
+    plans, planned, draws = [], [], []
     plan, global_approx = ocm.approx.plan_partition, ocm.order.global_approx
+    sample_points = ocm.approx.sample_points
 
     def counting_plan(*args, **kwargs):
         plans.append(args[3])  # eps
@@ -197,15 +198,28 @@ def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
         planned.append(global_approx(*args, **kwargs))
         return planned[-1]
 
+    def counting_samples(*args, **kwargs):
+        draws.append(args[0])  # partition
+        return sample_points(*args, **kwargs)
+
     monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
     monkeypatch.setattr(ocm.order, "global_approx", recording_global)
-    _, trace = _refine(["D(u1,(1))"], ["x1"], 4)
+    monkeypatch.setattr(ocm.approx, "sample_points", counting_samples)
+    sys_, trace = _refine(["D(u1,(1))"], ["x1"], 4)
     assert plans == [1 / 4]
     U, cert = planned[0]
     assert trace.steps[-1].approximant is U
     assert trace.steps[-1].certificate is cert
     assert all(s.approximant.partition is U.partition for s in trace.steps)
     assert trace.all_certified
+    # the finest step draws its own samples, all other steps share one set
+    assert len(draws) == 2 and all(d is U.partition for d in draws)
+    rhs = rhs_from_exprs(["x1"], 1)
+    for s in trace.steps[:-1]:
+        _, alone = place_and_certify(sys_, rhs, U.partition, s.eps, seed=7)
+        assert [(c.samples, c.min_residual, c.max_residual, c.passed)
+                for c in s.certificate.components] == \
+            [(c.samples, c.min_residual, c.max_residual, c.passed) for c in alone.components]
 
 
 def test_refine_image_hook_counts_repairs():
