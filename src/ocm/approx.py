@@ -71,8 +71,9 @@ class RangeViolation(Exception):
     or the pivot slot was a poor choice for this equation; the two cases
     cannot be told apart from scan failure alone.  It is also raised,
     with ``reason`` saying which, when an equation has no jet slot to
-    adjust and misses its target, when the operator is undefined at the
-    solved jet, and when the pivot sweeps end with a residual still
+    adjust and misses its target, when the right-hand side is not finite
+    at the point, when the operator is undefined at the solved jet, and
+    when the pivot sweeps end with a residual still
     above SOLVE_TOL; ``component`` and ``x`` then name the worst
     residual.
     """
@@ -316,11 +317,12 @@ def _scan_candidates() -> np.ndarray:
 
 
 # failure codes of a batched jet solve, one per point; 0 means solved
-_NO_SIGN_CHANGE, _NO_SLOT, _UNDEFINED, _NOT_CONVERGED = 1, 2, 3, 4
+_NO_SIGN_CHANGE, _NO_SLOT, _UNDEFINED, _NOT_CONVERGED, _NO_TARGET = 1, 2, 3, 4, 5
 # RangeViolation reasons; a failed bracket scan keeps the class's default
 _FAILURE_REASON = {
     _NO_SLOT: "equation has no jet slots to adjust",
     _UNDEFINED: "operator undefined at solved jet",
+    _NO_TARGET: "right-hand side not finite",
 }
 
 
@@ -350,7 +352,7 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     pivot slots couple equations, extra sweeps run until every residual
     is within SOLVE_TOL.  A point keeps the first failure it meets and
     drops out of the convergence test, so one failing point never stops
-    the others.
+    the others; a point whose target is not finite fails before any scan.
     """
     S = len(centers)
     K = system.K
@@ -374,6 +376,8 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
         XI[row] = tvals
         return ex.eval_component_batch(system, i, X, XI) - targets[:, i]
 
+    for i in range(K):
+        mark(~np.isfinite(targets[:, i]), _NO_TARGET, i + 1)
     for _ in range(SWEEPS):
         for i in range(K):
             if pivot_rows[i] is None:

@@ -249,10 +249,6 @@ class UcsTable:
             for least in _antichain_max([f.least for f in self.minimal])
         )
 
-    @property
-    def pair_ground(self) -> frozenset:
-        return frozenset(itertools.product(self.ground, self.ground))
-
     def contains(self, f: FiniteFilter) -> bool:
         return any(f.least <= g.least for g in self.minimal)
 
@@ -449,29 +445,22 @@ def check_uniform_continuity(fmap: dict, t_from: UcsTable, t_to: UcsTable):
 
 def close_to_ucs(ground, seed_relations) -> UcsTable:
     """Close seed relations into a valid uniform convergence structure:
-    add the diagonal, then saturate under union, inverse and defined
-    composition.  Only maximal generators are kept at every step; the
-    generated family is unchanged by dropping dominated ones, and every
-    axiom only ever consults the maximal generators."""
+    the least one containing the diagonal and every seed.
+
+    Its single minimal filter is the equivalence relation generated by
+    the diagonal and the seeds.  This is exact because on a finite set
+    the meet of [A] and [B] is [A u B], so saturating under meets,
+    inverse and composition leaves one maximal generator, which is then
+    reflexive, symmetric and transitive, and nothing beyond that
+    equivalence can be generated.
+    """
     ground = _canon(ground)
-    diag = frozenset((x, x) for x in ground)
-    family = list(_antichain_max([diag] + [frozenset(r) for r in seed_relations if r]))
-    while True:
-        additions = []
-
-        def covered(rel):
-            return any(rel <= m for m in family) or any(rel <= m for m in additions)
-
-        for r1 in family:
-            inv = rel_inverse(r1)
-            if not covered(inv):
-                additions.append(inv)
-        for r1, r2 in itertools.product(family, repeat=2):
-            for cand in (r1 | r2, rel_compose(r1, r2)):
-                if cand and not covered(cand):
-                    additions.append(cand)
-        if not additions:
-            break
-        family = list(_antichain_max(family + additions))
+    block = {x: frozenset([x]) for x in ground}
+    for r in seed_relations:
+        for a, b in r:
+            merged = block.get(a, frozenset([a])) | block.get(b, frozenset([b]))
+            for x in merged:
+                block[x] = merged
+    least = frozenset(p for s in set(block.values()) for p in itertools.product(s, s))
     pg = frozenset(itertools.product(ground, ground))
-    return UcsTable(ground, tuple(FiniteFilter(pg, l) for l in family))
+    return UcsTable(ground, (FiniteFilter(pg, least),))

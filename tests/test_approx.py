@@ -185,6 +185,8 @@ def test_solve_jet_non_convergence_names_the_worst_component(monkeypatch, eqs, K
     ("x1", 1, (2.0,), 1, "equation has no jet slots to adjust"),
     # solving u2 = -1 after u1 leaves sqrt(u2) in equation 1 undefined
     ("u1 + sqrt(u2)\nu2", 2, (1.0, -1.0), 1, "operator undefined at solved jet"),
+    # a non-finite target fails before its bracket scan
+    ("u1\nu2", 2, (1.0, np.inf), 2, "right-hand side not finite"),
 ])
 def test_solve_jet_failure_reasons(eqs, K, target, component, reason):
     sys_ = parse_system(eqs, 1, K, 0)

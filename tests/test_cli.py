@@ -109,6 +109,16 @@ def test_sine_range_violation_exits_3(tmp_path):
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_rhs_undefined_at_a_probe_exits_3_and_says_so(tmp_path, capsys):
+    # probes at 1/4, 1/2, 3/4 of the cell [0, 0.5] hit the pole at 0.25
+    text = TRANSPORT.replace('"x1"', '"1/(x1-0.25)"').replace("cells = [10]", "cells = [2]")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "component 1 at x=(0.25,): right-hand side not finite" in err
+    assert "sign change" not in err
+
+
 def test_delta_collapse_exits_4(tmp_path):
     text = TRANSPORT.replace('"D(u1,(1))"', '"u1"').replace('"x1"', '"10000 * x1"')
     text = text.replace("epsilon = 0.1", "epsilon = 0.01")

@@ -370,6 +370,46 @@ def test_closed_tables_always_valid():
         assert check_uniform_convergence(table).ok
 
 
+def set_partitions(elems):
+    if not elems:
+        yield []
+        return
+    first, rest = elems[0], elems[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def test_closure_is_the_least_equivalence_over_the_seeds():
+    rng = np.random.default_rng(37)
+    for size in (1, 2, 3, 4):
+        ground = frozenset("pqrs"[:size])
+        pairs = sorted(_pairs(ground))
+        equivalences = [
+            frozenset(p for block in part for p in itertools.product(block, block))
+            for part in set_partitions(sorted(ground))
+        ]
+        assert len(equivalences) == (1, 2, 5, 15)[size - 1]
+        for _ in range(200):
+            density = rng.random() * 0.4
+            seeds = [
+                frozenset(p for p, b in zip(pairs, rng.random(len(pairs)) < density) if b)
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            table = close_to_ucs(ground, seeds)
+            assert len(table.minimal) == 1
+            containing = [e for e in equivalences if all(s <= e for s in seeds)]
+            assert table.minimal[0].least == frozenset.intersection(*containing)
+            assert table.minimal[0].ground == frozenset(pairs)
+    with pytest.raises(ValueError, match="least member not within the ground set"):
+        close_to_ucs(ABC, [frozenset([("a", "z")])])
+    with pytest.raises(ValueError, match="relation ground set larger than cap 4"):
+        close_to_ucs(frozenset(range(5)), [])
+    with pytest.raises(ValueError, match="a filter has no empty member"):
+        close_to_ucs(frozenset(), [])
+
+
 # ---------------------------------------------------------------------------
 # induced and initial structures
 
