@@ -9,8 +9,10 @@ probe's radius until the sampled residual on its ball stays inside
 ``[-eps - eta, eta]``, and subdivides to the smallest radius found.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
-sample set, located once in the partition: that one lookup both rejects
-samples on the skeleton and picks each sample's piece.
+sample set.  Each drawn sample is checked to lie strictly inside the
+subcell it was drawn in, which both rules out the skeleton and picks its
+piece; only samples a caller passes to ``check_residual`` are located in
+the partition.
 ``global_approx`` is the two stages in sequence; ``local_approx`` is the
 probe stage for a single point.
 
@@ -54,6 +56,8 @@ __all__ = [
 
 SOLVE_TOL = 1e-10
 BISECT_TOL = 1e-12
+# bisection stops once every bracket is at most this wide (about 1e-15)
+BRACKET_WIDTH = BISECT_TOL * 1e-3
 SCAN_LIMIT = 1e6
 SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
@@ -371,52 +375,76 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
         fail[new] = code
         comp[new] = np.broadcast_to(component, (S,))[new]
 
-    def g(i, tvals):
-        row = pivot_rows[i]
-        XI[row] = tvals
-        return ex.eval_component_batch(system, i, X, XI) - targets[:, i]
+    def g(i):
+        """Residual of component i at the pivot values now in XI; the
+        evaluator returns a fresh array, so the subtraction is in place."""
+        r = ex.eval_component_batch(system, i, X, XI)
+        with np.errstate(invalid="ignore"):  # inf - inf where a target is not finite
+            r -= targets[:, i]
+        return r
 
+    lo = np.empty(S)
+    hi = np.empty(S)
+    s_lo = np.empty(S)  # sign of g at lo: fixed, as lo only moves to midpoints of that sign
+    go_right = np.empty(S, dtype=bool)
+    go_left = np.empty(S, dtype=bool)
+    width = np.empty(S)
     for i in range(K):
         mark(~np.isfinite(targets[:, i]), _NO_TARGET, i + 1)
     for _ in range(SWEEPS):
         for i in range(K):
-            if pivot_rows[i] is None:
-                resid = ex.eval_component_batch(system, i, X, XI) - targets[:, i]
+            row = pivot_rows[i]
+            if row is None:
+                resid = g(i)
                 mark(~(np.abs(resid) <= SOLVE_TOL), _NO_SLOT, i + 1)
                 continue
-            lo = np.zeros(S)
-            hi = np.zeros(S)
-            glo = np.zeros(S)
+            lo.fill(0.0)
+            hi.fill(0.0)
+            s_lo.fill(0.0)
             found = np.zeros(S, dtype=bool)
-            prev_t = None
-            prev_g = None
+            prev_sign = None
             prev_ok = None
-            for t in cands:
-                gt = g(i, np.full(S, t))
+            # the first sign change in ascending order is each point's
+            # bracket, so the scan ends once every point has one
+            for k, t in enumerate(cands):
+                XI[row] = t
+                gt = g(i)
                 ok = np.isfinite(gt)
-                if prev_t is not None:
-                    sel = ~found & prev_ok & ok & (np.sign(prev_g) * np.sign(gt) <= 0)
+                sign = np.sign(gt)
+                if prev_sign is not None:
+                    sel = prev_sign * sign <= 0
+                    sel &= prev_ok
+                    sel &= ok
+                    sel &= ~found
                     if sel.any():
-                        lo[sel] = prev_t
-                        glo[sel] = prev_g[sel]
+                        lo[sel] = cands[k - 1]
+                        s_lo[sel] = prev_sign[sel]
                         hi[sel] = t
                         found |= sel
-                prev_t, prev_g, prev_ok = t, gt, ok
+                        if found.all():
+                            break
+                prev_sign, prev_ok = sign, ok
             mark(~found, _NO_SIGN_CHANGE, i + 1)
-            # bisection: 80 halvings take the bracket width below 1e-12
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                gm = g(i, mid)
-                go_right = np.sign(gm) * np.sign(glo) > 0
-                lo = np.where(go_right, mid, lo)
-                glo = np.where(go_right, gm, glo)
-                hi = np.where(go_right, hi, mid)
-                if np.max(hi - lo) <= BISECT_TOL * 1e-3:
-                    break
-            XI[pivot_rows[i]] = 0.5 * (lo + hi)
-        resid = np.abs(np.stack([
-            ex.eval_component_batch(system, i, X, XI) - targets[:, i] for i in range(K)
-        ]))
+            # bisection in place on the pivot row: a point moves right when
+            # g(mid) has the sign of g(lo); where g(lo) is 0 and g(mid) is
+            # infinite, inf * 0 is nan, so it moves left, as before
+            mid = XI[row]
+            with np.errstate(invalid="ignore"):
+                for _ in range(80):
+                    np.add(lo, hi, out=mid)
+                    mid *= 0.5
+                    gm = g(i)
+                    gm *= s_lo
+                    np.greater(gm, 0.0, out=go_right)
+                    np.logical_not(go_right, out=go_left)
+                    np.copyto(lo, mid, where=go_right)
+                    np.copyto(hi, mid, where=go_left)
+                    np.subtract(hi, lo, out=width)
+                    if width.max() <= BRACKET_WIDTH:
+                        break
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+        resid = np.abs(np.stack([g(i) for i in range(K)]))
         for i in range(K):
             mark(~np.isfinite(resid[i]), _UNDEFINED, i + 1)
         worst = resid.max(axis=0)
@@ -599,23 +627,26 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     return subdivide(p, float(deltas.min()))
 
 
-def _locate_off_skeleton(p: CellPartition, pts: np.ndarray) -> np.ndarray:
-    """Subcell index of every sample; a sample on a face has no piece, so
-    it is rejected, and a sample outside the domain makes locate raise."""
-    loc, on_face = p.locate(pts)
-    if on_face.any():
-        raise ValueError("verification sample lies on the skeleton")
-    return loc
-
-
 def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The certificate's sample set on fine and the subcell index of each
-    sample: at least TARGET_SAMPLES points unless samples_per_cell is given."""
+    sample: at least TARGET_SAMPLES points unless samples_per_cell is given.
+
+    Sample i is drawn in subcell i // samples_per_cell.  Every sample is
+    checked to lie strictly inside that subcell's open box, which proves
+    its index and that it is inside the domain and off every face, so
+    no sample is searched for in the partition.
+    """
     if samples_per_cell is None:
         samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
     pts = sample_points(fine, samples_per_cell, margin, seed)
-    return pts, _locate_off_skeleton(fine, pts)
+    lo, hi = fine.subcell_bounds()
+    drawn = pts.reshape(len(lo), samples_per_cell, fine.n)
+    if not np.all((lo[:, None, :] < drawn) & (drawn < hi[:, None, :])):
+        if np.any(pts < np.asarray(fine.bounds.lo)) or np.any(pts > np.asarray(fine.bounds.hi)):
+            raise ValueError("point outside domain")
+        raise ValueError("verification sample lies on the skeleton")
+    return pts, np.repeat(np.arange(len(lo)), samples_per_cell)
 
 
 def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
@@ -647,8 +678,9 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
 
     The jet at every subcell center is solved for f - eps/2 there.  The
     certificate checks the band on a fresh off-skeleton sample set, at
-    least TARGET_SAMPLES points unless samples_per_cell is given, located
-    once in fine (which also proves it misses the skeleton), with the
+    least TARGET_SAMPLES points unless samples_per_cell is given, each
+    checked to lie strictly inside the subcell of fine it was drawn in
+    (which proves it misses the skeleton and picks its piece), with the
     residual sweep shared by ``workers`` threads.  The set depends only
     on fine, samples_per_cell, margin and seed, so refine_solution draws
     it once for all steps on its common partition.
@@ -712,12 +744,13 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
                    _loc: np.ndarray | None = None) -> ResidualCertificate:
     """Independent band check at the given off-skeleton samples.
 
-    The samples are located in U's partition once: a sample on a subcell
-    face raises ValueError (the face flag of the lookup is exactly
-    skeleton membership), one outside the domain too, and the subcell
-    index picks the piece whose jets are evaluated there.  ``_loc`` is
-    for callers in this module that pass samples already located off
-    the skeleton, as refine_solution does to share one set across steps.
+    Caller-supplied samples are located in U's partition once: a sample
+    on a subcell face raises ValueError (the face flag of the lookup is
+    exactly skeleton membership), one outside the domain too, and the
+    subcell index picks the piece whose jets are evaluated there.
+    ``_loc`` is for callers in this module that pass the subcell index of
+    samples they drew themselves, each already checked to lie strictly
+    inside its subcell, as place_and_certify and refine_solution do.
     """
     if tuple(U.alphas) != system.alphas or U.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
@@ -729,7 +762,11 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
             for i in range(system.K)
         ]
         return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=True)
-    loc = _locate_off_skeleton(U.partition, pts) if _loc is None else _loc
+    loc = _loc
+    if loc is None:
+        loc, on_face = U.partition.locate(pts)
+        if on_face.any():
+            raise ValueError("verification sample lies on the skeleton")
 
     def residuals(start: int) -> np.ndarray:
         chunk = pts[start: start + chunk_size]

@@ -344,9 +344,10 @@ def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0)
 
     Draws ``per_cell`` points in every subcell, each at distance at least
     ``margin`` times the subcell width from every face, so no sample can
-    lie on the skeleton.  The whole array is drawn in one pass from a
-    generator seeded with ``seed``; results do not depend on any
-    downstream processing order.
+    lie on the skeleton.  Sample ``i`` is drawn in subcell
+    ``i // per_cell`` of the flat order of ``subcell_bounds``.  The whole
+    array is drawn in one pass from a generator seeded with ``seed``;
+    results do not depend on any downstream processing order.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
@@ -355,6 +356,10 @@ def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0)
     lo, hi = p.subcell_bounds()
     width = hi - lo
     rng = np.random.default_rng(seed)
-    u = rng.random((len(lo), per_cell, p.n))
-    pts = lo[:, None, :] + (margin + u * (1.0 - 2.0 * margin)) * width[:, None, :]
+    pts = rng.random((len(lo), per_cell, p.n))
+    # lo + (margin + u * (1 - 2 margin)) * width, computed in place
+    pts *= 1.0 - 2.0 * margin
+    pts += margin
+    pts *= width[:, None, :]
+    pts += lo[:, None, :]
     return pts.reshape(-1, p.n)

@@ -8,9 +8,9 @@ needs, from a single probe round) and places every step's pieces on
 it, so the operator images rise monotonically step over step with no
 repairs in exact arithmetic; the running nodewise maximum enforces the
 invariant and counts any repairs float wobble would introduce.  The
-steps also share one verification sample set, drawn and located in
-that partition once; locating it is also what proves it misses the
-skeleton.
+steps also share one verification sample set, drawn in that partition
+once; checking that each sample lies strictly inside the subcell it was
+drawn in is what proves it misses the skeleton.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     The partition is planned once, by global_approx at eps = 1/n_max,
     whose approximant and certificate serve as step n_max; every other
     step only places and certifies pieces on that partition.  Those
-    steps certify on one shared sample set, drawn and located once; it
+    steps certify on one shared sample set, drawn and checked once; it
     is the set place_and_certify would draw for the same partition and
     seed, so each certificate equals a standalone one.  All steps
     share centers and skeleton, so the image sequence increases

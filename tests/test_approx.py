@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import ocm.approx
 from ocm.approx import (
     DeltaCollapse,
     PiecewisePoly,
@@ -20,7 +21,8 @@ from ocm.approx import (
     solve_jet,
     taylor_poly,
 )
-from ocm.domain import Box, build_partition, sample_points
+from ocm.approx import _solve_jets
+from ocm.domain import Box, CellPartition, build_partition, sample_points, subdivide
 from ocm.expr import eval_component_batch, parse_system
 
 UNIT = Box((0.0,), (1.0,))
@@ -194,6 +196,61 @@ def test_solve_jet_failure_reasons(eqs, K, target, component, reason):
         solve_jet(sys_, (0.25,), target)
     assert exc.value.component == component
     assert str(exc.value) == f"component {component} at x=(0.25,): {reason}"
+
+
+def _solve_batch_and_alone(sys_, x, targets):
+    """_solve_jets on the whole batch and on each point alone."""
+    pivots = default_pivots(sys_)
+    batch = _solve_jets(sys_, x, targets, None, pivots)
+    alone = [_solve_jets(sys_, x[k:k + 1], targets[k:k + 1], None, pivots) for k in range(len(x))]
+    return batch, alone
+
+
+def test_batch_solve_matches_each_point_alone():
+    # The scan keeps each point's first sign change in ascending order, so
+    # how long it runs for the rest of the batch must not matter.  Every
+    # root lies at |t| >= 4: there a bracket ends one ulp wide, where more
+    # halvings change nothing, so points that a batch keeps bisecting
+    # after they would have stopped alone still agree bit for bit.
+    hole = parse_system("u1 + sqrt((u1 - x1)*(u1 - x1 - 0.5))", 1, 1, 0)
+
+    def F(a, t):  # F is undefined for a < t < a + 0.5
+        return float(eval_component_batch(hole, 0, np.asarray([[a]]), np.asarray([[t]]))[0])
+
+    cases = [  # (x1, target)
+        (0.25, 3000.0),  # bracket [1024, 2048]
+        (-5000.0, -4000.0),  # bracket [-8192, -4096]
+        (10.0, 0.25e6),  # bracket [2^16, 2^17]
+        (0.25, 1.5e6),  # bracket [2^19, 1e6]; float spacing leaves |g| > SOLVE_TOL
+        (3.9, F(3.9, 8.0)),  # root on candidate 8 after an undefined 4: g(lo) == 0
+        (0.25, F(0.25, 16.0)),  # root on candidate 16, reached from below: g(hi) == 0
+        (4.1, 5.0),  # bracket [4, 8]; bisection runs into the undefined (4.1, 4.6)
+        (0.25, -7e5),  # no sign change
+        (0.25, np.inf),
+        (0.25, np.nan),
+    ]
+    x = np.asarray([[a] for a, _ in cases])
+    targets = np.asarray([[c] for _, c in cases])
+    batch, alone = _solve_batch_and_alone(hole, x, targets)
+    for k, one in enumerate(alone):
+        assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), cases[k]
+        assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), cases[k]
+    assert batch.xi[0, 4] == 8.0 and batch.xi[0, 5] == 16.0
+    # solved, did not converge, no sign change, target not finite
+    assert list(batch.fail) == [0, 0, 0, 4, 0, 0, 4, 1, 5, 5]
+
+    # coupled K=2: equation 1 needs u2 from equation 2, so every point takes
+    # two sweeps; exp(u2) = -1 has no sign change
+    coupled = parse_system("u1 + sqrt(u2)\nexp(u2)", 1, 2, 0)
+    x = np.asarray([[0.0], [0.5], [1.0], [0.75]])
+    targets = np.asarray([[10.0, math.exp(5.0)], [-300.0, math.exp(100.0)], [7.0, -1.0],
+                          [6.0, np.inf]])
+    batch, alone = _solve_batch_and_alone(coupled, x, targets)
+    for k, one in enumerate(alone):
+        assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), k
+        assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), k
+    assert list(batch.fail) == [0, 0, 1, 5]
+    assert list(batch.component) == [0, 0, 2, 2]
 
 
 def test_placement_non_convergence_reports_the_worst_center(monkeypatch):
@@ -405,12 +462,52 @@ def test_check_residual_empty_is_vacuous_but_flagged():
     assert cert.components[0].samples == 0
 
 
-def test_check_residual_rejects_skeleton_samples():
+def test_check_residual_rejects_skeleton_samples(monkeypatch):
     sys_, rhs, U, _ = _transport_setup()
+    located = []
+    locate = CellPartition.locate
+    monkeypatch.setattr(CellPartition, "locate",
+                        lambda self, pts: located.append(len(pts)) or locate(self, pts))
     with pytest.raises(ValueError, match="on the skeleton"):
         check_residual(sys_, U, rhs, 0.1, np.asarray([[0.3], [0.5]]))
     with pytest.raises(ValueError, match="outside domain"):
         check_residual(sys_, U, rhs, 0.1, np.asarray([[0.3], [1.5]]))
+    # caller samples are located; drawn ones are checked against their subcell
+    assert located == [2, 2]
+    place_and_certify(sys_, rhs, U.partition, 0.1, seed=4)
+    assert located == [2, 2]
+
+
+@pytest.mark.parametrize("move,message", [
+    ("face", "verification sample lies on the skeleton"),
+    ("outside", "point outside domain"),
+    # off the skeleton, but in a subcell other than the one it was drawn in
+    ("neighbour", None),
+])
+def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message):
+    sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
+    rhs = rhs_from_exprs(["x1*x2"], 2)
+    fine = subdivide(build_partition(SQUARE, 2), 0.3)
+    draw = ocm.approx.sample_points
+
+    def moved(p, per_cell, margin, seed):
+        pts = draw(p, per_cell, margin, seed)
+        lo, hi = p.subcell_bounds()
+        s = 5 // per_cell
+        if move == "face":
+            pts[5, 0] = hi[s, 0]
+        elif move == "outside":
+            pts[5, 0] = 1.5
+        else:
+            pts[5] = 0.5 * (lo[s + 1] + hi[s + 1])
+        return pts
+
+    place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)  # the set as drawn is accepted
+    monkeypatch.setattr(ocm.approx, "sample_points", moved)
+    with pytest.raises(ValueError) as exc:
+        place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
+    if message is not None:
+        assert str(exc.value) == message
 
 
 def test_solve_jet_respects_anchor_and_explicit_pivot():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ocm.approx import _located_samples
 from ocm.domain import Box, CellPartition, build_partition, sample_points, skeleton_of, subdivide
 
 
@@ -149,6 +150,26 @@ def test_sample_points_off_skeleton():
     s = skeleton_of(p)
     pts = sample_points(p, per_cell=3, margin=0.05, seed=1)
     assert not s.contains_batch(pts).any()
+
+
+def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
+    # the certificate takes each drawn sample's subcell from this order
+    # instead of locating it, so the order and the lookup must agree
+    rng = np.random.default_rng(11)
+    parts = _per_cell_partitions() + list(_random_tensor_partitions(rng, 30))
+    for k, p in enumerate(parts):
+        per_cell = 1 + k % 4
+        margin = rng.uniform(0.01, 0.45)
+        pts = sample_points(p, per_cell, margin, seed=k)
+        lo, hi = p.subcell_bounds()
+        owner = np.arange(len(pts)) // per_cell
+        assert np.all((lo[owner] < pts) & (pts < hi[owner]))
+        drawn, loc = _located_samples(p, per_cell, margin, k)
+        np.testing.assert_array_equal(drawn, pts)
+        ref, on_face = p.locate(pts)
+        assert not on_face.any()
+        np.testing.assert_array_equal(loc, ref)
+        np.testing.assert_array_equal(loc, owner)
 
 
 def test_sample_points_deterministic():
