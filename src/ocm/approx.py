@@ -17,8 +17,12 @@ the partition.
 probe stage for a single point.
 
 The jet solve is deterministic by construction: one designated pivot
-slot per equation, a geometric bracket scan out to |t| = 1e6, and plain
-bisection.  No randomness, no multi-start iterations.
+slot per equation.  A pivot that enters its equation affinely is solved
+in closed form from two evaluations, and the root is kept where one more
+evaluation puts the residual within SOLVE_TOL; every other point, and
+every other pivot, goes to a geometric bracket scan out to |t| = 1e6 and
+plain bisection, which stops each point on its own.  No randomness, no
+multi-start iterations.
 """
 
 from __future__ import annotations
@@ -270,14 +274,14 @@ class PiecewisePoly:
 def rhs_from_exprs(texts, n: int):
     """Compile rhs strings in x into a vector evaluator pts (N,n) -> (K,N)."""
     trees = [ex.parse_rhs(t, n) for t in texts]
-    dummy = ex.PdeSystem(n=n, K=1, m=0, components=(ex.Const(0.0),))
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        X = pts.T
-        XI = np.zeros((1, len(pts)))
+        out = np.empty((len(trees), len(pts)))
         with np.errstate(all="ignore"):
-            return np.stack([np.asarray(ex._eval_batch(t, X, XI, dummy)) + np.zeros(len(pts)) for t in trees])
+            for k, t in enumerate(trees):
+                out[k] = ex._eval_batch(t, pts.T, None, None)  # no jet slots to read
+        return out
 
     return evaluate
 
@@ -320,6 +324,128 @@ def _scan_candidates() -> np.ndarray:
     return np.asarray(sorted({-t for t in ups} | {0.0} | set(ups)))
 
 
+def _pivot_degree(node: ex.Expr, pivot) -> int | None:
+    """Degree of an expression as a polynomial in the pivot slot, or None
+    where the pivot enters otherwise (under a function or a denominator).
+
+    Constants, coordinates and every other slot have degree 0; ``+``/``-``
+    take the max, ``*`` the sum, ``^k`` multiplies by k, and ``/`` keeps the
+    numerator's degree only over a denominator of degree 0.
+    """
+    if isinstance(node, ex.Jet):
+        return int((node.comp, node.alpha) == tuple(pivot))
+    if isinstance(node, (ex.Const, ex.Coord)):
+        return 0
+    if isinstance(node, ex.Unary):
+        d = _pivot_degree(node.arg, pivot)
+        return d if node.op == "neg" or d == 0 else None
+    if isinstance(node, ex.Power):
+        d = _pivot_degree(node.base, pivot)
+        return None if d is None else d * node.exponent
+    a = _pivot_degree(node.left, pivot)
+    b = _pivot_degree(node.right, pivot)
+    if a is None or b is None:
+        return None
+    if node.op in "+-":
+        return max(a, b)
+    if node.op == "*":
+        return a + b
+    return a if b == 0 else None
+
+
+def _affine_root(g, t: np.ndarray) -> np.ndarray:
+    """Closed-form root of a residual g that is affine in t.
+
+    g() evaluates the residual at the pivot values now in t, which this
+    overwrites with t = -g(0) / (g(1) - g(0)) (a -0.0 root becomes +0.0).
+    Returns the mask of points where that root lies within SCAN_LIMIT and
+    one more evaluation confirms |g(t)| <= SOLVE_TOL; a zero or nan slope
+    or a root beyond the scan window fails it.
+    """
+    t.fill(0.0)
+    g0 = g()
+    t.fill(1.0)
+    slope = g()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope -= g0
+        np.divide(g0, slope, out=t)
+    np.negative(t, out=t)
+    t += 0.0
+    ok = np.abs(t) <= SCAN_LIMIT
+    ok &= np.abs(g()) <= SOLVE_TOL
+    return ok
+
+
+def _bracket_root(g, t: np.ndarray) -> np.ndarray:
+    """Root of g in t by bracket scan plus bisection, in place on t.
+
+    g() evaluates the residual at the pivot values now in t.  The scan
+    keeps each point's first sign change over the ascending candidates;
+    bisection then stops each point on its own, once its bracket is at
+    most BRACKET_WIDTH wide or its midpoint equals an end (further halvings
+    would leave that midpoint as it is), so a point's root does not depend
+    on the rest of the batch.  Returns the mask of points with a bracket;
+    the others end at t = 0.
+    """
+    S = len(t)
+    cands = _scan_candidates()
+    lo = np.zeros(S)
+    hi = np.zeros(S)
+    s_lo = np.zeros(S)  # sign of g at lo: fixed, as lo only moves to midpoints of that sign
+    found = np.zeros(S, dtype=bool)
+    prev_sign = None
+    prev_ok = None
+    # the first sign change in ascending order is each point's bracket, so
+    # the scan ends once every point has one
+    for k, c in enumerate(cands):
+        t.fill(c)
+        gt = g()
+        ok = np.isfinite(gt)
+        sign = np.sign(gt)
+        if prev_sign is not None:
+            sel = prev_sign * sign <= 0
+            sel &= prev_ok
+            sel &= ok
+            sel &= ~found
+            if sel.any():
+                lo[sel] = cands[k - 1]
+                s_lo[sel] = prev_sign[sel]
+                hi[sel] = c
+                found |= sel
+                if found.all():
+                    break
+        prev_sign, prev_ok = sign, ok
+    # a point moves right when g(mid) has the sign of g(lo); where g(lo) is
+    # 0 and g(mid) is infinite, inf * 0 is nan, so it moves left
+    go_right = np.empty(S, dtype=bool)
+    go_left = np.empty(S, dtype=bool)
+    width = np.empty(S)
+    mid = t
+    np.add(lo, hi, out=mid)
+    mid *= 0.5
+    done = (mid == lo) | (mid == hi)
+    with np.errstate(invalid="ignore"):
+        for _ in range(80):
+            if done.all():
+                break
+            live = ~done
+            gm = g()
+            gm *= s_lo
+            np.greater(gm, 0.0, out=go_right)
+            np.logical_not(go_right, out=go_left)
+            go_right &= live
+            go_left &= live
+            np.copyto(lo, mid, where=go_right)
+            np.copyto(hi, mid, where=go_left)
+            np.subtract(hi, lo, out=width)
+            done |= width <= BRACKET_WIDTH
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            done |= mid == lo
+            done |= mid == hi
+    return found
+
+
 # failure codes of a batched jet solve, one per point; 0 means solved
 _NO_SIGN_CHANGE, _NO_SLOT, _UNDEFINED, _NOT_CONVERGED, _NO_TARGET = 1, 2, 3, 4, 5
 # RangeViolation reasons; a failed bracket scan keeps the class's default
@@ -354,9 +480,13 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
 
     centers: (S, n); targets: (S, K).  Equations are solved in order; if
     pivot slots couple equations, extra sweeps run until every residual
-    is within SOLVE_TOL.  A point keeps the first failure it meets and
-    drops out of the convergence test, so one failing point never stops
-    the others; a point whose target is not finite fails before any scan.
+    is within SOLVE_TOL.  A pivot that enters its equation affinely is
+    solved in closed form, and only the points that closed form misses go
+    on to the bracket solve; any other pivot takes the bracket solve at
+    every point.  A point keeps the first failure it meets; it leaves the
+    sweeps once it fails or converges, so every point gets the jet it
+    would get alone.  A point whose target is not finite fails before any
+    scan.
     """
     S = len(centers)
     K = system.K
@@ -366,93 +496,64 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     else:
         XI = np.tile(np.asarray(anchor, dtype=float).reshape(-1, 1), (1, S))
     pivot_rows = [None if p is None else system.slot(*p) for p in pivots]
-    cands = _scan_candidates()
+    affine = [p is not None and _pivot_degree(tree, p) == 1
+              for tree, p in zip(system.components, pivots)]
     fail = np.zeros(S, dtype=np.int8)
     comp = np.zeros(S, dtype=np.int32)
+    worst = np.zeros(S)
+    worst_comp = np.zeros(S, dtype=np.int32)
 
-    def mark(bad, code, component):
-        new = bad & (fail == 0)
+    def mark(points, bad, code, i):
+        """Fail points[bad] in component i unless they failed before."""
+        new = points[bad]
+        new = new[fail[new] == 0]
         fail[new] = code
-        comp[new] = np.broadcast_to(component, (S,))[new]
+        comp[new] = i + 1
 
-    def g(i):
-        """Residual of component i at the pivot values now in XI; the
+    def residual(i, X, XI, target):
+        """g() = residual of component i at the pivot values now in XI; the
         evaluator returns a fresh array, so the subtraction is in place."""
-        r = ex.eval_component_batch(system, i, X, XI)
-        with np.errstate(invalid="ignore"):  # inf - inf where a target is not finite
-            r -= targets[:, i]
-        return r
+        def g():
+            r = ex.eval_component_batch(system, i, X, XI)
+            with np.errstate(invalid="ignore"):  # inf - inf where a target is not finite
+                r -= target
+            return r
+        return g
 
-    lo = np.empty(S)
-    hi = np.empty(S)
-    s_lo = np.empty(S)  # sign of g at lo: fixed, as lo only moves to midpoints of that sign
-    go_right = np.empty(S, dtype=bool)
-    go_left = np.empty(S, dtype=bool)
-    width = np.empty(S)
+    live = np.arange(S)
     for i in range(K):
-        mark(~np.isfinite(targets[:, i]), _NO_TARGET, i + 1)
+        mark(live, ~np.isfinite(targets[:, i]), _NO_TARGET, i)
     for _ in range(SWEEPS):
+        whole = len(live) == S
+        Xs, XIs, Ts = (X, XI, targets) if whole else (X[:, live], XI[:, live], targets[live])
+        gs = [residual(i, Xs, XIs, Ts[:, i]) for i in range(K)]
         for i in range(K):
             row = pivot_rows[i]
             if row is None:
-                resid = g(i)
-                mark(~(np.abs(resid) <= SOLVE_TOL), _NO_SLOT, i + 1)
+                mark(live, ~(np.abs(gs[i]()) <= SOLVE_TOL), _NO_SLOT, i)
                 continue
-            lo.fill(0.0)
-            hi.fill(0.0)
-            s_lo.fill(0.0)
-            found = np.zeros(S, dtype=bool)
-            prev_sign = None
-            prev_ok = None
-            # the first sign change in ascending order is each point's
-            # bracket, so the scan ends once every point has one
-            for k, t in enumerate(cands):
-                XI[row] = t
-                gt = g(i)
-                ok = np.isfinite(gt)
-                sign = np.sign(gt)
-                if prev_sign is not None:
-                    sel = prev_sign * sign <= 0
-                    sel &= prev_ok
-                    sel &= ok
-                    sel &= ~found
-                    if sel.any():
-                        lo[sel] = cands[k - 1]
-                        s_lo[sel] = prev_sign[sel]
-                        hi[sel] = t
-                        found |= sel
-                        if found.all():
-                            break
-                prev_sign, prev_ok = sign, ok
-            mark(~found, _NO_SIGN_CHANGE, i + 1)
-            # bisection in place on the pivot row: a point moves right when
-            # g(mid) has the sign of g(lo); where g(lo) is 0 and g(mid) is
-            # infinite, inf * 0 is nan, so it moves left, as before
-            mid = XI[row]
-            with np.errstate(invalid="ignore"):
-                for _ in range(80):
-                    np.add(lo, hi, out=mid)
-                    mid *= 0.5
-                    gm = g(i)
-                    gm *= s_lo
-                    np.greater(gm, 0.0, out=go_right)
-                    np.logical_not(go_right, out=go_left)
-                    np.copyto(lo, mid, where=go_right)
-                    np.copyto(hi, mid, where=go_left)
-                    np.subtract(hi, lo, out=width)
-                    if width.max() <= BRACKET_WIDTH:
-                        break
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-        resid = np.abs(np.stack([g(i) for i in range(K)]))
+            if not affine[i]:
+                mark(live, ~_bracket_root(gs[i], XIs[row]), _NO_SIGN_CHANGE, i)
+                continue
+            rest = np.flatnonzero(~_affine_root(gs[i], XIs[row]))
+            if len(rest):
+                X_rest, XI_rest = Xs[:, rest], XIs[:, rest]
+                found = _bracket_root(residual(i, X_rest, XI_rest, Ts[rest, i]), XI_rest[row])
+                XIs[row, rest] = XI_rest[row]
+                mark(live[rest], ~found, _NO_SIGN_CHANGE, i)
+        resid = np.abs(np.stack([g() for g in gs]))
+        if not whole:
+            XI[:, live] = XIs
         for i in range(K):
-            mark(~np.isfinite(resid[i]), _UNDEFINED, i + 1)
-        worst = resid.max(axis=0)
-        solved = fail == 0
-        if not solved.any() or np.max(worst[solved]) <= SOLVE_TOL:
+            mark(live, ~np.isfinite(resid[i]), _UNDEFINED, i)
+        worst[live] = resid.max(axis=0)
+        worst_comp[live] = np.argmax(resid, axis=0) + 1
+        live = live[(fail[live] == 0) & (worst[live] > SOLVE_TOL)]
+        if not len(live):
             break
     else:
-        mark(worst > SOLVE_TOL, _NOT_CONVERGED, np.argmax(resid, axis=0) + 1)
+        fail[live] = _NOT_CONVERGED
+        comp[live] = worst_comp[live]
     return _JetSolve(xi=XI, fail=fail, component=comp, residual=worst)
 
 
@@ -472,7 +573,10 @@ def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, 
     """Find a jet xi with F_i(x0, xi) = target_i for every component.
 
     All slots keep the anchor value (default 0); only the pivot slots
-    move, one per equation, found by bracket scan plus bisection.
+    move, one per equation.  A pivot that enters its equation affinely is
+    solved in closed form, t = -g(0) / (g(1) - g(0)), and kept when it lies
+    within SCAN_LIMIT and meets the target within SOLVE_TOL; otherwise,
+    and for every other pivot, it is found by bracket scan plus bisection.
     """
     x0 = tuple(float(v) for v in x0)
     target = np.atleast_1d(np.asarray(target, dtype=float))

@@ -501,12 +501,20 @@ def eval_component_batch(system: PdeSystem, comp_index: int, X: np.ndarray, XI: 
     """Vectorized evaluation of one component over S points.
 
     X has shape (n, S) and XI shape (M, S).  Domain violations yield
-    non-finite entries instead of raising; callers mask them.
+    non-finite entries instead of raising; callers mask them.  The result
+    is a fresh (S,) array that the caller may overwrite, made with one
+    allocation: a constant is broadcast into it, a bare coordinate or slot
+    is copied out of X or XI, and anything else is already the fresh
+    output of its last operation.
     """
     node = system.components[comp_index]
     with np.errstate(all="ignore"):
         out = _eval_batch(node, X, XI, system)
-    return np.asarray(out, dtype=float) + np.zeros(X.shape[1])
+    if np.ndim(out) == 0:
+        return np.full(X.shape[1], out, dtype=float)
+    if out.base is None and out.dtype == float:
+        return out
+    return out.astype(float)
 
 
 def _eval_batch(node: Expr, X, XI, system) -> np.ndarray:

@@ -21,9 +21,9 @@ from ocm.approx import (
     solve_jet,
     taylor_poly,
 )
-from ocm.approx import _solve_jets
+from ocm.approx import _pivot_degree, _solve_jets
 from ocm.domain import Box, CellPartition, build_partition, sample_points, subdivide
-from ocm.expr import eval_component_batch, parse_system
+from ocm.expr import eval_component_batch, parse_expr, parse_system
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -207,11 +207,12 @@ def _solve_batch_and_alone(sys_, x, targets):
 
 
 def test_batch_solve_matches_each_point_alone():
-    # The scan keeps each point's first sign change in ascending order, so
-    # how long it runs for the rest of the batch must not matter.  Every
-    # root lies at |t| >= 4: there a bracket ends one ulp wide, where more
-    # halvings change nothing, so points that a batch keeps bisecting
-    # after they would have stopped alone still agree bit for bit.
+    # The scan keeps each point's first sign change in ascending order, and
+    # bisection stops each point on its own, so how long either runs for
+    # the rest of the batch must not matter.  The two roots below 2 stop
+    # on BRACKET_WIDTH long before the roots at |t| >= 4, which stop only
+    # once their brackets are one ulp wide.  The pivot sits under sqrt, so
+    # every point takes the bracket solve.
     hole = parse_system("u1 + sqrt((u1 - x1)*(u1 - x1 - 0.5))", 1, 1, 0)
 
     def F(a, t):  # F is undefined for a < t < a + 0.5
@@ -228,6 +229,8 @@ def test_batch_solve_matches_each_point_alone():
         (0.25, -7e5),  # no sign change
         (0.25, np.inf),
         (0.25, np.nan),
+        (-2.0, 1.0),  # bracket [-1, 0], root near -0.3
+        (0.25, F(0.25, 1.5)),  # bracket [1, 2]
     ]
     x = np.asarray([[a] for a, _ in cases])
     targets = np.asarray([[c] for _, c in cases])
@@ -237,7 +240,8 @@ def test_batch_solve_matches_each_point_alone():
         assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), cases[k]
     assert batch.xi[0, 4] == 8.0 and batch.xi[0, 5] == 16.0
     # solved, did not converge, no sign change, target not finite
-    assert list(batch.fail) == [0, 0, 0, 4, 0, 0, 4, 1, 5, 5]
+    assert list(batch.fail) == [0, 0, 0, 4, 0, 0, 4, 1, 5, 5, 0, 0]
+    assert -1.0 < batch.xi[0, 10] < 0.0 and batch.xi[0, 11] == pytest.approx(1.5, abs=1e-12)
 
     # coupled K=2: equation 1 needs u2 from equation 2, so every point takes
     # two sweeps; exp(u2) = -1 has no sign change
@@ -251,6 +255,122 @@ def test_batch_solve_matches_each_point_alone():
         assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), k
     assert list(batch.fail) == [0, 0, 1, 5]
     assert list(batch.component) == [0, 0, 2, 2]
+
+
+def test_bisection_stops_each_point_on_its_own():
+    # alone, the root near 0.278 stops once its bracket is BRACKET_WIDTH
+    # wide; next to a root at 100, whose bracket never gets that narrow,
+    # it used to keep halving and end one ulp lower
+    cube = parse_system("u1^3 + u1", 1, 1, 0)
+    x = np.asarray([[0.25], [0.25]])
+    targets = np.asarray([[0.3], [100.0**3 + 100.0]])
+    batch, alone = _solve_batch_and_alone(cube, x, targets)
+    assert batch.xi[0, 0] == alone[0].xi[0, 0] == 0.27841799032181
+    assert batch.xi[0, 1] == alone[1].xi[0, 0] == 100.0
+    assert list(batch.fail) == [0, 0]
+
+
+def test_converged_points_leave_the_sweeps():
+    # the first point converges in one sweep (1e-12 * u2 stays below
+    # SOLVE_TOL); the second needs another, which must not re-solve the first
+    coupled = parse_system("u1 + 1e-12*u2\nu2^3 + u2", 1, 2, 0)
+    x = np.asarray([[0.25], [0.25]])
+    targets = np.asarray([[1.0, 0.3], [1.0, 1000.0**3 + 1000.0]])
+    batch, alone = _solve_batch_and_alone(coupled, x, targets)
+    for k, one in enumerate(alone):
+        assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), k
+    assert batch.xi[0, 0] == 1.0 and batch.xi[0, 1] == 1.0 - 1e-9
+    assert list(batch.fail) == [0, 0]
+
+    # in the second sweep u2 = 1 leaves equation 1 no slope in u1, so the
+    # closed form fails there and the bracket scan finds no sign change;
+    # the failure belongs to the second point, the only one still sweeping
+    coupled = parse_system("u1*(1 - u2)\nu2^3 + u2", 1, 2, 0)
+    targets = np.asarray([[1.0, 0.0], [1.0, 2.0]])
+    batch, alone = _solve_batch_and_alone(coupled, x, targets)
+    for k, one in enumerate(alone):
+        assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), k
+        assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), k
+    assert list(batch.fail) == [0, 1]
+    assert list(batch.component) == [0, 1]
+
+
+@pytest.mark.parametrize("eqs,n,m,pivot,degree", [
+    ("u1", 1, 0, (1, (0,)), 1),
+    ("-u1", 1, 0, (1, (0,)), 1),
+    ("D(u1,(1,0)) + u1", 2, 1, (1, (0, 0)), 1),
+    ("D(u1,(1))^2 + u1", 1, 1, (1, (0,)), 1),
+    ("D(u1,(1))^2 + u1", 1, 1, (1, (1,)), 2),
+    ("exp(x1)*u1", 1, 0, (1, (0,)), 1),
+    ("u1/x1", 1, 0, (1, (0,)), 1),
+    ("u1^1", 1, 0, (1, (0,)), 1),
+    ("u1^0", 1, 0, (1, (0,)), 0),
+    ("u1^3", 1, 0, (1, (0,)), 3),
+    ("u1*u1", 1, 0, (1, (0,)), 2),
+    ("x1/u1", 1, 0, (1, (0,)), None),
+    ("sin(u1)", 1, 0, (1, (0,)), None),
+    ("sin(x1)*u1 - u2", 1, 0, (1, (0,)), 1),
+])
+def test_pivot_degree(eqs, n, m, pivot, degree):
+    assert _pivot_degree(parse_expr(eqs, n, 2, m), pivot) == degree
+
+
+def test_affine_root_beyond_the_scan_window_is_a_range_violation():
+    # the closed form finds t = 1e7, outside SCAN_LIMIT, so the bracket scan
+    # runs and reports its own failure
+    sys_ = parse_system("1e-7*u1", 1, 1, 0)
+    with pytest.raises(RangeViolation) as exc:
+        solve_jet(sys_, (0.25,), (1.0,))
+    assert str(exc.value) == (
+        "component 1 at x=(0.25,): bracket scan found no sign change within "
+        "|t| <= 1e+06 (range condition violated or pivot ill-chosen)"
+    )
+
+
+def test_affine_zero_root_is_positive_zero():
+    jet = solve_jet(parse_system("u1", 1, 1, 0), (0.25,), (0.0,))
+    assert math.copysign(1.0, jet.values[(1, (0,))]) == 1.0
+
+
+def _solve_without_closed_form(monkeypatch, sys_, x, targets):
+    """_solve_jets with every pivot sent through the bracket solve."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ocm.approx, "_pivot_degree", lambda node, pivot: None)
+        return _solve_jets(sys_, x, targets, None, default_pivots(sys_))
+
+
+@pytest.mark.parametrize("eqs,m,cases,closed,fails", [
+    # zero slope at x1 = 0: g is constant there, so the bracket solve decides
+    ("x1*D(u1,(1))", 1, [(0.0, 0.0), (0.0, 1.0), (0.5, 0.3), (-2.0, 7.0)], [2, 3], [0, 1, 0, 0]),
+    ("exp(x1)*u1", 0, [
+        (0.25, 0.3),
+        (-1.5, -40.0),
+        # the closed form misses SOLVE_TOL by float spacing, and so does bisection
+        (-0.05864654290516613, 530891.2660834714),
+        (0.0, 2e6),  # root beyond SCAN_LIMIT
+        (0.0, -912698.66771138),  # bisection ends one ulp off; the closed form is exact
+        (0.25, np.inf),
+        (0.25, np.nan),
+    ], [0, 1, 4], [0, 0, 4, 1, 0, 5, 5]),
+])
+def test_affine_batch_matches_each_point_alone(monkeypatch, eqs, m, cases, closed, fails):
+    sys_ = parse_system(eqs, 1, 1, m)
+    x = np.asarray([[a] for a, _ in cases])
+    targets = np.asarray([[c] for _, c in cases])
+    batch, alone = _solve_batch_and_alone(sys_, x, targets)
+    for k, one in enumerate(alone):
+        assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), cases[k]
+        assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), cases[k]
+    # points the closed form solves meet their target within SOLVE_TOL; every
+    # other point gets exactly what the bracket solve alone gives it
+    bracket = _solve_without_closed_form(monkeypatch, sys_, x, targets)
+    for k in range(len(cases)):
+        if k in closed:
+            assert batch.fail[k] == 0 and batch.residual[k] <= ocm.approx.SOLVE_TOL, cases[k]
+        else:
+            assert batch.xi[:, k].tobytes() == bracket.xi[:, k].tobytes(), cases[k]
+            assert batch.fail[k] == bracket.fail[k], cases[k]
+    assert list(batch.fail) == fails
 
 
 def test_placement_non_convergence_reports_the_worst_center(monkeypatch):

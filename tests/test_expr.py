@@ -13,6 +13,7 @@ from ocm.expr import (
     ParseError,
     Power,
     apply_operator,
+    eval_component_batch,
     eval_operator,
     multi_indices,
     parse_expr,
@@ -144,6 +145,27 @@ def test_eval_deterministic_bitwise():
     a = eval_operator(sys_, (0.3,), (0.7,))
     b = eval_operator(sys_, (0.3,), (0.7,))
     assert a == b
+
+
+@pytest.mark.parametrize("text", ["u1", "x1", "3", "D(u1,(1))", "-u1"])
+def test_batch_result_is_fresh(text):
+    # callers subtract in place, so a bare slot or coordinate must not hand
+    # back a view of X or XI, and a constant must still give one entry per point
+    sys_ = parse_system(text, 1, 1, 1)
+    X = np.asarray([[0.5, -1.0, 2.0]])
+    XI = np.asarray([[7.0, 8.0, 9.0], [0.1, 0.2, 0.3]])
+    X0, XI0 = X.copy(), XI.copy()
+    out = eval_component_batch(sys_, 0, X, XI)
+    assert out.shape == (3,) and out.dtype == np.float64
+    expected = out.copy()
+    out -= 100.0
+    assert np.array_equal(X, X0) and np.array_equal(XI, XI0)
+    assert np.array_equal(eval_component_batch(sys_, 0, X, XI), expected)
+    # strided rows, as callers pass X = points.T, copy out the same way
+    Xt = np.asarray([[0.5], [-1.0], [2.0]]).T
+    out = eval_component_batch(sys_, 0, Xt, XI)
+    out -= 100.0
+    assert np.array_equal(Xt, X0)
 
 
 def test_eval_domain_errors():
