@@ -1,17 +1,21 @@
 """Rectangular domains, cell partitions and face skeletons.
 
-The domain is one bounding box tiled by finitely many cells; each cell
-carries an axis-aligned grid of subcells.  The skeleton collects every
+The domain is one bounding box tiled by a grid of cells.  Each cell is
+split into an equal-spaced grid of subcells, with its own integer number
+of parts per axis, and subcells are numbered cell-major: cells in C
+order, then each cell's subcells in C order.  The skeleton collects every
 cell and subcell face.  It is a finite union of axis-aligned hyperplane
-patches, so it is closed, has empty interior and Lebesgue measure zero,
-and membership can be decided by exact coordinate comparison (faces are
-produced by the same float arithmetic everywhere).
+patches, so it is closed, has empty interior and Lebesgue measure zero.
+Membership is a face test on the partition: a point is on the skeleton
+iff it equals a cell edge or an interior split of its own cell, decided
+by exact coordinate comparison (a cell's edges on an axis are always the
+same ``np.linspace`` of its side).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,25 +83,28 @@ def _edge_index(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class CellPartition:
-    """A box tiled by cells, each cell tiled by an axis grid of subcells.
+    """A box tiled by a grid of cells, each cell split into equal subcells.
 
-    ``cell_edges`` are the per-axis cell boundary coordinates.  Each cell
-    (in C order over the cell grid) owns per-axis subcell edge arrays that
-    include the cell's own boundary values.  ``delta`` records the target
-    diameter of the last subdivision.
+    ``cell_edges`` are the per-axis cell boundary coordinates.  Cells are
+    numbered in C order over the cell grid, and ``splits[c, d]`` is the
+    number of equal parts of cell ``c`` along axis ``d``: its subcell
+    edges there are ``np.linspace(lo, hi, splits[c, d] + 1)`` over the
+    cell's own side.  Subcells are numbered cell-major: cell 0's subcells
+    in C order over its own grid, then cell 1's, and so on.  ``delta``
+    records the target diameter of the last subdivision.
     """
 
     bounds: Box
     cell_edges: tuple[np.ndarray, ...]
-    sub_edges: list[tuple[np.ndarray, ...]]
+    splits: np.ndarray
     delta: float | None = None
-    _tensor: bool = field(init=False, repr=False, default=False)
-    _grid_edges: tuple[np.ndarray, ...] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if len(self.sub_edges) != self.n_cells:
-            raise ValueError("one subcell grid required per cell")
-        self._detect_tensor()
+        splits = np.asarray(self.splits)
+        shape = (self.n_cells, self.n)
+        if splits.shape != shape or splits.dtype.kind not in "iu" or np.any(splits < 1):
+            raise ValueError(f"splits must be integers >= 1 of shape {shape}")
+        self.splits = splits.astype(np.int64)
 
     @property
     def n(self) -> int:
@@ -120,116 +127,98 @@ class CellPartition:
         hi = tuple(float(self.cell_edges[d][idx[d] + 1]) for d in range(self.n))
         return Box(lo, hi)
 
-    def _detect_tensor(self) -> None:
-        """The partition is a global tensor grid iff every cell's subcell
-        edges equal the slice of the merged per-axis edge array over that
-        cell.  The fast point-location path requires this."""
-        merged = []
+    def _cell_indices(self) -> tuple[np.ndarray, ...]:
+        """Per-axis interval index of every cell, each (n_cells,)."""
+        return np.unravel_index(np.arange(self.n_cells), self.cells_per_axis)
+
+    def _axis_edges(self, d: int) -> dict[int, np.ndarray]:
+        """Subcell edges on axis d for each split count k used there.
+
+        Entry k lays every cell interval split k times end to end, so
+        interval i owns entries i*k to (i+1)*k: the np.linspace of that
+        interval, which are the own edges of every cell over it that is
+        split k times on axis d.
+        """
+        e = self.cell_edges[d]
+        return {k: np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b in zip(e[:-1], e[1:])]
+                                  + [e[-1:]])
+                for k in np.unique(self.splits[:, d]).tolist()}
+
+    def _subcell_widths(self) -> np.ndarray:
+        """Widest subcell side of every cell along every axis, (n_cells, n)."""
+        widths = np.empty((self.n_cells, self.n))
+        where = self._cell_indices()
         for d in range(self.n):
-            vals = np.unique(np.concatenate([se[d] for se in self.sub_edges]))
-            merged.append(vals)
-        for flat in range(self.n_cells):
-            idx = np.unravel_index(flat, self.cells_per_axis)
-            for d in range(self.n):
-                a = self.cell_edges[d][idx[d]]
-                b = self.cell_edges[d][idx[d] + 1]
-                inside = merged[d][(merged[d] >= a) & (merged[d] <= b)]
-                if not np.array_equal(inside, self.sub_edges[flat][d]):
-                    self._tensor = False
-                    self._grid_edges = None
-                    return
-        self._tensor = True
-        self._grid_edges = tuple(merged)
+            for k, edges in self._axis_edges(d).items():
+                mine = self.splits[:, d] == k
+                widths[mine, d] = np.diff(edges).reshape(-1, k).max(axis=1)[where[d][mine]]
+        return widths
 
     # -- flat subcell enumeration ------------------------------------------
 
     @property
-    def total_subcells(self) -> int:
-        if self._tensor:
-            count = 1
-            for e in self._grid_edges:
-                count *= len(e) - 1
-            return count
-        return sum(self._cell_subcount(i) for i in range(self.n_cells))
+    def _offsets(self) -> np.ndarray:
+        """Flat index of each cell's first subcell, then the total, (n_cells + 1,)."""
+        return np.concatenate([[0], np.cumsum(self.splits.prod(axis=1))])
 
-    def _cell_subcount(self, flat: int) -> int:
-        count = 1
-        for e in self.sub_edges[flat]:
-            count *= len(e) - 1
-        return count
+    @property
+    def total_subcells(self) -> int:
+        return int(self.splits.prod(axis=1).sum())
 
     def subcell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners of all subcells, flat C order, (S, n)."""
-        if self._tensor:
-            los = [e[:-1] for e in self._grid_edges]
-            his = [e[1:] for e in self._grid_edges]
-            lo_mesh = np.meshgrid(*los, indexing="ij")
-            hi_mesh = np.meshgrid(*his, indexing="ij")
-            lo = np.stack([g.ravel() for g in lo_mesh], axis=1)
-            hi = np.stack([g.ravel() for g in hi_mesh], axis=1)
-            return lo, hi
-        lo_list, hi_list = [], []
-        for flat in range(self.n_cells):
-            edges = self.sub_edges[flat]
-            lo_mesh = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-            hi_mesh = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
-            lo_list.append(np.stack([g.ravel() for g in lo_mesh], axis=1))
-            hi_list.append(np.stack([g.ravel() for g in hi_mesh], axis=1))
-        return np.concatenate(lo_list), np.concatenate(hi_list)
+        """Lower and upper corners of all subcells, cell-major flat order, (S, n)."""
+        offsets = self._offsets
+        lo = np.empty((offsets[-1], self.n))
+        hi = np.empty_like(lo)
+        axes = [self._axis_edges(d) for d in range(self.n)]
+        where = self._cell_indices()
+        for c in range(self.n_cells):
+            counts = self.splits[c].tolist()
+            lo_c = lo[offsets[c]: offsets[c + 1]].reshape(counts + [self.n])
+            hi_c = hi[offsets[c]: offsets[c + 1]].reshape(counts + [self.n])
+            for d, k in enumerate(counts):
+                i = where[d][c]
+                e = axes[d][k][i * k: (i + 1) * k + 1]
+                along = [-1 if a == d else 1 for a in range(self.n)]
+                lo_c[..., d] = e[:-1].reshape(along)
+                hi_c[..., d] = e[1:].reshape(along)
+        return lo, hi
 
     def subcell_centers(self) -> np.ndarray:
         lo, hi = self.subcell_bounds()
         return 0.5 * (lo + hi)
 
     def max_subcell_diameter(self) -> float:
-        worst = 0.0
-        for flat in range(self.n_cells):
-            sq = 0.0
-            for e in self.sub_edges[flat]:
-                sq += float(np.max(np.diff(e))) ** 2
-            worst = max(worst, math.sqrt(sq))
-        return worst
+        return float(np.sqrt(np.square(self._subcell_widths()).sum(axis=1)).max())
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points (N, n) to flat subcell indices; also flag points
-        lying exactly on any subcell face.  Points outside the bounding
-        box raise ValueError."""
+        lying exactly on any cell or subcell face.  Points outside the
+        bounding box, and non-finite points, raise ValueError.
+
+        The cell comes from the cell edges, then the subcell from that
+        cell's own edges, which include its boundary: a point is on a
+        face iff it equals a cell edge or an interior split of its own
+        cell.  All cells split equally often on an axis are searched at
+        once.
+        """
         pts = np.asarray(pts, dtype=float)
-        lo = np.asarray(self.bounds.lo)
-        hi = np.asarray(self.bounds.hi)
-        if np.any(pts < lo) or np.any(pts > hi):
+        if not np.all((pts >= self.bounds.lo) & (pts <= self.bounds.hi)):
             raise ValueError("point outside domain")
-        if self._tensor:
-            flat = np.zeros(len(pts), dtype=np.int64)
-            on_face = np.zeros(len(pts), dtype=bool)
-            for d in range(self.n):
-                edges = self._grid_edges[d]
-                j, on = _edge_index(edges, pts[:, d])
-                on_face |= on
-                flat = flat * (len(edges) - 1) + j
-            return flat, on_face
-        flat_out = np.empty(len(pts), dtype=np.int64)
-        on_out = np.zeros(len(pts), dtype=bool)
-        base = 0
-        handled = np.zeros(len(pts), dtype=bool)
-        for cflat in range(self.n_cells):
-            edges = self.sub_edges[cflat]
-            cbox = self.cell_box(cflat)
-            inside = np.all((pts >= np.asarray(cbox.lo)) & (pts <= np.asarray(cbox.hi)), axis=1)
-            inside &= ~handled
-            if inside.any():
-                sub = np.zeros(int(inside.sum()), dtype=np.int64)
-                on = np.zeros(int(inside.sum()), dtype=bool)
-                p = pts[inside]
-                for d in range(self.n):
-                    j, on_d = _edge_index(edges[d], p[:, d])
-                    on |= on_d
-                    sub = sub * (len(edges[d]) - 1) + j
-                flat_out[inside] = base + sub
-                on_out[inside] = on
-                handled |= inside
-            base += self._cell_subcount(cflat)
-        return flat_out, on_out
+        where = [_edge_index(edges, pts[:, d])[0] for d, edges in enumerate(self.cell_edges)]
+        cell = np.ravel_multi_index(where, self.cells_per_axis)
+        sub = np.zeros(len(pts), dtype=np.int64)
+        on_face = np.zeros(len(pts), dtype=bool)
+        for d in range(self.n):
+            counts = self.splits[cell, d]
+            local = np.empty(len(pts), dtype=np.int64)
+            for k, edges in self._axis_edges(d).items():
+                mine = counts == k
+                j, on = _edge_index(edges, pts[mine, d])
+                local[mine] = j - where[d][mine] * k
+                on_face[mine] |= on
+            sub = sub * counts + local
+        return self._offsets[cell] + sub, on_face
 
 
 def build_partition(bounds: Box, cells_per_axis) -> CellPartition:
@@ -244,99 +233,52 @@ def build_partition(bounds: Box, cells_per_axis) -> CellPartition:
     cell_edges = tuple(
         np.linspace(bounds.lo[d], bounds.hi[d], cells_per_axis[d] + 1) for d in range(bounds.n)
     )
-    sub_edges = []
-    for flat in range(int(np.prod(cells_per_axis))):
-        idx = np.unravel_index(flat, cells_per_axis)
-        sub_edges.append(
-            tuple(cell_edges[d][idx[d]: idx[d] + 2].copy() for d in range(bounds.n))
-        )
-    return CellPartition(bounds=bounds, cell_edges=cell_edges, sub_edges=sub_edges, delta=None)
+    splits = np.ones((math.prod(cells_per_axis), bounds.n), dtype=np.int64)
+    return CellPartition(bounds=bounds, cell_edges=cell_edges, splits=splits, delta=None)
 
 
 def subdivide(p: CellPartition, delta: float) -> CellPartition:
     """Refine subcells until every diameter is at most delta.
 
-    A cell whose subcells already conform is left untouched, which makes
-    the operation idempotent.  Otherwise each axis interval of width w is
-    split into ceil(w * sqrt(n) / delta) equal parts, bounding the subcell
-    diameter by delta.
+    A cell whose subcells already conform keeps its split counts, which
+    makes the operation idempotent.  Otherwise each axis count c with
+    subcell width w becomes c * ceil(w * sqrt(n) / delta), bounding the
+    subcell diameter by delta.
     """
     if not (delta > 0.0):
         raise ValueError("delta must be positive")
-    n = p.n
-    root_n = math.sqrt(n)
-    new_sub = []
-    for flat in range(p.n_cells):
-        edges = p.sub_edges[flat]
-        sq = sum(float(np.max(np.diff(e))) ** 2 for e in edges)
-        if math.sqrt(sq) <= delta:
-            new_sub.append(tuple(e.copy() for e in edges))
-            continue
-        refined = []
-        for e in edges:
-            parts = [np.asarray([e[0]])]
-            for a, b in zip(e[:-1], e[1:]):
-                # tiny slack keeps exact ratios from rounding up to an extra part
-                k = max(1, math.ceil((b - a) * root_n / delta - 1e-9))
-                parts.append(np.linspace(a, b, k + 1)[1:])
-            refined.append(np.concatenate(parts))
-        new_sub.append(tuple(refined))
-    return CellPartition(bounds=p.bounds, cell_edges=p.cell_edges, sub_edges=new_sub, delta=delta)
+    widths = p._subcell_widths()
+    conforming = np.sqrt(np.square(widths).sum(axis=1)) <= delta
+    # tiny slack keeps exact ratios from rounding up to an extra part
+    parts = np.maximum(1, np.ceil(widths * math.sqrt(p.n) / delta - 1e-9)).astype(np.int64)
+    splits = np.where(conforming[:, None], p.splits, p.splits * parts)
+    return CellPartition(bounds=p.bounds, cell_edges=p.cell_edges, splits=splits, delta=delta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Skeleton:
-    """Union of all cell and subcell faces, stored per axis as exact
-    face coordinates with their extents."""
+    """Union of all cell and subcell faces of a partition, the outer
+    boundary included, decided by the partition's own point location."""
 
-    ndim: int
-    faces: dict[int, dict[float, list[tuple[tuple[float, ...], tuple[float, ...]]]]]
-
-    def axis_values(self, axis: int) -> np.ndarray:
-        return np.asarray(sorted(self.faces.get(axis, {})), dtype=float)
-
-    @property
-    def face_count(self) -> int:
-        return sum(len(v) for v in self.faces.values())
+    partition: CellPartition
 
     def contains(self, pt) -> bool:
-        pt = tuple(float(v) for v in pt)
-        for axis, by_value in self.faces.items():
-            extents = by_value.get(pt[axis])
-            if not extents:
-                continue
-            for lo, hi in extents:
-                if all(lo[d] <= pt[d] <= hi[d] for d in range(self.ndim) if d != axis):
-                    return True
-        return False
+        return bool(self.contains_batch(np.asarray([pt], dtype=float))[0])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
+        """Whether each point (N, n) lies on a face; points outside the
+        closed box, and non-finite points, do not."""
         pts = np.asarray(pts, dtype=float)
+        b = self.partition.bounds
+        inside = np.all((pts >= b.lo) & (pts <= b.hi), axis=1)
         out = np.zeros(len(pts), dtype=bool)
-        for axis, by_value in self.faces.items():
-            vals = self.axis_values(axis)
-            if len(vals) == 0:
-                continue
-            hits = np.nonzero(_edge_index(vals, pts[:, axis])[1])[0]
-            for i in hits:
-                if out[i]:
-                    continue
-                for lo, hi in by_value[float(pts[i, axis])]:
-                    if all(lo[d] <= pts[i, d] <= hi[d] for d in range(self.ndim) if d != axis):
-                        out[i] = True
-                        break
+        out[inside] = self.partition.locate(pts[inside])[1]
         return out
 
 
 def skeleton_of(p: CellPartition) -> Skeleton:
     """All subcell boundary faces, including the outer boundary."""
-    faces: dict[int, dict[float, list]] = {d: {} for d in range(p.n)}
-    for flat in range(p.n_cells):
-        cbox = p.cell_box(flat)
-        for d in range(p.n):
-            for v in p.sub_edges[flat][d]:
-                faces[d].setdefault(float(v), []).append((cbox.lo, cbox.hi))
-    return Skeleton(ndim=p.n, faces=faces)
+    return Skeleton(partition=p)
 
 
 def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0) -> np.ndarray:

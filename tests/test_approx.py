@@ -494,8 +494,9 @@ def test_global_transport_matches_worked_example():
     p = build_partition(UNIT, 10)
     U, cert = global_approx(sys_, rhs, p, 0.1, seed=3)
     assert U.n_pieces == 20
-    widths = np.diff(U.partition.sub_edges[0][0])
-    np.testing.assert_allclose(widths, 0.05)
+    np.testing.assert_array_equal(U.partition.splits, np.full((10, 1), 2))
+    lo, hi = U.partition.subcell_bounds()
+    np.testing.assert_allclose(hi - lo, 0.05)
     assert cert.passed
     assert cert.max_residual <= 1e-9
     assert cert.min_residual >= -0.1 - 1e-9

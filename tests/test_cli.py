@@ -32,6 +32,27 @@ eta = 1e-9
 """
 
 
+TRANSPORT_2D = """\
+[domain]
+lo = [0.0, 0.0]
+hi = [1.0, 1.0]
+cells = [2, 2]
+
+[system]
+n = 2
+K = 1
+m = 1
+equations = ["D(u1,(1,0)) + u1"]
+rhs = ["x1*x2"]
+
+[solve]
+epsilon = 0.1
+refine_steps = 10
+samples_per_cell = 80
+seed = 5
+"""
+
+
 def write_config(tmp_path, text=TRANSPORT, name="problem.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -194,21 +215,27 @@ def test_selfcheck_empty_is_vacuous():
 
 
 def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    blobs = {}
-    for threads in ("1", "4"):
-        for run in range(2):
-            monkeypatch.setenv("OCM_THREADS", threads)
-            out = tmp_path / f"out-{threads}-{run}"
-            assert cli.main(["solve", str(cfg), "--out", str(out)]) == 0
-            assert cli.main(["refine", str(cfg), "--out", str(out)]) == 0
-            blobs[(threads, run)] = (
-                (out / "certificate.csv").read_bytes(),
-                (out / "trace.csv").read_bytes(),
-            )
-    baseline = blobs[("1", 0)]
-    for key, value in blobs.items():
-        assert value == baseline, key
+    # the 2D config has 2x2 cells and 1,024 subcells at 80 samples each,
+    # so every certificate spans two of check_residual's 65,536-sample
+    # chunks and the pool really splits them
+    for name, text in (("1d", TRANSPORT), ("2d", TRANSPORT_2D)):
+        cfg = write_config(tmp_path, text, f"{name}.cfg")
+        blobs = {}
+        for threads in ("1", "4"):
+            for run in range(2):
+                monkeypatch.setenv("OCM_THREADS", threads)
+                out = tmp_path / f"out-{name}-{threads}-{run}"
+                assert cli.main(["solve", str(cfg), "--out", str(out)]) == 0
+                assert cli.main(["refine", str(cfg), "--out", str(out)]) == 0
+                blobs[(threads, run)] = (
+                    (out / "certificate.csv").read_bytes(),
+                    (out / "trace.csv").read_bytes(),
+                )
+        baseline = blobs[("1", 0)]
+        if name == "2d":
+            assert b"\n1,81920," in baseline[0]
+        for key, value in blobs.items():
+            assert value == baseline, (name, key)
 
 
 def test_worker_count_env(monkeypatch):

@@ -21,6 +21,16 @@ def test_build_tensor_2d():
     assert p.n_cells == 4
     boxes = [p.cell_box(i) for i in range(4)]
     assert {b.lo for b in boxes} == {(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0)}
+    np.testing.assert_array_equal(p.splits, np.ones((4, 2)))
+    # split counts arrive from outside the library: one integer row of
+    # counts >= 1 per cell, one count per axis
+    q = CellPartition(p.bounds, p.cell_edges, [[1, 2], [2, 1], [3, 3], [1, 1]])
+    assert q.total_subcells == 2 + 2 + 9 + 1
+    for bad in (np.ones((3, 2), dtype=int), np.ones((4, 1), dtype=int), np.ones(8, dtype=int),
+                np.ones((4, 2)), np.ones((4, 2), dtype=bool), [[1, 2], [0, 1], [1, 1], [1, 1]],
+                [[1, 1], [1, 1], [-2, 1], [1, 1]], [[1, 1], [1, 1], [1, 1], [1]]):
+        with pytest.raises(ValueError):
+            CellPartition(p.bounds, p.cell_edges, bad)
 
 
 def test_build_degenerate_box_rejected():
@@ -32,7 +42,10 @@ def test_subdivide_ceiling_rule():
     # ceil(1 / 0.3) = 4 equal parts of width 0.25
     p = build_partition(Box((0.0,), (1.0,)), 1)
     q = subdivide(p, 0.3)
-    np.testing.assert_allclose(q.sub_edges[0][0], [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(q.splits, [[4]])
+    lo, hi = q.subcell_bounds()
+    np.testing.assert_allclose(lo[:, 0], [0.0, 0.25, 0.5, 0.75])
+    np.testing.assert_allclose(hi[:, 0], [0.25, 0.5, 0.75, 1.0])
     assert q.total_subcells == 4
 
 
@@ -40,7 +53,8 @@ def test_subdivide_noop_when_conforming():
     p = build_partition(Box((0.0,), (0.25,)), 1)
     q = subdivide(p, 0.3)
     assert q.total_subcells == 1
-    np.testing.assert_array_equal(q.sub_edges[0][0], p.sub_edges[0][0])
+    np.testing.assert_array_equal(q.splits, p.splits)
+    np.testing.assert_array_equal(q.subcell_bounds(), p.subcell_bounds())
 
 
 def test_subdivide_2d_diagonal_forces_split():
@@ -49,29 +63,59 @@ def test_subdivide_2d_diagonal_forces_split():
     q = subdivide(p, 1.0)
     assert q.total_subcells == 4
     assert q.max_subcell_diameter() <= 1.0 + 1e-12
+    # re-subdividing multiplies each count: ceil(0.5 * sqrt(2) / 0.3) = 3
+    r = subdivide(q, 0.3)
+    np.testing.assert_array_equal(r.splits, q.splits * 3)
+    assert r.max_subcell_diameter() <= 0.3
 
 
 def test_subdivide_idempotent():
     p = subdivide(build_partition(Box((0.0,), (1.0,)), 10), 0.025)
     q = subdivide(p, 0.025)
-    for a, b in zip(p.sub_edges, q.sub_edges):
-        for ea, eb in zip(a, b):
-            np.testing.assert_array_equal(ea, eb)
+    np.testing.assert_array_equal(q.splits, p.splits)
+    np.testing.assert_array_equal(q.subcell_bounds(), p.subcell_bounds())
+    # a smaller delta multiplies every non-conforming cell's counts
+    for p in _per_cell_partitions() + list(_random_partitions(np.random.default_rng(13), 30)):
+        delta = 0.7 * p.max_subcell_diameter()
+        q = subdivide(p, delta)
+        assert np.all(q.splits % p.splits == 0) and np.any(q.splits > p.splits)
+        assert q.max_subcell_diameter() <= delta
+        np.testing.assert_array_equal(subdivide(q, delta).splits, q.splits)
 
 
 def test_subdivided_volumes_sum_to_box_volume():
+    parts = []
     for cells, delta in [((10,), 0.013), ((3, 2), 0.21)]:
         box = Box((0.0,) * len(cells), tuple(float(c) / 2 for c in cells))
-        p = subdivide(build_partition(box, cells), delta)
+        parts.append(subdivide(build_partition(box, cells), delta))
+    parts += _per_cell_partitions() + list(_random_partitions(np.random.default_rng(5), 30))
+    for p in parts:
         lo, hi = p.subcell_bounds()
+        box = p.bounds
         vol = float(np.sum(np.prod(hi - lo, axis=1)))
         assert abs(vol - box.volume) <= 1e-12 * box.volume
+        # cell-major order, each cell's subcells in C order over edges
+        # that are np.linspace of the cell's own bounds, bit for bit
+        start = 0
+        for c in range(p.n_cells):
+            counts = tuple(p.splits[c])
+            stop = start + math.prod(counts)
+            cell = p.cell_box(c)
+            axes = [np.linspace(cell.lo[d], cell.hi[d], counts[d] + 1) for d in range(p.n)]
+            grid_lo = np.meshgrid(*[e[:-1] for e in axes], indexing="ij")
+            grid_hi = np.meshgrid(*[e[1:] for e in axes], indexing="ij")
+            np.testing.assert_array_equal(lo[start:stop], np.stack([g.ravel() for g in grid_lo], 1))
+            np.testing.assert_array_equal(hi[start:stop], np.stack([g.ravel() for g in grid_hi], 1))
+            start = stop
+        assert start == p.total_subcells == len(lo)
 
 
 def test_skeleton_1d_endpoints():
     p = build_partition(Box((0.0,), (1.0,)), 4)
     s = skeleton_of(p)
-    np.testing.assert_allclose(s.axis_values(0), [0.0, 0.25, 0.5, 0.75, 1.0])
+    faces = np.asarray([[0.0], [0.25], [0.5], [0.75], [1.0]])
+    assert s.contains_batch(faces).all()
+    assert not s.contains_batch(faces[:-1] + 0.125).any()
     assert s.contains((0.25,))
     assert not s.contains((0.3,))
 
@@ -85,57 +129,77 @@ def test_skeleton_2d_cross():
     assert s.contains((0.0, 0.7))
     assert s.contains((0.7, 1.0))
     assert not s.contains((0.3, 0.7))
+    # outside the closed box nothing is on the skeleton, face values included
+    assert not s.contains((0.5, 1.5))
+    assert not s.contains((-0.5, 0.5))
 
 
 def _per_cell_partitions():
-    """2D and 3D partitions whose two cells carry different subcell grids,
-    so locate takes its per-cell path."""
+    """2D and 3D partitions whose cells carry different split counts, so
+    neighbouring cells' interior splits do not line up."""
     halves, unit = np.asarray([0.0, 0.5, 1.0]), np.asarray([0.0, 1.0])
-    two = CellPartition(Box((0.0, 0.0), (1.0, 1.0)), (halves, unit),
-                        [(halves[:2], np.asarray([0.0, 0.3, 1.0])),
-                         (np.asarray([0.5, 0.75, 1.0]), unit)])
+    two = CellPartition(Box((0.0, 0.0), (1.0, 1.0)), (halves, unit), np.asarray([[1, 2], [2, 1]]))
     three = CellPartition(Box((0.0,) * 3, (1.0,) * 3), (halves, unit, unit),
-                          [(halves[:2], unit, np.asarray([0.0, 0.6, 1.0])),
-                           (np.asarray([0.5, 0.625, 1.0]), np.asarray([0.0, 0.2, 1.0]), unit)])
-    return [two, three]
+                          np.asarray([[1, 1, 2], [3, 2, 1]]))
+    square = CellPartition(Box((0.0, 0.0), (1.0, 1.0)), (halves, np.asarray([0.0, 0.25, 1.0])),
+                           np.asarray([[3, 1], [1, 2], [2, 2], [1, 3]]))
+    return [two, three, square]
 
 
-def _random_tensor_partitions(rng, count):
+def _random_partitions(rng, count):
+    """Uniform cell grids in 1-3D: unsplit, subdivided, or with random
+    per-cell split counts."""
     for k in range(count):
         n = 1 + k % 3
         lo = rng.uniform(-1.0, 1.0, n)
         box = Box(tuple(lo), tuple(lo + rng.uniform(0.5, 2.0, n)))
         p = build_partition(box, tuple(rng.integers(1, 4, n)))
-        yield subdivide(p, rng.uniform(0.2, 1.5)) if k % 2 else p
+        if k % 3 == 1:
+            p = subdivide(p, rng.uniform(0.2, 1.5))
+        elif k % 3 == 2:
+            p = CellPartition(p.bounds, p.cell_edges, rng.integers(1, 5, (p.n_cells, n)))
+        yield p
+
+
+def _on_skeleton_brute_force(p, pts):
+    """A point is on the skeleton iff it lies in some subcell's closed box
+    and on one of that subcell's faces."""
+    lo, hi = p.subcell_bounds()
+    x = pts[:, None, :]
+    inside = np.all((lo <= x) & (x <= hi), axis=2)
+    on_face = np.any((lo == x) | (x == hi), axis=2)
+    return np.any(inside & on_face, axis=1)
 
 
 def test_skeleton_batch_matches_scalar():
-    # locate's face flag, contains_batch and the scalar contains agree on
-    # points with about a third of their coordinates forced onto an edge,
-    # the upper corner included; on tensor grids they also equal the
-    # plain np.isin test against each axis's edge set
+    # contains_batch, the scalar contains and locate's face flag equal a
+    # brute-force test over all subcell boxes, on points with about a
+    # third of their coordinates forced onto an edge, the upper corner
+    # included, and on points outside the box or not finite
     rng = np.random.default_rng(3)
-    parts = [(p, False) for p in _per_cell_partitions()]
-    parts += [(p, True) for p in _random_tensor_partitions(rng, 30)]
-    for p, tensor in parts:
+    for p in _per_cell_partitions() + list(_random_partitions(rng, 30)):
         s = skeleton_of(p)
         lo, hi = np.asarray(p.bounds.lo), np.asarray(p.bounds.hi)
+        sub_lo, sub_hi = p.subcell_bounds()
         pts = lo + rng.random((200, p.n)) * (hi - lo)
         for d in range(p.n):
-            edges = s.axis_values(d)
+            edges = np.union1d(sub_lo[:, d], sub_hi[:, d])
             force = rng.random(len(pts)) < 0.3
             pts[force, d] = rng.choice(edges, int(force.sum()))
         pts[0] = hi
         pts[1, 0] = hi[0]
-        _, on_face = p.locate(pts)
+        pts[2, 0] = hi[0] + 1.0
+        pts[3, -1] = lo[-1] - 1.0
+        pts[4, 0] = np.nan
+        pts[5, -1] = -np.inf
+        ref = _on_skeleton_brute_force(p, pts)
         batch = s.contains_batch(pts)
         scalar = np.asarray([s.contains(tuple(q)) for q in pts])
-        np.testing.assert_array_equal(on_face, batch)
-        np.testing.assert_array_equal(batch, scalar)
-        assert on_face[:2].all() and on_face.any() and not on_face.all()
-        if tensor:
-            ref = np.any([np.isin(pts[:, d], s.axis_values(d)) for d in range(p.n)], axis=0)
-            np.testing.assert_array_equal(on_face, ref)
+        np.testing.assert_array_equal(batch, ref)
+        np.testing.assert_array_equal(scalar, ref)
+        _, on_face = p.locate(pts[6:])
+        np.testing.assert_array_equal(on_face, ref[6:])
+        assert ref[:2].all() and not ref[2:6].any() and ref.any() and not ref.all()
 
 
 def test_sample_points_containment_and_margin():
@@ -156,7 +220,7 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
     # the certificate takes each drawn sample's subcell from this order
     # instead of locating it, so the order and the lookup must agree
     rng = np.random.default_rng(11)
-    parts = _per_cell_partitions() + list(_random_tensor_partitions(rng, 30))
+    parts = _per_cell_partitions() + list(_random_partitions(rng, 30))
     for k, p in enumerate(parts):
         per_cell = 1 + k % 4
         margin = rng.uniform(0.01, 0.45)
@@ -200,20 +264,28 @@ def test_locate_rejects_outside():
     p = build_partition(Box((0.0,), (1.0,)), 2)
     with pytest.raises(ValueError):
         p.locate(np.asarray([[1.5]]))
+    # a non-finite coordinate passes neither bound check
+    q = subdivide(build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2)), 0.2)
+    for bad in ([np.nan, 0.3], [0.3, np.inf], [-np.inf, 0.3]):
+        with pytest.raises(ValueError, match="point outside domain"):
+            q.locate(np.asarray([[0.3, 0.3], bad]))
+    assert not skeleton_of(q).contains_batch(np.asarray([[np.nan, 0.5], [0.5, np.nan]])).any()
 
 
 def test_subcell_centers_order_matches_locate():
-    p = subdivide(build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2)), 0.4)
-    centers = p.subcell_centers()
-    flat, on = p.locate(centers)
-    assert not on.any()
-    np.testing.assert_array_equal(flat, np.arange(p.total_subcells))
+    parts = [subdivide(build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2)), 0.4)]
+    parts += _per_cell_partitions() + list(_random_partitions(np.random.default_rng(7), 30))
+    for p in parts:
+        centers = p.subcell_centers()
+        flat, on = p.locate(centers)
+        assert not on.any()
+        np.testing.assert_array_equal(flat, np.arange(p.total_subcells))
 
 
 def test_max_subcell_diameter():
     p = subdivide(build_partition(Box((0.0, 0.0), (1.0, 1.0)), (1, 1)), 0.5)
-    d = p.max_subcell_diameter()
-    lo, hi = p.subcell_bounds()
-    expect = max(math.sqrt(((h - l) ** 2).sum()) for l, h in zip(lo, hi))
-    assert d == pytest.approx(expect)
-    assert d <= 0.5 + 1e-12
+    assert p.max_subcell_diameter() <= 0.5 + 1e-12
+    for q in [p] + _per_cell_partitions() + list(_random_partitions(np.random.default_rng(9), 30)):
+        lo, hi = q.subcell_bounds()
+        expect = max(math.sqrt(((h - l) ** 2).sum()) for l, h in zip(lo, hi))
+        assert q.max_subcell_diameter() == expect
