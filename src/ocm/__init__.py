@@ -28,6 +28,7 @@ from .baire import (
     lower_baire,
     make_lattice,
     nlsc_regularize,
+    operator_image,
     upper_baire,
 )
 from .approx import (
@@ -52,7 +53,6 @@ from .order import (
     cauchy_gap,
     le_off_skeleton,
     nested_interval_valid,
-    operator_image,
     order_converges,
     pullback_le,
     refine_solution,

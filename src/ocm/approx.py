@@ -178,6 +178,23 @@ def _jets_from_coeffs(coeffs: np.ndarray, centers: np.ndarray, alphas, pts: np.n
     return jets
 
 
+def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """T_i(x, D)P(x) for every component i at pts (N, n), where point k
+    reads the piece with coeffs[k] (K, A) centred at centers[k].
+
+    The one path from pieces to operator values: jets by
+    _jets_from_coeffs, each component by ex.eval_component_batch.
+    Returns a fresh (K, N) array; undefined entries are non-finite.
+    """
+    jets = _jets_from_coeffs(coeffs, centers, system.alphas, pts)
+    XI = jets.reshape(len(pts), -1).T
+    X = pts.T
+    out = np.empty((system.K, len(pts)))
+    for i in range(system.K):
+        out[i] = ex.eval_component_batch(system, i, X, XI)
+    return out
+
+
 @dataclass
 class TaylorPiece:
     """One polynomial piece: coefficients c_{j,alpha} = xi_{j,alpha} / alpha!."""
@@ -227,10 +244,13 @@ class PiecewisePoly:
     """One Taylor piece per subcell, smooth off the face skeleton."""
 
     partition: CellPartition
-    skeleton: Skeleton
     alphas: tuple[tuple[int, ...], ...]
     coeffs: np.ndarray  # (S, K, A)
     centers: np.ndarray  # (S, n)
+
+    @property
+    def skeleton(self) -> Skeleton:
+        return skeleton_of(self.partition)
 
     @property
     def K(self) -> int:
@@ -248,10 +268,6 @@ class PiecewisePoly:
             raise ValueError("point lies on the skeleton; jets undefined there")
         return _jets_from_coeffs(self.coeffs[loc], self.centers[loc], self.alphas, pts)
 
-    def eval_component(self, j: int, pts: np.ndarray) -> np.ndarray:
-        zero = self.alphas.index((0,) * self.partition.n)
-        return self.jets(pts)[:, j - 1, zero]
-
     @classmethod
     def from_pieces(cls, partition: CellPartition, pieces: list[TaylorPiece]) -> "PiecewisePoly":
         if len(pieces) != partition.total_subcells:
@@ -259,13 +275,7 @@ class PiecewisePoly:
         alphas = pieces[0].alphas
         coeffs = np.stack([p.coeffs for p in pieces])
         centers = np.asarray([p.center for p in pieces], dtype=float)
-        return cls(
-            partition=partition,
-            skeleton=skeleton_of(partition),
-            alphas=alphas,
-            coeffs=coeffs,
-            centers=centers,
-        )
+        return cls(partition=partition, alphas=alphas, coeffs=coeffs, centers=centers)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +283,16 @@ class PiecewisePoly:
 
 def rhs_from_exprs(texts, n: int):
     """Compile rhs strings in x into a vector evaluator pts (N,n) -> (K,N)."""
-    trees = [ex.parse_rhs(t, n) for t in texts]
+    trees = tuple(ex.parse_rhs(t, n) for t in texts)
+    system = ex.PdeSystem(n=n, K=len(trees), m=0, components=trees)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((len(trees), len(pts)))
-        with np.errstate(all="ignore"):
-            for k, t in enumerate(trees):
-                out[k] = ex._eval_batch(t, pts.T, None, None)  # no jet slots to read
+        X = pts.T
+        XI = np.empty((system.M, len(pts)))  # no jet slot is read
+        out = np.empty((system.K, len(pts)))
+        for k in range(system.K):
+            out[k] = ex.eval_component_batch(system, k, X, XI)
         return out
 
     return evaluate
@@ -631,14 +643,9 @@ def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarra
     pts, inside = _ball_points(x0s, deltas, box)
     B, P, n = pts.shape
     flat = pts.reshape(-1, n)
-    jets = _jets_from_coeffs(np.repeat(coeffs, P, axis=0), np.repeat(x0s, P, axis=0),
-                             system.alphas, flat)
-    XI = jets.reshape(len(flat), -1).T
-    fvals = rhs(flat)
-    ok = np.ones((B, P), dtype=bool)
-    for i in range(system.K):
-        r = (ex.eval_component_batch(system, i, flat.T, XI) - fvals[i]).reshape(B, P)
-        ok &= np.isfinite(r) & (r <= eta) & (r >= -eps - eta)
+    r = _operator_values(system, np.repeat(coeffs, P, axis=0), np.repeat(x0s, P, axis=0), flat)
+    r -= rhs(flat)
+    ok = np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta), axis=0).reshape(B, P)
     return np.all(ok | ~inside, axis=1)
 
 
@@ -763,7 +770,7 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     if not np.all(np.isfinite(targets)):
         raise ValueError("right-hand side not finite at subcell centers")
     jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
-    return PiecewisePoly(partition=fine, skeleton=skeleton_of(fine), alphas=system.alphas,
+    return PiecewisePoly(partition=fine, alphas=system.alphas,
                          coeffs=_taylor_coeffs(system, jets), centers=centers)
 
 
@@ -875,12 +882,8 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
     def residuals(start: int) -> np.ndarray:
         chunk = pts[start: start + chunk_size]
         piece = loc[start: start + chunk_size]
-        jets = _jets_from_coeffs(U.coeffs[piece], U.centers[piece], U.alphas, chunk)
-        XI = jets.reshape(len(chunk), -1).T
-        fv = rhs(chunk)
-        out = np.empty((system.K, len(chunk)))
-        for i in range(system.K):
-            out[i] = ex.eval_component_batch(system, i, chunk.T, XI) - fv[i]
+        out = _operator_values(system, U.coeffs[piece], U.centers[piece], chunk)
+        out -= rhs(chunk)
         return out
 
     chunk_size = 65536

@@ -18,6 +18,10 @@ idempotent and independent of the filler values stored on the mask.
 Values live in the extended reals (finite doubles plus +/-inf); the
 operators only ever take minima and maxima, so no IEEE NaN arithmetic
 can arise.
+
+``operator_image`` is the one path from a piecewise polynomial to grid
+functions: T(x, D)u at the lattice nodes off the skeleton, regularized.
+``embed_piecewise`` is that image with T the identity system u1..uK.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
+from .approx import PiecewisePoly, _operator_values
 from .domain import Box
 
 __all__ = [
@@ -39,6 +45,7 @@ __all__ = [
     "upper_baire",
     "nlsc_regularize",
     "classify_semicontinuity",
+    "operator_image",
     "embed_piecewise",
     "write_gridfn_csv",
     "read_gridfn_csv",
@@ -198,27 +205,38 @@ def classify_semicontinuity(f: GridFn) -> SemicontinuityFlags:
     )
 
 
-def embed_piecewise(u, axes) -> list[GridFn]:
-    """Sample a piecewise polynomial on a lattice and regularize.
+def operator_image(system: ex.PdeSystem, u: PiecewisePoly, axes) -> list[GridFn]:
+    """The operator applied to a piecewise polynomial u, embedded as
+    regularized grid functions, one per component.
 
-    Off-skeleton nodes take the value of the piece containing them;
-    skeleton nodes are filled with 0 and then regularized away by the
-    lower-of-upper composite, so the result does not depend on the
-    filler.  Returns one GridFn per component.
+    One lookup of the lattice nodes in u's partition gives both the
+    mask (nodes on a subcell face) and the piece of every other node.
+    Off-skeleton nodes carry T_i(x, D)u(x); skeleton nodes are filled
+    with 0 and regularized away by the lower-of-upper composite, so the
+    result does not depend on the filler.
     """
+    if tuple(u.alphas) != system.alphas or u.K != system.K:
+        raise ValueError("approximant jet layout does not match the system")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     nodes = lattice_nodes(axes)
     shape = tuple(len(a) for a in axes)
-    mask_flat = u.skeleton.contains_batch(nodes)
-    out = []
-    free = nodes[~mask_flat]
-    for j in range(1, u.K + 1):
-        vals = np.zeros(len(nodes))
-        if len(free):
-            vals[~mask_flat] = u.eval_component(j, free)
-        g = GridFn(axes, vals.reshape(shape), mask_flat.reshape(shape))
-        out.append(nlsc_regularize(g))
-    return out
+    loc, on_face = u.partition.locate(nodes)
+    free = ~on_face
+    vals = np.zeros((system.K, len(nodes)))
+    if free.any():
+        piece = loc[free]
+        vals[:, free] = _operator_values(system, u.coeffs[piece], u.centers[piece], nodes[free])
+    mask = on_face.reshape(shape)
+    return [nlsc_regularize(GridFn(axes, v.reshape(shape), mask)) for v in vals]
+
+
+def embed_piecewise(u: PiecewisePoly, axes) -> list[GridFn]:
+    """Sample a piecewise polynomial on a lattice and regularize: the
+    operator_image of the identity system u1..uK."""
+    n = u.partition.n
+    identity = ex.PdeSystem(n=n, K=u.K, m=max(map(sum, u.alphas)),
+                            components=tuple(ex.Jet(j, (0,) * n) for j in range(1, u.K + 1)))
+    return operator_image(identity, u, axes)
 
 
 # ---------------------------------------------------------------------------

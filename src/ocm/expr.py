@@ -6,6 +6,8 @@ stands for the value of the derivative ``D^alpha u_j`` that an
 approximant supplies at a point; a bare ``uj`` abbreviates the
 zeroth-order slot ``D(uj,(0,...,0))``.  Evaluation therefore never
 differentiates anything: it reads derivative values out of a jet vector.
+There is one evaluator, ``eval_component_batch``, vectorised over points;
+``eval_operator`` is a batch of one of it.
 
 Grammar (whitespace insignificant, one expression per line or ``;``):
 
@@ -68,7 +70,8 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Expression undefined at the evaluation point (log/sqrt/division)."""
+    """Expression undefined (log/sqrt/division) or overflowing at the
+    evaluation point."""
 
     def __init__(self, message: str, x):
         super().__init__(f"{message}; evaluation undefined at x={tuple(x)}")
@@ -436,55 +439,13 @@ def print_system(system: PdeSystem) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _eval_scalar(node: Expr, x, xi, slot) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Coord):
-        return float(x[node.axis - 1])
-    if isinstance(node, Jet):
-        return float(xi[slot(node.comp, node.alpha)])
-    if isinstance(node, Unary):
-        v = _eval_scalar(node.arg, x, xi, slot)
-        if node.op == "neg":
-            return -v
-        if node.op == "sin":
-            return math.sin(v)
-        if node.op == "cos":
-            return math.cos(v)
-        if node.op == "exp":
-            return math.exp(v)
-        if node.op == "abs":
-            return abs(v)
-        if node.op == "log":
-            if v <= 0.0:
-                raise EvalDomainError("log of nonpositive value", x)
-            return math.log(v)
-        if node.op == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError("sqrt of negative value", x)
-            return math.sqrt(v)
-    if isinstance(node, Power):
-        return _eval_scalar(node.base, x, xi, slot) ** node.exponent
-    if isinstance(node, Binary):
-        a = _eval_scalar(node.left, x, xi, slot)
-        b = _eval_scalar(node.right, x, xi, slot)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero", x)
-        return a / b
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def eval_operator(system: PdeSystem, x, xi) -> tuple[float, ...]:
     """Evaluate all K component expressions at point x with jet vector xi.
 
-    Pure and deterministic; raises EvalDomainError where an expression is
-    undefined, ValueError on non-finite inputs.
+    A batch of one through eval_component_batch.  Pure and deterministic;
+    raises EvalDomainError wherever a component comes out non-finite (an
+    undefined log, sqrt or division, or an overflow), ValueError on
+    non-finite inputs.
     """
     x = tuple(float(v) for v in x)
     xi = tuple(float(v) for v in xi)
@@ -494,7 +455,15 @@ def eval_operator(system: PdeSystem, x, xi) -> tuple[float, ...]:
         raise ValueError(f"jet vector has {len(xi)} entries, expected {system.M}")
     if not all(math.isfinite(v) for v in x) or not all(math.isfinite(v) for v in xi):
         raise ValueError("x and xi must be finite")
-    return tuple(_eval_scalar(c, x, xi, system.slot) for c in system.components)
+    X = np.asarray(x).reshape(-1, 1)
+    XI = np.asarray(xi).reshape(-1, 1)
+    out = []
+    for i in range(system.K):
+        v = float(eval_component_batch(system, i, X, XI)[0])
+        if not math.isfinite(v):
+            raise EvalDomainError(f"component {i + 1} is not finite", x)
+        out.append(v)
+    return tuple(out)
 
 
 def eval_component_batch(system: PdeSystem, comp_index: int, X: np.ndarray, XI: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@ driver that produces a Cauchy sequence of certified approximants.
 
 Grid functions are compared only at nodes that avoid the given skeleton
 and both masks: equality and order modulo a closed nowhere dense set.
+Approximants are compared through their operator images, built by
+``ocm.baire.operator_image`` (re-exported here).
 The refinement driver plans one partition (the one the finest step
 needs, from a single probe round) and places every step's pieces on
 it, so the operator images rise monotonically step over step with no
@@ -22,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .approx import (PiecewisePoly, ResidualCertificate, _certify, _located_samples, _place,
                      global_approx)
-from .baire import GridFn, EnvelopePair, lattice_nodes, nlsc_regularize
+from .baire import GridFn, EnvelopePair, lattice_nodes, nlsc_regularize, operator_image
 from .domain import CellPartition, Skeleton
 
 __all__ = [
@@ -75,33 +77,6 @@ def le_off_skeleton(f: GridFn, g: GridFn, gamma: Skeleton | None = None) -> bool
         nodes = lattice_nodes(f.axes)
         sel &= ~gamma.contains_batch(nodes).reshape(f.shape)
     return bool(np.all(f.values[sel] <= g.values[sel]))
-
-
-def operator_image(system: ex.PdeSystem, u: PiecewisePoly, axes) -> list[GridFn]:
-    """The operator applied to u, embedded as regularized grid functions.
-
-    Off-skeleton nodes carry T_i(x, D)u(x); skeleton nodes are masked,
-    filled with 0 and regularized away.
-    """
-    if tuple(u.alphas) != system.alphas or u.K != system.K:
-        raise ValueError("approximant jet layout does not match the system")
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    nodes = lattice_nodes(axes)
-    shape = tuple(len(a) for a in axes)
-    mask_flat = u.skeleton.contains_batch(nodes)
-    free = nodes[~mask_flat]
-    if len(free):
-        jets = u.jets(free)
-        XI = jets.reshape(len(free), -1).T
-        X = free.T
-    out = []
-    for i in range(system.K):
-        vals = np.zeros(len(nodes))
-        if len(free):
-            vals[~mask_flat] = ex.eval_component_batch(system, i, X, XI)
-        g = GridFn(axes, vals.reshape(shape), mask_flat.reshape(shape))
-        out.append(nlsc_regularize(g))
-    return out
 
 
 def pullback_le(system: ex.PdeSystem, U: PiecewisePoly, V: PiecewisePoly, axes) -> bool:

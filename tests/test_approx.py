@@ -562,7 +562,6 @@ def test_check_residual_detects_injected_fault():
     sys_, rhs, U, _ = _transport_setup()
     bad = PiecewisePoly(
         partition=U.partition,
-        skeleton=U.skeleton,
         alphas=U.alphas,
         coeffs=U.coeffs.copy(),
         centers=U.centers,

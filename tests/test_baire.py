@@ -20,12 +20,14 @@ from ocm.baire import (
     lower_baire,
     make_lattice,
     nlsc_regularize,
+    operator_image,
     read_gridfn_csv,
     upper_baire,
     write_gridfn_csv,
 )
 from ocm.approx import PiecewisePoly, taylor_poly
-from ocm.domain import Box, build_partition
+from ocm.domain import Box, CellPartition, build_partition
+from ocm.expr import multi_indices, parse_system
 
 
 def oracle_lower(f: GridFn) -> np.ndarray:
@@ -237,6 +239,53 @@ def test_embed_jump_takes_lower_value():
     axes = (np.asarray([0.1, 0.3, 0.5, 0.7, 0.9]),)
     (g,) = embed_piecewise(u, axes)
     assert g.values[2] == 0.0
+
+
+def _uneven_2d_poly(K):
+    """Random linear pieces on 2x2 cells with unequal split counts; the
+    lattice below puts nodes on cell edges and on interior splits."""
+    halves = np.asarray([0.0, 0.5, 1.0])
+    p = CellPartition(Box((0.0, 0.0), (1.0, 1.0)), (halves, halves),
+                      np.asarray([[1, 2], [2, 1], [2, 2], [1, 4]]))
+    rng = np.random.default_rng(4)
+    alphas = multi_indices(2, 1)
+    return PiecewisePoly(partition=p, alphas=alphas,
+                         coeffs=rng.normal(size=(p.total_subcells, K, len(alphas))),
+                         centers=p.subcell_centers())
+
+
+UNEVEN_AXES = (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_embed_is_the_identity_operator_image(K):
+    u = _uneven_2d_poly(K)
+    identity = parse_system("\n".join(f"u{j}" for j in range(1, K + 1)), 2, K, 1)
+    embedded = embed_piecewise(u, UNEVEN_AXES)
+    imaged = operator_image(identity, u, UNEVEN_AXES)
+    assert len(embedded) == len(imaged) == K
+    for e, g in zip(embedded, imaged):
+        assert e.mask_array().any() and not e.mask_array().all()
+        np.testing.assert_array_equal(e.mask_array(), g.mask_array())
+        np.testing.assert_array_equal(e.values, g.values)
+
+
+def test_image_locates_the_lattice_once(monkeypatch):
+    # one lookup gives both the skeleton mask and every free node's piece
+    calls = []
+    locate = CellPartition.locate
+
+    def spy(self, pts):
+        calls.append(len(pts))
+        return locate(self, pts)
+
+    monkeypatch.setattr(CellPartition, "locate", spy)
+    u = _uneven_2d_poly(1)
+    nodes = len(UNEVEN_AXES[0]) * len(UNEVEN_AXES[1])
+    operator_image(parse_system("D(u1,(1,0)) * u1", 2, 1, 1), u, UNEVEN_AXES)
+    assert calls == [nodes]
+    embed_piecewise(u, UNEVEN_AXES)
+    assert calls == [nodes, nodes]
 
 
 def test_gridfn_csv_round_trip(tmp_path):

@@ -178,6 +178,25 @@ def test_eval_domain_errors():
     sqrt_sys = parse_system("sqrt(u1)", 1, 1, 0)
     with pytest.raises(EvalDomainError):
         eval_operator(sqrt_sys, (0.0,), (-4.0,))
+    # overflow is one more way for a component to come out non-finite
+    for text, u in [("exp(u1)", 1000.0), ("u1^3", 1e200), ("u1 * u1", 1e200)]:
+        with pytest.raises(EvalDomainError):
+            eval_operator(parse_system(text, 1, 1, 0), (0.0,), (u,))
+
+
+@pytest.mark.parametrize("text, K", [(t, 1) for t in CORPUS]
+                         + [("u1 / u2 + sin(x1)\nexp(u2)^3 - log(u1 * x1)", 2)])
+def test_eval_operator_is_a_batch_of_one(text, K):
+    # each point's eval_operator equals its column of one batch, bit for bit
+    sys_ = parse_system(text, 1, K, 2)
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.1, 2.0, (1, 40))
+    XI = rng.uniform(-2.0, 2.0, (sys_.M, 40))
+    XI[0] = np.abs(XI[0]) + 0.1  # u1 > 0, so log(u1 * x1) is defined
+    batch = np.stack([eval_component_batch(sys_, i, X, XI) for i in range(K)])
+    assert np.all(np.isfinite(batch))
+    for s in range(X.shape[1]):
+        assert eval_operator(sys_, X[:, s], XI[:, s]) == tuple(batch[:, s])
 
 
 def test_eval_rejects_nonfinite_inputs():
