@@ -767,8 +767,6 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
         raise ValueError("eps must be positive")
     centers = fine.subcell_centers()
     targets = rhs(centers).T - 0.5 * eps
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("right-hand side not finite at subcell centers")
     jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
     return PiecewisePoly(partition=fine, alphas=system.alphas,
                          coeffs=_taylor_coeffs(system, jets), centers=centers)

@@ -4,7 +4,10 @@ Everything here lives on small finite ground sets, where every filter is
 principal: the upward closure of its least member.  Structures are
 stored by their minimal (coarsest) filters; upward closure under
 refinement is then automatic from the representation, and the checkers
-report that axiom as holding by construction.
+report that axiom as holding by construction.  A table holds the
+maximal-least antichain of the filters it is given, in the given order,
+reduced once when the table is built; the constructions below hand
+their generators over unreduced.
 
 Caps keep exhaustive work feasible: plain ground sets up to
 ``MAX_GROUND`` points, ground sets carrying relation filters (uniform
@@ -62,10 +65,6 @@ class UndefinedComposition(ValueError):
     """Relation algebra result would contain the empty set."""
 
 
-def _canon(s) -> frozenset:
-    return frozenset(s)
-
-
 @dataclass(frozen=True)
 class FiniteFilter:
     """A filter on a finite set: all supersets of its least member."""
@@ -95,15 +94,15 @@ class FiniteFilter:
         return out
 
     def contains_set(self, s) -> bool:
-        return self.least <= _canon(s) <= self.ground
+        return self.least <= frozenset(s) <= self.ground
 
 
 def filter_from_base(ground, base) -> FiniteFilter:
     """The filter generated by a family of sets (closing under
     intersections and supersets); empty sets or an empty total
     intersection are rejected."""
-    ground = _canon(ground)
-    sets = [_canon(b) for b in base]
+    ground = frozenset(ground)
+    sets = [frozenset(b) for b in base]
     if not sets:
         raise ValueError("empty base")
     if any(not b for b in sets):
@@ -117,12 +116,12 @@ def filter_from_base(ground, base) -> FiniteFilter:
 
 
 def principal(ground, x) -> FiniteFilter:
-    return FiniteFilter(ground=_canon(ground), least=frozenset([x]))
+    return FiniteFilter(ground=frozenset(ground), least=frozenset([x]))
 
 
 def filter_image(f: FiniteFilter, mapping: dict, ground_out) -> FiniteFilter:
     return FiniteFilter(
-        ground=_canon(ground_out), least=frozenset(mapping[a] for a in f.least)
+        ground=frozenset(ground_out), least=frozenset(mapping[a] for a in f.least)
     )
 
 
@@ -191,14 +190,14 @@ def relation_apply_point(u: FiniteFilter, x) -> FiniteFilter:
 # ---------------------------------------------------------------------------
 # structure tables
 
-def _antichain_max(sets) -> tuple[frozenset, ...]:
-    """Keep only the maximal sets, in a deterministic order."""
-    uniq = sorted(set(sets), key=lambda s: (len(s), sorted(map(repr, s))))
-    out = []
-    for s in uniq:
-        if not any(s < t for t in uniq):
-            out.append(s)
-    return tuple(out)
+def _antichain_max(filters) -> tuple[FiniteFilter, ...]:
+    """The maximal-least antichain of the given filters, in the given
+    order: the first filter given for each least, unless that least lies
+    strictly inside another's."""
+    first = {}
+    for f in filters:
+        first.setdefault(f.least, f)
+    return tuple(f for least, f in first.items() if not any(least < other for other in first))
 
 
 @dataclass
@@ -210,7 +209,7 @@ class ConvergenceTable:
     minimal: dict
 
     def __post_init__(self):
-        self.ground = _canon(self.ground)
+        self.ground = frozenset(self.ground)
         if len(self.ground) > MAX_GROUND:
             raise ValueError(f"ground set larger than cap {MAX_GROUND}")
         norm = {}
@@ -219,10 +218,7 @@ class ConvergenceTable:
             for f in filters:
                 if f.ground != self.ground:
                     raise ValueError("listed filter on wrong ground set")
-            norm[x] = tuple(
-                FiniteFilter(self.ground, least)
-                for least in _antichain_max([f.least for f in filters])
-            )
+            norm[x] = _antichain_max(filters)
         self.minimal = norm
 
     def converges(self, f: FiniteFilter, x) -> bool:
@@ -237,42 +233,39 @@ class UcsTable:
     minimal: tuple
 
     def __post_init__(self):
-        self.ground = _canon(self.ground)
+        self.ground = frozenset(self.ground)
         if len(self.ground) > MAX_RELATION_GROUND:
             raise ValueError(f"relation ground set larger than cap {MAX_RELATION_GROUND}")
         pair_ground = frozenset(itertools.product(self.ground, self.ground))
         for f in self.minimal:
             if f.ground != pair_ground:
                 raise ValueError("listed filter must live on X x X")
-        self.minimal = tuple(
-            FiniteFilter(pair_ground, least)
-            for least in _antichain_max([f.least for f in self.minimal])
-        )
+        self.minimal = _antichain_max(self.minimal)
 
     def contains(self, f: FiniteFilter) -> bool:
         return any(f.least <= g.least for g in self.minimal)
 
 
 def discrete_convergence(ground) -> ConvergenceTable:
-    ground = _canon(ground)
+    ground = frozenset(ground)
     return ConvergenceTable(ground, {x: (principal(ground, x),) for x in ground})
 
 
 def indiscrete_convergence(ground) -> ConvergenceTable:
-    ground = _canon(ground)
+    ground = frozenset(ground)
     full = FiniteFilter(ground, ground)
     return ConvergenceTable(ground, {x: (full,) for x in ground})
 
 
 def discrete_ucs(ground) -> UcsTable:
-    ground = _canon(ground)
+    ground = frozenset(ground)
     pg = frozenset(itertools.product(ground, ground))
     diag = frozenset((x, x) for x in ground)
     return UcsTable(ground, (FiniteFilter(pg, diag),))
 
 
 def indiscrete_ucs(ground) -> UcsTable:
-    ground = _canon(ground)
+    ground = frozenset(ground)
     pg = frozenset(itertools.product(ground, ground))
     return UcsTable(ground, (FiniteFilter(pg, pg),))
 
@@ -344,12 +337,8 @@ def induced_convergence(t: UcsTable) -> ConvergenceTable:
     listed relations."""
     minimal = {}
     for x in t.ground:
-        slices = []
-        for g in t.minimal:
-            sl = frozenset(y for (a, y) in g.least if a == x)
-            if sl:
-                slices.append(sl)
-        minimal[x] = tuple(FiniteFilter(t.ground, s) for s in _antichain_max(slices))
+        slices = (frozenset(y for (a, y) in g.least if a == x) for g in t.minimal)
+        minimal[x] = [FiniteFilter(t.ground, s) for s in slices if s]
     return ConvergenceTable(t.ground, minimal)
 
 
@@ -357,37 +346,36 @@ def initial_ucs(ground, maps, tables) -> UcsTable:
     """Initial structure along maps f_i into uniform convergence spaces:
     a relation filter belongs iff all its images do.  Minimal filters are
     the maximal relation preimages over one generator choice per factor."""
-    ground = _canon(ground)
+    ground = frozenset(ground)
     pg = frozenset(itertools.product(ground, ground))
     choices = itertools.product(*(t.minimal for t in tables))
-    leasts = []
+    gens = []
     for choice in choices:
         r = set(pg)
         for fmap, gen in zip(maps, choice):
             r = {(a, b) for (a, b) in r if (fmap[a], fmap[b]) in gen.least}
         if r:
-            leasts.append(frozenset(r))
+            gens.append(FiniteFilter(pg, frozenset(r)))
     if not tables:
-        leasts = [pg]
-    return UcsTable(ground, tuple(FiniteFilter(pg, l) for l in _antichain_max(leasts)))
+        # the one empty choice above already gave pg unless pg is empty;
+        # then this raises on the empty least, as close_to_ucs does
+        gens = [FiniteFilter(pg, pg)]
+    return UcsTable(ground, gens)
 
 
 def initial_convergence(ground, maps, tables) -> ConvergenceTable:
     """Initial convergence structure along maps into convergence spaces."""
-    ground = _canon(ground)
+    ground = frozenset(ground)
     minimal = {}
     for x in ground:
         choices = itertools.product(*(t.minimal[fmap[x]] for fmap, t in zip(maps, tables)))
-        leasts = []
+        minimal[x] = []
         for choice in choices:
             a = set(ground)
             for fmap, gen in zip(maps, choice):
                 a = {p for p in a if fmap[p] in gen.least}
             if a:
-                leasts.append(frozenset(a))
-        if not tables:
-            leasts = [frozenset(ground)]
-        minimal[x] = tuple(FiniteFilter(ground, l) for l in _antichain_max(leasts))
+                minimal[x].append(FiniteFilter(ground, frozenset(a)))
     return ConvergenceTable(ground, minimal)
 
 
@@ -399,7 +387,7 @@ def product_ucs(t1: UcsTable, t2: UcsTable) -> UcsTable:
 
 
 def subspace_ucs(t: UcsTable, subset) -> UcsTable:
-    subset = _canon(subset)
+    subset = frozenset(subset)
     if not subset <= t.ground:
         raise ValueError("subspace must be a subset of the ground set")
     incl = {x: x for x in subset}
@@ -454,7 +442,7 @@ def close_to_ucs(ground, seed_relations) -> UcsTable:
     reflexive, symmetric and transitive, and nothing beyond that
     equivalence can be generated.
     """
-    ground = _canon(ground)
+    ground = frozenset(ground)
     block = {x: frozenset([x]) for x in ground}
     for r in seed_relations:
         for a, b in r:

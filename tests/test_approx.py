@@ -390,6 +390,16 @@ def test_placement_non_convergence_reports_the_worst_center(monkeypatch):
     assert "did not converge" in str(exc.value)
 
 
+def test_placement_rhs_not_finite_at_a_center_is_a_range_violation():
+    # the pole sits on the second subcell center; the CLI maps RangeViolation to exit 3
+    sys_ = parse_system("D(u1,(1))", 1, 1, 1)
+    rhs = rhs_from_exprs(["1/(x1 - 0.375)"], 1)
+    with pytest.raises(RangeViolation) as exc:
+        place_and_certify(sys_, rhs, build_partition(UNIT, 4), 0.1)
+    assert exc.value.x == (0.375,)
+    assert "right-hand side not finite" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # local construction
 

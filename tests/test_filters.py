@@ -32,6 +32,7 @@ from ocm.filters import (
     indiscrete_convergence,
     indiscrete_ucs,
     induced_convergence,
+    initial_convergence,
     initial_ucs,
     is_cauchy,
     principal,
@@ -408,6 +409,36 @@ def test_closure_is_the_least_equivalence_over_the_seeds():
         close_to_ucs(frozenset(range(5)), [])
     with pytest.raises(ValueError, match="a filter has no empty member"):
         close_to_ucs(frozenset(), [])
+
+
+# ---------------------------------------------------------------------------
+# table construction
+
+def test_tables_keep_the_surviving_given_filters_in_the_given_order():
+    # ac and ab are incomparable and given in an order that is not
+    # (size, repr) order; a second ac and the finer {a} do not survive
+    ac = FiniteFilter(ABC, frozenset("ac"))
+    ab = FiniteFilter(ABC, frozenset("ab"))
+    ac_again = FiniteFilter(ABC, frozenset("ac"))
+    a_only = FiniteFilter(ABC, frozenset("a"))
+    conv = ConvergenceTable(ABC, {"a": (ac, a_only, ab, ac_again)})
+    assert len(conv.minimal["a"]) == 2
+    assert all(kept is given for kept, given in zip(conv.minimal["a"], (ac, ab)))
+    assert conv.minimal["b"] == () and conv.minimal["c"] == ()
+
+    pg = frozenset(itertools.product(AB, AB))
+    diag = frozenset((x, x) for x in AB)
+    ba = FiniteFilter(pg, diag | {("b", "a")})
+    ab_rel = FiniteFilter(pg, diag | {("a", "b")})
+    ba_again = FiniteFilter(pg, diag | {("b", "a")})
+    ucs = UcsTable(AB, (ba, FiniteFilter(pg, diag), ab_rel, ba_again))
+    assert len(ucs.minimal) == 2
+    assert all(kept is given for kept, given in zip(ucs.minimal, (ba, ab_rel)))
+
+
+def test_initial_convergence_along_no_maps_is_indiscrete():
+    t = initial_convergence(ABC, [], [])
+    assert all([f.least for f in t.minimal[x]] == [ABC] for x in ABC)
 
 
 # ---------------------------------------------------------------------------
