@@ -9,12 +9,11 @@ probe's radius until the sampled residual on its ball stays inside
 ``[-eps - eta, eta]``, and subdivides to the smallest radius found.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
-sample set.  Each drawn sample is checked to lie strictly inside the
-subcell it was drawn in, which both rules out the skeleton and picks its
-piece; only samples a caller passes to ``check_residual`` are located in
-the partition.
-``global_approx`` is the two stages in sequence; ``local_approx`` is the
-probe stage for a single point.
+sample set, drawn subcell by subcell and checked to lie strictly inside
+the subcell it was drawn in; each piece is then evaluated over its own
+samples, and only samples a caller passes to ``check_residual`` are
+located in the partition.  ``global_approx`` is the two stages in
+sequence; ``local_approx`` is the probe stage for a single point.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation.  A pivot that enters its equation affinely is solved
@@ -139,57 +138,65 @@ def _deriv_ratios(alphas: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return out
 
 
-def _power_table(dx: np.ndarray, m: int) -> list[np.ndarray]:
-    """pow[d][k] = dx[:, d] ** k for k = 0..m."""
-    out = []
-    for d in range(dx.shape[1]):
-        col = [np.ones(len(dx))]
-        for _ in range(m):
-            col.append(col[-1] * dx[:, d])
-        out.append(col)
-    return out
+def _monomial(dx: np.ndarray, gamma: tuple[int, ...], memo: dict) -> np.ndarray:
+    """dx^gamma over the last axis of dx, built once per memo: each axis
+    power by repeated multiplication, the axis powers left to right."""
+    if gamma not in memo:
+        d = max(i for i, k in enumerate(gamma) if k)  # gamma's last axis
+        rest = gamma[:d] + (0,) * (len(gamma) - d)
+        if any(rest):
+            memo[gamma] = _monomial(dx, rest, memo) * _monomial(dx, (0,) * d + gamma[d:], memo)
+        elif gamma[d] > 1:
+            memo[gamma] = _monomial(dx, gamma[:d] + (gamma[d] - 1,) + gamma[d + 1:], memo) * dx[..., d]
+        else:
+            memo[gamma] = dx[..., d]
+    return memo[gamma]
 
 
 def _jets_from_coeffs(coeffs: np.ndarray, centers: np.ndarray, alphas, pts: np.ndarray) -> np.ndarray:
     """Evaluate all derivatives D^beta of all components at pts.
 
-    coeffs: (N, K, A) per-point piece coefficients, centers: (N, n).
-    Returns (N, K, A) with entry [:, j, b] = D^{beta_b} P_j(pt).
+    coeffs (..., K, A), centers (..., n) and pts (..., n) broadcast over
+    their leading dimensions, so one piece serves all of its points
+    without being copied out for each.  Returns (*lead, K, A) with entry
+    [..., j, b] = D^{beta_b} P_j(pt).
     """
-    alphas = tuple(alphas)
-    m = max(sum(a) for a in alphas)
-    ratios = _deriv_ratios(alphas)
+    ratios = _deriv_ratios(tuple(alphas))
     dx = pts - centers
-    pw = _power_table(dx, m)
-    N, K, A = coeffs.shape
-    jets = np.zeros((N, K, A))
+    lead = np.broadcast_shapes(coeffs.shape[:-2], dx.shape[:-1])
+    memo: dict = {}
+    jets = np.zeros(lead + coeffs.shape[-2:])
     for b, beta in enumerate(alphas):
-        acc = np.zeros((N, K))
+        acc = jets[..., b]
         for a, alpha in enumerate(alphas):
-            if ratios[a, b] == 0.0:
+            r = ratios[a, b]
+            if r == 0.0:
                 continue
-            mono = np.ones(N)
-            for d in range(len(beta)):
-                k = alpha[d] - beta[d]
-                if k:
-                    mono = mono * pw[d][k]
-            acc += coeffs[:, :, a] * (ratios[a, b] * mono)[:, None]
-        jets[:, :, b] = acc
+            gamma = tuple(x - y for x, y in zip(alpha, beta))
+            term = coeffs[..., a]
+            if any(gamma):
+                mono = _monomial(dx, gamma, memo)
+                term = term * (mono if r == 1.0 else r * mono)[..., None]
+            elif r != 1.0:
+                term = term * r
+            acc += term
     return jets
 
 
 def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """T_i(x, D)P(x) for every component i at pts (N, n), where point k
-    reads the piece with coeffs[k] (K, A) centred at centers[k].
+    """T_i(x, D)P(x) for every component i at pts (..., n), where a point
+    reads the piece whose coeffs (..., K, A) and centers (..., n)
+    broadcast to its leading index, as in _jets_from_coeffs.
 
     The one path from pieces to operator values: jets by
     _jets_from_coeffs, each component by ex.eval_component_batch.
-    Returns a fresh (K, N) array; undefined entries are non-finite.
+    Returns a fresh (K, N) array over the N points of pts in C order;
+    undefined entries are non-finite.
     """
     jets = _jets_from_coeffs(coeffs, centers, system.alphas, pts)
-    XI = jets.reshape(len(pts), -1).T
-    X = pts.T
-    out = np.empty((system.K, len(pts)))
+    X = pts.reshape(-1, system.n).T
+    XI = jets.reshape(X.shape[1], -1).T
+    out = np.empty((system.K, X.shape[1]))
     for i in range(system.K):
         out[i] = ex.eval_component_batch(system, i, X, XI)
     return out
@@ -213,9 +220,7 @@ class TaylorPiece:
     def deriv_component(self, j: int, beta, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         b = self.alphas.index(tuple(beta))
-        centers = np.broadcast_to(np.asarray(self.center), pts.shape)
-        coeffs = np.broadcast_to(self.coeffs, (len(pts),) + self.coeffs.shape)
-        return _jets_from_coeffs(coeffs, centers, self.alphas, pts)[:, j - 1, b]
+        return _jets_from_coeffs(self.coeffs, np.asarray(self.center), self.alphas, pts)[:, j - 1, b]
 
 
 def taylor_poly(x0, xi) -> TaylorPiece:
@@ -642,9 +647,8 @@ def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarra
     [-eps - eta, eta] at every sample of its ball?"""
     pts, inside = _ball_points(x0s, deltas, box)
     B, P, n = pts.shape
-    flat = pts.reshape(-1, n)
-    r = _operator_values(system, np.repeat(coeffs, P, axis=0), np.repeat(x0s, P, axis=0), flat)
-    r -= rhs(flat)
+    r = _operator_values(system, coeffs[:, None], x0s[:, None], pts)
+    r -= rhs(pts.reshape(-1, n))
     ok = np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta), axis=0).reshape(B, P)
     return np.all(ok | ~inside, axis=1)
 
@@ -739,13 +743,13 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
 
 
 def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: float,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The certificate's sample set on fine and the subcell index of each
-    sample: at least TARGET_SAMPLES points unless samples_per_cell is given.
+                     seed: int) -> tuple[np.ndarray, int]:
+    """The certificate's sample set on fine and the number of samples per
+    subcell: at least TARGET_SAMPLES points unless samples_per_cell is given.
 
     Sample i is drawn in subcell i // samples_per_cell.  Every sample is
     checked to lie strictly inside that subcell's open box, which proves
-    its index and that it is inside the domain and off every face, so
+    its subcell and that it is inside the domain and off every face, so
     no sample is searched for in the partition.
     """
     if samples_per_cell is None:
@@ -757,15 +761,13 @@ def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: 
         if np.any(pts < np.asarray(fine.bounds.lo)) or np.any(pts > np.asarray(fine.bounds.hi)):
             raise ValueError("point outside domain")
         raise ValueError("verification sample lies on the skeleton")
-    return pts, np.repeat(np.arange(len(lo)), samples_per_cell)
+    return pts, samples_per_cell
 
 
-def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
-    """One piece per subcell of fine, its jet solved for f - eps/2 at the
-    subcell center."""
+def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) -> PiecewisePoly:
+    """One piece per subcell of fine, its jet solved for f - eps/2 at centers[s]."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    centers = fine.subcell_centers()
     targets = rhs(centers).T - 0.5 * eps
     jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
     return PiecewisePoly(partition=fine, alphas=system.alphas,
@@ -774,9 +776,9 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
 
 def _certify(system, U: PiecewisePoly, rhs, eps: float, located, *, eta: float,
              workers: int) -> "ResidualCertificate":
-    """check_residual on a (samples, subcell index) pair from _located_samples."""
-    pts, loc = located
-    return check_residual(system, U, rhs, eps, pts, eta=eta, workers=workers, _loc=loc)
+    """check_residual on a (samples, samples per subcell) pair from _located_samples."""
+    pts, per_cell = located
+    return check_residual(system, U, rhs, eps, pts, eta=eta, workers=workers, _per_cell=per_cell)
 
 
 def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float, *,
@@ -794,7 +796,7 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     on fine, samples_per_cell, margin and seed, so refine_solution draws
     it once for all steps on its common partition.
     """
-    U = _place(system, rhs, fine, eps)
+    U = _place(system, rhs, fine, eps, fine.subcell_centers())
     located = _located_samples(fine, samples_per_cell, margin, seed)
     return U, _certify(system, U, rhs, eps, located, eta=eta, workers=workers)
 
@@ -850,67 +852,67 @@ class ResidualCertificate:
 
 def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samples,
                    *, eta: float = DEFAULT_ETA, workers: int = 1,
-                   _loc: np.ndarray | None = None) -> ResidualCertificate:
+                   _per_cell: int | None = None) -> ResidualCertificate:
     """Independent band check at the given off-skeleton samples.
 
     Caller-supplied samples are located in U's partition once: a sample
     on a subcell face raises ValueError (the face flag of the lookup is
     exactly skeleton membership), one outside the domain too, and the
     subcell index picks the piece whose jets are evaluated there.
-    ``_loc`` is for callers in this module that pass the subcell index of
-    samples they drew themselves, each already checked to lie strictly
-    inside its subcell, as place_and_certify and refine_solution do.
+    ``_per_cell`` is for callers in this module whose sample i was drawn
+    in subcell i // _per_cell and checked to lie strictly inside it, as
+    place_and_certify and refine_solution do: each chunk then holds whole
+    subcells, and every piece is broadcast over its own samples instead
+    of being gathered per sample.
     """
     if tuple(U.alphas) != system.alphas or U.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    if pts.size == 0:
-        stats = [
-            ComponentStats(component=i + 1, samples=0, min_residual=math.nan,
-                           max_residual=math.nan, passed=True)
-            for i in range(system.K)
-        ]
-        return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=True)
-    loc = _loc
-    if loc is None:
+    if pts.size == 0:  # vacuous: every component passes on no samples
+        pts = pts.reshape(0, system.n)
+    n = pts.shape[1]
+    coeffs, centers, per_cell = U.coeffs, U.centers, _per_cell
+    if per_cell is None:
         loc, on_face = U.partition.locate(pts)
         if on_face.any():
             raise ValueError("verification sample lies on the skeleton")
+        coeffs, centers, per_cell = U.coeffs[loc], U.centers[loc], 1
+    grouped = pts.reshape(-1, per_cell, n)
+    step = max(1, 65536 // per_cell)
+    res = np.empty((system.K, len(pts)))
 
-    def residuals(start: int) -> np.ndarray:
-        chunk = pts[start: start + chunk_size]
-        piece = loc[start: start + chunk_size]
-        out = _operator_values(system, U.coeffs[piece], U.centers[piece], chunk)
-        out -= rhs(chunk)
-        return out
+    def residuals(s: int) -> None:
+        at = grouped[s: s + step]
+        out = res[:, s * per_cell: (s + len(at)) * per_cell]
+        out[...] = _operator_values(system, coeffs[s: s + step, None], centers[s: s + step, None], at)
+        out -= rhs(at.reshape(-1, n))
 
-    chunk_size = 65536
-    starts = range(0, len(pts), chunk_size)
+    starts = range(0, len(grouped), step)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(residuals, starts))
+            list(pool.map(residuals, starts))
     else:
-        parts = [residuals(s) for s in starts]
-    res = np.concatenate(parts, axis=1)
+        for s in starts:
+            residuals(s)
 
     stats = []
     for i in range(system.K):
         r = res[i]
         finite = np.isfinite(r)
-        rmin = float(np.min(r[finite])) if finite.any() else math.nan
-        rmax = float(np.max(r[finite])) if finite.any() else math.nan
-        ok = bool(finite.all()) and rmin >= -eps - eta and rmax <= eta
-        bad = ~finite | (r > eta) | (r < -eps - eta)
+        vals = r if finite.all() else r[finite]  # no copy unless a residual is undefined
+        rmin, rmax = (float(np.min(vals)), float(np.max(vals))) if len(vals) else (math.nan,) * 2
+        ok = len(vals) == len(r) and not (rmin < -eps - eta or rmax > eta)
         offenders = []
-        if bad.any():
-            excess = np.where(np.isfinite(r), np.maximum(r - eta, (-eps - eta) - r), np.inf)
+        if not ok:
+            bad = ~finite | (r > eta) | (r < -eps - eta)
+            excess = np.where(finite, np.maximum(r - eta, (-eps - eta) - r), np.inf)
             worst = np.argsort(-excess)[:5]
             offenders = [(tuple(map(float, pts[w])), float(r[w])) for w in worst if bad[w]]
         stats.append(
             ComponentStats(component=i + 1, samples=int(len(r)), min_residual=rmin,
                            max_residual=rmax, passed=ok, offenders=offenders)
         )
-    return ResidualCertificate(eps=eps, eta=eta, components=stats)
+    return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=len(pts) == 0)
 
 
 def certificate_csv_rows(cert: ResidualCertificate) -> list[str]:

@@ -281,58 +281,52 @@ def _cell_corners(partition) -> list[str]:
     return out
 
 
-def run_solve(config_path, out_dir) -> RunReport:
-    """One certified construction at the configured band width."""
-    t0 = time.perf_counter()
-    config_text = Path(config_path).read_text()
-    cfg = load_config(config_path)
-    system, rhs, _, partition = _build_problem(cfg)
-    workers = worker_count()
-    U, cert = global_approx(
-        system, rhs, partition, cfg.epsilon,
-        eta=cfg.eta, samples_per_cell=cfg.samples_per_cell,
-        margin=cfg.margin, seed=cfg.seed, workers=workers,
-    )
-    rows = certificate_csv_rows(cert)
-    out = Path(out_dir)
-    _write(out / "certificate.csv", rows)
-    verdict = "pass" if cert.passed else "fail"
-    report = RunReport(
-        command="solve", config_text=config_text, verdict=verdict,
-        exit_code=EXIT_OK if cert.passed else EXIT_FAIL,
-        wall_time=time.perf_counter() - t0, rows=rows, certificate=cert,
-        outputs=[str(out / "certificate.csv")],
-    )
-    _write_report(out, report, cells=_cell_corners(partition))
-    return report
-
-
-def run_refine(config_path, out_dir, image_hook=None) -> RunReport:
-    """Banded refinement for eps = 1, 1/2, ..., 1/refine_steps."""
+def _run(command: str, config_path, out_dir, construct) -> RunReport:
+    """Load and build the problem, then write what construct(cfg, system,
+    rhs, box, partition, workers) returns: the CSV's name and rows, the
+    verdict, and the report's certificate or trace."""
     t0 = time.perf_counter()
     config_text = Path(config_path).read_text()
     cfg = load_config(config_path)
     system, rhs, box, partition = _build_problem(cfg)
-    workers = worker_count()
-    axes = make_lattice(box, REFINE_LATTICE_PER_AXIS)
-    trace = refine_solution(
-        system, rhs, partition, cfg.refine_steps, axes,
-        eta=cfg.eta, seed=cfg.seed, samples_per_cell=cfg.samples_per_cell,
-        margin=cfg.margin, workers=workers, label=str(config_path),
-        image_hook=image_hook,
-    )
-    rows = trace_csv_rows(trace)
+    name, rows, ok, evidence = construct(cfg, system, rhs, box, partition, worker_count())
     out = Path(out_dir)
-    _write(out / "trace.csv", rows)
-    ok = trace.all_certified and trace.total_repairs == 0
+    _write(out / name, rows)
     report = RunReport(
-        command="refine", config_text=config_text, verdict="pass" if ok else "fail",
-        exit_code=EXIT_OK if ok else EXIT_FAIL,
-        wall_time=time.perf_counter() - t0, rows=rows, trace=trace,
-        outputs=[str(out / "trace.csv")],
+        command=command, config_text=config_text, verdict="pass" if ok else "fail",
+        exit_code=EXIT_OK if ok else EXIT_FAIL, wall_time=time.perf_counter() - t0,
+        rows=rows, outputs=[str(out / name)], **evidence,
     )
     _write_report(out, report, cells=_cell_corners(partition))
     return report
+
+
+def run_solve(config_path, out_dir) -> RunReport:
+    """One certified construction at the configured band width."""
+    def construct(cfg, system, rhs, box, partition, workers):
+        U, cert = global_approx(
+            system, rhs, partition, cfg.epsilon,
+            eta=cfg.eta, samples_per_cell=cfg.samples_per_cell,
+            margin=cfg.margin, seed=cfg.seed, workers=workers,
+        )
+        return "certificate.csv", certificate_csv_rows(cert), cert.passed, {"certificate": cert}
+
+    return _run("solve", config_path, out_dir, construct)
+
+
+def run_refine(config_path, out_dir, image_hook=None) -> RunReport:
+    """Banded refinement for eps = 1, 1/2, ..., 1/refine_steps."""
+    def construct(cfg, system, rhs, box, partition, workers):
+        trace = refine_solution(
+            system, rhs, partition, cfg.refine_steps, make_lattice(box, REFINE_LATTICE_PER_AXIS),
+            eta=cfg.eta, seed=cfg.seed, samples_per_cell=cfg.samples_per_cell,
+            margin=cfg.margin, workers=workers, label=str(config_path),
+            image_hook=image_hook,
+        )
+        ok = trace.all_certified and trace.total_repairs == 0
+        return "trace.csv", trace_csv_rows(trace), ok, {"trace": trace}
+
+    return _run("refine", config_path, out_dir, construct)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +356,16 @@ def _default_selfcheck_instances():
     return instances
 
 
+def _witness_text(w) -> str:
+    """repr of a checker witness (a point, a set, or a pair or triple of
+    them) with every set's members sorted, so no row follows string hashing."""
+    if isinstance(w, frozenset):
+        return "frozenset({" + ", ".join(sorted(map(_witness_text, w))) + "})"
+    if isinstance(w, tuple):
+        return "(" + ", ".join(map(_witness_text, w)) + ")"
+    return repr(w)
+
+
 def run_selfcheck(instances=None) -> RunReport:
     """Run the structure checkers over an instance suite and report one
     row per axiom group per instance."""
@@ -373,13 +377,13 @@ def run_selfcheck(instances=None) -> RunReport:
     for name, kind, table in instances:
         if kind == "convergence":
             res = flt.check_convergence_structure(table)
-            detail = "ok" if res.ok else f"axiom ({res.failed_axiom}) witness {res.witness!r}"
+            detail = "ok" if res.ok else f"axiom ({res.failed_axiom}) witness {_witness_text(res.witness)}"
             detail += f"; hausdorff={'true' if res.hausdorff else 'false'}"
             rows.append(f"{name},convergence-axioms,{'true' if res.ok else 'false'},{detail}")
             all_ok &= res.ok
         elif kind == "ucs":
             res = flt.check_uniform_convergence(table)
-            detail = "ok" if res.ok else f"axiom ({res.failed_axiom}) witness {res.witness!r}"
+            detail = "ok" if res.ok else f"axiom ({res.failed_axiom}) witness {_witness_text(res.witness)}"
             rows.append(f"{name},ucs-axioms,{'true' if res.ok else 'false'},{detail}")
             all_ok &= res.ok
             if res.ok:

@@ -15,7 +15,7 @@ same ``np.linspace`` of its side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,13 +91,15 @@ class CellPartition:
     edges there are ``np.linspace(lo, hi, splits[c, d] + 1)`` over the
     cell's own side.  Subcells are numbered cell-major: cell 0's subcells
     in C order over its own grid, then cell 1's, and so on.  ``delta``
-    records the target diameter of the last subdivision.
+    records the target diameter of the last subdivision.  A partition is
+    not changed after construction; ``subdivide`` builds a new one.
     """
 
     bounds: Box
     cell_edges: tuple[np.ndarray, ...]
     splits: np.ndarray
     delta: float | None = None
+    _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         splits = np.asarray(self.splits)
@@ -146,13 +148,8 @@ class CellPartition:
 
     def _subcell_widths(self) -> np.ndarray:
         """Widest subcell side of every cell along every axis, (n_cells, n)."""
-        widths = np.empty((self.n_cells, self.n))
-        where = self._cell_indices()
-        for d in range(self.n):
-            for k, edges in self._axis_edges(d).items():
-                mine = self.splits[:, d] == k
-                widths[mine, d] = np.diff(edges).reshape(-1, k).max(axis=1)[where[d][mine]]
-        return widths
+        lo, hi = self.subcell_bounds()
+        return np.maximum.reduceat(hi - lo, self._offsets[:-1], axis=0)
 
     # -- flat subcell enumeration ------------------------------------------
 
@@ -166,7 +163,10 @@ class CellPartition:
         return int(self.splits.prod(axis=1).sum())
 
     def subcell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners of all subcells, cell-major flat order, (S, n)."""
+        """Lower and upper corners of all subcells, cell-major flat order,
+        (S, n); built on the first call and shared, read-only, after it."""
+        if self._bounds is not None:
+            return self._bounds
         offsets = self._offsets
         lo = np.empty((offsets[-1], self.n))
         hi = np.empty_like(lo)
@@ -182,7 +182,9 @@ class CellPartition:
                 along = [-1 if a == d else 1 for a in range(self.n)]
                 lo_c[..., d] = e[:-1].reshape(along)
                 hi_c[..., d] = e[1:].reshape(along)
-        return lo, hi
+        lo.flags.writeable = hi.flags.writeable = False
+        self._bounds = lo, hi
+        return self._bounds
 
     def subcell_centers(self) -> np.ndarray:
         lo, hi = self.subcell_bounds()

@@ -212,14 +212,11 @@ class ConvergenceTable:
         self.ground = frozenset(self.ground)
         if len(self.ground) > MAX_GROUND:
             raise ValueError(f"ground set larger than cap {MAX_GROUND}")
-        norm = {}
-        for x in self.ground:
-            filters = self.minimal.get(x, ())
-            for f in filters:
-                if f.ground != self.ground:
-                    raise ValueError("listed filter on wrong ground set")
-            norm[x] = _antichain_max(filters)
-        self.minimal = norm
+        if self.minimal.keys() - self.ground:
+            raise ValueError("table keyed by a point outside the ground set")
+        if any(f.ground != self.ground for filters in self.minimal.values() for f in filters):
+            raise ValueError("listed filter on wrong ground set")
+        self.minimal = {x: _antichain_max(self.minimal.get(x, ())) for x in self.ground}
 
     def converges(self, f: FiniteFilter, x) -> bool:
         return any(f.least <= g.least for g in self.minimal[x])

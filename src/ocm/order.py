@@ -69,6 +69,10 @@ def _off_mask(*fns: GridFn) -> np.ndarray:
     return out
 
 
+def _below(f: GridFn, g: GridFn, sel: np.ndarray) -> bool:
+    return bool(np.all(f.values[sel] <= g.values[sel]))
+
+
 def le_off_skeleton(f: GridFn, g: GridFn, gamma: Skeleton | None = None) -> bool:
     """True iff f <= g at every node off gamma and off both masks."""
     _require_same_lattice(f, g)
@@ -76,7 +80,7 @@ def le_off_skeleton(f: GridFn, g: GridFn, gamma: Skeleton | None = None) -> bool
     if gamma is not None:
         nodes = lattice_nodes(f.axes)
         sel &= ~gamma.contains_batch(nodes).reshape(f.shape)
-    return bool(np.all(f.values[sel] <= g.values[sel]))
+    return _below(f, g, sel)
 
 
 def pullback_le(system: ex.PdeSystem, U: PiecewisePoly, V: PiecewisePoly, axes) -> bool:
@@ -103,20 +107,12 @@ def order_converges(xs, x: GridFn, witnesses: OrderIntervalSeq, tol: float) -> b
         for g in (x_n, lo, up):
             _require_same_lattice(x, g)
         sel = _off_mask(x_n, lo, up, x)
-        if not np.all(lo.values[sel] <= x_n.values[sel]):
-            return False
-        if not np.all(x_n.values[sel] <= up.values[sel]):
-            return False
-        if not np.all(lo.values[sel] <= x.values[sel]):
-            return False
-        if not np.all(x.values[sel] <= up.values[sel]):
+        if not all(_below(a, b, sel) for a, b in ((lo, x_n), (x_n, up), (lo, x), (x, up))):
             return False
         if prev is not None:
             plo, pup = prev
             sel2 = _off_mask(lo, up, plo, pup)
-            if not np.all(plo.values[sel2] <= lo.values[sel2]):
-                return False
-            if not np.all(up.values[sel2] <= pup.values[sel2]):
+            if not (_below(plo, lo, sel2) and _below(up, pup, sel2)):
                 return False
         prev = (lo, up)
     lo_N, up_N = witnesses.pairs[-1]
@@ -137,9 +133,7 @@ def nested_interval_valid(seq: OrderIntervalSeq, subboxes, tol: float) -> bool:
         raise ValueError("empty interval sequence")
     for (lo_a, up_a), (lo_b, up_b) in zip(seq.pairs, seq.pairs[1:]):
         sel = _off_mask(lo_a, up_a, lo_b, up_b)
-        if not np.all(lo_a.values[sel] <= lo_b.values[sel]):
-            return False
-        if not np.all(up_b.values[sel] <= up_a.values[sel]):
+        if not (_below(lo_a, lo_b, sel) and _below(up_b, up_a, sel)):
             return False
     lo_N, up_N = seq.pairs[-1]
     nodes = lattice_nodes(lo_N.axes)
@@ -243,7 +237,7 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
         if n == n_max:
             U_n, cert = U_fine, cert_fine
         else:
-            U_n = _place(system, rhs, base, eps)
+            U_n = _place(system, rhs, base, eps, U_fine.centers)
             cert = _certify(system, U_n, rhs, eps, located, eta=eta, workers=workers)
         raw = operator_image(system, U_n, axes)
         if image_hook is not None:

@@ -649,3 +649,99 @@ def test_solve_jet_respects_anchor_and_explicit_pivot():
     # the derivative slot keeps its anchor value; the pivot absorbs the rest
     assert jet.values[(1, (1,))] == 2.0
     assert jet.values[(1, (0,))] == pytest.approx(1.0, abs=1e-10)
+
+
+def _all_slots_system(n, K, m):
+    """A system whose every component reads every jet slot, with one
+    product and one coordinate, so every monomial of the jets shows."""
+    alphas = ocm.expr.multi_indices(n, m)
+    comps = []
+    for i in range(1, K + 1):
+        terms = [f"{0.5 + 0.25 * a}*D(u{j},({','.join(map(str, alpha))}))"
+                 for j in range(1, K + 1) for a, alpha in enumerate(alphas)]
+        comps.append(" + ".join(terms) + f" + u{i}*u{K} - x1")
+    return parse_system("; ".join(comps), n, K, m)
+
+
+@pytest.mark.parametrize("n,K,m", list(itertools.product((1, 2, 3), (1, 2), (1, 2))))
+def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
+    # drawn samples broadcast each piece over its own samples; caller
+    # samples are located and gathered; both must give the same numbers
+    rng = np.random.default_rng(100 * n + 10 * K + m)
+    system = _all_slots_system(n, K, m)
+    rhs = rhs_from_exprs([f"x1*x{n}"] * K, n)
+    lo = rng.uniform(-1.0, 0.0, n)
+    box = Box(tuple(lo), tuple(lo + rng.uniform(0.5, 1.5, n)))
+    p = build_partition(box, tuple(rng.integers(1, 3, n)))
+    p = CellPartition(p.bounds, p.cell_edges, rng.integers(1, 4, (p.n_cells, n)))
+    S, A = p.total_subcells, len(system.alphas)
+    U = PiecewisePoly(partition=p, alphas=system.alphas, coeffs=rng.normal(size=(S, K, A)),
+                      centers=p.subcell_centers())
+    # per_cell values that do not divide the 65,536-sample chunk, and one
+    # above it, where a chunk is a single subcell
+    for per_cell in [1, 3, 7, 65536 // S + 5] + ([65539] if (n, K, m) == (1, 1, 1) else []):
+        pts, drawn_per_cell = ocm.approx._located_samples(p, per_cell, 0.05, per_cell)
+        loc, _ = p.locate(pts)
+        grouped = pts.reshape(S, per_cell, n)
+        np.testing.assert_array_equal(
+            ocm.approx._operator_values(system, U.coeffs[:, None], U.centers[:, None], grouped),
+            ocm.approx._operator_values(system, U.coeffs[loc], U.centers[loc], pts))
+        for eps in (0.1, 1e3):
+            for workers in (1, 2):
+                located = check_residual(system, U, rhs, eps, pts, workers=workers,
+                                         _per_cell=drawn_per_cell)
+                lookup = check_residual(system, U, rhs, eps, pts, workers=workers)
+                assert located == lookup
+                assert located.components[0].samples == len(pts)
+
+
+def test_band_ok_equals_repeated_pieces():
+    system = _all_slots_system(2, 2, 2)
+    # a right-hand side far above the operator keeps every residual below
+    # eta, so the verdict turns on the band's lower edge alone
+    rhs = rhs_from_exprs(["x1*x2 + 40", "x1 - x2 + 40"], 2)
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    rng = np.random.default_rng(3)
+    B = 40
+    x0s = rng.uniform(0.0, 1.0, (B, 2))
+    coeffs = rng.normal(size=(B, 2, len(system.alphas)))
+    deltas = rng.uniform(0.01, 0.5, B)
+    pts, inside = ocm.approx._ball_points(x0s, deltas, box)
+    P = pts.shape[1]
+    flat = pts.reshape(-1, 2)
+    ref = ocm.approx._operator_values(system, np.repeat(coeffs, P, axis=0),
+                                      np.repeat(x0s, P, axis=0), flat)
+    np.testing.assert_array_equal(
+        ocm.approx._operator_values(system, coeffs[:, None], x0s[:, None], pts), ref)
+    ref -= rhs(flat)
+    assert np.all(ref < 0)
+    # the band width each center needs, from the repeated reference
+    need = -np.where(inside, ref.min(axis=0).reshape(B, P), np.inf).min(axis=1)
+    for eps in np.quantile(need, [0.2, 0.5, 0.8]):
+        ok = np.all(np.isfinite(ref) & (ref <= 1e-9) & (ref >= -eps - 1e-9), axis=0).reshape(B, P)
+        expect = np.all(ok | ~inside, axis=1)
+        assert 0 < expect.sum() < B
+        got = ocm.approx._band_ok(system, rhs, x0s, coeffs, deltas, box, eps, 1e-9)
+        np.testing.assert_array_equal(got, expect)
+
+
+def test_taylor_piece_deriv_component_unchanged():
+    rng = np.random.default_rng(8)
+    alphas = ocm.expr.multi_indices(3, 3)
+    center = tuple(rng.uniform(-1.0, 1.0, 3))
+    piece = ocm.approx.TaylorPiece(center=center, alphas=alphas, coeffs=rng.normal(size=(2, len(alphas))))
+    pts = rng.uniform(-2.0, 2.0, (50, 3))
+    # the per-point copies the piece used to be broadcast into
+    copies = ocm.approx._jets_from_coeffs(np.broadcast_to(piece.coeffs, (50,) + piece.coeffs.shape),
+                                          np.broadcast_to(np.asarray(center), pts.shape), alphas, pts)
+    dx = pts - np.asarray(center)
+    for j, (b, beta) in itertools.product((1, 2), enumerate(alphas)):
+        got = piece.deriv_component(j, beta, pts)
+        np.testing.assert_array_equal(got, copies[:, j - 1, b])
+        closed = np.zeros(len(pts))
+        for a, alpha in enumerate(alphas):
+            if all(x >= y for x, y in zip(alpha, beta)):
+                scale = math.prod(math.factorial(x) / math.factorial(x - y) for x, y in zip(alpha, beta))
+                gamma = np.subtract(alpha, beta)
+                closed += piece.coeffs[j - 1, a] * scale * np.prod(dx ** gamma, axis=1)
+        np.testing.assert_allclose(got, closed, rtol=1e-12, atol=1e-12)

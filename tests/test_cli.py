@@ -1,6 +1,8 @@
 """Config parsing, pipelines, exit codes, CSV formats, determinism."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +208,58 @@ def test_selfcheck_broken_instance_names_axiom_4():
     report = cli.run_selfcheck(instances=[("broken", "ucs", asym)])
     assert report.exit_code == 5
     assert any("axiom (4)" in row for row in report.rows)
+
+
+def test_selfcheck_witness_rows_do_not_depend_on_string_hashing():
+    # lambda(a) lists [a, b] and [a, c] but not their meet [a, b, c], so
+    # axiom (2) fails with a witness holding two frozensets of strings
+    script = (
+        "from ocm import cli\n"
+        "from ocm.filters import ConvergenceTable, FiniteFilter\n"
+        "g = frozenset('abc')\n"
+        "f = lambda *xs: FiniteFilter(g, frozenset(xs))\n"
+        "t = ConvergenceTable(g, {'a': [f('a', 'c'), f('a', 'b')], 'b': [f('b')], 'c': [f('c')]})\n"
+        "print('\\n'.join(cli.run_selfcheck([('meet', 'convergence', t)]).rows))\n"
+    )
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    rows = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        rows.add(done.stdout)
+    assert len(rows) == 1
+    (out,) = rows
+    assert "axiom (2) witness ('a', frozenset({'a', 'c'}), frozenset({'a', 'b'}))" in out
+
+
+def test_subcell_bounds_built_once_per_partition(tmp_path, monkeypatch):
+    # subdivision, placement, sampling and the certificate's inside check
+    # share one pair of bound arrays per partition; the spy keeps every
+    # partition and pair it sees, so distinct pairs are distinct builds
+    from ocm.domain import CellPartition
+
+    seen = []
+    bounds = CellPartition.subcell_bounds
+
+    def spy(self):
+        seen.append((self, bounds(self)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(CellPartition, "subcell_bounds", spy)
+    monkeypatch.setenv("OCM_THREADS", "1")
+    # the refine-2d benchmark problem, and its solve-fine-2d counterpart
+    # at a coarser band (the count does not depend on the band)
+    solve = TRANSPORT_2D.replace("+ u1", "").replace("0.1", "0.02")
+    refine = TRANSPORT_2D.replace("cells = [2, 2]", "cells = [4, 4]").replace(
+        "samples_per_cell = 80\n", "")
+    for name, text, run in (("refine", refine, cli.run_refine), ("solve", solve, cli.run_solve)):
+        seen.clear()
+        report = run(write_config(tmp_path, text, f"{name}.cfg"), tmp_path / name)
+        assert report.exit_code == 0
+        builds = {(id(p), id(lo)) for p, (lo, _) in seen}
+        # the coarse partition's, for subdivision, and the fine one's
+        assert len(builds) == len({id(p) for p, _ in seen}) == 2, name
 
 
 def test_selfcheck_empty_is_vacuous():

@@ -240,6 +240,17 @@ def _cs_table(ground, assignment):
     )
 
 
+def test_convergence_table_rejects_keys_outside_its_ground():
+    good = [FiniteFilter(AB, frozenset("a"))], [FiniteFilter(AB, frozenset("b"))]
+    with pytest.raises(ValueError, match="outside the ground"):
+        ConvergenceTable(AB, {"a": good[0], "b": good[1], "z": []})
+    # even an entry whose filter lives on another ground is no longer dropped unchecked
+    xyz = frozenset("xyz")
+    with pytest.raises(ValueError, match="outside the ground"):
+        ConvergenceTable(AB, {"a": good[0], "b": good[1], "z": [FiniteFilter(xyz, frozenset("z"))]})
+    assert check_convergence_structure(ConvergenceTable(AB, {"a": good[0], "b": good[1]})).ok
+
+
 def test_convergence_checker_examples():
     res = check_convergence_structure(discrete_convergence(AB))
     assert res.ok and res.hausdorff
