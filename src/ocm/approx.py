@@ -12,8 +12,10 @@ subcell center, and re-checks the band on an independent off-skeleton
 sample set, drawn subcell by subcell and checked to lie strictly inside
 the subcell it was drawn in; each piece is then evaluated over its own
 samples, and only samples a caller passes to ``check_residual`` are
-located in the partition.  ``global_approx`` is the two stages in
-sequence; ``local_approx`` is the probe stage for a single point.
+located in the partition.  Both the jet solve and the certificate run
+in chunks of about CHUNK centres or samples, so their working memory
+does not grow with the partition.  ``global_approx`` is the two stages
+in sequence; ``local_approx`` is the probe stage for a single point.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation.  A pivot that enters its equation affinely is solved
@@ -35,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .domain import Box, CellPartition, Skeleton, sample_points, skeleton_of, subdivide
+from .domain import (Box, CellPartition, Skeleton, _check_sampling, _sample_chunk, sample_points,
+                     skeleton_of, subdivide)
 
 __all__ = [
     "JetPoint",
@@ -67,6 +70,8 @@ DELTA_FLOOR_FACTOR = 1e-6
 DEFAULT_ETA = 1e-9
 DEFAULT_MARGIN = 0.05
 TARGET_SAMPLES = 10_000
+# subcell centres solved, or certificate samples drawn and checked, per batch
+CHUNK = 65_536
 
 
 class RangeViolation(Exception):
@@ -491,6 +496,15 @@ class _JetSolve:
             ))
         return RangeViolation(component, x, reason=_FAILURE_REASON.get(int(self.fail[s])))
 
+    def worst(self) -> int | None:
+        """The point whose error the batch raises, None if all were solved:
+        the first hard failure, else, when the sweeps only failed to
+        converge, the worst residual."""
+        if not self.fail.any():
+            return None
+        hard = (self.fail != 0) & (self.fail != _NOT_CONVERGED)
+        return int(np.argmax(hard)) if hard.any() else int(np.argmax(self.residual))
+
 
 def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> _JetSolve:
     """Solve the pivot slots so every component meets its target at its center.
@@ -574,18 +588,6 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     return _JetSolve(xi=XI, fail=fail, component=comp, residual=worst)
 
 
-def _solve_jet_batch(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> np.ndarray:
-    """Jet vectors (S, M) from _solve_jets, or the error of its first hard
-    failure; when the sweeps only failed to converge, the error names the
-    point and component of the worst residual."""
-    solve = _solve_jets(system, centers, targets, anchor, pivots)
-    if solve.fail.any():
-        hard = (solve.fail != 0) & (solve.fail != _NOT_CONVERGED)
-        s = int(np.argmax(hard)) if hard.any() else int(np.argmax(solve.residual))
-        raise solve.error(s, centers[s])
-    return solve.xi.T.copy()
-
-
 def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, pivots=None) -> JetPoint:
     """Find a jet xi with F_i(x0, xi) = target_i for every component.
 
@@ -602,7 +604,10 @@ def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, 
     if pivots is None:
         pivots = default_pivots(system)
     anchor_vec = None if anchor is None else anchor.as_vector(system)
-    XI = _solve_jet_batch(system, np.asarray([x0]), target.reshape(1, -1), anchor_vec, pivots)[0]
+    solve = _solve_jets(system, np.asarray([x0]), target.reshape(1, -1), anchor_vec, pivots)
+    if solve.fail[0]:
+        raise solve.error(0, x0)
+    XI = solve.xi[:, 0]
     alphas = system.alphas
     values = {
         (j, alpha): float(XI[system.slot(j, alpha)])
@@ -742,36 +747,82 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     return subdivide(p, float(deltas.min()))
 
 
-def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: float,
-                     seed: int) -> tuple[np.ndarray, int]:
-    """The certificate's sample set on fine and the number of samples per
-    subcell: at least TARGET_SAMPLES points unless samples_per_cell is given.
+@dataclass(frozen=True)
+class _DrawnSet:
+    """The certificate's sample set on a partition, drawn chunk by chunk
+    while check_residual reads it: sample_points(partition, per_cell,
+    margin, seed) without the array."""
 
-    Sample i is drawn in subcell i // samples_per_cell.  Every sample is
-    checked to lie strictly inside that subcell's open box, which proves
-    its subcell and that it is inside the domain and off every face, so
-    no sample is searched for in the partition.
-    """
+    partition: CellPartition
+    per_cell: int
+    margin: float
+    seed: int
+
+    def __len__(self) -> int:
+        return self.partition.total_subcells * self.per_cell
+
+
+def _drawn_set(fine: CellPartition, samples_per_cell: int | None, margin: float,
+               seed: int) -> _DrawnSet:
+    """The certificate's sample set on fine: samples_per_cell points per
+    subcell, by default the fewest that give TARGET_SAMPLES."""
     if samples_per_cell is None:
         samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
-    pts = sample_points(fine, samples_per_cell, margin, seed)
-    lo, hi = fine.subcell_bounds()
-    drawn = pts.reshape(len(lo), samples_per_cell, fine.n)
-    if not np.all((lo[:, None, :] < drawn) & (drawn < hi[:, None, :])):
-        if np.any(pts < np.asarray(fine.bounds.lo)) or np.any(pts > np.asarray(fine.bounds.hi)):
+    _check_sampling(samples_per_cell, margin)
+    return _DrawnSet(fine, samples_per_cell, margin, seed)
+
+
+def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
+    """Raise ValueError unless every sample of drawn (g, P, n) lies strictly
+    inside subcell first + g' of p, g' its row, which proves its subcell
+    and that it is inside the domain and off every face, so no drawn
+    sample is searched for in the partition."""
+    lo, hi = p.subcell_bounds()
+    lo, hi = lo[first: first + len(drawn), None], hi[first: first + len(drawn), None]
+    if not np.all((lo < drawn) & (drawn < hi)):
+        if np.any(drawn < np.asarray(p.bounds.lo)) or np.any(drawn > np.asarray(p.bounds.hi)):
             raise ValueError("point outside domain")
         raise ValueError("verification sample lies on the skeleton")
-    return pts, samples_per_cell
+
+
+def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: float,
+                     seed: int) -> tuple[np.ndarray, int]:
+    """The certificate's sample set on fine as one array, each sample
+    checked to lie strictly inside the subcell it was drawn in, and the
+    number of samples per subcell: sample i is drawn in subcell
+    i // samples_per_cell."""
+    drawn = _drawn_set(fine, samples_per_cell, margin, seed)
+    pts = sample_points(fine, drawn.per_cell, margin, seed)
+    _check_drawn(fine, 0, pts.reshape(-1, drawn.per_cell, fine.n))
+    return pts, drawn.per_cell
 
 
 def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) -> PiecewisePoly:
-    """One piece per subcell of fine, its jet solved for f - eps/2 at centers[s]."""
+    """One piece per subcell of fine, its jet solved for f - eps/2 at centers[s].
+
+    The jets are solved CHUNK centres at a time into one coefficient
+    array.  Every point's jet is the one it gets alone (_solve_jets), and
+    the error raised is the whole batch's: the first hard failure, else
+    the worst residual where the sweeps only failed to converge.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    targets = rhs(centers).T - 0.5 * eps
-    jets = _solve_jet_batch(system, centers, targets, None, default_pivots(system))
-    return PiecewisePoly(partition=fine, alphas=system.alphas,
-                         coeffs=_taylor_coeffs(system, jets), centers=centers)
+    pivots = default_pivots(system)
+    coeffs = np.empty((len(centers), system.K, len(system.alphas)))
+    stalled = None  # (residual, error) of the worst point that did not converge
+    for s in range(0, len(centers), CHUNK):
+        at = centers[s: s + CHUNK]
+        solve = _solve_jets(system, at, rhs(at).T - 0.5 * eps, None, pivots)
+        w = solve.worst()
+        if w is not None:
+            if solve.fail[w] != _NOT_CONVERGED:
+                raise solve.error(w, at[w])
+            if stalled is None or solve.residual[w] > stalled[0]:
+                stalled = solve.residual[w], solve.error(w, at[w])
+        coeffs[s: s + len(at)] = _taylor_coeffs(system, solve.xi.T)
+    if stalled is not None:
+        raise stalled[1]
+    return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)
 
 
 def _certify(system, U: PiecewisePoly, rhs, eps: float, located, *, eta: float,
@@ -791,14 +842,16 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     certificate checks the band on a fresh off-skeleton sample set, at
     least TARGET_SAMPLES points unless samples_per_cell is given, each
     checked to lie strictly inside the subcell of fine it was drawn in
-    (which proves it misses the skeleton and picks its piece), with the
-    residual sweep shared by ``workers`` threads.  The set depends only
-    on fine, samples_per_cell, margin and seed, so refine_solution draws
-    it once for all steps on its common partition.
+    (which proves it misses the skeleton and picks its piece).  The set
+    is streamed: ``workers`` threads each draw, check, evaluate and fold
+    whole chunks, and no array of all samples or residuals is built.  It
+    depends only on fine, samples_per_cell, margin and seed, so
+    refine_solution draws it once, as an array, for all steps on its
+    common partition.
     """
     U = _place(system, rhs, fine, eps, fine.subcell_centers())
-    located = _located_samples(fine, samples_per_cell, margin, seed)
-    return U, _certify(system, U, rhs, eps, located, eta=eta, workers=workers)
+    drawn = _drawn_set(fine, samples_per_cell, margin, seed)
+    return U, check_residual(system, U, rhs, eps, drawn, eta=eta, workers=workers)
 
 
 def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
@@ -808,7 +861,7 @@ def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     """Assemble a certified one-sided approximant over the whole partition:
     plan_partition picks the subdivision, then place_and_certify places
     the pieces on it and certifies the band.  ``workers`` applies to the
-    certificate's residual sweep only; probing runs as one batch.
+    certificate's chunks only; probing runs as one batch.
     """
     fine = plan_partition(system, rhs, p, eps, eta=eta)
     return place_and_certify(system, rhs, fine, eps, eta=eta, samples_per_cell=samples_per_cell,
@@ -850,6 +903,27 @@ class ResidualCertificate:
         return max((c.max_residual for c in self.components), default=math.nan)
 
 
+def _fold(r: np.ndarray, pts: np.ndarray, first: int, eps: float, eta: float) -> tuple:
+    """One component's residuals r (N,) at pts (N, n), samples first,
+    first + 1, ... of the set: min and max of the finite residuals (inf
+    and -inf when there are none), the count of the others, and up to 5
+    offenders (excess, sample index, point, residual) ordered by excess
+    descending, then index; a residual outside the band, or not finite
+    (excess inf), is an offender."""
+    finite = np.isfinite(r)
+    vals = r if finite.all() else r[finite]  # no copy unless a residual is undefined
+    rmin, rmax = (float(np.min(vals)), float(np.max(vals))) if len(vals) else (math.inf, -math.inf)
+    worst = []
+    if len(vals) < len(r) or rmin < -eps - eta or rmax > eta:
+        bad = np.flatnonzero(~finite | (r > eta) | (r < -eps - eta))
+        rb = r[bad]
+        excess = np.where(finite[bad], np.maximum(rb - eta, (-eps - eta) - rb), np.inf)
+        for w in np.lexsort((bad, -excess))[:5]:
+            worst.append((float(excess[w]), first + int(bad[w]), tuple(map(float, pts[bad[w]])),
+                          float(rb[w])))
+    return rmin, rmax, len(r) - len(vals), worst
+
+
 def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samples,
                    *, eta: float = DEFAULT_ETA, workers: int = 1,
                    _per_cell: int | None = None) -> ResidualCertificate:
@@ -858,61 +932,78 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
     Caller-supplied samples are located in U's partition once: a sample
     on a subcell face raises ValueError (the face flag of the lookup is
     exactly skeleton membership), one outside the domain too, and the
-    subcell index picks the piece whose jets are evaluated there.
-    ``_per_cell`` is for callers in this module whose sample i was drawn
-    in subcell i // _per_cell and checked to lie strictly inside it, as
-    place_and_certify and refine_solution do: each chunk then holds whole
+    subcell index picks the piece whose jets are evaluated there.  Two
+    sources in this module skip the lookup, as sample i was drawn in
+    subcell i // per_cell: an array whose samples were checked to lie
+    strictly inside their subcells, with ``_per_cell`` given, as
+    refine_solution passes; and place_and_certify's _DrawnSet, each chunk
+    of which is drawn and checked here.  Either way a chunk holds whole
     subcells, and every piece is broadcast over its own samples instead
     of being gathered per sample.
+
+    All three sources take one path: chunks of about CHUNK samples, each
+    drawn or sliced, evaluated and folded into per-component extremes,
+    undefined counts and top offenders, by ``workers`` threads; the folds
+    merge in chunk order, so the certificate does not depend on workers.
     """
     if tuple(U.alphas) != system.alphas or U.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    if pts.size == 0:  # vacuous: every component passes on no samples
-        pts = pts.reshape(0, system.n)
-    n = pts.shape[1]
-    coeffs, centers, per_cell = U.coeffs, U.centers, _per_cell
-    if per_cell is None:
-        loc, on_face = U.partition.locate(pts)
-        if on_face.any():
-            raise ValueError("verification sample lies on the skeleton")
-        coeffs, centers, per_cell = U.coeffs[loc], U.centers[loc], 1
-    grouped = pts.reshape(-1, per_cell, n)
-    step = max(1, 65536 // per_cell)
-    res = np.empty((system.K, len(pts)))
+    pick = None
+    if isinstance(samples, _DrawnSet):
+        per_cell, total = samples.per_cell, len(samples)
 
-    def residuals(s: int) -> None:
-        at = grouped[s: s + step]
-        out = res[:, s * per_cell: (s + len(at)) * per_cell]
-        out[...] = _operator_values(system, coeffs[s: s + step, None], centers[s: s + step, None], at)
-        out -= rhs(at.reshape(-1, n))
+        def chunk(s: int, g: int) -> np.ndarray:
+            at = _sample_chunk(samples.partition, per_cell, samples.margin, samples.seed, s, g)
+            _check_drawn(samples.partition, s, at)
+            return at
+    else:
+        pts = np.atleast_2d(np.asarray(samples, dtype=float))
+        if pts.size == 0:  # vacuous: every component passes on no samples
+            pts = pts.reshape(0, system.n)
+        per_cell, total = _per_cell, len(pts)
+        if per_cell is None:
+            pick, on_face = U.partition.locate(pts)
+            if on_face.any():
+                raise ValueError("verification sample lies on the skeleton")
+            per_cell = 1
+        grouped = pts.reshape(-1, per_cell, pts.shape[1])
 
-    starts = range(0, len(grouped), step)
+        def chunk(s: int, g: int) -> np.ndarray:
+            return grouped[s: s + g]
+
+    step = max(1, CHUNK // per_cell)
+
+    def fold(s: int) -> list[tuple]:
+        at = chunk(s, step)
+        rows = slice(s, s + len(at)) if pick is None else pick[s: s + len(at)]
+        flat = at.reshape(-1, at.shape[-1])
+        r = _operator_values(system, U.coeffs[rows, None], U.centers[rows, None], at)
+        r -= rhs(flat)
+        return [_fold(r[i], flat, s * per_cell, eps, eta) for i in range(system.K)]
+
+    starts = range(0, total // per_cell, step)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(residuals, starts))
+            parts = list(pool.map(fold, starts))
     else:
-        for s in starts:
-            residuals(s)
+        parts = [fold(s) for s in starts]
 
     stats = []
     for i in range(system.K):
-        r = res[i]
-        finite = np.isfinite(r)
-        vals = r if finite.all() else r[finite]  # no copy unless a residual is undefined
-        rmin, rmax = (float(np.min(vals)), float(np.max(vals))) if len(vals) else (math.nan,) * 2
-        ok = len(vals) == len(r) and not (rmin < -eps - eta or rmax > eta)
-        offenders = []
-        if not ok:
-            bad = ~finite | (r > eta) | (r < -eps - eta)
-            excess = np.where(finite, np.maximum(r - eta, (-eps - eta) - r), np.inf)
-            worst = np.argsort(-excess)[:5]
-            offenders = [(tuple(map(float, pts[w])), float(r[w])) for w in worst if bad[w]]
+        rmin, rmax, undefined, worst = math.inf, -math.inf, 0, []
+        for part in parts:
+            rmin, rmax = min(rmin, part[i][0]), max(rmax, part[i][1])
+            undefined += part[i][2]
+            worst += part[i][3]
+        if undefined == total:  # no finite residual, or no sample at all
+            rmin = rmax = math.nan
+        ok = undefined == 0 and not (rmin < -eps - eta or rmax > eta)
+        worst.sort(key=lambda o: (-o[0], o[1]))
         stats.append(
-            ComponentStats(component=i + 1, samples=int(len(r)), min_residual=rmin,
-                           max_residual=rmax, passed=ok, offenders=offenders)
+            ComponentStats(component=i + 1, samples=total, min_residual=rmin, max_residual=rmax,
+                           passed=ok, offenders=[(pt, r) for _, _, pt, r in worst[:5]])
         )
-    return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=len(pts) == 0)
+    return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=total == 0)
 
 
 def certificate_csv_rows(cert: ResidualCertificate) -> list[str]:

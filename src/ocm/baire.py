@@ -219,15 +219,21 @@ def operator_image(system: ex.PdeSystem, u: PiecewisePoly, axes) -> list[GridFn]
         raise ValueError("approximant jet layout does not match the system")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     nodes = lattice_nodes(axes)
-    shape = tuple(len(a) for a in axes)
-    loc, on_face = u.partition.locate(nodes)
+    return _located_image(system, u, axes, nodes, *u.partition.locate(nodes))
+
+
+def _located_image(system: ex.PdeSystem, u: PiecewisePoly, axes: tuple, nodes: np.ndarray,
+                   loc: np.ndarray, on_face: np.ndarray) -> list[GridFn]:
+    """operator_image on float axes whose lattice nodes (from lattice_nodes)
+    u.partition.locate has already mapped to (loc, on_face), so callers
+    imaging many approximants on one partition look the nodes up once."""
     free = ~on_face
     vals = np.zeros((system.K, len(nodes)))
     if free.any():
         piece = loc[free]
         vals[:, free] = _operator_values(system, u.coeffs[piece], u.centers[piece], nodes[free])
-    mask = on_face.reshape(shape)
-    return [nlsc_regularize(GridFn(axes, v.reshape(shape), mask)) for v in vals]
+    mask = on_face.reshape(tuple(len(a) for a in axes))
+    return [nlsc_regularize(GridFn(axes, v.reshape(mask.shape), mask)) for v in vals]
 
 
 def embed_piecewise(u: PiecewisePoly, axes) -> list[GridFn]:

@@ -27,7 +27,7 @@ either; ``#`` starts a comment.  Exit codes: 0 success, 2 config error,
 3 range-condition violation or jet-solve non-convergence, 4
 validity-radius collapse, 5 certificate or self-check failure.  All
 randomness comes from the seed; the env var ``OCM_THREADS`` caps the
-worker count of the certificate's residual sweeps (default: machine
+number of threads that run the certificate's chunks (default: machine
 parallelism) and never changes any output byte.
 """
 
@@ -366,6 +366,16 @@ def _witness_text(w) -> str:
     return repr(w)
 
 
+def _csv_row(*fields) -> str:
+    """One CSV row, each field as RFC 4180 writes it: quoted, its double
+    quotes doubled, when it holds a comma, a double quote or a line break."""
+    def field(text: str) -> str:
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+    return ",".join(field(str(f)) for f in fields)
+
+
 def run_selfcheck(instances=None) -> RunReport:
     """Run the structure checkers over an instance suite and report one
     row per axiom group per instance."""
@@ -379,30 +389,29 @@ def run_selfcheck(instances=None) -> RunReport:
             res = flt.check_convergence_structure(table)
             detail = "ok" if res.ok else f"axiom ({res.failed_axiom}) witness {_witness_text(res.witness)}"
             detail += f"; hausdorff={'true' if res.hausdorff else 'false'}"
-            rows.append(f"{name},convergence-axioms,{'true' if res.ok else 'false'},{detail}")
+            rows.append(_csv_row(name, "convergence-axioms", "true" if res.ok else "false", detail))
             all_ok &= res.ok
         elif kind == "ucs":
             res = flt.check_uniform_convergence(table)
             detail = "ok" if res.ok else f"axiom ({res.failed_axiom}) witness {_witness_text(res.witness)}"
-            rows.append(f"{name},ucs-axioms,{'true' if res.ok else 'false'},{detail}")
+            rows.append(_csv_row(name, "ucs-axioms", "true" if res.ok else "false", detail))
             all_ok &= res.ok
             if res.ok:
                 induced = flt.induced_convergence(table)
                 res2 = flt.check_convergence_structure(induced)
-                rows.append(
-                    f"{name},induced-convergence,{'true' if res2.ok else 'false'},"
-                    f"ok; hausdorff={'true' if res2.hausdorff else 'false'}"
-                )
+                rows.append(_csv_row(
+                    name, "induced-convergence", "true" if res2.ok else "false",
+                    f"ok; hausdorff={'true' if res2.hausdorff else 'false'}"))
                 all_ok &= res2.ok
                 for x in sorted(table.ground, key=repr):
                     if not flt.is_cauchy(flt.principal(table.ground, x), table):
-                        rows.append(f"{name},point-filters-cauchy,false,witness {x!r}")
+                        rows.append(_csv_row(name, "point-filters-cauchy", "false", f"witness {x!r}"))
                         all_ok = False
                         break
                 else:
-                    rows.append(f"{name},point-filters-cauchy,true,ok")
+                    rows.append(_csv_row(name, "point-filters-cauchy", "true", "ok"))
         else:
-            rows.append(f"{name},unknown-kind,false,{kind!r}")
+            rows.append(_csv_row(name, "unknown-kind", "false", repr(kind)))
             all_ok = False
     insufficient = len(rows) == 1
     verdict = "pass" if all_ok else "fail"

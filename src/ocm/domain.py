@@ -283,27 +283,44 @@ def skeleton_of(p: CellPartition) -> Skeleton:
     return Skeleton(partition=p)
 
 
+def _check_sampling(per_cell: int, margin: float) -> None:
+    """Raise ValueError unless per_cell >= 1 and 0 < margin < 0.5, the
+    margin that keeps every sample off the faces of its subcell."""
+    if per_cell < 1:
+        raise ValueError("per_cell must be >= 1")
+    if not (0.0 < margin < 0.5):
+        raise ValueError("margin must be in (0, 0.5)")
+
+
+def _sample_chunk(p: CellPartition, per_cell: int, margin: float, seed: int,
+                  first: int, count: int) -> np.ndarray:
+    """The samples of subcells first, ..., first + count - 1, (count,
+    per_cell, n): exactly that slice of sample_points, drawn from a
+    generator seeded with ``seed`` and advanced past the draws of every
+    earlier subcell, so any chunk is drawn without the ones before it."""
+    lo, hi = p.subcell_bounds()
+    lo, hi = lo[first: first + count], hi[first: first + count]
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(first * per_cell * p.n)  # one 64-bit step per double
+    pts = rng.random((len(lo), per_cell, p.n))
+    # lo + (margin + u * (1 - 2 margin)) * width, computed in place
+    pts *= 1.0 - 2.0 * margin
+    pts += margin
+    pts *= (hi - lo)[:, None, :]
+    pts += lo[:, None, :]
+    return pts
+
+
 def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0) -> np.ndarray:
     """Deterministic off-skeleton verification samples.
 
     Draws ``per_cell`` points in every subcell, each at distance at least
     ``margin`` times the subcell width from every face, so no sample can
     lie on the skeleton.  Sample ``i`` is drawn in subcell
-    ``i // per_cell`` of the flat order of ``subcell_bounds``.  The whole
-    array is drawn in one pass from a generator seeded with ``seed``;
-    results do not depend on any downstream processing order.
+    ``i // per_cell`` of the flat order of ``subcell_bounds``.  The array
+    is one ``default_rng(seed).random`` draw over all samples, mapped into
+    their subcells, so it equals the concatenation of ``_sample_chunk``
+    over any split of the subcells into consecutive chunks.
     """
-    if per_cell < 1:
-        raise ValueError("per_cell must be >= 1")
-    if not (0.0 < margin < 0.5):
-        raise ValueError("margin must be in (0, 0.5)")
-    lo, hi = p.subcell_bounds()
-    width = hi - lo
-    rng = np.random.default_rng(seed)
-    pts = rng.random((len(lo), per_cell, p.n))
-    # lo + (margin + u * (1 - 2 margin)) * width, computed in place
-    pts *= 1.0 - 2.0 * margin
-    pts += margin
-    pts *= width[:, None, :]
-    pts += lo[:, None, :]
-    return pts.reshape(-1, p.n)
+    _check_sampling(per_cell, margin)
+    return _sample_chunk(p, per_cell, margin, seed, 0, p.total_subcells).reshape(-1, p.n)

@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .approx import (PiecewisePoly, ResidualCertificate, _certify, _located_samples, _place,
                      global_approx)
-from .baire import GridFn, EnvelopePair, lattice_nodes, nlsc_regularize, operator_image
+from .baire import GridFn, EnvelopePair, _located_image, lattice_nodes, nlsc_regularize, operator_image
 from .domain import CellPartition, Skeleton
 
 __all__ = [
@@ -229,6 +229,8 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     rhs_grid = [GridFn(axes, fvals[i].reshape(shape)) for i in range(system.K)]
 
     located = _located_samples(base, samples_per_cell, margin, seed) if n_max > 1 else None
+    # every step shares base, so one lookup of the lattice serves all images
+    on_base = base.locate(nodes)
 
     steps: list[StepRecord] = []
     running: list[GridFn] | None = None
@@ -239,7 +241,7 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
         else:
             U_n = _place(system, rhs, base, eps, U_fine.centers)
             cert = _certify(system, U_n, rhs, eps, located, eta=eta, workers=workers)
-        raw = operator_image(system, U_n, axes)
+        raw = _located_image(system, U_n, axes, nodes, *on_base)
         if image_hook is not None:
             raw = image_hook(n, raw)
         repairs = 0

@@ -618,26 +618,145 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = subdivide(build_partition(SQUARE, 2), 0.3)
-    draw = ocm.approx.sample_points
+    draw = ocm.approx._sample_chunk
 
-    def moved(p, per_cell, margin, seed):
-        pts = draw(p, per_cell, margin, seed)
+    def moved(p, per_cell, margin, seed, first, count):
+        # the chunk drawer's (count, per_cell, n) block; sample 5 of the set
+        # is row 5 // per_cell - first, column 5 % per_cell
+        pts = draw(p, per_cell, margin, seed, first, count)
         lo, hi = p.subcell_bounds()
         s = 5 // per_cell
-        if move == "face":
-            pts[5, 0] = hi[s, 0]
-        elif move == "outside":
-            pts[5, 0] = 1.5
-        else:
-            pts[5] = 0.5 * (lo[s + 1] + hi[s + 1])
+        if first <= s < first + len(pts):
+            at = pts[s - first, 5 % per_cell]
+            if move == "face":
+                at[0] = hi[s, 0]
+            elif move == "outside":
+                at[0] = 1.5
+            else:
+                at[:] = 0.5 * (lo[s + 1] + hi[s + 1])
         return pts
 
     place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)  # the set as drawn is accepted
-    monkeypatch.setattr(ocm.approx, "sample_points", moved)
+    monkeypatch.setattr(ocm.approx, "_sample_chunk", moved)
     with pytest.raises(ValueError) as exc:
         place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
     if message is not None:
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("equation,degree", [("D(u1,(1,0)) + u1", 1), ("u1^3 + D(u1,(1,0))", 3)])
+def test_chunked_placement_equals_one_batch(monkeypatch, equation, degree):
+    # every point's jet is the one it gets alone, so the chunks give the
+    # one batch's jets bit for bit, on a closed-form pivot and a bisected one
+    sys_ = parse_system(equation, 2, 1, 1)
+    assert _pivot_degree(sys_.components[0], default_pivots(sys_)[0]) == degree
+    rhs = rhs_from_exprs(["x1*x2"], 2)
+    fine = subdivide(build_partition(SQUARE, 2), 0.15)
+    centers = fine.subcell_centers()
+    assert len(centers) < ocm.approx.CHUNK
+    whole = ocm.approx._place(sys_, rhs, fine, 0.1, centers)
+    monkeypatch.setattr(ocm.approx, "CHUNK", 7)
+    chunked = ocm.approx._place(sys_, rhs, fine, 0.1, centers)
+    assert len(centers) % 7 and chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+
+
+def test_chunked_placement_raises_the_batch_error(monkeypatch):
+    # 8 centres in chunks of 3: the worst non-converged residual over all
+    # chunks, and a hard failure in the last chunk over any non-convergence
+    monkeypatch.setattr(ocm.approx, "CHUNK", 3)
+    sys_ = parse_system("exp(u1)", 1, 1, 0)
+    p = build_partition(UNIT, 8)
+    rhs = rhs_from_exprs(["2 + x1"], 1)
+    U, _ = place_and_certify(sys_, rhs, p, 0.1)
+    resid = np.abs(eval_component_batch(sys_, 0, U.centers.T, U.coeffs[:, :, 0].T)
+                   - (rhs(U.centers)[0] - 0.05))
+    worst = int(np.argmax(resid))
+    assert worst >= 3 and resid[worst] > 0.0
+    monkeypatch.setattr(ocm.approx, "SOLVE_TOL", 0.0)
+    with pytest.raises(RangeViolation, match="did not converge") as exc:
+        place_and_certify(sys_, rhs, p, 0.1)
+    assert exc.value.x == tuple(U.centers[worst])
+    pole = rhs_from_exprs(["2 + x1 + 1/(x1 - 0.9375)^2"], 1)
+    with pytest.raises(RangeViolation, match="right-hand side not finite") as exc:
+        place_and_certify(sys_, pole, p, 0.1)
+    assert exc.value.x == (0.9375,)
+
+
+def test_placement_errors_precede_sample_errors(monkeypatch):
+    # placement finishes before the certificate draws its first chunk
+    def never(*args):
+        raise AssertionError("a chunk was drawn before placement finished")
+
+    monkeypatch.setattr(ocm.approx, "_sample_chunk", never)
+    sys_ = parse_system("D(u1,(1))", 1, 1, 1)
+    pole = rhs_from_exprs(["1/(x1 - 0.375)"], 1)
+    for margin in (0.05, 0.6):  # a sound set, and one the sampler rejects
+        with pytest.raises(RangeViolation, match="right-hand side not finite"):
+            place_and_certify(sys_, pole, build_partition(UNIT, 4), 0.1, margin=margin)
+
+
+def _stepped_setup():
+    """u1 against f = 0 on 40 subcells: each piece is a constant, which is
+    its residual, so every sample of a subcell ties with the others."""
+    sys_ = parse_system("u1", 1, 1, 0)
+    p = subdivide(build_partition(UNIT, 4), 0.025)
+    values = np.zeros(p.total_subcells)
+    values[[7, 30]] = 0.5
+    values[33] = 0.3
+    values[[20, 21]] = np.nan
+    U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(-1, 1, 1),
+                      centers=p.subcell_centers())
+    return sys_, rhs_from_exprs(["0"], 1), U
+
+
+@pytest.mark.parametrize("undefined", [True, False])
+def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined):
+    # chunks of 3 subcells of 3 samples each; the offenders of the merged
+    # chunks are those of a stable sort of the whole residual array by
+    # excess, descending, whichever source and worker count
+    monkeypatch.setattr(ocm.approx, "CHUNK", 10)
+    sys_, rhs, U = _stepped_setup()
+    if not undefined:
+        U.coeffs[[20, 21]] = 0.5
+    eps, eta = 0.1, 1e-9
+    drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 1)
+    pts = sample_points(U.partition, 3, 0.05, 1)
+    r = np.repeat(U.coeffs[:, 0, 0], 3)
+    finite = np.isfinite(r)
+    excess = np.where(finite, np.maximum(r - eta, (-eps - eta) - r), np.inf)
+    order = np.argsort(-excess, kind="stable")[:5]
+    expect = [(tuple(map(float, pts[w])), float(r[w])) for w in order]
+    assert math.isnan(expect[0][1]) == undefined
+    certs = [check_residual(sys_, U, rhs, eps, source, workers=workers, **kw)
+             for workers in (1, 2)
+             for source, kw in ((drawn, {}), (pts, {}), (pts, {"_per_cell": 3}))]
+    for cert in certs:
+        (c,) = cert.components
+        assert not c.passed and c.samples == len(pts)
+        assert [pt for pt, _ in c.offenders] == [pt for pt, _ in expect]
+        np.testing.assert_array_equal([v for _, v in c.offenders], [v for _, v in expect])
+        assert (c.min_residual, c.max_residual) == (0.0, 0.5)
+    assert all(repr(cert) == repr(certs[0]) for cert in certs)
+
+
+def test_streamed_certificate_peaks_below_one_sample_array():
+    # 2^21 drawn samples in 2D: the whole (N, n) array would be 32 MiB
+    import tracemalloc
+
+    sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
+    rhs = rhs_from_exprs(["x1*x2"], 2)
+    fine = build_partition(SQUARE, (256, 256))
+    U = ocm.approx._place(sys_, rhs, fine, 0.1, fine.subcell_centers())
+    drawn = ocm.approx._drawn_set(fine, 32, 0.05, 3)
+    assert len(drawn) == 2**21
+    tracemalloc.start()
+    try:
+        cert = check_residual(sys_, U, rhs, 0.1, drawn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.components[0].samples == 2**21
+    assert peak < 2**21 * 2 * 8
 
 
 def test_solve_jet_respects_anchor_and_explicit_pivot():
@@ -665,8 +784,9 @@ def _all_slots_system(n, K, m):
 
 @pytest.mark.parametrize("n,K,m", list(itertools.product((1, 2, 3), (1, 2), (1, 2))))
 def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
-    # drawn samples broadcast each piece over its own samples; caller
-    # samples are located and gathered; both must give the same numbers
+    # drawn samples, as one array or streamed, broadcast each piece over
+    # its own samples; caller samples are located and gathered; all three
+    # must give the same numbers
     rng = np.random.default_rng(100 * n + 10 * K + m)
     system = _all_slots_system(n, K, m)
     rhs = rhs_from_exprs([f"x1*x{n}"] * K, n)
@@ -686,12 +806,14 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
         np.testing.assert_array_equal(
             ocm.approx._operator_values(system, U.coeffs[:, None], U.centers[:, None], grouped),
             ocm.approx._operator_values(system, U.coeffs[loc], U.centers[loc], pts))
+        drawn = ocm.approx._drawn_set(p, per_cell, 0.05, per_cell)
         for eps in (0.1, 1e3):
             for workers in (1, 2):
                 located = check_residual(system, U, rhs, eps, pts, workers=workers,
                                          _per_cell=drawn_per_cell)
                 lookup = check_residual(system, U, rhs, eps, pts, workers=workers)
-                assert located == lookup
+                streamed = check_residual(system, U, rhs, eps, drawn, workers=workers)
+                assert located == lookup == streamed
                 assert located.components[0].samples == len(pts)
 
 

@@ -210,6 +210,31 @@ def test_selfcheck_broken_instance_names_axiom_4():
     assert any("axiom (4)" in row for row in report.rows)
 
 
+def test_selfcheck_rows_read_back_as_four_csv_fields():
+    import csv
+
+    from ocm.filters import ConvergenceTable, FiniteFilter
+
+    # the failing witness holds ", ", so its detail field is quoted
+    g = frozenset("abc")
+
+    def f(*xs):
+        return FiniteFilter(g, frozenset(xs))
+
+    t = ConvergenceTable(g, {"a": [f("a", "c"), f("a", "b")], "b": [f("b")], "c": [f("c")]})
+    rows = cli.run_selfcheck([("meet", "convergence", t)]).rows
+    (header, row), = [list(csv.reader(rows))]
+    assert header == ["instance", "check", "pass", "detail"]
+    assert row == ["meet", "convergence-axioms", "false",
+                   "axiom (2) witness ('a', frozenset({'a', 'c'}), frozenset({'a', 'b'})); "
+                   "hausdorff=false"]
+    # passing rows need no quotes, so their bytes are as before
+    stock = cli.run_selfcheck().rows
+    assert len(stock) == 31 and all(r.count(",") == 3 and '"' not in r for r in stock)
+    assert cli._csv_row('say "hi"', "a,b", "plain") == '"say ""hi""","a,b",plain'
+    assert next(csv.reader([cli._csv_row('say "hi"', "a,b", "plain")])) == ['say "hi"', "a,b", "plain"]
+
+
 def test_selfcheck_witness_rows_do_not_depend_on_string_hashing():
     # lambda(a) lists [a, b] and [a, c] but not their meet [a, b, c], so
     # axiom (2) fails with a witness holding two frozensets of strings

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ocm.approx import _located_samples
-from ocm.domain import Box, CellPartition, build_partition, sample_points, skeleton_of, subdivide
+from ocm.domain import (Box, CellPartition, _sample_chunk, build_partition, sample_points,
+                        skeleton_of, subdivide)
 
 
 def test_build_uniform_1d():
@@ -234,6 +235,26 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
         ref, on_face = p.locate(pts)
         assert not on_face.any()
         np.testing.assert_array_equal(ref, owner)
+
+
+@pytest.mark.parametrize("per_cell", [1, 3, 7, 100, 65539])
+def test_chunked_draws_equal_one_draw(per_cell):
+    # each chunk's generator is advanced past the draws of the subcells
+    # before it, so any split of the subcells into consecutive chunks, the
+    # certificate's own included, gives one default_rng(seed).random draw;
+    # 100 does not divide the 65,536-sample chunk, 65,539 exceeds it
+    p = _per_cell_partitions()[0]
+    S, n, margin, seed = p.total_subcells, p.n, 0.05, 9
+    lo, hi = p.subcell_bounds()
+    u = np.random.default_rng(seed).random((S, per_cell, n))
+    one = (u * (1.0 - 2.0 * margin) + margin) * (hi - lo)[:, None, :] + lo[:, None, :]
+    np.testing.assert_array_equal(sample_points(p, per_cell, margin, seed), one.reshape(-1, n))
+    rng = np.random.default_rng(per_cell)
+    step = max(1, 65536 // per_cell)
+    for cuts in ([0, S], list(range(0, S, step)) + [S], [0, 1, 2, S], [0] + sorted(rng.choice(
+            np.arange(1, S), 2, replace=False).tolist()) + [S]):
+        chunks = [_sample_chunk(p, per_cell, margin, seed, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate(chunks), one)
 
 
 def test_sample_points_deterministic():

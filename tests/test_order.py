@@ -186,9 +186,9 @@ def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
     import ocm.approx
     import ocm.order
 
-    plans, planned, draws = [], [], []
+    plans, planned, draws, streamed = [], [], [], []
     plan, global_approx = ocm.approx.plan_partition, ocm.order.global_approx
-    sample_points = ocm.approx.sample_points
+    sample_points, sample_chunk = ocm.approx.sample_points, ocm.approx._sample_chunk
 
     def counting_plan(*args, **kwargs):
         plans.append(args[3])  # eps
@@ -202,9 +202,14 @@ def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
         draws.append(args[0])  # partition
         return sample_points(*args, **kwargs)
 
+    def counting_chunks(*args, **kwargs):
+        streamed.append(args[0])  # partition
+        return sample_chunk(*args, **kwargs)
+
     monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
     monkeypatch.setattr(ocm.order, "global_approx", recording_global)
     monkeypatch.setattr(ocm.approx, "sample_points", counting_samples)
+    monkeypatch.setattr(ocm.approx, "_sample_chunk", counting_chunks)
     sys_, trace = _refine(["D(u1,(1))"], ["x1"], 4)
     assert plans == [1 / 4]
     U, cert = planned[0]
@@ -212,14 +217,38 @@ def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
     assert trace.steps[-1].certificate is cert
     assert all(s.approximant.partition is U.partition for s in trace.steps)
     assert trace.all_certified
-    # the finest step draws its own samples, all other steps share one set
-    assert len(draws) == 2 and all(d is U.partition for d in draws)
+    # the finest step streams its own samples; all other steps share one
+    # set, drawn once as an array
+    assert len(draws) == 1 and draws[0] is U.partition
+    assert streamed and all(d is U.partition for d in streamed)
     rhs = rhs_from_exprs(["x1"], 1)
     for s in trace.steps[:-1]:
         _, alone = place_and_certify(sys_, rhs, U.partition, s.eps, seed=7)
         assert [(c.samples, c.min_residual, c.max_residual, c.passed)
                 for c in s.certificate.components] == \
             [(c.samples, c.min_residual, c.max_residual, c.passed) for c in alone.components]
+
+
+def test_refine_locates_the_lattice_once(monkeypatch):
+    # every step images its approximant on the one planned partition, so
+    # one lookup of the lattice serves all of them
+    from ocm.domain import CellPartition
+
+    calls = []
+    locate = CellPartition.locate
+
+    def spy(self, pts):
+        calls.append(len(pts))
+        return locate(self, pts)
+
+    monkeypatch.setattr(CellPartition, "locate", spy)
+    sys_, trace = _refine(["D(u1,(1)) + u1"], ["x1"], 4)
+    assert calls == [len(trace.axes[0])]
+    monkeypatch.undo()
+    first = trace.steps[0]  # no running maximum yet: the raw image
+    for got, ref in zip(first.images, operator_image(sys_, first.approximant, trace.axes)):
+        np.testing.assert_array_equal(got.values, ref.values)
+        np.testing.assert_array_equal(got.mask_array(), ref.mask_array())
 
 
 def test_refine_image_hook_counts_repairs():
