@@ -13,7 +13,6 @@ from .expr import (
     EvalDomainError,
     ParseError,
     PdeSystem,
-    apply_operator,
     eval_operator,
     parse_rhs,
     parse_system,
@@ -37,7 +36,6 @@ from .approx import (
     PiecewisePoly,
     RangeViolation,
     ResidualCertificate,
-    TaylorPiece,
     check_residual,
     global_approx,
     local_approx,

@@ -37,12 +37,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .domain import (Box, CellPartition, Skeleton, _check_sampling, _sample_chunk, sample_points,
-                     skeleton_of, subdivide)
+from .domain import (Box, CellPartition, Skeleton, _check_sampling, _sample_chunk, build_partition,
+                     sample_points, skeleton_of, subdivide)
 
 __all__ = [
     "JetPoint",
-    "TaylorPiece",
     "PiecewisePoly",
     "ComponentStats",
     "ResidualCertificate",
@@ -208,48 +207,6 @@ def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.nd
 
 
 @dataclass
-class TaylorPiece:
-    """One polynomial piece: coefficients c_{j,alpha} = xi_{j,alpha} / alpha!."""
-
-    center: tuple[float, ...]
-    alphas: tuple[tuple[int, ...], ...]
-    coeffs: np.ndarray  # (K, A)
-
-    @property
-    def K(self) -> int:
-        return self.coeffs.shape[0]
-
-    def eval_component(self, j: int, pts: np.ndarray) -> np.ndarray:
-        return self.deriv_component(j, (0,) * len(self.center), pts)
-
-    def deriv_component(self, j: int, beta, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        b = self.alphas.index(tuple(beta))
-        return _jets_from_coeffs(self.coeffs, np.asarray(self.center), self.alphas, pts)[:, j - 1, b]
-
-
-def taylor_poly(x0, xi) -> TaylorPiece:
-    """Build the polynomial whose derivatives at x0 realize the jet xi.
-
-    xi may be a JetPoint or a complete mapping (j, alpha) -> value over
-    all components and all multi-indices of order <= m.
-    """
-    values = xi.values if isinstance(xi, JetPoint) else dict(xi)
-    x0 = tuple(float(v) for v in x0)
-    n = len(x0)
-    K = max(j for j, _ in values)
-    m = max(sum(alpha) for _, alpha in values)
-    alphas = ex.multi_indices(n, m)
-    expected = {(j, a) for j in range(1, K + 1) for a in alphas}
-    if set(values) != expected:
-        raise ValueError("jet is not complete over components x multi-indices")
-    coeffs = np.zeros((K, len(alphas)))
-    for (j, alpha), v in values.items():
-        coeffs[j - 1, alphas.index(alpha)] = float(v) / ex.multi_factorial(alpha)
-    return TaylorPiece(center=x0, alphas=alphas, coeffs=coeffs)
-
-
-@dataclass
 class PiecewisePoly:
     """One Taylor piece per subcell, smooth off the face skeleton."""
 
@@ -278,14 +235,34 @@ class PiecewisePoly:
             raise ValueError("point lies on the skeleton; jets undefined there")
         return _jets_from_coeffs(self.coeffs[loc], self.centers[loc], self.alphas, pts)
 
-    @classmethod
-    def from_pieces(cls, partition: CellPartition, pieces: list[TaylorPiece]) -> "PiecewisePoly":
-        if len(pieces) != partition.total_subcells:
-            raise ValueError("need exactly one piece per subcell")
-        alphas = pieces[0].alphas
-        coeffs = np.stack([p.coeffs for p in pieces])
-        centers = np.asarray([p.center for p in pieces], dtype=float)
-        return cls(partition=partition, alphas=alphas, coeffs=coeffs, centers=centers)
+
+def _taylor_coeffs(alphas, jets: np.ndarray) -> np.ndarray:
+    """Piece coefficients (S, K, A), c = xi / alpha!, from jet vectors
+    (S, K * A) in the slot order of PdeSystem.slot."""
+    factorials = np.asarray([ex.multi_factorial(a) for a in alphas])
+    return jets.reshape(len(jets), -1, len(alphas)) / factorials
+
+
+def taylor_poly(p: CellPartition, centers, xis) -> PiecewisePoly:
+    """The piecewise polynomial on p whose piece s realizes the jet xis[s]
+    at centers[s]; a single-centre polynomial is the one piece on
+    build_partition(box, 1).
+
+    Each xis[s] may be a JetPoint or a complete mapping (j, alpha) -> value
+    over all components and all multi-indices of order <= m, in the same
+    layout for every piece.
+    """
+    values = [xi.values if isinstance(xi, JetPoint) else dict(xi) for xi in xis]
+    centers = np.asarray(centers, dtype=float)
+    if len(values) != p.total_subcells or centers.shape != (len(values), p.n):
+        raise ValueError("need exactly one center and one jet per subcell")
+    K = max(j for j, _ in values[0])
+    alphas = ex.multi_indices(p.n, max(sum(alpha) for _, alpha in values[0]))
+    keys = [(j, a) for j in range(1, K + 1) for a in alphas]
+    if any(set(v) != set(keys) for v in values):
+        raise ValueError("jet is not complete over components x multi-indices")
+    jets = np.asarray([[v[k] for k in keys] for v in values], dtype=float)
+    return PiecewisePoly(p, alphas, _taylor_coeffs(alphas, jets), centers)
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +635,6 @@ def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarra
     return np.all(ok | ~inside, axis=1)
 
 
-def _taylor_coeffs(system, jets: np.ndarray) -> np.ndarray:
-    """Piece coefficients (S, K, A), c = xi / alpha!, from jet vectors (S, M)."""
-    A = len(system.alphas)
-    return jets.reshape(len(jets), system.K, A) / np.asarray(
-        [ex.multi_factorial(a) for a in system.alphas]
-    )
-
-
 def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box,
            eta: float, pivots) -> tuple[np.ndarray, np.ndarray]:
     """Validity radius (B,) and piece coefficients (B, K, A) at every probe point.
@@ -678,7 +647,7 @@ def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box
     """
     B = len(x0s)
     solve = _solve_jets(system, x0s, rhs(x0s).T - 0.5 * eps, None, pivots)
-    coeffs = _taylor_coeffs(system, solve.xi.T)
+    coeffs = _taylor_coeffs(system.alphas, solve.xi.T)
     delta = np.array(start, dtype=float)
     floor = DELTA_FLOOR_FACTOR * max(box.sides)
     collapsed = np.zeros(B, dtype=bool)
@@ -703,8 +672,9 @@ def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box
 
 def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
                  start_delta: float | None = None, eta: float = DEFAULT_ETA,
-                 pivots=None) -> tuple[float, TaylorPiece]:
-    """One polynomial valid on a ball around x0.
+                 pivots=None) -> tuple[float, PiecewisePoly]:
+    """One polynomial valid on a ball around x0, the one piece of a
+    PiecewisePoly on build_partition(box, 1) centred at x0.
 
     The jet at x0 is solved for the target f(x0) - eps/2, centering the
     residual in the band; the radius starts at start_delta and halves
@@ -713,13 +683,12 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     if pivots is None:
         pivots = default_pivots(system)
     start = float(start_delta) if start_delta is not None else box.diameter
-    deltas, coeffs = _probe(system, rhs, x0.reshape(1, -1), np.asarray([start]), eps, box,
-                            eta, pivots)
-    return float(deltas[0]), TaylorPiece(center=tuple(x0), alphas=system.alphas, coeffs=coeffs[0])
+    deltas, coeffs = _probe(system, rhs, x0, np.asarray([start]), eps, box, eta, pivots)
+    return float(deltas[0]), PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
 
 
 _PROBE_FRACTIONS = (0.25, 0.5, 0.75)
@@ -819,7 +788,7 @@ def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) ->
                 raise solve.error(w, at[w])
             if stalled is None or solve.residual[w] > stalled[0]:
                 stalled = solve.residual[w], solve.error(w, at[w])
-        coeffs[s: s + len(at)] = _taylor_coeffs(system, solve.xi.T)
+        coeffs[s: s + len(at)] = _taylor_coeffs(system.alphas, solve.xi.T)
     if stalled is not None:
         raise stalled[1]
     return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)

@@ -218,6 +218,8 @@ def operator_image(system: ex.PdeSystem, u: PiecewisePoly, axes) -> list[GridFn]
     if tuple(u.alphas) != system.alphas or u.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    if len(axes) != system.n:
+        raise ValueError(f"lattice has {len(axes)} axes, expected {system.n}")
     nodes = lattice_nodes(axes)
     return _located_image(system, u, axes, nodes, *u.partition.locate(nodes))
 
@@ -267,13 +269,19 @@ def write_gridfn_csv(f: GridFn, path) -> None:
 
 
 def read_gridfn_csv(path) -> GridFn:
+    """Read rows in any order, each placed at the node its coordinates
+    name; a node listed twice or not at all raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         n = len(header) - 2
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    coords = np.asarray([[float(r[d]) for d in range(n)] for r in rows])
+    coords = np.asarray([[float(r[d]) for d in range(n)] for r in rows]).reshape(len(rows), n)
     vals = np.asarray([float(r[n]) for r in rows])
     mask = np.asarray([r[n + 1] == "1" for r in rows])
     axes = tuple(np.unique(coords[:, d]) for d in range(n))
     shape = tuple(len(a) for a in axes)
-    return GridFn(axes, vals.reshape(shape), mask.reshape(shape))
+    node = np.ravel_multi_index([np.searchsorted(a, coords[:, d]) for d, a in enumerate(axes)], shape)
+    if len(rows) != np.prod(shape) or len(np.unique(node)) != len(rows):
+        raise ValueError("grid CSV must list every lattice node exactly once")
+    order = np.argsort(node)
+    return GridFn(axes, vals[order].reshape(shape), mask[order].reshape(shape))

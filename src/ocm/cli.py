@@ -113,12 +113,12 @@ def _parse_value(text: str, line: int):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        parts, depth, cur = [], 0, []
+        parts, cur = [], []
         in_str = False
         for ch in inner:
             if ch == '"':
                 in_str = not in_str
-            if ch == "," and depth == 0 and not in_str:
+            if ch == "," and not in_str:
                 parts.append("".join(cur))
                 cur = []
                 continue
@@ -189,31 +189,31 @@ def load_config(path) -> ProblemConfig:
     dom, sys_, slv = sections["domain"], sections["system"], sections["solve"]
 
     def floats(v):
+        if not (isinstance(v, list)
+                and all(isinstance(x, (int, float)) and np.isfinite(x) for x in v)):
+            raise ConfigError(f"expected finite numbers, got {v!r}")
         return tuple(float(x) for x in v)
 
     def ints(v):
-        out = []
-        for x in v:
-            if float(x) != int(float(x)):
-                raise ConfigError(f"expected integer, got {x!r}")
-            out.append(int(float(x)))
-        return tuple(out)
+        if not all(x.is_integer() for x in floats(v)):
+            raise ConfigError(f"expected integers, got {v!r}")
+        return tuple(int(x) for x in v)
 
     cfg = ProblemConfig(
         lo=floats(_require(dom, "lo", "domain")),
         hi=floats(_require(dom, "hi", "domain")),
         cells=ints(_require(dom, "cells", "domain")),
-        n=int(_require(sys_, "n", "system")),
-        K=int(_require(sys_, "K", "system")),
-        m=int(_require(sys_, "m", "system")),
+        n=ints([_require(sys_, "n", "system")])[0],
+        K=ints([_require(sys_, "K", "system")])[0],
+        m=ints([_require(sys_, "m", "system")])[0],
         equations=tuple(str(s) for s in _require(sys_, "equations", "system")),
         rhs=tuple(str(s) for s in _require(sys_, "rhs", "system")),
-        epsilon=float(_require(slv, "epsilon", "solve")),
-        refine_steps=int(slv.get("refine_steps", 1)),
-        samples_per_cell=int(slv.get("samples_per_cell", 100)),
-        margin=float(slv.get("margin", 0.05)),
-        seed=int(slv.get("seed", 0)),
-        eta=float(slv.get("eta", 1e-9)),
+        epsilon=floats([_require(slv, "epsilon", "solve")])[0],
+        refine_steps=ints([slv.get("refine_steps", 1)])[0],
+        samples_per_cell=ints([slv.get("samples_per_cell", 100)])[0],
+        margin=floats([slv.get("margin", 0.05)])[0],
+        seed=ints([slv.get("seed", 0)])[0],
+        eta=floats([slv.get("eta", 1e-9)])[0],
     )
     if len(cfg.lo) != cfg.n or len(cfg.hi) != cfg.n or len(cfg.cells) != cfg.n:
         raise ConfigError("lo, hi and cells must each have n entries")
@@ -223,6 +223,14 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError("epsilon must be positive")
     if cfg.refine_steps < 1:
         raise ConfigError("refine_steps must be >= 1")
+    if not (0.0 < cfg.margin < 0.5):
+        raise ConfigError("margin must be in (0, 0.5)")
+    if cfg.samples_per_cell < 1:
+        raise ConfigError("samples_per_cell must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.eta < 0:
+        raise ConfigError("eta must be >= 0")
     return cfg
 
 
@@ -230,10 +238,12 @@ def _build_problem(cfg: ProblemConfig):
     try:
         system = parse_system("\n".join(cfg.equations), cfg.n, cfg.K, cfg.m)
         rhs = rhs_from_exprs(cfg.rhs, cfg.n)
+        box = Box(cfg.lo, cfg.hi)
+        partition = build_partition(box, cfg.cells)
     except ParseError as e:
         raise ConfigError(f"bad expression: {e}") from e
-    box = Box(cfg.lo, cfg.hi)
-    partition = build_partition(box, cfg.cells)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return system, rhs, box, partition
 
 

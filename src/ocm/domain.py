@@ -38,8 +38,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("corner dimensions differ")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"degenerate box: lower corner {self.lo} exceeds upper {self.hi}")
+        if not all(a < b for a, b in zip(self.lo, self.hi)):
+            raise ValueError(f"degenerate box: lower corner {self.lo} not below upper {self.hi}")
 
     @property
     def n(self) -> int:
@@ -59,13 +59,6 @@ class Box:
         for s in self.sides:
             v *= s
         return v
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
-
-    def contains(self, pt) -> bool:
-        return all(a <= x <= b for x, a, b in zip(pt, self.lo, self.hi))
 
 
 def _edge_index(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +256,6 @@ class Skeleton:
     boundary included, decided by the partition's own point location."""
 
     partition: CellPartition
-
-    def contains(self, pt) -> bool:
-        return bool(self.contains_batch(np.asarray([pt], dtype=float))[0])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         """Whether each point (N, n) lies on a face; points outside the

@@ -53,7 +53,6 @@ __all__ = [
     "print_system",
     "eval_operator",
     "eval_component_batch",
-    "apply_operator",
     "jet_slots_of",
 ]
 
@@ -515,24 +514,3 @@ def _eval_batch(node: Expr, X, XI, system) -> np.ndarray:
             return a * b
         return np.where(b != 0, a / np.where(b != 0, b, 1.0), np.nan)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def apply_operator(system: PdeSystem, u, x):
-    """Apply the operator to a piecewise polynomial at one point.
-
-    Reads the full jet of the piece containing x and feeds it to the
-    component expressions.  Returns None when x lies on the skeleton
-    (the approximant is undefined there); raises ValueError outside the
-    approximant's domain.
-    """
-    x = tuple(float(v) for v in x)
-    if len(x) != system.n:
-        raise ValueError(f"x has {len(x)} coordinates, expected {system.n}")
-    if tuple(u.alphas) != system.alphas or u.K != system.K:
-        raise ValueError("approximant jet layout does not match the system")
-    if not u.partition.bounds.contains(x):
-        raise ValueError(f"point {x} outside domain")
-    if u.skeleton.contains(x):
-        return None
-    jets = u.jets(np.asarray([x]))[0]  # (K, A)
-    return eval_operator(system, x, jets.reshape(-1))

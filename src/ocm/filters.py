@@ -93,9 +93,6 @@ class FiniteFilter:
                 out.append(self.least | frozenset(extra))
         return out
 
-    def contains_set(self, s) -> bool:
-        return self.least <= frozenset(s) <= self.ground
-
 
 def filter_from_base(ground, base) -> FiniteFilter:
     """The filter generated by a family of sets (closing under

@@ -44,33 +44,63 @@ def bisect_oracle(g, lo, hi, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Taylor pieces
+# Taylor pieces: a single-centre polynomial is the one piece of a
+# PiecewisePoly on one cell, read through PiecewisePoly.jets on a box that
+# strictly contains the test points
+
+WIDE = Box((-1.0,), (2.0,))
+
+
+def _taylor(x0, xi, box):
+    """The single-centre polynomial realizing the jet xi at x0, on one cell of box."""
+    return taylor_poly(build_partition(box, 1), [x0], [xi])
+
+
+def _values(U, pts, beta=None):
+    """D^beta u1 (u1 itself by default) of U at pts."""
+    b = 0 if beta is None else U.alphas.index(tuple(beta))
+    return U.jets(np.asarray(pts, dtype=float))[:, 0, b]
+
 
 def test_taylor_line_by_hand():
-    piece = taylor_poly((0.5,), {(1, (0,)): 0.0, (1, (1,)): 0.45})
+    piece = _taylor((0.5,), {(1, (0,)): 0.0, (1, (1,)): 0.45}, WIDE)
     # P(x) = 0.45 (x - 0.5)
     xs = np.asarray([[0.0], [0.5], [1.0]])
-    np.testing.assert_allclose(piece.eval_component(1, xs), [-0.225, 0.0, 0.225], atol=1e-15)
+    np.testing.assert_allclose(_values(piece, xs), [-0.225, 0.0, 0.225], atol=1e-15)
 
 
 def test_taylor_zero_jet_is_zero_polynomial():
-    piece = taylor_poly((0.3,), {(1, (0,)): 0.0, (1, (1,)): 0.0})
+    piece = _taylor((0.3,), {(1, (0,)): 0.0, (1, (1,)): 0.0}, WIDE)
     xs = np.linspace(0, 1, 7).reshape(-1, 1)
-    np.testing.assert_array_equal(piece.eval_component(1, xs), np.zeros(7))
+    np.testing.assert_array_equal(_values(piece, xs), np.zeros(7))
 
 
 def test_taylor_2d_pure_second_order():
     # xi_{(2,0)} = 2, everything else 0, x0 = origin: P(x) = x1^2
     xi = {(1, a): 0.0 for a in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]}
     xi[(1, (2, 0))] = 2.0
-    piece = taylor_poly((0.0, 0.0), xi)
+    piece = _taylor((0.0, 0.0), xi, Box((-4.0, -4.0), (4.0, 4.0)))
     pts = np.asarray([[0.5, 0.7], [1.0, -1.0], [0.0, 3.0]])
-    np.testing.assert_allclose(piece.eval_component(1, pts), pts[:, 0] ** 2, atol=1e-14)
+    np.testing.assert_allclose(_values(piece, pts), pts[:, 0] ** 2, atol=1e-14)
     # finite-difference check of the (2,0) coefficient: f(h,0)-2f(0,0)+f(-h,0) over h^2
     h = 1e-3
-    fd = (piece.eval_component(1, [[h, 0.0]])[0] - 2 * piece.eval_component(1, [[0.0, 0.0]])[0]
-          + piece.eval_component(1, [[-h, 0.0]])[0]) / h**2
+    fd = (_values(piece, [[h, 0.0]])[0] - 2 * _values(piece, [[0.0, 0.0]])[0]
+          + _values(piece, [[-h, 0.0]])[0]) / h**2
     assert abs(fd - 2.0) <= 1e-6
+
+
+def test_taylor_poly_one_piece_per_subcell():
+    # two cells, each with its own line through its own centre
+    p = build_partition(UNIT, 2)
+    U = taylor_poly(p, [(0.25,), (0.75,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0},
+                                            {(1, (0,)): -1.0, (1, (1,)): 0.5}])
+    assert U.partition is p and U.K == 1 and U.alphas == ((0,), (1,))
+    np.testing.assert_array_equal(U.centers, [[0.25], [0.75]])
+    np.testing.assert_allclose(_values(U, [[0.1], [0.9]]), [1.0 - 0.3, -1.0 + 0.075], atol=1e-15)
+    with pytest.raises(ValueError, match="not complete"):
+        taylor_poly(p, [(0.25,), (0.75,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0}, {(1, (0,)): 1.0}])
+    with pytest.raises(ValueError, match="one jet per subcell"):
+        taylor_poly(p, [(0.25,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0}])
 
 
 def _fd_derivative(fn, x0, order, h):
@@ -91,10 +121,10 @@ def test_jet_identity_finite_differences_1d():
     for _ in range(25):
         xi = {(1, (k,)): float(rng.uniform(-3, 3)) for k in range(4)}
         x0 = float(rng.uniform(-1, 1))
-        piece = taylor_poly((x0,), xi)
+        piece = _taylor((x0,), xi, Box((-2.0,), (2.0,)))
 
         def fn(t):
-            return piece.eval_component(1, [[t]])[0]
+            return _values(piece, [[t]])[0]
 
         for k in range(4):
             fd = _fd_derivative(fn, x0, k, hs[k])
@@ -105,9 +135,9 @@ def test_jet_identity_exact_at_center():
     rng = np.random.default_rng(6)
     alphas = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     xi = {(1, a): float(rng.uniform(-2, 2)) for a in alphas}
-    piece = taylor_poly((0.3, -0.2), xi)
+    piece = _taylor((0.3, -0.2), xi, Box((-1.0, -1.0), (1.0, 1.0)))
     for a in alphas:
-        got = piece.deriv_component(1, a, [[0.3, -0.2]])[0]
+        got = _values(piece, [[0.3, -0.2]], beta=a)[0]
         assert got == pytest.approx(xi[(1, a)], abs=1e-12)
 
 
@@ -407,22 +437,27 @@ def test_local_transport_example():
     # T u = u', f(x) = x, x0 = 0.5, eps = 0.1: slope 0.45, delta halves to 0.05
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     rhs = rhs_from_exprs(["x1"], 1)
-    delta, piece = local_approx(sys_, rhs, (0.5,), 0.1, box=UNIT, start_delta=0.1)
+    delta, U = local_approx(sys_, rhs, (0.5,), 0.1, box=UNIT, start_delta=0.1)
     assert delta == pytest.approx(0.05)
-    assert piece.coeffs[0, 1] == pytest.approx(0.45, abs=1e-10)
+    # one piece, centred at x0, on the one cell of the box
+    assert U.partition.bounds == UNIT and U.partition.total_subcells == 1
+    np.testing.assert_array_equal(U.centers, [[0.5]])
+    assert U.coeffs[0, 0, 1] == pytest.approx(0.45, abs=1e-10)
     # residual 0.45 - x stays in [-0.1, 0] on [0.45, 0.55]
     xs = np.linspace(0.45, 0.55, 101).reshape(-1, 1)
-    r = piece.coeffs[0, 1] - xs[:, 0]
+    r = U.coeffs[0, 0, 1] - xs[:, 0]
     assert r.max() <= 1e-9 and r.min() >= -0.1 - 1e-9
 
 
 def test_local_constant_operator_takes_whole_start_radius():
     sys_ = parse_system("u1", 1, 1, 1)
     rhs = rhs_from_exprs(["0"], 1)
-    delta, piece = local_approx(sys_, rhs, (0.5,), 0.2, box=UNIT, start_delta=UNIT.diameter)
+    delta, U = local_approx(sys_, rhs, (0.5,), 0.2, box=UNIT, start_delta=UNIT.diameter)
     assert delta == pytest.approx(UNIT.diameter)
+    # the piece on a box strictly containing the closed unit interval
+    piece = PiecewisePoly(build_partition(WIDE, 1), U.alphas, U.coeffs, U.centers)
     xs = np.linspace(0, 1, 9).reshape(-1, 1)
-    np.testing.assert_allclose(piece.eval_component(1, xs), -0.1, atol=1e-10)
+    np.testing.assert_allclose(_values(piece, xs), -0.1, atol=1e-10)
 
 
 def test_local_range_violation_squared_gradient():
@@ -847,23 +882,26 @@ def test_band_ok_equals_repeated_pieces():
         np.testing.assert_array_equal(got, expect)
 
 
-def test_taylor_piece_deriv_component_unchanged():
+def test_piece_jets_match_broadcast_copies():
     rng = np.random.default_rng(8)
     alphas = ocm.expr.multi_indices(3, 3)
     center = tuple(rng.uniform(-1.0, 1.0, 3))
-    piece = ocm.approx.TaylorPiece(center=center, alphas=alphas, coeffs=rng.normal(size=(2, len(alphas))))
+    coeffs = rng.normal(size=(2, len(alphas)))
+    U = PiecewisePoly(build_partition(Box((-3.0,) * 3, (3.0,) * 3), 1), alphas, coeffs[None],
+                      np.asarray([center]))
     pts = rng.uniform(-2.0, 2.0, (50, 3))
     # the per-point copies the piece used to be broadcast into
-    copies = ocm.approx._jets_from_coeffs(np.broadcast_to(piece.coeffs, (50,) + piece.coeffs.shape),
+    copies = ocm.approx._jets_from_coeffs(np.broadcast_to(coeffs, (50,) + coeffs.shape),
                                           np.broadcast_to(np.asarray(center), pts.shape), alphas, pts)
+    jets = U.jets(pts)
     dx = pts - np.asarray(center)
     for j, (b, beta) in itertools.product((1, 2), enumerate(alphas)):
-        got = piece.deriv_component(j, beta, pts)
+        got = jets[:, j - 1, b]
         np.testing.assert_array_equal(got, copies[:, j - 1, b])
         closed = np.zeros(len(pts))
         for a, alpha in enumerate(alphas):
             if all(x >= y for x, y in zip(alpha, beta)):
                 scale = math.prod(math.factorial(x) / math.factorial(x - y) for x, y in zip(alpha, beta))
                 gamma = np.subtract(alpha, beta)
-                closed += piece.coeffs[j - 1, a] * scale * np.prod(dx ** gamma, axis=1)
+                closed += coeffs[j - 1, a] * scale * np.prod(dx ** gamma, axis=1)
         np.testing.assert_allclose(got, closed, rtol=1e-12, atol=1e-12)

@@ -197,12 +197,9 @@ def test_property_idempotence_and_duality(values, maskbits):
 
 
 def _line_poly(partition, slope, intercept=0.0):
-    pieces = []
-    lo, hi = partition.subcell_bounds()
-    for l, h in zip(lo, hi):
-        c = 0.5 * (l + h)
-        pieces.append(taylor_poly(tuple(c), {(1, (0,)): intercept + slope * c[0], (1, (1,)): slope}))
-    return PiecewisePoly.from_pieces(partition, pieces)
+    centers = partition.subcell_centers()
+    return taylor_poly(partition, centers, [{(1, (0,)): intercept + slope * c[0], (1, (1,)): slope}
+                                            for c in centers])
 
 
 def test_embed_single_piece_identity_off_skeleton():
@@ -229,13 +226,9 @@ def test_embed_two_pieces_same_polynomial():
 def test_embed_jump_takes_lower_value():
     # pieces 0 on [0, .5], 1 on [.5, 1]: the face node gets 0
     partition = build_partition(Box((0.0,), (1.0,)), 2)
-    lo, hi = partition.subcell_bounds()
-    pieces = []
-    for l, h in zip(lo, hi):
-        c = 0.5 * (l + h)
-        val = 0.0 if c[0] < 0.5 else 1.0
-        pieces.append(taylor_poly(tuple(c), {(1, (0,)): val, (1, (1,)): 0.0}))
-    u = PiecewisePoly.from_pieces(partition, pieces)
+    centers = partition.subcell_centers()
+    u = taylor_poly(partition, centers, [{(1, (0,)): 0.0 if c[0] < 0.5 else 1.0, (1, (1,)): 0.0}
+                                         for c in centers])
     axes = (np.asarray([0.1, 0.3, 0.5, 0.7, 0.9]),)
     (g,) = embed_piecewise(u, axes)
     assert g.values[2] == 0.0
@@ -301,6 +294,25 @@ def test_gridfn_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(g.mask_array(), f.mask_array())
     for a, b in zip(g.axes, f.axes):
         np.testing.assert_array_equal(a, b)
+
+
+def test_gridfn_csv_rows_in_any_order(tmp_path):
+    # rows are placed by their coordinates, not by their position in the file
+    f = GridFn((np.asarray([0.0, 1.0]), np.asarray([0.0, 0.5, 1.0])),
+               np.arange(6.0).reshape(2, 3), np.eye(2, 3, dtype=bool))
+    path = tmp_path / "grid.csv"
+    write_gridfn_csv(f, path)
+    header, *rows = path.read_text().splitlines()
+    for order in (rows[::-1], [rows[k] for k in np.random.default_rng(4).permutation(len(rows))]):
+        path.write_text("\n".join([header] + order) + "\n")
+        g = read_gridfn_csv(path)
+        np.testing.assert_array_equal(g.values, f.values)
+        np.testing.assert_array_equal(g.mask_array(), f.mask_array())
+    # a node listed twice, or not at all, is rejected
+    for bad in ([rows[0]] + rows, rows[1:], rows[1:] + [rows[1]]):
+        path.write_text("\n".join([header] + bad) + "\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            read_gridfn_csv(path)
 
 
 def test_gridfn_rejects_nan_and_bad_shapes():

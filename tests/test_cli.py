@@ -112,6 +112,27 @@ def test_malformed_expression_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("margin = 0.05", "margin = 0.7"),
+    ("samples_per_cell = 60", "samples_per_cell = 0"),
+    ("seed = 42", "seed = -1"),
+    ("cells = [10]", "cells = [0]"),
+    ("lo = [0.0]\nhi = [1.0]", "lo = [1.0]\nhi = [0.0]"),
+    ("lo = [0.0]\nhi = [1.0]", "lo = [0.5]\nhi = [0.5]"),
+    ("m = 1", "m = -1"),
+    ("eta = 1e-9", "eta = -1"),
+    ("n = 1", "n = 1.7"),
+    ("refine_steps = 10", "refine_steps = 2.5"),
+    ("epsilon = 0.1", "epsilon = 1e999"),
+    ("hi = [1.0]", "hi = [1e999]"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, old, new):
+    assert old in TRANSPORT
+    cfg = write_config(tmp_path, TRANSPORT.replace(old, new))
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_bad_expression_message_carries_position(tmp_path):
     bad = TRANSPORT.replace('"D(u1,(1))"', '"D(u3,(1))"')
     cfg = write_config(tmp_path, bad)

@@ -37,6 +37,8 @@ def test_build_tensor_2d():
 def test_build_degenerate_box_rejected():
     with pytest.raises(ValueError):
         Box((1.0,), (0.0,))
+    with pytest.raises(ValueError):
+        Box((0.0, 0.5), (1.0, 0.5))
 
 
 def test_subdivide_ceiling_rule():
@@ -117,22 +119,18 @@ def test_skeleton_1d_endpoints():
     faces = np.asarray([[0.0], [0.25], [0.5], [0.75], [1.0]])
     assert s.contains_batch(faces).all()
     assert not s.contains_batch(faces[:-1] + 0.125).any()
-    assert s.contains((0.25,))
-    assert not s.contains((0.3,))
+    np.testing.assert_array_equal(s.contains_batch(np.asarray([[0.25], [0.3]])), [True, False])
 
 
 def test_skeleton_2d_cross():
     p = build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2))
     s = skeleton_of(p)
     # the interior cross plus the outer boundary
-    assert s.contains((0.5, 0.123))
-    assert s.contains((0.321, 0.5))
-    assert s.contains((0.0, 0.7))
-    assert s.contains((0.7, 1.0))
-    assert not s.contains((0.3, 0.7))
+    on = np.asarray([[0.5, 0.123], [0.321, 0.5], [0.0, 0.7], [0.7, 1.0]])
+    assert s.contains_batch(on).all()
+    assert not s.contains_batch(np.asarray([[0.3, 0.7]])).any()
     # outside the closed box nothing is on the skeleton, face values included
-    assert not s.contains((0.5, 1.5))
-    assert not s.contains((-0.5, 0.5))
+    assert not s.contains_batch(np.asarray([[0.5, 1.5], [-0.5, 0.5]])).any()
 
 
 def _per_cell_partitions():
@@ -173,7 +171,7 @@ def _on_skeleton_brute_force(p, pts):
 
 
 def test_skeleton_batch_matches_scalar():
-    # contains_batch, the scalar contains and locate's face flag equal a
+    # contains_batch and locate's face flag equal a
     # brute-force test over all subcell boxes, on points with about a
     # third of their coordinates forced onto an edge, the upper corner
     # included, and on points outside the box or not finite
@@ -194,10 +192,7 @@ def test_skeleton_batch_matches_scalar():
         pts[4, 0] = np.nan
         pts[5, -1] = -np.inf
         ref = _on_skeleton_brute_force(p, pts)
-        batch = s.contains_batch(pts)
-        scalar = np.asarray([s.contains(tuple(q)) for q in pts])
-        np.testing.assert_array_equal(batch, ref)
-        np.testing.assert_array_equal(scalar, ref)
+        np.testing.assert_array_equal(s.contains_batch(pts), ref)
         _, on_face = p.locate(pts[6:])
         np.testing.assert_array_equal(on_face, ref[6:])
         assert ref[:2].all() and not ref[2:6].any() and ref.any() and not ref.all()

@@ -12,7 +12,6 @@ from ocm.expr import (
     Jet,
     ParseError,
     Power,
-    apply_operator,
     eval_component_batch,
     eval_operator,
     multi_indices,
@@ -21,7 +20,8 @@ from ocm.expr import (
     print_expr,
     print_system,
 )
-from ocm.approx import taylor_poly, PiecewisePoly
+from ocm.approx import taylor_poly
+from ocm.baire import operator_image
 from ocm.domain import Box, build_partition
 
 # 20 expressions exercising every production (n=1, K=1, m=2 context)
@@ -205,31 +205,35 @@ def test_eval_rejects_nonfinite_inputs():
         eval_operator(sys_, (float("inf"),), (1.0,))
 
 
+# Pointwise operator application: operator_image on a lattice through the
+# point.  An off-skeleton node carries T(x, D)u, a node on the skeleton is
+# masked, and a node outside the domain or a mismatched jet layout raises.
+
 def _single_piece(slope_jet, box=Box((0.0,), (1.0,))):
-    partition = build_partition(box, 1)
-    piece = taylor_poly((0.5,), slope_jet)
-    return PiecewisePoly.from_pieces(partition, [piece])
+    return taylor_poly(build_partition(box, 1), [(0.5,)], [slope_jet])
 
 
 def test_apply_operator_derivative_of_line():
     # u(x) = 0.45 (x - 0.5) on its cell; T u = u'
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     u = _single_piece({(1, (0,)): 0.0, (1, (1,)): 0.45})
-    assert apply_operator(sys_, u, (0.47,)) == pytest.approx((0.45,), abs=1e-12)
+    (img,) = operator_image(sys_, u, ((0.47,),))
+    assert not img.mask_array().any()
+    assert img.values[0] == pytest.approx(0.45, abs=1e-12)
 
 
 def test_apply_operator_on_skeleton_is_undefined():
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     u = _single_piece({(1, (0,)): 0.0, (1, (1,)): 0.45})
-    assert apply_operator(sys_, u, (0.0,)) is None
-    assert apply_operator(sys_, u, (1.0,)) is None
+    (img,) = operator_image(sys_, u, ((0.0, 1.0),))
+    assert img.mask_array().all()
 
 
 def test_apply_operator_outside_domain():
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     u = _single_piece({(1, (0,)): 0.0, (1, (1,)): 0.45})
     with pytest.raises(ValueError):
-        apply_operator(sys_, u, (2.0,))
+        operator_image(sys_, u, ((2.0,),))
 
 
 def test_apply_operator_second_order():
@@ -237,9 +241,9 @@ def test_apply_operator_second_order():
     sys_ = parse_system("D(u1,(2)) + u1", 1, 1, 2)
     partition = build_partition(Box((0.0,), (2.0,)), 1)
     # Taylor of x^2 at center 1: 1 + 2(x-1) + (x-1)^2, so jet (1, 2, 2)
-    piece = taylor_poly((1.0,), {(1, (0,)): 1.0, (1, (1,)): 2.0, (1, (2,)): 2.0})
-    u = PiecewisePoly.from_pieces(partition, [piece])
-    assert apply_operator(sys_, u, (1.0,)) == pytest.approx((3.0,), abs=1e-12)
+    u = taylor_poly(partition, [(1.0,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0, (1, (2,)): 2.0}])
+    (img,) = operator_image(sys_, u, ((1.0,),))
+    assert img.values[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_apply_operator_matches_polynomial_oracle():
@@ -250,8 +254,7 @@ def test_apply_operator_matches_polynomial_oracle():
     for _ in range(1000):
         xi = {(1, (0,)): rng.uniform(-2, 2), (1, (1,)): rng.uniform(-2, 2), (1, (2,)): rng.uniform(-2, 2)}
         center = (rng.uniform(0.2, 0.8),)
-        piece = taylor_poly(center, xi)
-        u = PiecewisePoly.from_pieces(partition, [piece])
+        u = taylor_poly(partition, [center], [xi])
         x = float(rng.uniform(0.01, 0.99))
         # standard-basis coefficients of P(t) = c0 + c1 (t - x0) + c2 (t - x0)^2
         c = [xi[(1, (0,))], xi[(1, (1,))], xi[(1, (2,))] / 2.0]
@@ -261,7 +264,8 @@ def test_apply_operator_matches_polynomial_oracle():
         p1 = shifted.deriv(1)(x)
         p2 = shifted.deriv(2)(x)
         expected = p2 + p1**2 + p0
-        (got,) = apply_operator(sys_, u, (x,))
+        (img,) = operator_image(sys_, u, ((x,),))
+        got = img.values[0]
         assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
 
 
@@ -270,4 +274,7 @@ def test_apply_operator_rejects_mismatched_jet_layout():
     sys2 = parse_system("D(u1,(2)) + u1", 1, 1, 2)
     u = _single_piece({(1, (0,)): 0.0, (1, (1,)): 0.45})
     with pytest.raises(ValueError):
-        apply_operator(sys2, u, (0.5,))
+        operator_image(sys2, u, ((0.5,),))
+    # nor can a point with the wrong number of coordinates
+    with pytest.raises(ValueError, match="axes"):
+        operator_image(parse_system("D(u1,(1))", 1, 1, 1), u, ((0.5,), (0.5,)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocm.approx import PiecewisePoly, place_and_certify, rhs_from_exprs, taylor_poly
+from ocm.approx import place_and_certify, rhs_from_exprs, taylor_poly
 from ocm.baire import GridFn, make_lattice
 from ocm.domain import Box, build_partition, skeleton_of
 from ocm.expr import parse_system
@@ -55,9 +55,7 @@ def test_le_lattice_mismatch():
 
 
 def _slope_poly(slope):
-    partition = build_partition(UNIT, 1)
-    piece = taylor_poly((0.5,), {(1, (0,)): 0.0, (1, (1,)): slope})
-    return PiecewisePoly.from_pieces(partition, [piece])
+    return taylor_poly(build_partition(UNIT, 1), [(0.5,)], [{(1, (0,)): 0.0, (1, (1,)): slope}])
 
 
 def test_pullback_reflexive_and_ordered():
@@ -73,12 +71,8 @@ def test_pullback_mutual_implies_image_equality():
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     # different representatives, same image: intercepts differ, slopes equal
     partition = build_partition(UNIT, 1)
-    u = PiecewisePoly.from_pieces(
-        partition, [taylor_poly((0.5,), {(1, (0,)): 0.0, (1, (1,)): 0.7})]
-    )
-    v = PiecewisePoly.from_pieces(
-        partition, [taylor_poly((0.5,), {(1, (0,)): 9.0, (1, (1,)): 0.7})]
-    )
+    u = taylor_poly(partition, [(0.5,)], [{(1, (0,)): 0.0, (1, (1,)): 0.7}])
+    v = taylor_poly(partition, [(0.5,)], [{(1, (0,)): 9.0, (1, (1,)): 0.7}])
     assert pullback_le(sys_, u, v, AXES) and pullback_le(sys_, v, u, AXES)
     (img_u,) = operator_image(sys_, u, AXES)
     (img_v,) = operator_image(sys_, v, AXES)
