@@ -9,13 +9,16 @@ probe's radius until the sampled residual on its ball stays inside
 ``[-eps - eta, eta]``, and subdivides to the smallest radius found.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
-sample set, drawn subcell by subcell and checked to lie strictly inside
-the subcell it was drawn in; each piece is then evaluated over its own
-samples, and only samples a caller passes to ``check_residual`` are
-located in the partition.  Both the jet solve and the certificate run
-in chunks of about CHUNK centres or samples, so their working memory
-does not grow with the partition.  ``global_approx`` is the two stages
-in sequence; ``local_approx`` is the probe stage for a single point.
+sample set.  ``check_residual`` reads samples from two sources: a drawn
+set (``_DrawnSet``), drawn subcell by subcell and checked to lie
+strictly inside the subcell it was drawn in, so each piece is evaluated
+over its own samples; or samples a caller passes, which are located in
+the partition.  A drawn set is streamed chunk by chunk, or kept whole
+when several certificates share it, as refine_solution's steps do.
+Both the jet solve and the certificate run in chunks of about CHUNK
+centres or samples, so their working memory does not grow with the
+partition.  ``global_approx`` is the two stages in sequence;
+``local_approx`` is the probe stage for a single point.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation.  A pivot that enters its equation affinely is solved
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -89,7 +92,7 @@ class RangeViolation(Exception):
     residual.
     """
 
-    def __init__(self, component: int, x, detail: str = "", *, reason: str | None = None):
+    def __init__(self, component: int, x, *, reason: str | None = None):
         self.component = component
         self.x = tuple(float(v) for v in np.atleast_1d(x))
         if reason is None:
@@ -97,10 +100,7 @@ class RangeViolation(Exception):
                 f"bracket scan found no sign change within |t| <= {SCAN_LIMIT:g} "
                 "(range condition violated or pivot ill-chosen)"
             )
-        msg = f"component {component} at x={self.x}: {reason}"
-        if detail:
-            msg += f"; {detail}"
-        super().__init__(msg)
+        super().__init__(f"component {component} at x={self.x}: {reason}")
 
 
 class DeltaCollapse(Exception):
@@ -718,17 +718,35 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
 
 @dataclass(frozen=True)
 class _DrawnSet:
-    """The certificate's sample set on a partition, drawn chunk by chunk
-    while check_residual reads it: sample_points(partition, per_cell,
-    margin, seed) without the array."""
+    """The certificate's sample set on a partition: sample_points(partition,
+    per_cell, margin, seed), sample i drawn in subcell i // per_cell and
+    checked to lie strictly inside it.  As made, the set is streamed: each
+    chunk is drawn and checked when check_residual reads it.  kept() holds
+    it whole, drawn and checked once, for certificates that share it."""
 
     partition: CellPartition
     per_cell: int
     margin: float
     seed: int
+    pts: np.ndarray | None = field(default=None, compare=False, repr=False)  # (S, per_cell, n)
 
     def __len__(self) -> int:
         return self.partition.total_subcells * self.per_cell
+
+    def chunk(self, first: int, count: int) -> np.ndarray:
+        """The samples of subcells first, ..., first + count - 1, (count, per_cell, n)."""
+        if self.pts is not None:
+            return self.pts[first: first + count]
+        at = _sample_chunk(self.partition, self.per_cell, self.margin, self.seed, first, count)
+        _check_drawn(self.partition, first, at)
+        return at
+
+    def kept(self) -> "_DrawnSet":
+        """This set with every sample drawn and checked now, and held."""
+        p = self.partition
+        pts = sample_points(p, self.per_cell, self.margin, self.seed).reshape(-1, self.per_cell, p.n)
+        _check_drawn(p, 0, pts)
+        return replace(self, pts=pts)
 
 
 def _drawn_set(fine: CellPartition, samples_per_cell: int | None, margin: float,
@@ -752,18 +770,6 @@ def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
         if np.any(drawn < np.asarray(p.bounds.lo)) or np.any(drawn > np.asarray(p.bounds.hi)):
             raise ValueError("point outside domain")
         raise ValueError("verification sample lies on the skeleton")
-
-
-def _located_samples(fine: CellPartition, samples_per_cell: int | None, margin: float,
-                     seed: int) -> tuple[np.ndarray, int]:
-    """The certificate's sample set on fine as one array, each sample
-    checked to lie strictly inside the subcell it was drawn in, and the
-    number of samples per subcell: sample i is drawn in subcell
-    i // samples_per_cell."""
-    drawn = _drawn_set(fine, samples_per_cell, margin, seed)
-    pts = sample_points(fine, drawn.per_cell, margin, seed)
-    _check_drawn(fine, 0, pts.reshape(-1, drawn.per_cell, fine.n))
-    return pts, drawn.per_cell
 
 
 def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) -> PiecewisePoly:
@@ -794,13 +800,6 @@ def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) ->
     return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)
 
 
-def _certify(system, U: PiecewisePoly, rhs, eps: float, located, *, eta: float,
-             workers: int) -> "ResidualCertificate":
-    """check_residual on a (samples, samples per subcell) pair from _located_samples."""
-    pts, per_cell = located
-    return check_residual(system, U, rhs, eps, pts, eta=eta, workers=workers, _per_cell=per_cell)
-
-
 def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float, *,
                       eta: float = DEFAULT_ETA, samples_per_cell: int | None = None,
                       margin: float = DEFAULT_MARGIN, seed: int = 0,
@@ -815,8 +814,8 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     is streamed: ``workers`` threads each draw, check, evaluate and fold
     whole chunks, and no array of all samples or residuals is built.  It
     depends only on fine, samples_per_cell, margin and seed, so
-    refine_solution draws it once, as an array, for all steps on its
-    common partition.
+    refine_solution keeps the same set, drawn once, for all the steps it
+    certifies on its common partition.
     """
     U = _place(system, rhs, fine, eps, fine.subcell_centers())
     drawn = _drawn_set(fine, samples_per_cell, margin, seed)
@@ -894,24 +893,21 @@ def _fold(r: np.ndarray, pts: np.ndarray, first: int, eps: float, eta: float) ->
 
 
 def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samples,
-                   *, eta: float = DEFAULT_ETA, workers: int = 1,
-                   _per_cell: int | None = None) -> ResidualCertificate:
+                   *, eta: float = DEFAULT_ETA, workers: int = 1) -> ResidualCertificate:
     """Independent band check at the given off-skeleton samples.
 
-    Caller-supplied samples are located in U's partition once: a sample
-    on a subcell face raises ValueError (the face flag of the lookup is
-    exactly skeleton membership), one outside the domain too, and the
-    subcell index picks the piece whose jets are evaluated there.  Two
-    sources in this module skip the lookup, as sample i was drawn in
-    subcell i // per_cell: an array whose samples were checked to lie
-    strictly inside their subcells, with ``_per_cell`` given, as
-    refine_solution passes; and place_and_certify's _DrawnSet, each chunk
-    of which is drawn and checked here.  Either way a chunk holds whole
-    subcells, and every piece is broadcast over its own samples instead
-    of being gathered per sample.
+    samples is one of two sources.  Caller samples, an (N, n) array, are
+    located in U's partition once: a sample on a subcell face raises
+    ValueError (the face flag of the lookup is exactly skeleton
+    membership), one outside the domain too, and the subcell index picks
+    the piece whose jets are evaluated there.  A _DrawnSet, streamed or
+    kept, skips the lookup, as it hands over the samples of whole
+    subcells, each checked to lie strictly inside the subcell it was drawn
+    in; every piece is then broadcast over its own samples instead of
+    being gathered per sample.
 
-    All three sources take one path: chunks of about CHUNK samples, each
-    drawn or sliced, evaluated and folded into per-component extremes,
+    Both sources take one path: chunks of about CHUNK samples, each drawn
+    or sliced, evaluated and folded into per-component extremes,
     undefined counts and top offenders, by ``workers`` threads; the folds
     merge in chunk order, so the certificate does not depend on workers.
     """
@@ -919,26 +915,18 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
         raise ValueError("approximant jet layout does not match the system")
     pick = None
     if isinstance(samples, _DrawnSet):
-        per_cell, total = samples.per_cell, len(samples)
-
-        def chunk(s: int, g: int) -> np.ndarray:
-            at = _sample_chunk(samples.partition, per_cell, samples.margin, samples.seed, s, g)
-            _check_drawn(samples.partition, s, at)
-            return at
+        per_cell, total, chunk = samples.per_cell, len(samples), samples.chunk
     else:
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
         if pts.size == 0:  # vacuous: every component passes on no samples
             pts = pts.reshape(0, system.n)
-        per_cell, total = _per_cell, len(pts)
-        if per_cell is None:
-            pick, on_face = U.partition.locate(pts)
-            if on_face.any():
-                raise ValueError("verification sample lies on the skeleton")
-            per_cell = 1
-        grouped = pts.reshape(-1, per_cell, pts.shape[1])
+        pick, on_face = U.partition.locate(pts)
+        if on_face.any():
+            raise ValueError("verification sample lies on the skeleton")
+        per_cell, total = 1, len(pts)
 
         def chunk(s: int, g: int) -> np.ndarray:
-            return grouped[s: s + g]
+            return pts[s: s + g, None]
 
     step = max(1, CHUNK // per_cell)
 

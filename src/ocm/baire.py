@@ -141,50 +141,34 @@ def lattice_nodes(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _masked_extrema(f: GridFn) -> tuple[list[tuple], list[float], list[float]]:
-    """Per masked node: min and max over off-mask samples in the immediate
-    index stencil.
+def _envelope(f: GridFn, fold, fill: float) -> GridFn:
+    """f off the mask; at a masked node, fold (np.minimum or np.maximum,
+    fill its identity) of the node's own value and the off-mask samples in
+    its immediate index stencil, in one pass over the 3^n shifted views.
 
     Sweeping larger index balls cannot change the envelope: the inner
     infimum only falls as the ball grows, so its supremum is attained at
-    the smallest ball.  A node with a fully masked stencil gets the
-    (+inf, -inf) sentinels, leaving its own value in charge.
+    the smallest ball.  A node with a fully masked stencil keeps its own
+    value.
     """
     mask = f.mask_array()
-    coords = list(map(tuple, np.argwhere(mask)))
-    mins, maxs = [], []
-    shape = f.shape
-    for c in coords:
-        sl = tuple(slice(max(0, c[d] - 1), min(shape[d], c[d] + 2)) for d in range(f.n))
-        window_mask = mask[sl]
-        if window_mask.all():
-            mins.append(np.inf)
-            maxs.append(-np.inf)
-        else:
-            vals = f.values[sl][~window_mask]
-            mins.append(float(np.min(vals)))
-            maxs.append(float(np.max(vals)))
-    return coords, mins, maxs
+    padded = np.pad(np.where(mask, fill, f.values), 1, constant_values=fill)
+    near = np.full(f.shape, fill)
+    for shift in itertools.product((0, 1, 2), repeat=f.n):
+        fold(near, padded[tuple(slice(s, s + k) for s, k in zip(shift, f.shape))], out=near)
+    return f.with_values(np.where(mask, fold(f.values, near), f.values))
 
 
 def lower_baire(f: GridFn) -> GridFn:
     """Discrete lower envelope: the identity off the mask; at a masked
     node, the minimum of the node's value and the nearest off-mask
     samples.  Result <= f nodewise."""
-    out = f.values.copy()
-    coords, mins, _ = _masked_extrema(f)
-    for c, lo in zip(coords, mins):
-        out[c] = min(out[c], lo)
-    return f.with_values(out)
+    return _envelope(f, np.minimum, np.inf)
 
 
 def upper_baire(f: GridFn) -> GridFn:
     """Dual of lower_baire; result >= f nodewise."""
-    out = f.values.copy()
-    coords, _, maxs = _masked_extrema(f)
-    for c, hi in zip(coords, maxs):
-        out[c] = max(out[c], hi)
-    return f.with_values(out)
+    return _envelope(f, np.maximum, -np.inf)
 
 
 def nlsc_regularize(f: GridFn) -> GridFn:

@@ -324,14 +324,13 @@ def run_solve(config_path, out_dir) -> RunReport:
     return _run("solve", config_path, out_dir, construct)
 
 
-def run_refine(config_path, out_dir, image_hook=None) -> RunReport:
+def run_refine(config_path, out_dir) -> RunReport:
     """Banded refinement for eps = 1, 1/2, ..., 1/refine_steps."""
     def construct(cfg, system, rhs, box, partition, workers):
         trace = refine_solution(
             system, rhs, partition, cfg.refine_steps, make_lattice(box, REFINE_LATTICE_PER_AXIS),
             eta=cfg.eta, seed=cfg.seed, samples_per_cell=cfg.samples_per_cell,
-            margin=cfg.margin, workers=workers, label=str(config_path),
-            image_hook=image_hook,
+            margin=cfg.margin, workers=workers,
         )
         ok = trace.all_certified and trace.total_repairs == 0
         return "trace.csv", trace_csv_rows(trace), ok, {"trace": trace}

@@ -236,9 +236,6 @@ class UcsTable:
                 raise ValueError("listed filter must live on X x X")
         self.minimal = _antichain_max(self.minimal)
 
-    def contains(self, f: FiniteFilter) -> bool:
-        return any(f.least <= g.least for g in self.minimal)
-
 
 def discrete_convergence(ground) -> ConvergenceTable:
     ground = frozenset(ground)

@@ -10,9 +10,10 @@ needs, from a single probe round) and places every step's pieces on
 it, so the operator images rise monotonically step over step with no
 repairs in exact arithmetic; the running nodewise maximum enforces the
 invariant and counts any repairs float wobble would introduce.  The
-steps also share one verification sample set, drawn in that partition
-once; checking that each sample lies strictly inside the subcell it was
-drawn in is what proves it misses the skeleton.
+steps also share one verification sample set, the drawn set of
+``ocm.approx`` kept whole: drawn in that partition once, and checked
+once that each sample lies strictly inside the subcell it was drawn in,
+which is what proves it misses the skeleton.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
-from .approx import (PiecewisePoly, ResidualCertificate, _certify, _located_samples, _place,
-                     global_approx)
+from . import approx, expr as ex
+from .approx import PiecewisePoly, ResidualCertificate, _drawn_set, _place, global_approx
 from .baire import GridFn, EnvelopePair, _located_image, lattice_nodes, nlsc_regularize, operator_image
 from .domain import CellPartition, Skeleton
 
@@ -175,12 +175,10 @@ class SolutionTrace:
     from above (no approximant sequence from above is constructed).
     """
 
-    label: str
     axes: tuple[np.ndarray, ...]
     rhs_grid: list[GridFn]
     steps: list[StepRecord]
     envelope: list[EnvelopePair]
-    upper_is_rhs_witness: bool = True
 
     @property
     def total_repairs(self) -> int:
@@ -200,21 +198,19 @@ def _sup_gap(a: GridFn, b: GridFn) -> float:
 
 def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axes, *,
                     eta: float = 1e-9, seed: int = 0, samples_per_cell: int | None = None,
-                    margin: float = 0.05, workers: int = 1, label: str = "",
-                    image_hook=None) -> SolutionTrace:
+                    margin: float = 0.05, workers: int = 1) -> SolutionTrace:
     """Run the band construction for eps = 1, 1/2, ..., 1/n_max.
 
     The partition is planned once, by global_approx at eps = 1/n_max,
     whose approximant and certificate serve as step n_max; every other
     step only places and certifies pieces on that partition.  Those
-    steps certify on one shared sample set, drawn and checked once; it
-    is the set place_and_certify would draw for the same partition and
-    seed, so each certificate equals a standalone one.  All steps
-    share centers and skeleton, so the image sequence increases
-    pointwise; the running nodewise maximum makes that an invariant and
-    repairs count any node where a raw image dropped below the running
-    maximum by more than eta.  ``image_hook`` is a test seam that may
-    replace the raw images of a step before monotonicity enforcement.
+    steps certify on one shared sample set, the drawn set that
+    place_and_certify would stream for the same partition and seed, kept
+    whole: drawn and checked once, so each certificate equals a
+    standalone one.  All steps share centers and skeleton, so the image
+    sequence increases pointwise; the running nodewise maximum makes that
+    an invariant and repairs count any node where a raw image dropped
+    below the running maximum by more than eta.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -228,7 +224,7 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     fvals = rhs(nodes)
     rhs_grid = [GridFn(axes, fvals[i].reshape(shape)) for i in range(system.K)]
 
-    located = _located_samples(base, samples_per_cell, margin, seed) if n_max > 1 else None
+    kept = _drawn_set(base, samples_per_cell, margin, seed).kept() if n_max > 1 else None
     # every step shares base, so one lookup of the lattice serves all images
     on_base = base.locate(nodes)
 
@@ -240,10 +236,11 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
             U_n, cert = U_fine, cert_fine
         else:
             U_n = _place(system, rhs, base, eps, U_fine.centers)
-            cert = _certify(system, U_n, rhs, eps, located, eta=eta, workers=workers)
+            # looked up on the module: bench/spans.py wraps
+            # ocm.approx.check_residual there, and a name imported into
+            # this module would certify these steps outside its span
+            cert = approx.check_residual(system, U_n, rhs, eps, kept, eta=eta, workers=workers)
         raw = _located_image(system, U_n, axes, nodes, *on_base)
-        if image_hook is not None:
-            raw = image_hook(n, raw)
         repairs = 0
         if running is None:
             enforced = raw
@@ -267,8 +264,7 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
         EnvelopePair(lower=nlsc_regularize(img), upper=fg)
         for img, fg in zip(running, rhs_grid)
     ]
-    return SolutionTrace(label=label, axes=axes, rhs_grid=rhs_grid, steps=steps,
-                         envelope=envelope)
+    return SolutionTrace(axes=axes, rhs_grid=rhs_grid, steps=steps, envelope=envelope)
 
 
 def cauchy_gap(trace: SolutionTrace, n1: int, n2: int) -> np.ndarray:

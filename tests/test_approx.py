@@ -549,6 +549,9 @@ def test_global_transport_matches_worked_example():
     centers = U.centers
     tv = U.jets(centers)[:, 0, 1]
     np.testing.assert_allclose(tv - centers[:, 0], -0.05, atol=1e-9)
+    # a subcell face is skeleton, where no piece's jets are defined
+    with pytest.raises(ValueError, match="on the skeleton"):
+        U.jets(np.concatenate([centers[:1], hi[:1]]))
 
 
 def test_global_identity_operator_constant_residual():
@@ -672,11 +675,16 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
         return pts
 
     place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)  # the set as drawn is accepted
+    ocm.approx._drawn_set(fine, 3, 0.05, 0).kept()
     monkeypatch.setattr(ocm.approx, "_sample_chunk", moved)
-    with pytest.raises(ValueError) as exc:
-        place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
-    if message is not None:
-        assert str(exc.value) == message
+    monkeypatch.setattr(ocm.approx, "sample_points", lambda p, per_cell, margin, seed:
+                        moved(p, per_cell, margin, seed, 0, p.total_subcells).reshape(-1, p.n))
+    for use in (lambda: place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3),
+                lambda: ocm.approx._drawn_set(fine, 3, 0.05, 0).kept()):
+        with pytest.raises(ValueError) as exc:  # streamed, then kept
+            use()
+        if message is not None:
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("equation,degree", [("D(u1,(1,0)) + u1", 1), ("u1^3 + D(u1,(1,0))", 3)])
@@ -755,6 +763,7 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
         U.coeffs[[20, 21]] = 0.5
     eps, eta = 0.1, 1e-9
     drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 1)
+    kept = drawn.kept()
     pts = sample_points(U.partition, 3, 0.05, 1)
     r = np.repeat(U.coeffs[:, 0, 0], 3)
     finite = np.isfinite(r)
@@ -762,9 +771,9 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     order = np.argsort(-excess, kind="stable")[:5]
     expect = [(tuple(map(float, pts[w])), float(r[w])) for w in order]
     assert math.isnan(expect[0][1]) == undefined
-    certs = [check_residual(sys_, U, rhs, eps, source, workers=workers, **kw)
+    certs = [check_residual(sys_, U, rhs, eps, source, workers=workers)
              for workers in (1, 2)
-             for source, kw in ((drawn, {}), (pts, {}), (pts, {"_per_cell": 3}))]
+             for source in (drawn, kept, pts)]
     for cert in certs:
         (c,) = cert.components
         assert not c.passed and c.samples == len(pts)
@@ -819,9 +828,9 @@ def _all_slots_system(n, K, m):
 
 @pytest.mark.parametrize("n,K,m", list(itertools.product((1, 2, 3), (1, 2), (1, 2))))
 def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
-    # drawn samples, as one array or streamed, broadcast each piece over
-    # its own samples; caller samples are located and gathered; all three
-    # must give the same numbers
+    # drawn samples, kept whole or streamed, broadcast each piece over its
+    # own samples; caller samples are located and gathered; all three must
+    # give the same numbers
     rng = np.random.default_rng(100 * n + 10 * K + m)
     system = _all_slots_system(n, K, m)
     rhs = rhs_from_exprs([f"x1*x{n}"] * K, n)
@@ -835,17 +844,16 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
     # per_cell values that do not divide the 65,536-sample chunk, and one
     # above it, where a chunk is a single subcell
     for per_cell in [1, 3, 7, 65536 // S + 5] + ([65539] if (n, K, m) == (1, 1, 1) else []):
-        pts, drawn_per_cell = ocm.approx._located_samples(p, per_cell, 0.05, per_cell)
-        loc, _ = p.locate(pts)
-        grouped = pts.reshape(S, per_cell, n)
-        np.testing.assert_array_equal(
-            ocm.approx._operator_values(system, U.coeffs[:, None], U.centers[:, None], grouped),
-            ocm.approx._operator_values(system, U.coeffs[loc], U.centers[loc], pts))
         drawn = ocm.approx._drawn_set(p, per_cell, 0.05, per_cell)
+        kept = drawn.kept()
+        pts = kept.pts.reshape(-1, n)
+        loc, _ = p.locate(pts)
+        np.testing.assert_array_equal(
+            ocm.approx._operator_values(system, U.coeffs[:, None], U.centers[:, None], kept.pts),
+            ocm.approx._operator_values(system, U.coeffs[loc], U.centers[loc], pts))
         for eps in (0.1, 1e3):
             for workers in (1, 2):
-                located = check_residual(system, U, rhs, eps, pts, workers=workers,
-                                         _per_cell=drawn_per_cell)
+                located = check_residual(system, U, rhs, eps, kept, workers=workers)
                 lookup = check_residual(system, U, rhs, eps, pts, workers=workers)
                 streamed = check_residual(system, U, rhs, eps, drawn, workers=workers)
                 assert located == lookup == streamed

@@ -55,12 +55,13 @@ def oracle_upper(f: GridFn) -> np.ndarray:
     return -oracle_lower(neg)
 
 
-def random_piecewise_gridfn(rng, allow_inf=True) -> GridFn:
-    n = int(rng.integers(1, 3))
-    if n == 1:
-        shape = (int(rng.integers(4, 32)),)
-    else:
-        shape = (int(rng.integers(3, 12)), int(rng.integers(3, 12)))
+def random_piecewise_gridfn(rng, allow_inf=True, shape=None) -> GridFn:
+    """A random lattice in 1D or 2D, unless shape is given."""
+    if shape is None:
+        if int(rng.integers(1, 3)) == 1:
+            shape = (int(rng.integers(4, 32)),)
+        else:
+            shape = (int(rng.integers(3, 12)), int(rng.integers(3, 12)))
     axes = tuple(np.sort(rng.uniform(0, 1, s)) + np.arange(s) * 1e-3 for s in shape)
     # piecewise-constant plateaus with jumps, plus noise
     vals = np.zeros(shape)
@@ -158,8 +159,12 @@ def test_classify_dip_not_nlsc():
 
 def test_laws_on_random_gridfns_against_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        f = random_piecewise_gridfn(rng)
+    more = np.random.default_rng(12)
+    # 3D lattices, then fully masked lattices in 1D, 2D and 3D
+    extra = [random_piecewise_gridfn(more, shape=tuple(more.integers(3, 6, 3))) for _ in range(8)]
+    extra += [random_piecewise_gridfn(more, shape=s) for s in ((9,), (5, 7), (4, 3, 5))]
+    extra[8:] = [GridFn(f.axes, f.values, np.ones(f.shape, dtype=bool)) for f in extra[8:]]
+    for f in itertools.chain((random_piecewise_gridfn(rng) for _ in range(40)), extra):
         low = lower_baire(f)
         up = upper_baire(f)
         # oracle equivalence

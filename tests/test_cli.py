@@ -201,13 +201,23 @@ def test_refine_single_step_matches_solve_at_eps_one(tmp_path):
     assert step.certificate.max_residual == cert.max_residual
 
 
-def test_refine_injected_nonmonotone_exits_5(tmp_path):
-    def sabotage(n, images):
-        if n == 3:
+def test_refine_injected_nonmonotone_exits_5(tmp_path, monkeypatch):
+    import ocm.order
+
+    steps = []
+    image = ocm.order._located_image
+
+    def sabotage(*args):
+        # refine images step n on its n-th call; step 3's image drops
+        steps.append(len(steps) + 1)
+        images = image(*args)
+        if steps[-1] == 3:
             return [GridFn(g.axes, g.values - 0.5, g.mask) for g in images]
         return images
 
-    report = cli.run_refine(write_config(tmp_path), tmp_path / "o", image_hook=sabotage)
+    monkeypatch.setattr(ocm.order, "_located_image", sabotage)
+    report = cli.run_refine(write_config(tmp_path), tmp_path / "o")
+    assert steps == list(range(1, 11))
     assert report.exit_code == 5
     assert report.trace.total_repairs > 0
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ocm.approx import _located_samples
+from ocm.approx import _drawn_set
 from ocm.domain import (Box, CellPartition, _sample_chunk, build_partition, sample_points,
                         skeleton_of, subdivide)
 
@@ -224,9 +224,9 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
         lo, hi = p.subcell_bounds()
         owner = np.arange(len(pts)) // per_cell
         assert np.all((lo[owner] < pts) & (pts < hi[owner]))
-        drawn, drawn_per_cell = _located_samples(p, per_cell, margin, k)
-        np.testing.assert_array_equal(drawn, pts)
-        assert drawn_per_cell == per_cell
+        kept = _drawn_set(p, per_cell, margin, k).kept()
+        np.testing.assert_array_equal(kept.pts.reshape(-1, p.n), pts)
+        assert kept.pts.shape == (p.total_subcells, per_cell, p.n)
         ref, on_face = p.locate(pts)
         assert not on_face.any()
         np.testing.assert_array_equal(ref, owner)

@@ -122,6 +122,9 @@ def test_system_round_trip():
     sys_ = parse_system("D(u1,(1))\nu2 + D(u1,(1))", 1, 2, 1)
     again = parse_system(print_system(sys_), 1, 2, 1)
     assert again.components == sys_.components
+    # separators before the first expression are skipped
+    for lead in ("; ", "\n\n", ";\n ;"):
+        assert parse_system(lead + print_system(sys_), 1, 2, 1).components == sys_.components
 
 
 def test_eval_projection():

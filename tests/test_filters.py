@@ -350,6 +350,11 @@ def test_ucs_checker_examples():
     t = UcsTable(AB, (FiniteFilter(pg, frozenset([("a", "a"), ("b", "b"), ("a", "b")])),))
     res = check_uniform_convergence(t)
     assert not res.ok and res.failed_axiom == 4
+    # symmetric and reflexive, but a ~ b ~ c does not give a ~ c
+    near = frozenset([(x, x) for x in ABC] + [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")])
+    gen = FiniteFilter(_pairs(ABC), near)
+    res = check_uniform_convergence(UcsTable(ABC, (gen,)))
+    assert not res.ok and res.failed_axiom == 5 and res.witness == (near, near)
 
 
 def test_ucs_checker_matches_oracle_on_random_tables():

@@ -108,6 +108,8 @@ def test_nested_intervals_shrinking_singleton():
 def test_nested_intervals_persistent_gap_rejected():
     seq = OrderIntervalSeq([(const_grid(0.0), const_grid(1.0)) for _ in range(10)])
     assert not nested_interval_valid(seq, [UNIT], tol=0.1)
+    # a subbox that holds no lattice node passes vacuously
+    assert nested_interval_valid(seq, [Box((0.0,), (0.04,))], tol=0.1)
 
 
 def test_nested_intervals_non_nested_rejected():
@@ -118,6 +120,12 @@ def test_nested_intervals_non_nested_rejected():
 def test_nested_intervals_emptied_passes():
     pairs = [(const_grid(0.0), const_grid(1.0)), (const_grid(2.0), const_grid(0.9))]
     assert nested_interval_valid(OrderIntervalSeq(pairs), [UNIT], tol=0.01)
+    # emptied at one node: the gap elsewhere stays above tol, and still passes
+    lower = np.zeros(10)
+    lower[4] = 2.0
+    pairs = [(const_grid(0.0), const_grid(1.0)), (GridFn(AXES, lower), const_grid(0.9))]
+    assert nested_interval_valid(OrderIntervalSeq(pairs), [UNIT], tol=0.01)
+    assert not nested_interval_valid(OrderIntervalSeq(pairs), [Box((0.0,), (0.4,))], tol=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +253,27 @@ def test_refine_locates_the_lattice_once(monkeypatch):
         np.testing.assert_array_equal(got.mask_array(), ref.mask_array())
 
 
-def test_refine_image_hook_counts_repairs():
+def test_refine_image_hook_counts_repairs(monkeypatch):
+    import ocm.order
+
     sys_ = parse_system("u1", 1, 1, 1)
     rhs = rhs_from_exprs(["0"], 1)
     p = build_partition(UNIT, 4)
     axes = make_lattice(UNIT, 32)
+    steps = []
+    image = ocm.order._located_image
 
-    def sabotage(n, images):
-        if n == 2:
+    def sabotage(*args):
+        # refine images step n on its n-th call; step 2's image drops
+        steps.append(len(steps) + 1)
+        images = image(*args)
+        if steps[-1] == 2:
             return [GridFn(g.axes, g.values - 1.0, g.mask) for g in images]
         return images
 
-    trace = refine_solution(sys_, rhs, p, 3, axes, image_hook=sabotage)
+    monkeypatch.setattr(ocm.order, "_located_image", sabotage)
+    trace = refine_solution(sys_, rhs, p, 3, axes)
+    assert steps == [1, 2, 3]
     assert trace.total_repairs > 0
     # running max keeps the trace monotone anyway
     for prev, cur in zip(trace.steps, trace.steps[1:]):
