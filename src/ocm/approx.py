@@ -20,6 +20,17 @@ centres or samples, so their working memory does not grow with the
 partition.  ``global_approx`` is the two stages in sequence;
 ``local_approx`` is the probe stage for a single point.
 
+Every batch of points is held subcell axis last: a certificate chunk's
+samples are an (n, per_cell, count) array, its subcell bounds (n, 1,
+count), its pieces' coefficients (K, A, 1, count) and its jets (K, A,
+per_cell, count), and a probe's ball points (n, P, B) likewise.  numpy
+runs its innermost loop along the last axis, so each piece broadcast
+over its own samples is one loop over the chunk's subcells, where a
+trailing coordinate axis would make it a loop over n = 2 or 3 values,
+repeated once per sample.  Only the jet slots the system reads are
+built.  The layout only decides which loop numpy runs innermost, not
+the operations on any element, so it cannot move a certificate.
+
 The jet solve is deterministic by construction: one designated pivot
 slot per equation.  A pivot that enters its equation affinely is solved
 in closed form from two evaluations, and the root is kept where one more
@@ -142,64 +153,80 @@ def _deriv_ratios(alphas: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return out
 
 
-def _monomial(dx: np.ndarray, gamma: tuple[int, ...], memo: dict) -> np.ndarray:
-    """dx^gamma over the last axis of dx, built once per memo: each axis
-    power by repeated multiplication, the axis powers left to right."""
+def _monomial(pts: np.ndarray, centers: np.ndarray, gamma: tuple[int, ...],
+              memo: dict) -> np.ndarray:
+    """dx^gamma, dx = pts - centers over their first axis, built once per
+    memo: each axis power by repeated multiplication, the axis powers left
+    to right.  An axis offset is only taken when some monomial uses it,
+    so jets that read no monomial take none."""
     if gamma not in memo:
         d = max(i for i, k in enumerate(gamma) if k)  # gamma's last axis
         rest = gamma[:d] + (0,) * (len(gamma) - d)
         if any(rest):
-            memo[gamma] = _monomial(dx, rest, memo) * _monomial(dx, (0,) * d + gamma[d:], memo)
+            memo[gamma] = (_monomial(pts, centers, rest, memo)
+                           * _monomial(pts, centers, (0,) * d + gamma[d:], memo))
         elif gamma[d] > 1:
-            memo[gamma] = _monomial(dx, gamma[:d] + (gamma[d] - 1,) + gamma[d + 1:], memo) * dx[..., d]
+            below = gamma[:d] + (gamma[d] - 1,) + gamma[d + 1:]
+            unit = tuple(int(i == d) for i in range(len(gamma)))
+            memo[gamma] = _monomial(pts, centers, below, memo) * _monomial(pts, centers, unit, memo)
         else:
-            memo[gamma] = dx[..., d]
+            memo[gamma] = pts[d] - centers[d]
     return memo[gamma]
 
 
-def _jets_from_coeffs(coeffs: np.ndarray, centers: np.ndarray, alphas, pts: np.ndarray) -> np.ndarray:
-    """Evaluate all derivatives D^beta of all components at pts.
+def _jets_from_coeffs(coeffs: np.ndarray, centers: np.ndarray, alphas, pts: np.ndarray,
+                      slots) -> np.ndarray:
+    """Evaluate the derivatives D^beta_b P_j at pts for every (j, b) in slots.
 
-    coeffs (..., K, A), centers (..., n) and pts (..., n) broadcast over
-    their leading dimensions, so one piece serves all of its points
-    without being copied out for each.  Returns (*lead, K, A) with entry
-    [..., j, b] = D^{beta_b} P_j(pt).
+    coeffs (K, A, ...), centers (n, ...) and pts (n, ...) broadcast over
+    their trailing dimensions, so one piece serves all of its points
+    without being copied out for each.  Returns (K, A, *lead) with entry
+    [j, b, ...] = D^{beta_b} P_j(pt) for the (j, b) in slots, 0-based;
+    the other slots stay 0.
     """
     ratios = _deriv_ratios(tuple(alphas))
-    dx = pts - centers
-    lead = np.broadcast_shapes(coeffs.shape[:-2], dx.shape[:-1])
+    lead = np.broadcast_shapes(coeffs.shape[2:], pts.shape[1:], centers.shape[1:])
     memo: dict = {}
-    jets = np.zeros(lead + coeffs.shape[-2:])
-    for b, beta in enumerate(alphas):
-        acc = jets[..., b]
+    jets = np.zeros(coeffs.shape[:2] + lead)
+    for j, b in slots:
+        acc = jets[j, b]
         for a, alpha in enumerate(alphas):
             r = ratios[a, b]
             if r == 0.0:
                 continue
-            gamma = tuple(x - y for x, y in zip(alpha, beta))
-            term = coeffs[..., a]
+            gamma = tuple(x - y for x, y in zip(alpha, alphas[b]))
+            term = coeffs[j, a]
             if any(gamma):
-                mono = _monomial(dx, gamma, memo)
-                term = term * (mono if r == 1.0 else r * mono)[..., None]
+                mono = _monomial(pts, centers, gamma, memo)
+                term = term * (mono if r == 1.0 else r * mono)
             elif r != 1.0:
                 term = term * r
             acc += term
     return jets
 
 
+@lru_cache(maxsize=None)
+def _read_slots(system: ex.PdeSystem) -> tuple[tuple[int, int], ...]:
+    """The jet slots some component of system reads, as 0-based
+    (component, alpha index) pairs in slot order."""
+    refs = set().union(*map(ex.jet_slots_of, system.components))
+    return tuple(divmod(s, len(system.alphas)) for s in sorted(system.slot(*r) for r in refs))
+
+
 def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """T_i(x, D)P(x) for every component i at pts (..., n), where a point
-    reads the piece whose coeffs (..., K, A) and centers (..., n)
-    broadcast to its leading index, as in _jets_from_coeffs.
+    """T_i(x, D)P(x) for every component i at pts (n, ...), where a point
+    reads the piece whose coeffs (K, A, ...) and centers (n, ...)
+    broadcast to its trailing index, as in _jets_from_coeffs.
 
     The one path from pieces to operator values: jets by
-    _jets_from_coeffs, each component by ex.eval_component_batch.
-    Returns a fresh (K, N) array over the N points of pts in C order;
-    undefined entries are non-finite.
+    _jets_from_coeffs, only for the slots the system reads, each
+    component by ex.eval_component_batch.  Returns a fresh (K, N) array
+    over the N points of pts[d] in C order; undefined entries are
+    non-finite.
     """
-    jets = _jets_from_coeffs(coeffs, centers, system.alphas, pts)
-    X = pts.reshape(-1, system.n).T
-    XI = jets.reshape(X.shape[1], -1).T
+    jets = _jets_from_coeffs(coeffs, centers, system.alphas, pts, _read_slots(system))
+    X = pts.reshape(system.n, -1)
+    XI = jets.reshape(system.M, -1)
     out = np.empty((system.K, X.shape[1]))
     for i in range(system.K):
         out[i] = ex.eval_component_batch(system, i, X, XI)
@@ -233,7 +260,10 @@ class PiecewisePoly:
         loc, on_face = self.partition.locate(pts)
         if on_face.any():
             raise ValueError("point lies on the skeleton; jets undefined there")
-        return _jets_from_coeffs(self.coeffs[loc], self.centers[loc], self.alphas, pts)
+        every = list(itertools.product(range(self.K), range(len(self.alphas))))
+        jets = _jets_from_coeffs(self.coeffs[loc].transpose(1, 2, 0), self.centers[loc].T,
+                                 self.alphas, pts.T, every)
+        return jets.transpose(2, 0, 1)
 
 
 def _taylor_coeffs(alphas, jets: np.ndarray) -> np.ndarray:
@@ -601,25 +631,27 @@ def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndar
     """Deterministic verification samples in the closed ball around each
     center, clipped to the box, with the center itself last.
 
-    x0s: (B, n), deltas: (B,).  Returns points (B, P, n) and a mask
-    (B, P) of the grid points that lie in their ball.
+    x0s: (B, n), deltas: (B,).  Returns points (n, P, B), centre axis
+    last as in a certificate chunk, and a mask (P, B) of the grid points
+    that lie in their ball.
     """
     B, n = x0s.shape
-    lo = x0s - deltas[:, None]
-    hi = x0s + deltas[:, None]
+    x0 = x0s.T
+    lo = x0 - deltas
+    hi = x0 + deltas
     if n == 1:
         pts = np.linspace(lo, hi, 33, axis=1)
-        inside = np.ones(pts.shape[:2], dtype=bool)
+        inside = np.ones(pts.shape[1:], dtype=bool)
     else:
         per_axis = 9 if n == 2 else 5
-        grids = np.linspace(lo, hi, per_axis, axis=2)  # (B, n, per_axis)
+        grids = np.linspace(lo, hi, per_axis, axis=1)  # (n, per_axis, B)
         mesh = np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")
-        idx = np.stack([g.ravel() for g in mesh], axis=1)  # (P, n)
-        pts = grids[:, np.arange(n), idx]
-        inside = np.linalg.norm(pts - x0s[:, None, :], axis=2) <= deltas[:, None] * (1 + 1e-12)
-    pts = np.clip(pts, np.asarray(box.lo), np.asarray(box.hi))
-    pts = np.concatenate([pts, x0s[:, None, :]], axis=1)
-    inside = np.concatenate([inside, np.ones((B, 1), dtype=bool)], axis=1)
+        idx = np.stack([g.ravel() for g in mesh])  # (n, P)
+        pts = grids[np.arange(n)[:, None], idx]
+        inside = np.linalg.norm(pts - x0[:, None], axis=0) <= deltas * (1 + 1e-12)
+    pts = np.clip(pts, np.reshape(box.lo, (n, 1, 1)), np.reshape(box.hi, (n, 1, 1)))
+    pts = np.concatenate([pts, x0[:, None]], axis=1)
+    inside = np.concatenate([inside, np.ones((1, B), dtype=bool)])
     return pts, inside
 
 
@@ -628,11 +660,10 @@ def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarra
     """Per center: does the residual of its piece stay in
     [-eps - eta, eta] at every sample of its ball?"""
     pts, inside = _ball_points(x0s, deltas, box)
-    B, P, n = pts.shape
-    r = _operator_values(system, coeffs[:, None], x0s[:, None], pts)
-    r -= rhs(pts.reshape(-1, n))
-    ok = np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta), axis=0).reshape(B, P)
-    return np.all(ok | ~inside, axis=1)
+    r = _operator_values(system, coeffs.transpose(1, 2, 0)[:, :, None], x0s.T[:, None], pts)
+    r -= rhs(pts.reshape(len(pts), -1).T)
+    ok = np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta), axis=0).reshape(inside.shape)
+    return np.all(ok | ~inside, axis=0)
 
 
 def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box,
@@ -734,18 +765,24 @@ class _DrawnSet:
         return self.partition.total_subcells * self.per_cell
 
     def chunk(self, first: int, count: int) -> np.ndarray:
-        """The samples of subcells first, ..., first + count - 1, (count, per_cell, n)."""
+        """The samples of subcells first, ..., first + count - 1, (n,
+        per_cell, count), subcell axis last as _sample_chunk draws them; a
+        kept set's are copied out contiguous, so they flatten to (n, N)
+        rows without a second copy."""
         if self.pts is not None:
-            return self.pts[first: first + count]
+            return np.ascontiguousarray(self.pts[first: first + count].T)
         at = _sample_chunk(self.partition, self.per_cell, self.margin, self.seed, first, count)
         _check_drawn(self.partition, first, at)
         return at
 
     def kept(self) -> "_DrawnSet":
-        """This set with every sample drawn and checked now, and held."""
+        """This set with every sample drawn and checked now, chunk by
+        chunk, and held."""
         p = self.partition
         pts = sample_points(p, self.per_cell, self.margin, self.seed).reshape(-1, self.per_cell, p.n)
-        _check_drawn(p, 0, pts)
+        step = max(1, CHUNK // self.per_cell)
+        for first in range(0, len(pts), step):
+            _check_drawn(p, first, pts[first: first + step].T)
         return replace(self, pts=pts)
 
 
@@ -760,14 +797,16 @@ def _drawn_set(fine: CellPartition, samples_per_cell: int | None, margin: float,
 
 
 def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
-    """Raise ValueError unless every sample of drawn (g, P, n) lies strictly
-    inside subcell first + g' of p, g' its row, which proves its subcell
-    and that it is inside the domain and off every face, so no drawn
-    sample is searched for in the partition."""
-    lo, hi = p.subcell_bounds()
-    lo, hi = lo[first: first + len(drawn), None], hi[first: first + len(drawn), None]
+    """Raise ValueError unless every sample of drawn (n, P, g) lies strictly
+    inside subcell first + g' of p, g' its column, which proves its
+    subcell and that it is inside the domain and off every face, so no
+    drawn sample is searched for in the partition.  A non-finite sample
+    fails."""
+    g = drawn.shape[2]
+    lo, hi = (np.ascontiguousarray(b[first: first + g].T)[:, None] for b in p.subcell_bounds())
     if not np.all((lo < drawn) & (drawn < hi)):
-        if np.any(drawn < np.asarray(p.bounds.lo)) or np.any(drawn > np.asarray(p.bounds.hi)):
+        box_lo, box_hi = (np.reshape(c, (-1, 1, 1)) for c in (p.bounds.lo, p.bounds.hi))
+        if np.any(drawn < box_lo) or np.any(drawn > box_hi):
             raise ValueError("point outside domain")
         raise ValueError("verification sample lies on the skeleton")
 
@@ -871,23 +910,29 @@ class ResidualCertificate:
         return max((c.max_residual for c in self.components), default=math.nan)
 
 
-def _fold(r: np.ndarray, pts: np.ndarray, first: int, eps: float, eta: float) -> tuple:
-    """One component's residuals r (N,) at pts (N, n), samples first,
-    first + 1, ... of the set: min and max of the finite residuals (inf
-    and -inf when there are none), the count of the others, and up to 5
-    offenders (excess, sample index, point, residual) ordered by excess
-    descending, then index; a residual outside the band, or not finite
-    (excess inf), is an offender."""
+def _fold(r: np.ndarray, X: np.ndarray, first: int, per_cell: int, eps: float,
+          eta: float) -> tuple:
+    """One component's residuals r (N,) at the points X (n, N) of a chunk
+    of N // per_cell subcells from subcell first on, in the chunk's
+    subcell-last order: flat position j is sample (first + j % count) *
+    per_cell + j // count of the set, count = N // per_cell.  Returns min
+    and max of the finite residuals (inf and -inf when there are none),
+    the count of the others, and up to 5 offenders (excess, sample index,
+    point, residual) ordered by excess descending, then index; a
+    residual outside the band, or not finite (excess inf), is an
+    offender."""
     finite = np.isfinite(r)
     vals = r if finite.all() else r[finite]  # no copy unless a residual is undefined
     rmin, rmax = (float(np.min(vals)), float(np.max(vals))) if len(vals) else (math.inf, -math.inf)
     worst = []
     if len(vals) < len(r) or rmin < -eps - eta or rmax > eta:
         bad = np.flatnonzero(~finite | (r > eta) | (r < -eps - eta))
+        count = len(r) // per_cell
+        index = (first + bad % count) * per_cell + bad // count
         rb = r[bad]
         excess = np.where(finite[bad], np.maximum(rb - eta, (-eps - eta) - rb), np.inf)
-        for w in np.lexsort((bad, -excess))[:5]:
-            worst.append((float(excess[w]), first + int(bad[w]), tuple(map(float, pts[bad[w]])),
+        for w in np.lexsort((index, -excess))[:5]:
+            worst.append((float(excess[w]), int(index[w]), tuple(map(float, X[:, bad[w]])),
                           float(rb[w])))
     return rmin, rmax, len(r) - len(vals), worst
 
@@ -907,9 +952,10 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
     being gathered per sample.
 
     Both sources take one path: chunks of about CHUNK samples, each drawn
-    or sliced, evaluated and folded into per-component extremes,
-    undefined counts and top offenders, by ``workers`` threads; the folds
-    merge in chunk order, so the certificate does not depend on workers.
+    or sliced as an (n, per_cell, count) array, subcell axis last,
+    evaluated and folded into per-component extremes, undefined counts
+    and top offenders, by ``workers`` threads; the folds merge in chunk
+    order, so the certificate does not depend on workers.
     """
     if tuple(U.alphas) != system.alphas or U.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
@@ -926,17 +972,18 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
         per_cell, total = 1, len(pts)
 
         def chunk(s: int, g: int) -> np.ndarray:
-            return pts[s: s + g, None]
+            return pts[s: s + g].T[:, None]
 
     step = max(1, CHUNK // per_cell)
 
     def fold(s: int) -> list[tuple]:
         at = chunk(s, step)
-        rows = slice(s, s + len(at)) if pick is None else pick[s: s + len(at)]
-        flat = at.reshape(-1, at.shape[-1])
-        r = _operator_values(system, U.coeffs[rows, None], U.centers[rows, None], at)
-        r -= rhs(flat)
-        return [_fold(r[i], flat, s * per_cell, eps, eta) for i in range(system.K)]
+        rows = slice(s, s + at.shape[2]) if pick is None else pick[s: s + at.shape[2]]
+        X = at.reshape(system.n, -1)
+        r = _operator_values(system, U.coeffs[rows].transpose(1, 2, 0)[:, :, None],
+                             U.centers[rows].T[:, None], at)
+        r -= rhs(X.T)
+        return [_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)]
 
     starts = range(0, total // per_cell, step)
     if workers > 1 and len(starts) > 1:

@@ -284,33 +284,48 @@ def _check_sampling(per_cell: int, margin: float) -> None:
 
 def _sample_chunk(p: CellPartition, per_cell: int, margin: float, seed: int,
                   first: int, count: int) -> np.ndarray:
-    """The samples of subcells first, ..., first + count - 1, (count,
-    per_cell, n): exactly that slice of sample_points, drawn from a
+    """The samples of subcells first, ..., first + count - 1, (n, per_cell,
+    count), subcell axis last: column [:, k, s] is sample k of subcell
+    first + s.  Exactly that slice of sample_points, drawn from a
     generator seeded with ``seed`` and advanced past the draws of every
-    earlier subcell, so any chunk is drawn without the ones before it."""
-    lo, hi = p.subcell_bounds()
-    lo, hi = lo[first: first + count], hi[first: first + count]
+    earlier subcell, so any chunk is drawn without the ones before it.
+
+    The draw keeps its own (count, per_cell, n) order and is mapped into
+    the subcell-last array, so every step runs over the chunk's subcells
+    in numpy's innermost loop, not over its n coordinates."""
+    lo, hi = (np.ascontiguousarray(b[first: first + count].T) for b in p.subcell_bounds())
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(first * per_cell * p.n)  # one 64-bit step per double
-    pts = rng.random((len(lo), per_cell, p.n))
+    u = rng.random((lo.shape[1], per_cell, p.n)).T
     # lo + (margin + u * (1 - 2 margin)) * width, computed in place
-    pts *= 1.0 - 2.0 * margin
+    pts = np.multiply(u, 1.0 - 2.0 * margin, out=np.empty(u.shape))
     pts += margin
     pts *= (hi - lo)[:, None, :]
     pts += lo[:, None, :]
     return pts
 
 
+# subcell samples mapped per pass while sample_points fills its output
+_FILL = 65_536
+
+
 def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0) -> np.ndarray:
-    """Deterministic off-skeleton verification samples.
+    """Deterministic off-skeleton verification samples, (N, n).
 
     Draws ``per_cell`` points in every subcell, each at distance at least
     ``margin`` times the subcell width from every face, so no sample can
     lie on the skeleton.  Sample ``i`` is drawn in subcell
     ``i // per_cell`` of the flat order of ``subcell_bounds``.  The array
     is one ``default_rng(seed).random`` draw over all samples, mapped into
-    their subcells, so it equals the concatenation of ``_sample_chunk``
-    over any split of the subcells into consecutive chunks.
+    their subcells, so it equals ``_sample_chunk`` over any split of the
+    subcells into consecutive chunks, each transposed back to (count,
+    per_cell, n).  It is filled chunk by chunk, so no second array of
+    all samples is made.
     """
     _check_sampling(per_cell, margin)
-    return _sample_chunk(p, per_cell, margin, seed, 0, p.total_subcells).reshape(-1, p.n)
+    S = p.total_subcells
+    out = np.empty((S, per_cell, p.n))
+    step = max(1, _FILL // per_cell)
+    for first in range(0, S, step):
+        out[first: first + step] = _sample_chunk(p, per_cell, margin, seed, first, step).T
+    return out.reshape(-1, p.n)

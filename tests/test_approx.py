@@ -651,6 +651,7 @@ def test_check_residual_rejects_skeleton_samples(monkeypatch):
     ("outside", "point outside domain"),
     # off the skeleton, but in a subcell other than the one it was drawn in
     ("neighbour", None),
+    ("nan", None),
 ])
 def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message):
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
@@ -659,17 +660,19 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
     draw = ocm.approx._sample_chunk
 
     def moved(p, per_cell, margin, seed, first, count):
-        # the chunk drawer's (count, per_cell, n) block; sample 5 of the set
-        # is row 5 // per_cell - first, column 5 % per_cell
+        # the chunk drawer's (n, per_cell, count) block; sample 5 of the set
+        # is column 5 // per_cell - first, row 5 % per_cell
         pts = draw(p, per_cell, margin, seed, first, count)
         lo, hi = p.subcell_bounds()
         s = 5 // per_cell
-        if first <= s < first + len(pts):
-            at = pts[s - first, 5 % per_cell]
+        if first <= s < first + pts.shape[2]:
+            at = pts[:, 5 % per_cell, s - first]
             if move == "face":
                 at[0] = hi[s, 0]
             elif move == "outside":
                 at[0] = 1.5
+            elif move == "nan":
+                at[1] = np.nan
             else:
                 at[:] = 0.5 * (lo[s + 1] + hi[s + 1])
         return pts
@@ -678,7 +681,7 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
     ocm.approx._drawn_set(fine, 3, 0.05, 0).kept()
     monkeypatch.setattr(ocm.approx, "_sample_chunk", moved)
     monkeypatch.setattr(ocm.approx, "sample_points", lambda p, per_cell, margin, seed:
-                        moved(p, per_cell, margin, seed, 0, p.total_subcells).reshape(-1, p.n))
+                        moved(p, per_cell, margin, seed, 0, p.total_subcells).T.reshape(-1, p.n))
     for use in (lambda: place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3),
                 lambda: ocm.approx._drawn_set(fine, 3, 0.05, 0).kept()):
         with pytest.raises(ValueError) as exc:  # streamed, then kept
@@ -783,6 +786,38 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     assert all(repr(cert) == repr(certs[0]) for cert in certs)
 
 
+@pytest.mark.parametrize("per_cell", [3, 7])
+def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypatch, per_cell):
+    # a chunk's samples sit subcell axis last, so its flat position j holds
+    # sample (first + j % count) * per_cell + j // count; the offenders, ties
+    # in excess broken by sample index, must be those of the same samples
+    # passed as caller samples, which are folded in sample order; chunks
+    # hold 6 or 2 subcells, so the tied subcells 4 and 5 share one
+    monkeypatch.setattr(ocm.approx, "CHUNK", 20)
+    sys_ = parse_system("u1", 2, 1, 0)
+    base = build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2))
+    p = CellPartition(base.bounds, base.cell_edges, [[2, 3], [1, 1], [3, 2], [2, 2]])
+    values = np.zeros(p.total_subcells)
+    values[[4, 5]] = 0.5
+    values[[2, 13]] = 0.3
+    U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(-1, 1, 1),
+                      centers=p.subcell_centers())
+    rhs = rhs_from_exprs(["0"], 2)
+    drawn = ocm.approx._drawn_set(p, per_cell, 0.05, 6)
+    pts = sample_points(p, per_cell, 0.05, 6)
+    index = {tuple(map(float, q)): i for i, q in enumerate(pts)}
+    r = np.repeat(values, per_cell)
+    expect = np.argsort(-np.abs(r), kind="stable")[:5].tolist()
+    caller = check_residual(sys_, U, rhs, 0.1, pts).components[0]
+    assert [index[pt] for pt, _ in caller.offenders] == expect
+    for source in (drawn, drawn.kept()):
+        for workers in (1, 2):
+            (c,) = check_residual(sys_, U, rhs, 0.1, source, workers=workers).components
+            assert not c.passed and c.samples == len(pts)
+            assert [index[pt] for pt, _ in c.offenders] == expect
+            assert c.offenders == caller.offenders
+
+
 def test_streamed_certificate_peaks_below_one_sample_array():
     # 2^21 drawn samples in 2D: the whole (N, n) array would be 32 MiB
     import tracemalloc
@@ -847,10 +882,16 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
         drawn = ocm.approx._drawn_set(p, per_cell, 0.05, per_cell)
         kept = drawn.kept()
         pts = kept.pts.reshape(-1, n)
-        loc, _ = p.locate(pts)
+        # the kept set in the subcell-last order of a chunk, (n, per_cell, S)
+        # and its flat (n, per_cell * S) rows, located point by point
+        grouped = kept.pts.T
+        flat = grouped.reshape(n, -1)
+        loc, _ = p.locate(flat.T)
         np.testing.assert_array_equal(
-            ocm.approx._operator_values(system, U.coeffs[:, None], U.centers[:, None], kept.pts),
-            ocm.approx._operator_values(system, U.coeffs[loc], U.centers[loc], pts))
+            ocm.approx._operator_values(system, U.coeffs.transpose(1, 2, 0)[:, :, None],
+                                        U.centers.T[:, None], grouped),
+            ocm.approx._operator_values(system, U.coeffs[loc].transpose(1, 2, 0), U.centers[loc].T,
+                                        flat))
         for eps in (0.1, 1e3):
             for workers in (1, 2):
                 located = check_residual(system, U, rhs, eps, kept, workers=workers)
@@ -858,6 +899,44 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
                 streamed = check_residual(system, U, rhs, eps, drawn, workers=workers)
                 assert located == lookup == streamed
                 assert located.components[0].samples == len(pts)
+
+
+def _subset_system(n, K, m, rng):
+    """A system that reads a random strict subset of its jet slots, each
+    component a sum of some of them and, when it reads two, their product."""
+    alphas = ocm.expr.multi_indices(n, m)
+    slots = [(j, alpha) for j in range(1, K + 1) for alpha in alphas]
+    read = [slots[s] for s in sorted(rng.choice(len(slots), rng.integers(1, len(slots)),
+                                                replace=False))]
+    comps = []
+    for i in range(K):
+        mine = [f"D(u{j},({','.join(map(str, alpha))}))" for j, alpha in read[i::K]]
+        terms = [f"{0.5 + 0.25 * k}*{t}" for k, t in enumerate(mine)] + [f"x1*x{n}"]
+        comps.append(" + ".join(terms + (["*".join(mine[:2])] if len(mine) > 1 else [])))
+    return parse_system("; ".join(comps), n, K, m), read
+
+
+@pytest.mark.parametrize("n,K,m", list(itertools.product((1, 2, 3), (1, 2), (1, 2))))
+def test_read_slot_operator_values_equal_full_jets(n, K, m):
+    # _operator_values builds only the jet slots its system reads; every
+    # component must equal its evaluation on the full jets, bit for bit
+    rng = np.random.default_rng(1000 + 100 * n + 10 * K + m)
+    for _ in range(3):
+        system, read = _subset_system(n, K, m, rng)
+        A = len(system.alphas)
+        slots = ocm.approx._read_slots(system)
+        assert len(slots) < K * A
+        assert slots == tuple((j - 1, system.alphas.index(alpha)) for j, alpha in read)
+        count, per_cell = 11, 3
+        coeffs = rng.normal(size=(K, A, 1, count))
+        centers = rng.uniform(-1.0, 1.0, (n, 1, count))
+        pts = centers + rng.uniform(-0.5, 0.5, (n, per_cell, count))
+        every = list(itertools.product(range(K), range(A)))
+        XI = ocm.approx._jets_from_coeffs(coeffs, centers, system.alphas, pts, every)
+        X, XI = pts.reshape(n, -1), XI.reshape(K * A, -1)
+        ref = np.stack([eval_component_batch(system, i, X, XI) for i in range(K)])
+        np.testing.assert_array_equal(ocm.approx._operator_values(system, coeffs, centers, pts),
+                                      ref)
 
 
 def test_band_ok_equals_repeated_pieces():
@@ -873,18 +952,22 @@ def test_band_ok_equals_repeated_pieces():
     deltas = rng.uniform(0.01, 0.5, B)
     pts, inside = ocm.approx._ball_points(x0s, deltas, box)
     P = pts.shape[1]
-    flat = pts.reshape(-1, 2)
-    ref = ocm.approx._operator_values(system, np.repeat(coeffs, P, axis=0),
-                                      np.repeat(x0s, P, axis=0), flat)
+    assert pts.shape == (2, P, B) and inside.shape == (P, B)
+    # flat position p * B + b holds ball point p of center b: each piece
+    # repeated once per ball point, in that order
+    flat = pts.reshape(2, -1)
+    ref = ocm.approx._operator_values(system, np.tile(coeffs.transpose(1, 2, 0), P),
+                                      np.tile(x0s.T, P), flat)
     np.testing.assert_array_equal(
-        ocm.approx._operator_values(system, coeffs[:, None], x0s[:, None], pts), ref)
-    ref -= rhs(flat)
+        ocm.approx._operator_values(system, coeffs.transpose(1, 2, 0)[:, :, None],
+                                    x0s.T[:, None], pts), ref)
+    ref -= rhs(flat.T)
     assert np.all(ref < 0)
     # the band width each center needs, from the repeated reference
-    need = -np.where(inside, ref.min(axis=0).reshape(B, P), np.inf).min(axis=1)
+    need = -np.where(inside, ref.min(axis=0).reshape(P, B), np.inf).min(axis=0)
     for eps in np.quantile(need, [0.2, 0.5, 0.8]):
-        ok = np.all(np.isfinite(ref) & (ref <= 1e-9) & (ref >= -eps - 1e-9), axis=0).reshape(B, P)
-        expect = np.all(ok | ~inside, axis=1)
+        ok = np.all(np.isfinite(ref) & (ref <= 1e-9) & (ref >= -eps - 1e-9), axis=0).reshape(P, B)
+        expect = np.all(ok | ~inside, axis=0)
         assert 0 < expect.sum() < B
         got = ocm.approx._band_ok(system, rhs, x0s, coeffs, deltas, box, eps, 1e-9)
         np.testing.assert_array_equal(got, expect)
@@ -898,14 +981,17 @@ def test_piece_jets_match_broadcast_copies():
     U = PiecewisePoly(build_partition(Box((-3.0,) * 3, (3.0,) * 3), 1), alphas, coeffs[None],
                       np.asarray([center]))
     pts = rng.uniform(-2.0, 2.0, (50, 3))
-    # the per-point copies the piece used to be broadcast into
-    copies = ocm.approx._jets_from_coeffs(np.broadcast_to(coeffs, (50,) + coeffs.shape),
-                                          np.broadcast_to(np.asarray(center), pts.shape), alphas, pts)
+    # the per-point copies the piece used to be broadcast into, point axis last
+    every = list(itertools.product(range(2), range(len(alphas))))
+    copies = ocm.approx._jets_from_coeffs(np.broadcast_to(coeffs[..., None], coeffs.shape + (50,)),
+                                          np.broadcast_to(np.asarray(center)[:, None], (3, 50)),
+                                          alphas, pts.T, every)
     jets = U.jets(pts)
+    assert jets.shape == (50, 2, len(alphas))
     dx = pts - np.asarray(center)
     for j, (b, beta) in itertools.product((1, 2), enumerate(alphas)):
         got = jets[:, j - 1, b]
-        np.testing.assert_array_equal(got, copies[:, j - 1, b])
+        np.testing.assert_array_equal(got, copies[j - 1, b])
         closed = np.zeros(len(pts))
         for a, alpha in enumerate(alphas):
             if all(x >= y for x, y in zip(alpha, beta)):

@@ -248,8 +248,27 @@ def test_chunked_draws_equal_one_draw(per_cell):
     step = max(1, 65536 // per_cell)
     for cuts in ([0, S], list(range(0, S, step)) + [S], [0, 1, 2, S], [0] + sorted(rng.choice(
             np.arange(1, S), 2, replace=False).tolist()) + [S]):
+        # each chunk is (n, per_cell, count), subcell axis last
         chunks = [_sample_chunk(p, per_cell, margin, seed, a, b - a) for a, b in zip(cuts, cuts[1:])]
-        np.testing.assert_array_equal(np.concatenate(chunks), one)
+        assert all(c.shape == (n, per_cell, b - a) for c, a, b in zip(chunks, cuts, cuts[1:]))
+        np.testing.assert_array_equal(np.concatenate(chunks, axis=2), one.T)
+
+
+def test_sample_points_peaks_below_one_and_a_half_outputs():
+    # the (N, n) output is filled chunk by chunk from the subcell-last
+    # draws; a whole-set transpose would hold a second array of all samples
+    import tracemalloc
+
+    p = build_partition(Box((0.0, 0.0), (1.0, 1.0)), (256, 256))
+    p.subcell_bounds()  # the partition's own cache, not the sampler's
+    tracemalloc.start()
+    try:
+        pts = sample_points(p, per_cell=16, margin=0.05, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (2**20, 2)
+    assert peak < 1.6 * pts.nbytes
 
 
 def test_sample_points_deterministic():
