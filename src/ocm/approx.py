@@ -20,16 +20,21 @@ centres or samples, so their working memory does not grow with the
 partition.  ``global_approx`` is the two stages in sequence;
 ``local_approx`` is the probe stage for a single point.
 
-Every batch of points is held subcell axis last: a certificate chunk's
-samples are an (n, per_cell, count) array, its subcell bounds (n, 1,
-count), its pieces' coefficients (K, A, 1, count) and its jets (K, A,
-per_cell, count), and a probe's ball points (n, P, B) likewise.  numpy
-runs its innermost loop along the last axis, so each piece broadcast
-over its own samples is one loop over the chunk's subcells, where a
-trailing coordinate axis would make it a loop over n = 2 or 3 values,
-repeated once per sample.  Only the jet slots the system reads are
-built.  The layout only decides which loop numpy runs innermost, not
-the operations on any element, so it cannot move a certificate.
+Every per-subcell and per-probe array is stored subcell axis last, the
+way the kernels read it: subcell bounds and centres (n, S), piece
+coefficients (K, A, S), jet-solve targets (K, S) and jets (M, S), probe
+points (n, B), and a kept sample set as the (n, per_cell, count) chunks
+the certificate reads, against which a chunk's pieces are sliced to
+(K, A, 1, count).  numpy runs its innermost loop along the last axis, so
+each piece broadcast over its own samples is one loop over the chunk's
+subcells, not a loop over n = 2 or 3 coordinates repeated per sample.
+Only the jet slots the system reads are built.  The layout decides which
+loop numpy runs innermost, not the operations on any element, so it
+cannot move a certificate.  Only the point-first public boundaries
+transpose: ``sample_points`` returns (N, n), caller samples passed to
+``check_residual`` are (N, n), a right-hand side maps (N, n) to (K, N),
+``PiecewisePoly.jets`` maps (N, n) to (N, K, A), and ``taylor_poly`` and
+``local_approx`` take centre points.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation.  A pivot that enters its equation affinely is solved
@@ -235,12 +240,13 @@ def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.nd
 
 @dataclass
 class PiecewisePoly:
-    """One Taylor piece per subcell, smooth off the face skeleton."""
+    """One Taylor piece per subcell, smooth off the face skeleton; its
+    arrays are stored subcell axis last, as the partition's bounds are."""
 
     partition: CellPartition
     alphas: tuple[tuple[int, ...], ...]
-    coeffs: np.ndarray  # (S, K, A)
-    centers: np.ndarray  # (S, n)
+    coeffs: np.ndarray  # (K, A, S)
+    centers: np.ndarray  # (n, S)
 
     @property
     def skeleton(self) -> Skeleton:
@@ -248,11 +254,11 @@ class PiecewisePoly:
 
     @property
     def K(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[0]
 
     @property
     def n_pieces(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[2]
 
     def jets(self, pts: np.ndarray) -> np.ndarray:
         """Full jets (N, K, A) at off-skeleton points; on-face points raise."""
@@ -261,16 +267,16 @@ class PiecewisePoly:
         if on_face.any():
             raise ValueError("point lies on the skeleton; jets undefined there")
         every = list(itertools.product(range(self.K), range(len(self.alphas))))
-        jets = _jets_from_coeffs(self.coeffs[loc].transpose(1, 2, 0), self.centers[loc].T,
-                                 self.alphas, pts.T, every)
+        jets = _jets_from_coeffs(self.coeffs[:, :, loc], self.centers[:, loc], self.alphas,
+                                 pts.T, every)
         return jets.transpose(2, 0, 1)
 
 
 def _taylor_coeffs(alphas, jets: np.ndarray) -> np.ndarray:
-    """Piece coefficients (S, K, A), c = xi / alpha!, from jet vectors
-    (S, K * A) in the slot order of PdeSystem.slot."""
+    """Piece coefficients (K, A, S), c = xi / alpha!, from jet vectors
+    (K * A, S) in the slot order of PdeSystem.slot."""
     factorials = np.asarray([ex.multi_factorial(a) for a in alphas])
-    return jets.reshape(len(jets), -1, len(alphas)) / factorials
+    return jets.reshape(-1, len(alphas), jets.shape[1]) / factorials[:, None]
 
 
 def taylor_poly(p: CellPartition, centers, xis) -> PiecewisePoly:
@@ -291,8 +297,8 @@ def taylor_poly(p: CellPartition, centers, xis) -> PiecewisePoly:
     keys = [(j, a) for j in range(1, K + 1) for a in alphas]
     if any(set(v) != set(keys) for v in values):
         raise ValueError("jet is not complete over components x multi-indices")
-    jets = np.asarray([[v[k] for k in keys] for v in values], dtype=float)
-    return PiecewisePoly(p, alphas, _taylor_coeffs(alphas, jets), centers)
+    jets = np.asarray([[v[k] for v in values] for k in keys], dtype=float)
+    return PiecewisePoly(p, alphas, _taylor_coeffs(alphas, jets), centers.T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +522,7 @@ class _JetSolve:
 def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> _JetSolve:
     """Solve the pivot slots so every component meets its target at its center.
 
-    centers: (S, n); targets: (S, K).  Equations are solved in order; if
+    centers: (n, S); targets: (K, S).  Equations are solved in order; if
     pivot slots couple equations, extra sweeps run until every residual
     is within SOLVE_TOL.  A pivot that enters its equation affinely is
     solved in closed form, and only the points that closed form misses go
@@ -526,9 +532,9 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     would get alone.  A point whose target is not finite fails before any
     scan.
     """
-    S = len(centers)
+    X = centers
+    S = X.shape[1]
     K = system.K
-    X = centers.T.copy()
     if anchor is None:
         XI = np.zeros((system.M, S))
     else:
@@ -560,11 +566,11 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
 
     live = np.arange(S)
     for i in range(K):
-        mark(live, ~np.isfinite(targets[:, i]), _NO_TARGET, i)
+        mark(live, ~np.isfinite(targets[i]), _NO_TARGET, i)
     for _ in range(SWEEPS):
         whole = len(live) == S
-        Xs, XIs, Ts = (X, XI, targets) if whole else (X[:, live], XI[:, live], targets[live])
-        gs = [residual(i, Xs, XIs, Ts[:, i]) for i in range(K)]
+        Xs, XIs, Ts = (X, XI, targets) if whole else (X[:, live], XI[:, live], targets[:, live])
+        gs = [residual(i, Xs, XIs, Ts[i]) for i in range(K)]
         for i in range(K):
             row = pivot_rows[i]
             if row is None:
@@ -576,7 +582,7 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
             rest = np.flatnonzero(~_affine_root(gs[i], XIs[row]))
             if len(rest):
                 X_rest, XI_rest = Xs[:, rest], XIs[:, rest]
-                found = _bracket_root(residual(i, X_rest, XI_rest, Ts[rest, i]), XI_rest[row])
+                found = _bracket_root(residual(i, X_rest, XI_rest, Ts[i, rest]), XI_rest[row])
                 XIs[row, rest] = XI_rest[row]
                 mark(live[rest], ~found, _NO_SIGN_CHANGE, i)
         resid = np.abs(np.stack([g() for g in gs]))
@@ -611,7 +617,7 @@ def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, 
     if pivots is None:
         pivots = default_pivots(system)
     anchor_vec = None if anchor is None else anchor.as_vector(system)
-    solve = _solve_jets(system, np.asarray([x0]), target.reshape(1, -1), anchor_vec, pivots)
+    solve = _solve_jets(system, np.reshape(x0, (-1, 1)), target.reshape(-1, 1), anchor_vec, pivots)
     if solve.fail[0]:
         raise solve.error(0, x0)
     XI = solve.xi[:, 0]
@@ -631,14 +637,13 @@ def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndar
     """Deterministic verification samples in the closed ball around each
     center, clipped to the box, with the center itself last.
 
-    x0s: (B, n), deltas: (B,).  Returns points (n, P, B), centre axis
+    x0s: (n, B), deltas: (B,).  Returns points (n, P, B), centre axis
     last as in a certificate chunk, and a mask (P, B) of the grid points
     that lie in their ball.
     """
-    B, n = x0s.shape
-    x0 = x0s.T
-    lo = x0 - deltas
-    hi = x0 + deltas
+    n, B = x0s.shape
+    lo = x0s - deltas
+    hi = x0s + deltas
     if n == 1:
         pts = np.linspace(lo, hi, 33, axis=1)
         inside = np.ones(pts.shape[1:], dtype=bool)
@@ -648,19 +653,19 @@ def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndar
         mesh = np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")
         idx = np.stack([g.ravel() for g in mesh])  # (n, P)
         pts = grids[np.arange(n)[:, None], idx]
-        inside = np.linalg.norm(pts - x0[:, None], axis=0) <= deltas * (1 + 1e-12)
+        inside = np.linalg.norm(pts - x0s[:, None], axis=0) <= deltas * (1 + 1e-12)
     pts = np.clip(pts, np.reshape(box.lo, (n, 1, 1)), np.reshape(box.hi, (n, 1, 1)))
-    pts = np.concatenate([pts, x0[:, None]], axis=1)
+    pts = np.concatenate([pts, x0s[:, None]], axis=1)
     inside = np.concatenate([inside, np.ones((1, B), dtype=bool)])
     return pts, inside
 
 
 def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarray,
              box: Box, eps: float, eta: float) -> np.ndarray:
-    """Per center: does the residual of its piece stay in
-    [-eps - eta, eta] at every sample of its ball?"""
+    """Per center x0s (n, B), its piece coeffs (K, A, B): does the residual
+    stay in [-eps - eta, eta] at every sample of its ball?"""
     pts, inside = _ball_points(x0s, deltas, box)
-    r = _operator_values(system, coeffs.transpose(1, 2, 0)[:, :, None], x0s.T[:, None], pts)
+    r = _operator_values(system, coeffs[:, :, None], x0s[:, None], pts)
     r -= rhs(pts.reshape(len(pts), -1).T)
     ok = np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta), axis=0).reshape(inside.shape)
     return np.all(ok | ~inside, axis=0)
@@ -668,7 +673,7 @@ def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarra
 
 def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box,
            eta: float, pivots) -> tuple[np.ndarray, np.ndarray]:
-    """Validity radius (B,) and piece coefficients (B, K, A) at every probe point.
+    """Validity radius (B,) and piece coefficients (K, A, B) at probe points x0s (n, B).
 
     The jet at each point is solved for f(x0) - eps/2, centering the
     residual in the band; each point's radius starts at its entry of
@@ -676,16 +681,16 @@ def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box
     the error of the first point, in array order, whose solve fails or
     whose radius falls below the floor.
     """
-    B = len(x0s)
-    solve = _solve_jets(system, x0s, rhs(x0s).T - 0.5 * eps, None, pivots)
-    coeffs = _taylor_coeffs(system.alphas, solve.xi.T)
+    B = x0s.shape[1]
+    solve = _solve_jets(system, x0s, rhs(x0s.T) - 0.5 * eps, None, pivots)
+    coeffs = _taylor_coeffs(system.alphas, solve.xi)
     delta = np.array(start, dtype=float)
     floor = DELTA_FLOOR_FACTOR * max(box.sides)
     collapsed = np.zeros(B, dtype=bool)
     active = solve.fail == 0
     while active.any():
         idx = np.flatnonzero(active)
-        passed = _band_ok(system, rhs, x0s[idx], coeffs[idx], delta[idx], box, eps, eta)
+        passed = _band_ok(system, rhs, x0s[:, idx], coeffs[:, :, idx], delta[idx], box, eps, eta)
         active[idx[passed]] = False
         halve = idx[~passed]
         delta[halve] *= 0.5
@@ -696,8 +701,8 @@ def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box
     if bad.any():
         s = int(np.argmax(bad))
         if collapsed[s]:
-            raise DeltaCollapse(x0s[s], delta[s])
-        raise solve.error(s, x0s[s])
+            raise DeltaCollapse(x0s[:, s], delta[s])
+        raise solve.error(s, x0s[:, s])
     return delta, coeffs
 
 
@@ -714,7 +719,7 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    x0 = np.asarray(x0, dtype=float).reshape(-1, 1)
     if pivots is None:
         pivots = default_pivots(system)
     start = float(start_delta) if start_delta is not None else box.diameter
@@ -737,12 +742,13 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    fracs = np.asarray(list(itertools.product(_PROBE_FRACTIONS, repeat=p.n)))
-    boxes = [p.cell_box(c) for c in range(p.n_cells)]
-    lo = np.asarray([b.lo for b in boxes])
-    hi = np.asarray([b.hi for b in boxes])
-    x0s = (lo[:, None, :] + fracs * (hi - lo)[:, None, :]).reshape(-1, p.n)
-    start = np.repeat([b.diameter for b in boxes], len(fracs))
+    # (n, F) fractions, (n, n_cells) cell corners, (n, n_cells * F) probe points
+    fracs = np.stack([g.ravel() for g in np.meshgrid(*[_PROBE_FRACTIONS] * p.n, indexing="ij")])
+    where = p._cell_indices()
+    lo = np.stack([e[i] for e, i in zip(p.cell_edges, where)])
+    hi = np.stack([e[i + 1] for e, i in zip(p.cell_edges, where)])
+    x0s = (lo[:, :, None] + fracs[:, None, :] * (hi - lo)[:, :, None]).reshape(p.n, -1)
+    start = np.repeat([p.cell_box(c).diameter for c in range(p.n_cells)], fracs.shape[1])
     deltas, _ = _probe(system, rhs, x0s, start, eps, p.bounds, eta, default_pivots(system))
     return subdivide(p, float(deltas.min()))
 
@@ -753,37 +759,45 @@ class _DrawnSet:
     per_cell, margin, seed), sample i drawn in subcell i // per_cell and
     checked to lie strictly inside it.  As made, the set is streamed: each
     chunk is drawn and checked when check_residual reads it.  kept() holds
-    it whole, drawn and checked once, for certificates that share it."""
+    it whole, drawn and checked once, for certificates that share it, in
+    the (n, per_cell, count) chunks check_residual reads."""
 
     partition: CellPartition
     per_cell: int
     margin: float
     seed: int
-    pts: np.ndarray | None = field(default=None, compare=False, repr=False)  # (S, per_cell, n)
+    chunks: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return self.partition.total_subcells * self.per_cell
 
     def chunk(self, first: int, count: int) -> np.ndarray:
         """The samples of subcells first, ..., first + count - 1, (n,
-        per_cell, count), subcell axis last as _sample_chunk draws them; a
-        kept set's are copied out contiguous, so they flatten to (n, N)
-        rows without a second copy."""
-        if self.pts is not None:
-            return np.ascontiguousarray(self.pts[first: first + count].T)
+        per_cell, count), subcell axis last as _sample_chunk draws them.
+        A kept set hands out the chunk it holds, not a copy; its chunks
+        are count = CHUNK // per_cell subcells wide, the width
+        check_residual reads them in, so first is a multiple of count."""
+        if self.chunks is not None:
+            return self.chunks[first // count]
         at = _sample_chunk(self.partition, self.per_cell, self.margin, self.seed, first, count)
         _check_drawn(self.partition, first, at)
         return at
 
     def kept(self) -> "_DrawnSet":
-        """This set with every sample drawn and checked now, chunk by
-        chunk, and held."""
+        """This set with every sample drawn now, in one sample_points
+        call, re-laid chunk by chunk, checked, and held."""
         p = self.partition
         pts = sample_points(p, self.per_cell, self.margin, self.seed).reshape(-1, self.per_cell, p.n)
         step = max(1, CHUNK // self.per_cell)
+        chunks = []
         for first in range(0, len(pts), step):
-            _check_drawn(p, first, pts[first: first + step].T)
-        return replace(self, pts=pts)
+            block = pts[first: first + step]
+            laid = np.ascontiguousarray(block.T)
+            # re-laid into its own block of the draw, so the set is held once
+            chunks.append(block.reshape(laid.shape))
+            chunks[-1][...] = laid
+            _check_drawn(p, first, chunks[-1])
+        return replace(self, chunks=tuple(chunks))
 
 
 def _drawn_set(fine: CellPartition, samples_per_cell: int | None, margin: float,
@@ -801,10 +815,11 @@ def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
     inside subcell first + g' of p, g' its column, which proves its
     subcell and that it is inside the domain and off every face, so no
     drawn sample is searched for in the partition.  A non-finite sample
-    fails."""
-    g = drawn.shape[2]
-    lo, hi = (np.ascontiguousarray(b[first: first + g].T)[:, None] for b in p.subcell_bounds())
+    fails with its own error, before the domain and face tests."""
+    lo, hi = (b[:, None, first: first + drawn.shape[2]] for b in p.subcell_bounds())
     if not np.all((lo < drawn) & (drawn < hi)):
+        if not np.all(np.isfinite(drawn)):
+            raise ValueError("verification sample is not finite")
         box_lo, box_hi = (np.reshape(c, (-1, 1, 1)) for c in (p.bounds.lo, p.bounds.hi))
         if np.any(drawn < box_lo) or np.any(drawn > box_hi):
             raise ValueError("point outside domain")
@@ -812,7 +827,7 @@ def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
 
 
 def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) -> PiecewisePoly:
-    """One piece per subcell of fine, its jet solved for f - eps/2 at centers[s].
+    """One piece per subcell of fine, its jet solved for f - eps/2 at centers[:, s].
 
     The jets are solved CHUNK centres at a time into one coefficient
     array.  Every point's jet is the one it gets alone (_solve_jets), and
@@ -822,18 +837,19 @@ def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) ->
     if eps <= 0:
         raise ValueError("eps must be positive")
     pivots = default_pivots(system)
-    coeffs = np.empty((len(centers), system.K, len(system.alphas)))
+    S = centers.shape[1]
+    coeffs = np.empty((system.K, len(system.alphas), S))
     stalled = None  # (residual, error) of the worst point that did not converge
-    for s in range(0, len(centers), CHUNK):
-        at = centers[s: s + CHUNK]
-        solve = _solve_jets(system, at, rhs(at).T - 0.5 * eps, None, pivots)
+    for s in range(0, S, CHUNK):
+        at = centers[:, s: s + CHUNK]
+        solve = _solve_jets(system, at, rhs(at.T) - 0.5 * eps, None, pivots)
         w = solve.worst()
         if w is not None:
             if solve.fail[w] != _NOT_CONVERGED:
-                raise solve.error(w, at[w])
+                raise solve.error(w, at[:, w])
             if stalled is None or solve.residual[w] > stalled[0]:
-                stalled = solve.residual[w], solve.error(w, at[w])
-        coeffs[s: s + len(at)] = _taylor_coeffs(system.alphas, solve.xi.T)
+                stalled = solve.residual[w], solve.error(w, at[:, w])
+        coeffs[:, :, s: s + at.shape[1]] = _taylor_coeffs(system.alphas, solve.xi)
     if stalled is not None:
         raise stalled[1]
     return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)
@@ -951,8 +967,8 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
     in; every piece is then broadcast over its own samples instead of
     being gathered per sample.
 
-    Both sources take one path: chunks of about CHUNK samples, each drawn
-    or sliced as an (n, per_cell, count) array, subcell axis last,
+    Both sources take one path: chunks of about CHUNK samples, each drawn,
+    held or sliced as an (n, per_cell, count) array, subcell axis last,
     evaluated and folded into per-component extremes, undefined counts
     and top offenders, by ``workers`` threads; the folds merge in chunk
     order, so the certificate does not depend on workers.
@@ -980,8 +996,7 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
         at = chunk(s, step)
         rows = slice(s, s + at.shape[2]) if pick is None else pick[s: s + at.shape[2]]
         X = at.reshape(system.n, -1)
-        r = _operator_values(system, U.coeffs[rows].transpose(1, 2, 0)[:, :, None],
-                             U.centers[rows].T[:, None], at)
+        r = _operator_values(system, U.coeffs[:, :, None, rows], U.centers[:, None, rows], at)
         r -= rhs(X.T)
         return [_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)]
 

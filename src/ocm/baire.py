@@ -217,8 +217,8 @@ def _located_image(system: ex.PdeSystem, u: PiecewisePoly, axes: tuple, nodes: n
     vals = np.zeros((system.K, len(nodes)))
     if free.any():
         piece = loc[free]
-        vals[:, free] = _operator_values(system, u.coeffs[piece].transpose(1, 2, 0),
-                                         u.centers[piece].T, nodes[free].T)
+        vals[:, free] = _operator_values(system, u.coeffs[:, :, piece], u.centers[:, piece],
+                                         nodes[free].T)
     mask = on_face.reshape(tuple(len(a) for a in axes))
     return [nlsc_regularize(GridFn(axes, v.reshape(mask.shape), mask)) for v in vals]
 

@@ -44,13 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from . import filters as flt
-from .approx import (
-    DeltaCollapse,
-    RangeViolation,
-    certificate_csv_rows,
-    global_approx,
-    rhs_from_exprs,
-)
+from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, DeltaCollapse, RangeViolation,
+                     certificate_csv_rows, global_approx, rhs_from_exprs)
 from .baire import make_lattice
 from .domain import Box, build_partition
 from .expr import ParseError, parse_system
@@ -169,9 +164,9 @@ class ProblemConfig:
     epsilon: float
     refine_steps: int = 1
     samples_per_cell: int = 100
-    margin: float = 0.05
+    margin: float = DEFAULT_MARGIN
     seed: int = 0
-    eta: float = 1e-9
+    eta: float = DEFAULT_ETA
 
 
 def _require(section: dict, key: str, section_name: str):
@@ -209,11 +204,11 @@ def load_config(path) -> ProblemConfig:
         equations=tuple(str(s) for s in _require(sys_, "equations", "system")),
         rhs=tuple(str(s) for s in _require(sys_, "rhs", "system")),
         epsilon=floats([_require(slv, "epsilon", "solve")])[0],
-        refine_steps=ints([slv.get("refine_steps", 1)])[0],
-        samples_per_cell=ints([slv.get("samples_per_cell", 100)])[0],
-        margin=floats([slv.get("margin", 0.05)])[0],
-        seed=ints([slv.get("seed", 0)])[0],
-        eta=floats([slv.get("eta", 1e-9)])[0],
+        refine_steps=ints([slv.get("refine_steps", ProblemConfig.refine_steps)])[0],
+        samples_per_cell=ints([slv.get("samples_per_cell", ProblemConfig.samples_per_cell)])[0],
+        margin=floats([slv.get("margin", ProblemConfig.margin)])[0],
+        seed=ints([slv.get("seed", ProblemConfig.seed)])[0],
+        eta=floats([slv.get("eta", ProblemConfig.eta)])[0],
     )
     if len(cfg.lo) != cfg.n or len(cfg.hi) != cfg.n or len(cfg.cells) != cfg.n:
         raise ConfigError("lo, hi and cells must each have n entries")

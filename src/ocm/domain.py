@@ -83,7 +83,9 @@ class CellPartition:
     number of equal parts of cell ``c`` along axis ``d``: its subcell
     edges there are ``np.linspace(lo, hi, splits[c, d] + 1)`` over the
     cell's own side.  Subcells are numbered cell-major: cell 0's subcells
-    in C order over its own grid, then cell 1's, and so on.  ``delta``
+    in C order over its own grid, then cell 1's, and so on.  Per-subcell
+    arrays (``subcell_bounds``, ``subcell_centers``) are (n, S), subcell
+    axis last; points, as ``locate`` takes them, are (N, n).  ``delta``
     records the target diameter of the last subdivision.  A partition is
     not changed after construction; ``subdivide`` builds a new one.
     """
@@ -140,9 +142,9 @@ class CellPartition:
                 for k in np.unique(self.splits[:, d]).tolist()}
 
     def _subcell_widths(self) -> np.ndarray:
-        """Widest subcell side of every cell along every axis, (n_cells, n)."""
+        """Widest subcell side of every cell along every axis, (n_cells, n) like splits."""
         lo, hi = self.subcell_bounds()
-        return np.maximum.reduceat(hi - lo, self._offsets[:-1], axis=0)
+        return np.maximum.reduceat(hi - lo, self._offsets[:-1], axis=1).T
 
     # -- flat subcell enumeration ------------------------------------------
 
@@ -156,30 +158,29 @@ class CellPartition:
         return int(self.splits.prod(axis=1).sum())
 
     def subcell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners of all subcells, cell-major flat order,
-        (S, n); built on the first call and shared, read-only, after it."""
+        """Lower and upper corners of all subcells, (n, S), cell-major flat
+        order; built on the first call and shared, read-only, after it."""
         if self._bounds is not None:
             return self._bounds
         offsets = self._offsets
-        lo = np.empty((offsets[-1], self.n))
+        lo = np.empty((self.n, offsets[-1]))
         hi = np.empty_like(lo)
         axes = [self._axis_edges(d) for d in range(self.n)]
         where = self._cell_indices()
         for c in range(self.n_cells):
             counts = self.splits[c].tolist()
-            lo_c = lo[offsets[c]: offsets[c + 1]].reshape(counts + [self.n])
-            hi_c = hi[offsets[c]: offsets[c + 1]].reshape(counts + [self.n])
             for d, k in enumerate(counts):
                 i = where[d][c]
                 e = axes[d][k][i * k: (i + 1) * k + 1]
                 along = [-1 if a == d else 1 for a in range(self.n)]
-                lo_c[..., d] = e[:-1].reshape(along)
-                hi_c[..., d] = e[1:].reshape(along)
+                lo[d, offsets[c]: offsets[c + 1]].reshape(counts)[...] = e[:-1].reshape(along)
+                hi[d, offsets[c]: offsets[c + 1]].reshape(counts)[...] = e[1:].reshape(along)
         lo.flags.writeable = hi.flags.writeable = False
         self._bounds = lo, hi
         return self._bounds
 
     def subcell_centers(self) -> np.ndarray:
+        """Centre of every subcell, (n, S)."""
         lo, hi = self.subcell_bounds()
         return 0.5 * (lo + hi)
 
@@ -189,7 +190,7 @@ class CellPartition:
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map points (N, n) to flat subcell indices; also flag points
         lying exactly on any cell or subcell face.  Points outside the
-        bounding box, and non-finite points, raise ValueError.
+        box, non-finite points and other shapes raise ValueError.
 
         The cell comes from the cell edges, then the subcell from that
         cell's own edges, which include its boundary: a point is on a
@@ -198,6 +199,8 @@ class CellPartition:
         once.
         """
         pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise ValueError(f"points must be an (N, {self.n}) array, got shape {pts.shape}")
         if not np.all((pts >= self.bounds.lo) & (pts <= self.bounds.hi)):
             raise ValueError("point outside domain")
         where = [_edge_index(edges, pts[:, d])[0] for d, edges in enumerate(self.cell_edges)]
@@ -293,7 +296,7 @@ def _sample_chunk(p: CellPartition, per_cell: int, margin: float, seed: int,
     The draw keeps its own (count, per_cell, n) order and is mapped into
     the subcell-last array, so every step runs over the chunk's subcells
     in numpy's innermost loop, not over its n coordinates."""
-    lo, hi = (np.ascontiguousarray(b[first: first + count].T) for b in p.subcell_bounds())
+    lo, hi = (b[:, first: first + count] for b in p.subcell_bounds())
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(first * per_cell * p.n)  # one 64-bit step per double
     u = rng.random((lo.shape[1], per_cell, p.n)).T

@@ -161,19 +161,6 @@ class PdeSystem:
         """Flat index of jet slot (comp, alpha) in a jet vector."""
         return (comp - 1) * len(self.alphas) + self.alphas.index(tuple(alpha))
 
-    def validate(self) -> None:
-        if len(self.components) != self.K:
-            raise ValueError("component count does not match K")
-        for tree in self.components:
-            for node in _walk(tree):
-                if isinstance(node, Jet):
-                    if not (1 <= node.comp <= self.K):
-                        raise ValueError(f"unknown u{node.comp}: index out of 1..{self.K}")
-                    if len(node.alpha) != self.n or sum(node.alpha) > self.m:
-                        raise ValueError(f"bad multi-index {node.alpha}")
-                if isinstance(node, Coord) and not (1 <= node.axis <= self.n):
-                    raise ValueError(f"unknown x{node.axis}: index out of 1..{self.n}")
-
 
 def _walk(tree: Expr):
     yield tree
@@ -389,9 +376,7 @@ def parse_system(text: str, n: int, K: int, m: int) -> PdeSystem:
     if len(components) != K:
         tok = tokens[-1]
         raise ParseError(f"found {len(components)} expressions, expected K={K}", tok.line, tok.col)
-    system = PdeSystem(n=n, K=K, m=m, components=tuple(components))
-    system.validate()
-    return system
+    return PdeSystem(n=n, K=K, m=m, components=tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, expr as ex
-from .approx import PiecewisePoly, ResidualCertificate, _drawn_set, _place, global_approx
+from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertificate, _drawn_set,
+                     _place, global_approx)
 from .baire import GridFn, EnvelopePair, _located_image, lattice_nodes, nlsc_regularize, operator_image
 from .domain import CellPartition, Skeleton
 
@@ -197,8 +198,8 @@ def _sup_gap(a: GridFn, b: GridFn) -> float:
 
 
 def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axes, *,
-                    eta: float = 1e-9, seed: int = 0, samples_per_cell: int | None = None,
-                    margin: float = 0.05, workers: int = 1) -> SolutionTrace:
+                    eta: float = DEFAULT_ETA, seed: int = 0, samples_per_cell: int | None = None,
+                    margin: float = DEFAULT_MARGIN, workers: int = 1) -> SolutionTrace:
     """Run the band construction for eps = 1, 1/2, ..., 1/n_max.
 
     The partition is planned once, by global_approx at eps = 1/n_max,

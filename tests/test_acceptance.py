@@ -64,7 +64,7 @@ def test_c1_one_sided_band(suite_runs):
 
 def test_c2_center_residual_identity(suite_runs):
     for (name, eps), (system, rhs, U, cert, wall) in suite_runs.items():
-        centers = U.centers
+        centers = U.centers.T  # jets take points (N, n)
         jets = U.jets(centers)
         XI = jets.reshape(len(centers), -1).T
         fv = rhs(centers)

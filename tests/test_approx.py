@@ -95,7 +95,7 @@ def test_taylor_poly_one_piece_per_subcell():
     U = taylor_poly(p, [(0.25,), (0.75,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0},
                                             {(1, (0,)): -1.0, (1, (1,)): 0.5}])
     assert U.partition is p and U.K == 1 and U.alphas == ((0,), (1,))
-    np.testing.assert_array_equal(U.centers, [[0.25], [0.75]])
+    np.testing.assert_array_equal(U.centers, [[0.25, 0.75]])
     np.testing.assert_allclose(_values(U, [[0.1], [0.9]]), [1.0 - 0.3, -1.0 + 0.075], atol=1e-15)
     with pytest.raises(ValueError, match="not complete"):
         taylor_poly(p, [(0.25,), (0.75,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0}, {(1, (0,)): 1.0}])
@@ -229,10 +229,12 @@ def test_solve_jet_failure_reasons(eqs, K, target, component, reason):
 
 
 def _solve_batch_and_alone(sys_, x, targets):
-    """_solve_jets on the whole batch and on each point alone."""
+    """_solve_jets on the whole batch, centres x (n, S) and targets (K, S),
+    and on each point alone."""
     pivots = default_pivots(sys_)
     batch = _solve_jets(sys_, x, targets, None, pivots)
-    alone = [_solve_jets(sys_, x[k:k + 1], targets[k:k + 1], None, pivots) for k in range(len(x))]
+    alone = [_solve_jets(sys_, x[:, k:k + 1], targets[:, k:k + 1], None, pivots)
+             for k in range(x.shape[1])]
     return batch, alone
 
 
@@ -262,8 +264,8 @@ def test_batch_solve_matches_each_point_alone():
         (-2.0, 1.0),  # bracket [-1, 0], root near -0.3
         (0.25, F(0.25, 1.5)),  # bracket [1, 2]
     ]
-    x = np.asarray([[a] for a, _ in cases])
-    targets = np.asarray([[c] for _, c in cases])
+    x = np.asarray([[a for a, _ in cases]])
+    targets = np.asarray([[c for _, c in cases]])
     batch, alone = _solve_batch_and_alone(hole, x, targets)
     for k, one in enumerate(alone):
         assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), cases[k]
@@ -276,9 +278,9 @@ def test_batch_solve_matches_each_point_alone():
     # coupled K=2: equation 1 needs u2 from equation 2, so every point takes
     # two sweeps; exp(u2) = -1 has no sign change
     coupled = parse_system("u1 + sqrt(u2)\nexp(u2)", 1, 2, 0)
-    x = np.asarray([[0.0], [0.5], [1.0], [0.75]])
-    targets = np.asarray([[10.0, math.exp(5.0)], [-300.0, math.exp(100.0)], [7.0, -1.0],
-                          [6.0, np.inf]])
+    x = np.asarray([[0.0, 0.5, 1.0, 0.75]])
+    targets = np.asarray([[10.0, -300.0, 7.0, 6.0],
+                          [math.exp(5.0), math.exp(100.0), -1.0, np.inf]])
     batch, alone = _solve_batch_and_alone(coupled, x, targets)
     for k, one in enumerate(alone):
         assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), k
@@ -292,8 +294,8 @@ def test_bisection_stops_each_point_on_its_own():
     # wide; next to a root at 100, whose bracket never gets that narrow,
     # it used to keep halving and end one ulp lower
     cube = parse_system("u1^3 + u1", 1, 1, 0)
-    x = np.asarray([[0.25], [0.25]])
-    targets = np.asarray([[0.3], [100.0**3 + 100.0]])
+    x = np.asarray([[0.25, 0.25]])
+    targets = np.asarray([[0.3, 100.0**3 + 100.0]])
     batch, alone = _solve_batch_and_alone(cube, x, targets)
     assert batch.xi[0, 0] == alone[0].xi[0, 0] == 0.27841799032181
     assert batch.xi[0, 1] == alone[1].xi[0, 0] == 100.0
@@ -304,8 +306,8 @@ def test_converged_points_leave_the_sweeps():
     # the first point converges in one sweep (1e-12 * u2 stays below
     # SOLVE_TOL); the second needs another, which must not re-solve the first
     coupled = parse_system("u1 + 1e-12*u2\nu2^3 + u2", 1, 2, 0)
-    x = np.asarray([[0.25], [0.25]])
-    targets = np.asarray([[1.0, 0.3], [1.0, 1000.0**3 + 1000.0]])
+    x = np.asarray([[0.25, 0.25]])
+    targets = np.asarray([[1.0, 1.0], [0.3, 1000.0**3 + 1000.0]])
     batch, alone = _solve_batch_and_alone(coupled, x, targets)
     for k, one in enumerate(alone):
         assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), k
@@ -316,7 +318,7 @@ def test_converged_points_leave_the_sweeps():
     # closed form fails there and the bracket scan finds no sign change;
     # the failure belongs to the second point, the only one still sweeping
     coupled = parse_system("u1*(1 - u2)\nu2^3 + u2", 1, 2, 0)
-    targets = np.asarray([[1.0, 0.0], [1.0, 2.0]])
+    targets = np.asarray([[1.0, 1.0], [0.0, 2.0]])
     batch, alone = _solve_batch_and_alone(coupled, x, targets)
     for k, one in enumerate(alone):
         assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), k
@@ -385,8 +387,8 @@ def _solve_without_closed_form(monkeypatch, sys_, x, targets):
 ])
 def test_affine_batch_matches_each_point_alone(monkeypatch, eqs, m, cases, closed, fails):
     sys_ = parse_system(eqs, 1, 1, m)
-    x = np.asarray([[a] for a, _ in cases])
-    targets = np.asarray([[c] for _, c in cases])
+    x = np.asarray([[a for a, _ in cases]])
+    targets = np.asarray([[c for _, c in cases]])
     batch, alone = _solve_batch_and_alone(sys_, x, targets)
     for k, one in enumerate(alone):
         assert one.xi.tobytes() == batch.xi[:, k:k + 1].tobytes(), cases[k]
@@ -409,14 +411,14 @@ def test_placement_non_convergence_reports_the_worst_center(monkeypatch):
     p = build_partition(UNIT, 8)
     U, _ = place_and_certify(sys_, rhs, p, 0.1)
     # m = 0: the coefficients are the solved jets themselves
-    resid = np.abs(eval_component_batch(sys_, 0, U.centers.T, U.coeffs[:, :, 0].T)
-                   - (rhs(U.centers)[0] - 0.05))
+    resid = np.abs(eval_component_batch(sys_, 0, U.centers, U.coeffs[:, 0])
+                   - (rhs(U.centers.T)[0] - 0.05))
     worst = int(np.argmax(resid))
     assert worst != 0 and resid[worst] > 0.0
     monkeypatch.setattr("ocm.approx.SOLVE_TOL", 0.0)
     with pytest.raises(RangeViolation) as exc:
         place_and_certify(sys_, rhs, p, 0.1)
-    assert exc.value.x == tuple(U.centers[worst])
+    assert exc.value.x == tuple(U.centers[:, worst])
     assert "did not converge" in str(exc.value)
 
 
@@ -442,10 +444,10 @@ def test_local_transport_example():
     # one piece, centred at x0, on the one cell of the box
     assert U.partition.bounds == UNIT and U.partition.total_subcells == 1
     np.testing.assert_array_equal(U.centers, [[0.5]])
-    assert U.coeffs[0, 0, 1] == pytest.approx(0.45, abs=1e-10)
+    assert U.coeffs[0, 1, 0] == pytest.approx(0.45, abs=1e-10)
     # residual 0.45 - x stays in [-0.1, 0] on [0.45, 0.55]
     xs = np.linspace(0.45, 0.55, 101).reshape(-1, 1)
-    r = U.coeffs[0, 0, 1] - xs[:, 0]
+    r = U.coeffs[0, 1, 0] - xs[:, 0]
     assert r.max() <= 1e-9 and r.min() >= -0.1 - 1e-9
 
 
@@ -545,13 +547,14 @@ def test_global_transport_matches_worked_example():
     assert cert.passed
     assert cert.max_residual <= 1e-9
     assert cert.min_residual >= -0.1 - 1e-9
-    # center residual identity: exactly -eps/2 up to solver tolerance
-    centers = U.centers
+    # center residual identity: exactly -eps/2 up to solver tolerance; jets
+    # take points (N, n), and the centres are stored (n, S)
+    centers = U.centers.T
     tv = U.jets(centers)[:, 0, 1]
     np.testing.assert_allclose(tv - centers[:, 0], -0.05, atol=1e-9)
     # a subcell face is skeleton, where no piece's jets are defined
     with pytest.raises(ValueError, match="on the skeleton"):
-        U.jets(np.concatenate([centers[:1], hi[:1]]))
+        U.jets(np.concatenate([centers[:1], hi.T[:1]]))
 
 
 def test_global_identity_operator_constant_residual():
@@ -614,13 +617,13 @@ def test_check_residual_detects_injected_fault():
         coeffs=U.coeffs.copy(),
         centers=U.centers,
     )
-    bad.coeffs[7, 0, 1] += 0.1  # push one piece's slope above the band
+    bad.coeffs[0, 1, 7] += 0.1  # push one piece's slope above the band
     samples = sample_points(U.partition, per_cell=200, margin=0.05, seed=5)
     cert = check_residual(sys_, rhs=rhs, U=bad, eps=0.1, samples=samples)
     assert not cert.passed
     lo, hi = bad.partition.subcell_bounds()
     offender = cert.components[0].offenders[0][0]
-    assert lo[7, 0] <= offender[0] <= hi[7, 0]
+    assert lo[0, 7] <= offender[0] <= hi[0, 7]
 
 
 def test_check_residual_empty_is_vacuous_but_flagged():
@@ -654,6 +657,8 @@ def test_check_residual_rejects_skeleton_samples(monkeypatch):
     ("nan", None),
 ])
 def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message):
+    if move == "nan":  # set here, not in the table, so the case keeps its test id
+        message = "verification sample is not finite"
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = subdivide(build_partition(SQUARE, 2), 0.3)
@@ -668,13 +673,13 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
         if first <= s < first + pts.shape[2]:
             at = pts[:, 5 % per_cell, s - first]
             if move == "face":
-                at[0] = hi[s, 0]
+                at[0] = hi[0, s]
             elif move == "outside":
                 at[0] = 1.5
             elif move == "nan":
                 at[1] = np.nan
             else:
-                at[:] = 0.5 * (lo[s + 1] + hi[s + 1])
+                at[:] = 0.5 * (lo[:, s + 1] + hi[:, s + 1])
         return pts
 
     place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)  # the set as drawn is accepted
@@ -699,11 +704,30 @@ def test_chunked_placement_equals_one_batch(monkeypatch, equation, degree):
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = subdivide(build_partition(SQUARE, 2), 0.15)
     centers = fine.subcell_centers()
-    assert len(centers) < ocm.approx.CHUNK
+    assert centers.shape[1] < ocm.approx.CHUNK
     whole = ocm.approx._place(sys_, rhs, fine, 0.1, centers)
     monkeypatch.setattr(ocm.approx, "CHUNK", 7)
     chunked = ocm.approx._place(sys_, rhs, fine, 0.1, centers)
-    assert len(centers) % 7 and chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+    assert centers.shape[1] % 7 and chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+
+
+def test_per_subcell_arrays_are_stored_subcell_axis_last():
+    # bounds, centres and pieces are stored the way the kernels read them:
+    # C-contiguous, subcell axis last, with no transposed view in between
+    sys_ = parse_system("D(u1,(1,0)) + u1; u2", 2, 2, 1)
+    rhs = rhs_from_exprs(["x1*x2", "x1"], 2)
+    base = build_partition(SQUARE, 2)
+    fine = CellPartition(base.bounds, base.cell_edges, [[2, 3], [1, 1], [3, 2], [2, 2]])
+    S, A = fine.total_subcells, len(sys_.alphas)
+    U, _ = place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
+    _, one = local_approx(sys_, rhs, (0.5, 0.5), 0.1, box=SQUARE)
+    line = taylor_poly(build_partition(UNIT, 2), [(0.25,), (0.75,)],
+                       [{(1, (0,)): 1.0, (1, (1,)): 2.0}, {(1, (0,)): -1.0, (1, (1,)): 0.5}])
+    lo, hi = fine.subcell_bounds()
+    for a, shape in [(lo, (2, S)), (hi, (2, S)), (fine.subcell_centers(), (2, S)),
+                     (U.centers, (2, S)), (U.coeffs, (2, A, S)), (one.centers, (2, 1)),
+                     (one.coeffs, (2, A, 1)), (line.centers, (1, 2)), (line.coeffs, (1, 2, 2))]:
+        assert a.shape == shape and a.flags.c_contiguous, shape
 
 
 def test_chunked_placement_raises_the_batch_error(monkeypatch):
@@ -714,14 +738,14 @@ def test_chunked_placement_raises_the_batch_error(monkeypatch):
     p = build_partition(UNIT, 8)
     rhs = rhs_from_exprs(["2 + x1"], 1)
     U, _ = place_and_certify(sys_, rhs, p, 0.1)
-    resid = np.abs(eval_component_batch(sys_, 0, U.centers.T, U.coeffs[:, :, 0].T)
-                   - (rhs(U.centers)[0] - 0.05))
+    resid = np.abs(eval_component_batch(sys_, 0, U.centers, U.coeffs[:, 0])
+                   - (rhs(U.centers.T)[0] - 0.05))
     worst = int(np.argmax(resid))
     assert worst >= 3 and resid[worst] > 0.0
     monkeypatch.setattr(ocm.approx, "SOLVE_TOL", 0.0)
     with pytest.raises(RangeViolation, match="did not converge") as exc:
         place_and_certify(sys_, rhs, p, 0.1)
-    assert exc.value.x == tuple(U.centers[worst])
+    assert exc.value.x == tuple(U.centers[:, worst])
     pole = rhs_from_exprs(["2 + x1 + 1/(x1 - 0.9375)^2"], 1)
     with pytest.raises(RangeViolation, match="right-hand side not finite") as exc:
         place_and_certify(sys_, pole, p, 0.1)
@@ -750,7 +774,7 @@ def _stepped_setup():
     values[[7, 30]] = 0.5
     values[33] = 0.3
     values[[20, 21]] = np.nan
-    U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(-1, 1, 1),
+    U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(1, 1, -1),
                       centers=p.subcell_centers())
     return sys_, rhs_from_exprs(["0"], 1), U
 
@@ -763,12 +787,12 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     monkeypatch.setattr(ocm.approx, "CHUNK", 10)
     sys_, rhs, U = _stepped_setup()
     if not undefined:
-        U.coeffs[[20, 21]] = 0.5
+        U.coeffs[:, :, [20, 21]] = 0.5
     eps, eta = 0.1, 1e-9
     drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 1)
     kept = drawn.kept()
     pts = sample_points(U.partition, 3, 0.05, 1)
-    r = np.repeat(U.coeffs[:, 0, 0], 3)
+    r = np.repeat(U.coeffs[0, 0], 3)
     finite = np.isfinite(r)
     excess = np.where(finite, np.maximum(r - eta, (-eps - eta) - r), np.inf)
     order = np.argsort(-excess, kind="stable")[:5]
@@ -786,6 +810,24 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     assert all(repr(cert) == repr(certs[0]) for cert in certs)
 
 
+def test_kept_set_hands_out_its_chunks_without_copying(monkeypatch):
+    # a kept set holds the (n, per_cell, count) chunks the certificate reads,
+    # so every step reads each chunk as it is held, not a copy of it
+    monkeypatch.setattr(ocm.approx, "CHUNK", 20)
+    sys_, rhs, U = _stepped_setup()
+    kept = ocm.approx._drawn_set(U.partition, 3, 0.05, 1).kept()
+    handed = []
+    chunk = ocm.approx._DrawnSet.chunk
+    monkeypatch.setattr(ocm.approx._DrawnSet, "chunk",
+                        lambda self, first, count: handed.append(chunk(self, first, count))
+                        or handed[-1])
+    for _ in range(2):
+        check_residual(sys_, U, rhs, 0.1, kept)
+    assert len(handed) == 2 * len(kept.chunks) and len(kept.chunks) > 1
+    for at, held in zip(handed, 2 * kept.chunks):
+        assert np.shares_memory(at, held) and at.shape == held.shape == (1, 3, held.shape[2])
+
+
 @pytest.mark.parametrize("per_cell", [3, 7])
 def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypatch, per_cell):
     # a chunk's samples sit subcell axis last, so its flat position j holds
@@ -800,7 +842,7 @@ def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypa
     values = np.zeros(p.total_subcells)
     values[[4, 5]] = 0.5
     values[[2, 13]] = 0.3
-    U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(-1, 1, 1),
+    U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(1, 1, -1),
                       centers=p.subcell_centers())
     rhs = rhs_from_exprs(["0"], 2)
     drawn = ocm.approx._drawn_set(p, per_cell, 0.05, 6)
@@ -874,24 +916,22 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
     p = build_partition(box, tuple(rng.integers(1, 3, n)))
     p = CellPartition(p.bounds, p.cell_edges, rng.integers(1, 4, (p.n_cells, n)))
     S, A = p.total_subcells, len(system.alphas)
-    U = PiecewisePoly(partition=p, alphas=system.alphas, coeffs=rng.normal(size=(S, K, A)),
+    U = PiecewisePoly(partition=p, alphas=system.alphas, coeffs=rng.normal(size=(K, A, S)),
                       centers=p.subcell_centers())
     # per_cell values that do not divide the 65,536-sample chunk, and one
     # above it, where a chunk is a single subcell
     for per_cell in [1, 3, 7, 65536 // S + 5] + ([65539] if (n, K, m) == (1, 1, 1) else []):
         drawn = ocm.approx._drawn_set(p, per_cell, 0.05, per_cell)
         kept = drawn.kept()
-        pts = kept.pts.reshape(-1, n)
         # the kept set in the subcell-last order of a chunk, (n, per_cell, S)
         # and its flat (n, per_cell * S) rows, located point by point
-        grouped = kept.pts.T
+        grouped = np.concatenate(kept.chunks, axis=2)
+        pts = grouped.T.reshape(-1, n)
         flat = grouped.reshape(n, -1)
         loc, _ = p.locate(flat.T)
         np.testing.assert_array_equal(
-            ocm.approx._operator_values(system, U.coeffs.transpose(1, 2, 0)[:, :, None],
-                                        U.centers.T[:, None], grouped),
-            ocm.approx._operator_values(system, U.coeffs[loc].transpose(1, 2, 0), U.centers[loc].T,
-                                        flat))
+            ocm.approx._operator_values(system, U.coeffs[:, :, None], U.centers[:, None], grouped),
+            ocm.approx._operator_values(system, U.coeffs[:, :, loc], U.centers[:, loc], flat))
         for eps in (0.1, 1e3):
             for workers in (1, 2):
                 located = check_residual(system, U, rhs, eps, kept, workers=workers)
@@ -947,8 +987,8 @@ def test_band_ok_equals_repeated_pieces():
     box = Box((0.0, 0.0), (1.0, 1.0))
     rng = np.random.default_rng(3)
     B = 40
-    x0s = rng.uniform(0.0, 1.0, (B, 2))
-    coeffs = rng.normal(size=(B, 2, len(system.alphas)))
+    x0s = rng.uniform(0.0, 1.0, (2, B))
+    coeffs = rng.normal(size=(2, len(system.alphas), B))
     deltas = rng.uniform(0.01, 0.5, B)
     pts, inside = ocm.approx._ball_points(x0s, deltas, box)
     P = pts.shape[1]
@@ -956,11 +996,9 @@ def test_band_ok_equals_repeated_pieces():
     # flat position p * B + b holds ball point p of center b: each piece
     # repeated once per ball point, in that order
     flat = pts.reshape(2, -1)
-    ref = ocm.approx._operator_values(system, np.tile(coeffs.transpose(1, 2, 0), P),
-                                      np.tile(x0s.T, P), flat)
+    ref = ocm.approx._operator_values(system, np.tile(coeffs, P), np.tile(x0s, P), flat)
     np.testing.assert_array_equal(
-        ocm.approx._operator_values(system, coeffs.transpose(1, 2, 0)[:, :, None],
-                                    x0s.T[:, None], pts), ref)
+        ocm.approx._operator_values(system, coeffs[:, :, None], x0s[:, None], pts), ref)
     ref -= rhs(flat.T)
     assert np.all(ref < 0)
     # the band width each center needs, from the repeated reference
@@ -978,8 +1016,8 @@ def test_piece_jets_match_broadcast_copies():
     alphas = ocm.expr.multi_indices(3, 3)
     center = tuple(rng.uniform(-1.0, 1.0, 3))
     coeffs = rng.normal(size=(2, len(alphas)))
-    U = PiecewisePoly(build_partition(Box((-3.0,) * 3, (3.0,) * 3), 1), alphas, coeffs[None],
-                      np.asarray([center]))
+    U = PiecewisePoly(build_partition(Box((-3.0,) * 3, (3.0,) * 3), 1), alphas, coeffs[..., None],
+                      np.asarray(center)[:, None])
     pts = rng.uniform(-2.0, 2.0, (50, 3))
     # the per-point copies the piece used to be broadcast into, point axis last
     every = list(itertools.product(range(2), range(len(alphas))))

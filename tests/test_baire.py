@@ -202,7 +202,7 @@ def test_property_idempotence_and_duality(values, maskbits):
 
 
 def _line_poly(partition, slope, intercept=0.0):
-    centers = partition.subcell_centers()
+    centers = partition.subcell_centers().T  # taylor_poly takes centre points
     return taylor_poly(partition, centers, [{(1, (0,)): intercept + slope * c[0], (1, (1,)): slope}
                                             for c in centers])
 
@@ -231,7 +231,7 @@ def test_embed_two_pieces_same_polynomial():
 def test_embed_jump_takes_lower_value():
     # pieces 0 on [0, .5], 1 on [.5, 1]: the face node gets 0
     partition = build_partition(Box((0.0,), (1.0,)), 2)
-    centers = partition.subcell_centers()
+    centers = partition.subcell_centers().T
     u = taylor_poly(partition, centers, [{(1, (0,)): 0.0 if c[0] < 0.5 else 1.0, (1, (1,)): 0.0}
                                          for c in centers])
     axes = (np.asarray([0.1, 0.3, 0.5, 0.7, 0.9]),)
@@ -248,7 +248,7 @@ def _uneven_2d_poly(K):
     rng = np.random.default_rng(4)
     alphas = multi_indices(2, 1)
     return PiecewisePoly(partition=p, alphas=alphas,
-                         coeffs=rng.normal(size=(p.total_subcells, K, len(alphas))),
+                         coeffs=rng.normal(size=(K, len(alphas), p.total_subcells)),
                          centers=p.subcell_centers())
 
 

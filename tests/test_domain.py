@@ -47,8 +47,8 @@ def test_subdivide_ceiling_rule():
     q = subdivide(p, 0.3)
     np.testing.assert_array_equal(q.splits, [[4]])
     lo, hi = q.subcell_bounds()
-    np.testing.assert_allclose(lo[:, 0], [0.0, 0.25, 0.5, 0.75])
-    np.testing.assert_allclose(hi[:, 0], [0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(lo[0], [0.0, 0.25, 0.5, 0.75])
+    np.testing.assert_allclose(hi[0], [0.25, 0.5, 0.75, 1.0])
     assert q.total_subcells == 4
 
 
@@ -95,7 +95,7 @@ def test_subdivided_volumes_sum_to_box_volume():
     for p in parts:
         lo, hi = p.subcell_bounds()
         box = p.bounds
-        vol = float(np.sum(np.prod(hi - lo, axis=1)))
+        vol = float(np.sum(np.prod(hi - lo, axis=0)))
         assert abs(vol - box.volume) <= 1e-12 * box.volume
         # cell-major order, each cell's subcells in C order over edges
         # that are np.linspace of the cell's own bounds, bit for bit
@@ -107,10 +107,10 @@ def test_subdivided_volumes_sum_to_box_volume():
             axes = [np.linspace(cell.lo[d], cell.hi[d], counts[d] + 1) for d in range(p.n)]
             grid_lo = np.meshgrid(*[e[:-1] for e in axes], indexing="ij")
             grid_hi = np.meshgrid(*[e[1:] for e in axes], indexing="ij")
-            np.testing.assert_array_equal(lo[start:stop], np.stack([g.ravel() for g in grid_lo], 1))
-            np.testing.assert_array_equal(hi[start:stop], np.stack([g.ravel() for g in grid_hi], 1))
+            np.testing.assert_array_equal(lo[:, start:stop], np.stack([g.ravel() for g in grid_lo]))
+            np.testing.assert_array_equal(hi[:, start:stop], np.stack([g.ravel() for g in grid_hi]))
             start = stop
-        assert start == p.total_subcells == len(lo)
+        assert start == p.total_subcells == lo.shape[1]
 
 
 def test_skeleton_1d_endpoints():
@@ -164,9 +164,9 @@ def _on_skeleton_brute_force(p, pts):
     """A point is on the skeleton iff it lies in some subcell's closed box
     and on one of that subcell's faces."""
     lo, hi = p.subcell_bounds()
-    x = pts[:, None, :]
-    inside = np.all((lo <= x) & (x <= hi), axis=2)
-    on_face = np.any((lo == x) | (x == hi), axis=2)
+    x = pts[:, :, None]
+    inside = np.all((lo <= x) & (x <= hi), axis=1)
+    on_face = np.any((lo == x) | (x == hi), axis=1)
     return np.any(inside & on_face, axis=1)
 
 
@@ -182,7 +182,7 @@ def test_skeleton_batch_matches_scalar():
         sub_lo, sub_hi = p.subcell_bounds()
         pts = lo + rng.random((200, p.n)) * (hi - lo)
         for d in range(p.n):
-            edges = np.union1d(sub_lo[:, d], sub_hi[:, d])
+            edges = np.union1d(sub_lo[d], sub_hi[d])
             force = rng.random(len(pts)) < 0.3
             pts[force, d] = rng.choice(edges, int(force.sum()))
         pts[0] = hi
@@ -223,10 +223,13 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
         pts = sample_points(p, per_cell, margin, seed=k)
         lo, hi = p.subcell_bounds()
         owner = np.arange(len(pts)) // per_cell
-        assert np.all((lo[owner] < pts) & (pts < hi[owner]))
+        assert np.all((lo[:, owner] < pts.T) & (pts.T < hi[:, owner]))
+        # the kept set holds the same draw as (n, per_cell, count) chunks
         kept = _drawn_set(p, per_cell, margin, k).kept()
-        np.testing.assert_array_equal(kept.pts.reshape(-1, p.n), pts)
-        assert kept.pts.shape == (p.total_subcells, per_cell, p.n)
+        np.testing.assert_array_equal(np.concatenate(kept.chunks, axis=2),
+                                      pts.reshape(-1, per_cell, p.n).T)
+        assert all(c.shape[:2] == (p.n, per_cell) for c in kept.chunks)
+        assert sum(c.shape[2] for c in kept.chunks) == p.total_subcells
         ref, on_face = p.locate(pts)
         assert not on_face.any()
         np.testing.assert_array_equal(ref, owner)
@@ -241,9 +244,9 @@ def test_chunked_draws_equal_one_draw(per_cell):
     p = _per_cell_partitions()[0]
     S, n, margin, seed = p.total_subcells, p.n, 0.05, 9
     lo, hi = p.subcell_bounds()
-    u = np.random.default_rng(seed).random((S, per_cell, n))
+    u = np.random.default_rng(seed).random((S, per_cell, n)).T
     one = (u * (1.0 - 2.0 * margin) + margin) * (hi - lo)[:, None, :] + lo[:, None, :]
-    np.testing.assert_array_equal(sample_points(p, per_cell, margin, seed), one.reshape(-1, n))
+    np.testing.assert_array_equal(sample_points(p, per_cell, margin, seed), one.T.reshape(-1, n))
     rng = np.random.default_rng(per_cell)
     step = max(1, 65536 // per_cell)
     for cuts in ([0, S], list(range(0, S, step)) + [S], [0, 1, 2, S], [0] + sorted(rng.choice(
@@ -251,7 +254,7 @@ def test_chunked_draws_equal_one_draw(per_cell):
         # each chunk is (n, per_cell, count), subcell axis last
         chunks = [_sample_chunk(p, per_cell, margin, seed, a, b - a) for a, b in zip(cuts, cuts[1:])]
         assert all(c.shape == (n, per_cell, b - a) for c, a, b in zip(chunks, cuts, cuts[1:]))
-        np.testing.assert_array_equal(np.concatenate(chunks, axis=2), one.T)
+        np.testing.assert_array_equal(np.concatenate(chunks, axis=2), one)
 
 
 def test_sample_points_peaks_below_one_and_a_half_outputs():
@@ -299,6 +302,10 @@ def test_locate_rejects_outside():
     p = build_partition(Box((0.0,), (1.0,)), 2)
     with pytest.raises(ValueError):
         p.locate(np.asarray([[1.5]]))
+    # points are (N, n): an (n, N) array of subcell centres is not N points
+    for bad in (np.asarray([[0.3, 0.7]]), np.asarray([0.3, 0.7]), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match=r"points must be an \(N, 1\) array"):
+            p.locate(bad)
     # a non-finite coordinate passes neither bound check
     q = subdivide(build_partition(Box((0.0, 0.0), (1.0, 1.0)), (2, 2)), 0.2)
     for bad in ([np.nan, 0.3], [0.3, np.inf], [-np.inf, 0.3]):
@@ -312,7 +319,7 @@ def test_subcell_centers_order_matches_locate():
     parts += _per_cell_partitions() + list(_random_partitions(np.random.default_rng(7), 30))
     for p in parts:
         centers = p.subcell_centers()
-        flat, on = p.locate(centers)
+        flat, on = p.locate(centers.T)
         assert not on.any()
         np.testing.assert_array_equal(flat, np.arange(p.total_subcells))
 
@@ -322,5 +329,5 @@ def test_max_subcell_diameter():
     assert p.max_subcell_diameter() <= 0.5 + 1e-12
     for q in [p] + _per_cell_partitions() + list(_random_partitions(np.random.default_rng(9), 30)):
         lo, hi = q.subcell_bounds()
-        expect = max(math.sqrt(((h - l) ** 2).sum()) for l, h in zip(lo, hi))
+        expect = max(math.sqrt(((h - l) ** 2).sum()) for l, h in zip(lo.T, hi.T))
         assert q.max_subcell_diameter() == expect

@@ -89,8 +89,17 @@ def test_parse_bad_coordinate_index():
 
 
 def test_parse_multi_index_arity():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_expr("D(u1,(1,1))", 1, 1, 2)
+    assert "2 entries, expected 1" in str(exc.value)
+    assert exc.value.line == 1 and exc.value.col == 1
+
+
+def test_parse_expression_count_must_equal_k():
+    for text, found in [("u1", 1), ("u1; u2; u1 + u2", 3), ("u1\n\nu2\nu1", 3), ("", 0)]:
+        with pytest.raises(ParseError, match=f"found {found} expressions, expected K=2") as exc:
+            parse_system(text, 1, 2, 0)
+        assert exc.value.line >= 1 and exc.value.col >= 1
 
 
 def test_parse_error_second_line():
