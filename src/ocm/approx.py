@@ -56,7 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .domain import (Box, CellPartition, Skeleton, _check_sampling, _sample_chunk, build_partition,
+# skeleton_of has no caller here: it is bound because bench/spans.py wraps ocm.approx.skeleton_of
+from .domain import (Box, CellPartition, _check_sampling, _sample_chunk, build_partition,
                      sample_points, skeleton_of, subdivide)
 
 __all__ = [
@@ -249,10 +250,6 @@ class PiecewisePoly:
     centers: np.ndarray  # (n, S)
 
     @property
-    def skeleton(self) -> Skeleton:
-        return skeleton_of(self.partition)
-
-    @property
     def K(self) -> int:
         return self.coeffs.shape[0]
 
@@ -305,15 +302,18 @@ def taylor_poly(p: CellPartition, centers, xis) -> PiecewisePoly:
 # right-hand sides
 
 def rhs_from_exprs(texts, n: int):
-    """Compile rhs strings in x into a vector evaluator pts (N,n) -> (K,N)."""
+    """Compile rhs strings in x into a vector evaluator pts (N,n) -> (K,N);
+    a single point may also be given as its n coordinates."""
     trees = tuple(ex.parse_rhs(t, n) for t in texts)
     system = ex.PdeSystem(n=n, K=len(trees), m=0, components=trees)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        X = pts.T
-        XI = np.empty((system.M, len(pts)))  # no jet slot is read
-        out = np.empty((system.K, len(pts)))
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1:] != (n,):
+            raise ValueError(f"points must be an (N, {n}) array, got shape {pts.shape}")
+        X = pts.reshape(-1, n).T
+        XI = np.empty((system.M, X.shape[1]))  # no jet slot is read
+        out = np.empty((system.K, X.shape[1]))
         for k in range(system.K):
             out[k] = ex.eval_component_batch(system, k, X, XI)
         return out
@@ -611,6 +611,8 @@ def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, 
     and for every other pivot, it is found by bracket scan plus bisection.
     """
     x0 = tuple(float(v) for v in x0)
+    if len(x0) != system.n:
+        raise ValueError(f"x0 has {len(x0)} coordinates, expected n={system.n}")
     target = np.atleast_1d(np.asarray(target, dtype=float))
     if len(target) != system.K:
         raise ValueError(f"target has {len(target)} entries, expected K={system.K}")
@@ -826,8 +828,8 @@ def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
         raise ValueError("verification sample lies on the skeleton")
 
 
-def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) -> PiecewisePoly:
-    """One piece per subcell of fine, its jet solved for f - eps/2 at centers[:, s].
+def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
+    """One piece per subcell of fine, its jet solved for f - eps/2 at its centre.
 
     The jets are solved CHUNK centres at a time into one coefficient
     array.  Every point's jet is the one it gets alone (_solve_jets), and
@@ -837,6 +839,7 @@ def _place(system, rhs, fine: CellPartition, eps: float, centers: np.ndarray) ->
     if eps <= 0:
         raise ValueError("eps must be positive")
     pivots = default_pivots(system)
+    centers = fine.subcell_centers()
     S = centers.shape[1]
     coeffs = np.empty((system.K, len(system.alphas), S))
     stalled = None  # (residual, error) of the worst point that did not converge
@@ -870,9 +873,10 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     whole chunks, and no array of all samples or residuals is built.  It
     depends only on fine, samples_per_cell, margin and seed, so
     refine_solution keeps the same set, drawn once, for all the steps it
-    certifies on its common partition.
+    certifies on its common partition.  Placement ends before the set is
+    drawn, so a placement error comes before any sample-set error.
     """
-    U = _place(system, rhs, fine, eps, fine.subcell_centers())
+    U = _place(system, rhs, fine, eps)
     drawn = _drawn_set(fine, samples_per_cell, margin, seed)
     return U, check_residual(system, U, rhs, eps, drawn, eta=eta, workers=workers)
 

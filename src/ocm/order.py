@@ -6,14 +6,14 @@ and both masks: equality and order modulo a closed nowhere dense set.
 Approximants are compared through their operator images, built by
 ``ocm.baire.operator_image`` (re-exported here).
 The refinement driver plans one partition (the one the finest step
-needs, from a single probe round) and places every step's pieces on
-it, so the operator images rise monotonically step over step with no
-repairs in exact arithmetic; the running nodewise maximum enforces the
-invariant and counts any repairs float wobble would introduce.  The
-steps also share one verification sample set, the drawn set of
-``ocm.approx`` kept whole: drawn in that partition once, and checked
-once that each sample lies strictly inside the subcell it was drawn in,
-which is what proves it misses the skeleton.
+needs, from a single probe round) and makes every step on it the same
+way, placing its pieces and certifying them, so the operator images rise
+monotonically step over step with no repairs in exact arithmetic; the
+running nodewise maximum enforces the invariant and counts any repairs
+float wobble would introduce.  The steps share one verification sample
+set, the drawn set of ``ocm.approx``: drawn in that partition once, and
+checked once that each sample lies strictly inside the subcell it was
+drawn in, which is what proves it misses the skeleton.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, expr as ex
+# global_approx has no caller here: it is bound because bench/spans.py wraps ocm.order.global_approx
 from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertificate, _drawn_set,
                      _place, global_approx)
 from .baire import GridFn, EnvelopePair, _located_image, lattice_nodes, nlsc_regularize, operator_image
@@ -202,45 +203,38 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
                     margin: float = DEFAULT_MARGIN, workers: int = 1) -> SolutionTrace:
     """Run the band construction for eps = 1, 1/2, ..., 1/n_max.
 
-    The partition is planned once, by global_approx at eps = 1/n_max,
-    whose approximant and certificate serve as step n_max; every other
-    step only places and certifies pieces on that partition.  Those
-    steps certify on one shared sample set, the drawn set that
-    place_and_certify would stream for the same partition and seed, kept
-    whole: drawn and checked once, so each certificate equals a
-    standalone one.  All steps share centers and skeleton, so the image
-    sequence increases pointwise; the running nodewise maximum makes that
-    an invariant and repairs count any node where a raw image dropped
-    below the running maximum by more than eta.
+    The partition is planned once, by plan_partition at eps = 1/n_max,
+    and every step places its pieces on it and certifies them on one
+    sample set: the drawn set place_and_certify would stream for the same
+    partition and seed, kept whole when several steps read it, so each
+    certificate equals a standalone one.  Every step is placed before the
+    set is drawn, so placement errors come first.  All steps share
+    centers and skeleton, so the image sequence increases pointwise; the
+    running nodewise maximum makes that an invariant and repairs count
+    any node where a raw image dropped below the running maximum by more
+    than eta.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    U_fine, cert_fine = global_approx(system, rhs, p, 1.0 / n_max, eta=eta,
-                                      samples_per_cell=samples_per_cell, margin=margin,
-                                      seed=seed, workers=workers)
-    base = U_fine.partition
+    base = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
+    placed = [_place(system, rhs, base, 1.0 / n) for n in range(1, n_max + 1)]
+    drawn = _drawn_set(base, samples_per_cell, margin, seed)
+    drawn = drawn.kept() if n_max > 1 else drawn
     shape = tuple(len(a) for a in axes)
     nodes = lattice_nodes(axes)
     fvals = rhs(nodes)
     rhs_grid = [GridFn(axes, fvals[i].reshape(shape)) for i in range(system.K)]
-
-    kept = _drawn_set(base, samples_per_cell, margin, seed).kept() if n_max > 1 else None
     # every step shares base, so one lookup of the lattice serves all images
     on_base = base.locate(nodes)
 
     steps: list[StepRecord] = []
     running: list[GridFn] | None = None
-    for n in range(1, n_max + 1):
+    for n, U_n in enumerate(placed, start=1):
         eps = 1.0 / n
-        if n == n_max:
-            U_n, cert = U_fine, cert_fine
-        else:
-            U_n = _place(system, rhs, base, eps, U_fine.centers)
-            # looked up on the module: bench/spans.py wraps
-            # ocm.approx.check_residual there, and a name imported into
-            # this module would certify these steps outside its span
-            cert = approx.check_residual(system, U_n, rhs, eps, kept, eta=eta, workers=workers)
+        # looked up on the module, where bench/spans.py wraps it: a name
+        # imported into this module would certify outside that span
+        cert = approx.check_residual(system, U_n, rhs, eps, drawn, eta=eta, workers=workers)
         raw = _located_image(system, U_n, axes, nodes, *on_base)
         repairs = 0
         if running is None:

@@ -152,22 +152,26 @@ def test_c5_range_condition_rejection(tmp_path):
 
 def test_c6_convergence_space_checkers():
     # checker verdicts match the literal brute-force oracle on every
-    # antichain-generated table over ground sets of size 1, 2 and 3
+    # antichain-generated table over ground sets of size 1, 2 and 3: all
+    # assignments of one antichain per point
     tables = 0
     for ground in (frozenset(("a",)), test_filters.AB, test_filters.ABC):
         chains = test_filters.all_antichains(ground)
         points = sorted(ground)
+        count = 0
         for combo in itertools.product(range(len(chains)), repeat=len(points)):
             assignment = {x: chains[i] for x, i in zip(points, combo)}
             table = test_filters._cs_table(ground, assignment)
             res = test_filters.check_convergence_structure(table)
             violated, hausdorff = test_filters.oracle_convergence(table)
-            assert res.ok == (not violated)
+            assert res.ok == (not violated), assignment
             if violated:
-                assert res.failed_axiom == min(violated)
-            assert res.hausdorff == hausdorff
-            tables += 1
-    assert tables >= 2 + 25 + 6859
+                assert res.failed_axiom == min(violated), assignment
+            assert res.hausdorff == hausdorff, assignment
+            count += 1
+        assert count == len(chains) ** len(points)
+        tables += count
+    assert tables == 2 + 25 + 6859
 
     # proposition instances: induced-of-initial vs initial-of-induced
     rng = np.random.default_rng(31)

@@ -228,6 +228,25 @@ def test_solve_jet_failure_reasons(eqs, K, target, component, reason):
     assert str(exc.value) == f"component {component} at x=(0.25,): {reason}"
 
 
+def test_solve_jet_rejects_a_point_of_the_wrong_dimension():
+    sys_ = parse_system("D(u1,(1)) + x1", 1, 1, 1)
+    for x0 in [(0.1, 0.7), ()]:
+        with pytest.raises(ValueError, match=f"x0 has {len(x0)} coordinates, expected n=1"):
+            solve_jet(sys_, x0, [0.3])
+
+
+def test_rhs_rejects_points_of_the_wrong_dimension():
+    one, two = rhs_from_exprs(["x1"], 1), rhs_from_exprs(["x1 + x2"], 2)
+    # a single point may be given as its n coordinates
+    np.testing.assert_array_equal(one([0.1]), [[0.1]])
+    np.testing.assert_array_equal(two([0.1, 0.2]), [[0.1 + 0.2]])
+    np.testing.assert_array_equal(one([[0.1], [0.2], [0.3]]), [[0.1, 0.2, 0.3]])
+    for f, n, pts in [(one, 1, [0.1, 0.2, 0.3]), (two, 2, [[0.1, 0.2, 0.3]]), (two, 2, [[0.1]]),
+                      (two, 2, [0.1]), (two, 2, np.zeros((1, 1, 2)))]:
+        with pytest.raises(ValueError, match=rf"points must be an \(N, {n}\) array"):
+            f(pts)
+
+
 def _solve_batch_and_alone(sys_, x, targets):
     """_solve_jets on the whole batch, centres x (n, S) and targets (K, S),
     and on each point alone."""
@@ -703,12 +722,12 @@ def test_chunked_placement_equals_one_batch(monkeypatch, equation, degree):
     assert _pivot_degree(sys_.components[0], default_pivots(sys_)[0]) == degree
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = subdivide(build_partition(SQUARE, 2), 0.15)
-    centers = fine.subcell_centers()
-    assert centers.shape[1] < ocm.approx.CHUNK
-    whole = ocm.approx._place(sys_, rhs, fine, 0.1, centers)
+    S = fine.total_subcells
+    assert S < ocm.approx.CHUNK
+    whole = ocm.approx._place(sys_, rhs, fine, 0.1)
     monkeypatch.setattr(ocm.approx, "CHUNK", 7)
-    chunked = ocm.approx._place(sys_, rhs, fine, 0.1, centers)
-    assert centers.shape[1] % 7 and chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+    chunked = ocm.approx._place(sys_, rhs, fine, 0.1)
+    assert S % 7 and chunked.coeffs.tobytes() == whole.coeffs.tobytes()
 
 
 def test_per_subcell_arrays_are_stored_subcell_axis_last():
@@ -867,7 +886,7 @@ def test_streamed_certificate_peaks_below_one_sample_array():
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = build_partition(SQUARE, (256, 256))
-    U = ocm.approx._place(sys_, rhs, fine, 0.1, fine.subcell_centers())
+    U = ocm.approx._place(sys_, rhs, fine, 0.1)
     drawn = ocm.approx._drawn_set(fine, 32, 0.05, 3)
     assert len(drawn) == 2**21
     tracemalloc.start()

@@ -205,7 +205,9 @@ def all_antichains(ground):
 
 def oracle_convergence(table: ConvergenceTable):
     """Violated axioms and the Hausdorff flag, computed on explicit
-    collections over the literal filter universe."""
+    collections over the literal filter universe.  The checker is held to
+    it on every table all_antichains gives over 1, 2 and 3 points in
+    test_acceptance.py's test_c6_convergence_space_checkers."""
     universe = literal_filters(table.ground)
     listed = {
         x: [frozenset(f.members()) for f in table.minimal[x]] for x in table.ground
@@ -260,25 +262,6 @@ def test_convergence_checker_examples():
     broken = _cs_table(AB, {"a": [frozenset(["b"])], "b": [frozenset(["b"])]})
     res = check_convergence_structure(broken)
     assert not res.ok and res.failed_axiom == 1 and res.witness == "a"
-
-
-def test_convergence_checker_matches_oracle_exhaustively():
-    for ground in (frozenset(("a",)), AB, ABC):
-        chains = all_antichains(ground)
-        points = sorted(ground)
-        # all assignments of one antichain per point
-        count = 0
-        for combo in itertools.product(range(len(chains)), repeat=len(points)):
-            assignment = {x: chains[i] for x, i in zip(points, combo)}
-            table = _cs_table(ground, assignment)
-            res = check_convergence_structure(table)
-            violated, hausdorff = oracle_convergence(table)
-            assert res.ok == (not violated), assignment
-            if violated:
-                assert res.failed_axiom == min(violated), assignment
-            assert res.hausdorff == hausdorff, assignment
-            count += 1
-        assert count == len(chains) ** len(points)
 
 
 # ---------------------------------------------------------------------------

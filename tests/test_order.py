@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocm.approx import place_and_certify, rhs_from_exprs, taylor_poly
+from ocm.approx import RangeViolation, place_and_certify, rhs_from_exprs, taylor_poly
 from ocm.baire import GridFn, make_lattice
 from ocm.domain import Box, build_partition, skeleton_of
 from ocm.expr import parse_system
@@ -184,20 +184,16 @@ def test_refine_single_step_trace():
     assert trace.steps[0].cauchy_gap_prev == 0.0
 
 
-def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
+def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch):
     import ocm.approx
-    import ocm.order
 
     plans, planned, draws, streamed = [], [], [], []
-    plan, global_approx = ocm.approx.plan_partition, ocm.order.global_approx
+    plan = ocm.approx.plan_partition
     sample_points, sample_chunk = ocm.approx.sample_points, ocm.approx._sample_chunk
 
     def counting_plan(*args, **kwargs):
         plans.append(args[3])  # eps
-        return plan(*args, **kwargs)
-
-    def recording_global(*args, **kwargs):
-        planned.append(global_approx(*args, **kwargs))
+        planned.append(plan(*args, **kwargs))
         return planned[-1]
 
     def counting_samples(*args, **kwargs):
@@ -209,26 +205,69 @@ def test_refine_plans_once_and_reuses_the_finest_step(monkeypatch):
         return sample_chunk(*args, **kwargs)
 
     monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
-    monkeypatch.setattr(ocm.order, "global_approx", recording_global)
     monkeypatch.setattr(ocm.approx, "sample_points", counting_samples)
     monkeypatch.setattr(ocm.approx, "_sample_chunk", counting_chunks)
     sys_, trace = _refine(["D(u1,(1))"], ["x1"], 4)
+    monkeypatch.undo()
     assert plans == [1 / 4]
-    U, cert = planned[0]
-    assert trace.steps[-1].approximant is U
-    assert trace.steps[-1].certificate is cert
-    assert all(s.approximant.partition is U.partition for s in trace.steps)
+    (fine,) = planned
+    assert all(s.approximant.partition is fine for s in trace.steps)
     assert trace.all_certified
-    # the finest step streams its own samples; all other steps share one
-    # set, drawn once as an array
-    assert len(draws) == 1 and draws[0] is U.partition
-    assert streamed and all(d is U.partition for d in streamed)
+    # every step, the finest included, reads one set, drawn once as a whole
+    assert len(draws) == 1 and draws[0] is fine
+    assert streamed == []
     rhs = rhs_from_exprs(["x1"], 1)
-    for s in trace.steps[:-1]:
-        _, alone = place_and_certify(sys_, rhs, U.partition, s.eps, seed=7)
-        assert [(c.samples, c.min_residual, c.max_residual, c.passed)
-                for c in s.certificate.components] == \
-            [(c.samples, c.min_residual, c.max_residual, c.passed) for c in alone.components]
+    for s in trace.steps:
+        U, alone = place_and_certify(sys_, rhs, fine, s.eps, seed=7)
+        assert s.approximant.coeffs.tobytes() == U.coeffs.tobytes()
+        assert repr(s.certificate) == repr(alone)
+
+
+def test_one_step_refine_streams_its_set(monkeypatch):
+    # a single step reads its set once, so it is streamed, not held whole
+    import ocm.approx
+
+    streamed = []
+    sample_chunk = ocm.approx._sample_chunk
+
+    def counting_chunks(*args, **kwargs):
+        streamed.append(args[0])  # partition
+        return sample_chunk(*args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a one-step refine drew its whole set")
+
+    monkeypatch.setattr(ocm.approx, "_sample_chunk", counting_chunks)
+    monkeypatch.setattr(ocm.approx, "sample_points", never)
+    sys_, trace = _refine(["D(u1,(1))"], ["x1"], 1)
+    monkeypatch.undo()
+    (step,) = trace.steps
+    fine = step.approximant.partition
+    assert streamed and all(d is fine for d in streamed)
+    _, alone = place_and_certify(sys_, rhs_from_exprs(["x1"], 1), fine, 1.0, seed=7)
+    assert repr(step.certificate) == repr(alone)
+
+
+def test_refine_placement_errors_precede_sample_errors(monkeypatch):
+    # every step is placed before the shared set is drawn: exp(u1) = 0.3 + x1
+    # plans and places at eps 1/3, but step 1's target 0.3 + x1 - 1/2 is
+    # negative for x1 < 0.2, where exp reaches it nowhere
+    import ocm.approx
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sample was drawn before every step was placed")
+
+    monkeypatch.setattr(ocm.approx, "_sample_chunk", never)
+    monkeypatch.setattr(ocm.approx, "sample_points", never)
+    sys_ = parse_system("exp(u1)", 1, 1, 0)
+    rhs = rhs_from_exprs(["0.3 + x1"], 1)
+    p = build_partition(UNIT, 10)
+    axes = make_lattice(UNIT, 64)
+    fine = ocm.approx.plan_partition(sys_, rhs, p, 1 / 3)
+    ocm.approx._place(sys_, rhs, fine, 1 / 3)
+    for margin in (0.05, 0.6):  # a sound set, and one the sampler rejects
+        with pytest.raises(RangeViolation, match="no sign change"):
+            refine_solution(sys_, rhs, p, 3, axes, margin=margin)
 
 
 def test_refine_locates_the_lattice_once(monkeypatch):
