@@ -9,25 +9,25 @@ probe's radius until the sampled residual on its ball stays inside
 ``[-eps - eta, eta]``, and subdivides to the smallest radius found.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
-sample set.  ``check_residual`` reads samples from two sources: a drawn
-set (``_DrawnSet``), drawn subcell by subcell and checked to lie
-strictly inside the subcell it was drawn in, so each piece is evaluated
-over its own samples; or samples a caller passes, which are located in
-the partition.  A drawn set is streamed chunk by chunk, or kept whole
-when several certificates share it, as refine_solution's steps do.
-Both the jet solve and the certificate run in chunks of about CHUNK
-centres or samples, so their working memory does not grow with the
-partition.  ``global_approx`` is the two stages in sequence;
-``local_approx`` is the probe stage for a single point.
+sample set.  ``check_residual`` certifies any number of approximants on
+one partition, as refine_solution's steps are, in one pass over samples
+from two sources: a drawn set (``_DrawnSet``), streamed subcell by
+subcell and checked to lie strictly inside the subcell it was drawn in,
+so each piece is evaluated over its own samples; or samples a caller
+passes, which are located in the partition.  Both the jet solve and the
+certificate run in chunks of about CHUNK centres or samples, so their
+working memory does not grow with the partition.  ``global_approx`` is
+the two stages in sequence; ``local_approx`` is the probe stage for a
+single point.
 
 Every per-subcell and per-probe array is stored subcell axis last, the
 way the kernels read it: subcell bounds and centres (n, S), piece
 coefficients (K, A, S), jet-solve targets (K, S) and jets (M, S), probe
-points (n, B), and a kept sample set as the (n, per_cell, count) chunks
-the certificate reads, against which a chunk's pieces are sliced to
-(K, A, 1, count).  numpy runs its innermost loop along the last axis, so
-each piece broadcast over its own samples is one loop over the chunk's
-subcells, not a loop over n = 2 or 3 coordinates repeated per sample.
+points (n, B), and a certificate's samples as (n, per_cell, count)
+chunks, against which a chunk's pieces are sliced to (K, A, 1, count).
+numpy runs its innermost loop along the last axis, so each piece
+broadcast over its own samples is one loop over the chunk's subcells,
+not a loop over n = 2 or 3 coordinates repeated per sample.
 Only the jet slots the system reads are built.  The layout decides which
 loop numpy runs innermost, not the operations on any element, so it
 cannot move a certificate.  Only the point-first public boundaries
@@ -50,13 +50,13 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import expr as ex
-# skeleton_of has no caller here: it is bound because bench/spans.py wraps ocm.approx.skeleton_of
+# skeleton_of and sample_points have no caller here: bench/spans.py wraps them in ocm.approx
 from .domain import (Box, CellPartition, _check_sampling, _sample_chunk, build_partition,
                      sample_points, skeleton_of, subdivide)
 
@@ -181,18 +181,19 @@ def _monomial(pts: np.ndarray, centers: np.ndarray, gamma: tuple[int, ...],
 
 
 def _jets_from_coeffs(coeffs: np.ndarray, centers: np.ndarray, alphas, pts: np.ndarray,
-                      slots) -> np.ndarray:
+                      slots, memo: dict | None = None) -> np.ndarray:
     """Evaluate the derivatives D^beta_b P_j at pts for every (j, b) in slots.
 
     coeffs (K, A, ...), centers (n, ...) and pts (n, ...) broadcast over
     their trailing dimensions, so one piece serves all of its points
     without being copied out for each.  Returns (K, A, *lead) with entry
     [j, b, ...] = D^{beta_b} P_j(pt) for the (j, b) in slots, 0-based;
-    the other slots stay 0.
+    the other slots stay 0.  A memo of _monomial, if given, is shared
+    with other calls on the same pts and equal centers.
     """
     ratios = _deriv_ratios(tuple(alphas))
     lead = np.broadcast_shapes(coeffs.shape[2:], pts.shape[1:], centers.shape[1:])
-    memo: dict = {}
+    memo = {} if memo is None else memo
     jets = np.zeros(coeffs.shape[:2] + lead)
     for j, b in slots:
         acc = jets[j, b]
@@ -219,7 +220,8 @@ def _read_slots(system: ex.PdeSystem) -> tuple[tuple[int, int], ...]:
     return tuple(divmod(s, len(system.alphas)) for s in sorted(system.slot(*r) for r in refs))
 
 
-def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.ndarray,
+                     memo: dict | None = None) -> np.ndarray:
     """T_i(x, D)P(x) for every component i at pts (n, ...), where a point
     reads the piece whose coeffs (K, A, ...) and centers (n, ...)
     broadcast to its trailing index, as in _jets_from_coeffs.
@@ -230,7 +232,7 @@ def _operator_values(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.nd
     over the N points of pts[d] in C order; undefined entries are
     non-finite.
     """
-    jets = _jets_from_coeffs(coeffs, centers, system.alphas, pts, _read_slots(system))
+    jets = _jets_from_coeffs(coeffs, centers, system.alphas, pts, _read_slots(system), memo)
     X = pts.reshape(system.n, -1)
     XI = jets.reshape(system.M, -1)
     out = np.empty((system.K, X.shape[1]))
@@ -319,6 +321,14 @@ def rhs_from_exprs(texts, n: int):
         return out
 
     return evaluate
+
+
+def _rhs_at(rhs, pts: np.ndarray, K: int) -> np.ndarray:
+    """rhs at pts (N, n), checked to give one row per equation: (K, N)."""
+    f = rhs(pts)
+    if len(f) != K:
+        raise ValueError(f"right-hand side gives {len(f)} rows, expected K={K}, one per equation")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +694,7 @@ def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box
     whose radius falls below the floor.
     """
     B = x0s.shape[1]
-    solve = _solve_jets(system, x0s, rhs(x0s.T) - 0.5 * eps, None, pivots)
+    solve = _solve_jets(system, x0s, _rhs_at(rhs, x0s.T, system.K) - 0.5 * eps, None, pivots)
     coeffs = _taylor_coeffs(system.alphas, solve.xi)
     delta = np.array(start, dtype=float)
     floor = DELTA_FLOOR_FACTOR * max(box.sides)
@@ -759,47 +769,23 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
 class _DrawnSet:
     """The certificate's sample set on a partition: sample_points(partition,
     per_cell, margin, seed), sample i drawn in subcell i // per_cell and
-    checked to lie strictly inside it.  As made, the set is streamed: each
-    chunk is drawn and checked when check_residual reads it.  kept() holds
-    it whole, drawn and checked once, for certificates that share it, in
-    the (n, per_cell, count) chunks check_residual reads."""
+    checked to lie strictly inside it.  The set is streamed, never held
+    whole: each chunk is drawn and checked when check_residual reads it."""
 
     partition: CellPartition
     per_cell: int
     margin: float
     seed: int
-    chunks: tuple[np.ndarray, ...] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return self.partition.total_subcells * self.per_cell
 
     def chunk(self, first: int, count: int) -> np.ndarray:
         """The samples of subcells first, ..., first + count - 1, (n,
-        per_cell, count), subcell axis last as _sample_chunk draws them.
-        A kept set hands out the chunk it holds, not a copy; its chunks
-        are count = CHUNK // per_cell subcells wide, the width
-        check_residual reads them in, so first is a multiple of count."""
-        if self.chunks is not None:
-            return self.chunks[first // count]
+        per_cell, count), subcell axis last as _sample_chunk draws them."""
         at = _sample_chunk(self.partition, self.per_cell, self.margin, self.seed, first, count)
         _check_drawn(self.partition, first, at)
         return at
-
-    def kept(self) -> "_DrawnSet":
-        """This set with every sample drawn now, in one sample_points
-        call, re-laid chunk by chunk, checked, and held."""
-        p = self.partition
-        pts = sample_points(p, self.per_cell, self.margin, self.seed).reshape(-1, self.per_cell, p.n)
-        step = max(1, CHUNK // self.per_cell)
-        chunks = []
-        for first in range(0, len(pts), step):
-            block = pts[first: first + step]
-            laid = np.ascontiguousarray(block.T)
-            # re-laid into its own block of the draw, so the set is held once
-            chunks.append(block.reshape(laid.shape))
-            chunks[-1][...] = laid
-            _check_drawn(p, first, chunks[-1])
-        return replace(self, chunks=tuple(chunks))
 
 
 def _drawn_set(fine: CellPartition, samples_per_cell: int | None, margin: float,
@@ -845,7 +831,7 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     stalled = None  # (residual, error) of the worst point that did not converge
     for s in range(0, S, CHUNK):
         at = centers[:, s: s + CHUNK]
-        solve = _solve_jets(system, at, rhs(at.T) - 0.5 * eps, None, pivots)
+        solve = _solve_jets(system, at, _rhs_at(rhs, at.T, system.K) - 0.5 * eps, None, pivots)
         w = solve.worst()
         if w is not None:
             if solve.fail[w] != _NOT_CONVERGED:
@@ -870,15 +856,14 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     checked to lie strictly inside the subcell of fine it was drawn in
     (which proves it misses the skeleton and picks its piece).  The set
     is streamed: ``workers`` threads each draw, check, evaluate and fold
-    whole chunks, and no array of all samples or residuals is built.  It
-    depends only on fine, samples_per_cell, margin and seed, so
-    refine_solution keeps the same set, drawn once, for all the steps it
-    certifies on its common partition.  Placement ends before the set is
-    drawn, so a placement error comes before any sample-set error.
+    whole chunks, and no array of all samples or residuals is built.  This
+    is check_residual on one approximant; refine_solution certifies all
+    its steps on the same set in one call.  Placement ends before the set
+    is drawn, so a placement error comes before any sample-set error.
     """
     U = _place(system, rhs, fine, eps)
     drawn = _drawn_set(fine, samples_per_cell, margin, seed)
-    return U, check_residual(system, U, rhs, eps, drawn, eta=eta, workers=workers)
+    return U, check_residual(system, [U], rhs, [eps], drawn, eta=eta, workers=workers)[0]
 
 
 def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
@@ -957,28 +942,34 @@ def _fold(r: np.ndarray, X: np.ndarray, first: int, per_cell: int, eps: float,
     return rmin, rmax, len(r) - len(vals), worst
 
 
-def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samples,
-                   *, eta: float = DEFAULT_ETA, workers: int = 1) -> ResidualCertificate:
-    """Independent band check at the given off-skeleton samples.
+def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float = DEFAULT_ETA,
+                   workers: int = 1) -> list[ResidualCertificate]:
+    """Band check of approximants Us on one partition, each against its
+    own eps in epss, in one pass over the given off-skeleton samples;
+    returns one certificate per approximant.
 
-    samples is one of two sources.  Caller samples, an (N, n) array, are
-    located in U's partition once: a sample on a subcell face raises
-    ValueError (the face flag of the lookup is exactly skeleton
-    membership), one outside the domain too, and the subcell index picks
-    the piece whose jets are evaluated there.  A _DrawnSet, streamed or
-    kept, skips the lookup, as it hands over the samples of whole
-    subcells, each checked to lie strictly inside the subcell it was drawn
-    in; every piece is then broadcast over its own samples instead of
-    being gathered per sample.
-
-    Both sources take one path: chunks of about CHUNK samples, each drawn,
-    held or sliced as an (n, per_cell, count) array, subcell axis last,
-    evaluated and folded into per-component extremes, undefined counts
-    and top offenders, by ``workers`` threads; the folds merge in chunk
-    order, so the certificate does not depend on workers.
+    Caller samples, an (N, n) array, are located in the partition once:
+    a sample on a subcell face (exactly the skeleton) or outside the
+    domain raises ValueError, and the subcell index picks its pieces.  A
+    _DrawnSet on the partition skips the lookup, as each of its samples
+    is checked to lie strictly inside the subcell it was drawn in, so
+    every piece is broadcast over its own samples.  Both are read in
+    chunks of about CHUNK samples, (n, per_cell, count) subcell axis
+    last, each drawn or sliced once with its right-hand side evaluated
+    once; approximants with equal centres share the chunk's monomials
+    (x - c)^gamma.  ``workers`` threads fold each approximant's residuals
+    into per-component extremes, undefined counts and top offenders,
+    merged in chunk order, so the certificates do not depend on workers.
     """
-    if tuple(U.alphas) != system.alphas or U.K != system.K:
+    Us, epss = list(Us), list(epss)
+    if not Us or len(Us) != len(epss):
+        raise ValueError(f"need one eps per approximant, got {len(Us)} approximants "
+                         f"and {len(epss)} eps values")
+    p = samples.partition if isinstance(samples, _DrawnSet) else Us[0].partition
+    if any(tuple(U.alphas) != system.alphas or U.K != system.K for U in Us):
         raise ValueError("approximant jet layout does not match the system")
+    if any(U.partition is not p for U in Us):
+        raise ValueError("approximants and samples must share one partition")
     pick = None
     if isinstance(samples, _DrawnSet):
         per_cell, total, chunk = samples.per_cell, len(samples), samples.chunk
@@ -986,7 +977,7 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
         if pts.size == 0:  # vacuous: every component passes on no samples
             pts = pts.reshape(0, system.n)
-        pick, on_face = U.partition.locate(pts)
+        pick, on_face = p.locate(pts)
         if on_face.any():
             raise ValueError("verification sample lies on the skeleton")
         per_cell, total = 1, len(pts)
@@ -995,14 +986,23 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
             return pts[s: s + g].T[:, None]
 
     step = max(1, CHUNK // per_cell)
+    # each approximant shares the monomial memo of the first with equal centres
+    share = [next((j for j in range(k) if np.array_equal(Us[j].centers, U.centers)), k)
+             for k, U in enumerate(Us)]
 
-    def fold(s: int) -> list[tuple]:
+    def fold(s: int) -> list[list[tuple]]:
         at = chunk(s, step)
         rows = slice(s, s + at.shape[2]) if pick is None else pick[s: s + at.shape[2]]
         X = at.reshape(system.n, -1)
-        r = _operator_values(system, U.coeffs[:, :, None, rows], U.centers[:, None, rows], at)
-        r -= rhs(X.T)
-        return [_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)]
+        f = _rhs_at(rhs, X.T, system.K)
+        memos = [{} for _ in Us]
+        out = []
+        for U, eps, j in zip(Us, epss, share):
+            r = _operator_values(system, U.coeffs[:, :, None, rows], U.centers[:, None, rows], at,
+                                 memos[j])
+            r -= f
+            out.append([_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)])
+        return out
 
     starts = range(0, total // per_cell, step)
     if workers > 1 and len(starts) > 1:
@@ -1011,22 +1011,24 @@ def check_residual(system: ex.PdeSystem, U: PiecewisePoly, rhs, eps: float, samp
     else:
         parts = [fold(s) for s in starts]
 
-    stats = []
-    for i in range(system.K):
-        rmin, rmax, undefined, worst = math.inf, -math.inf, 0, []
-        for part in parts:
-            rmin, rmax = min(rmin, part[i][0]), max(rmax, part[i][1])
-            undefined += part[i][2]
-            worst += part[i][3]
-        if undefined == total:  # no finite residual, or no sample at all
-            rmin = rmax = math.nan
-        ok = undefined == 0 and not (rmin < -eps - eta or rmax > eta)
-        worst.sort(key=lambda o: (-o[0], o[1]))
-        stats.append(
-            ComponentStats(component=i + 1, samples=total, min_residual=rmin, max_residual=rmax,
-                           passed=ok, offenders=[(pt, r) for _, _, pt, r in worst[:5]])
-        )
-    return ResidualCertificate(eps=eps, eta=eta, components=stats, insufficient=total == 0)
+    certs = []
+    for k, eps in enumerate(epss):
+        stats = []
+        for i in range(system.K):
+            rmin, rmax, undefined, worst = math.inf, -math.inf, 0, []
+            for part in parts:
+                lo, hi, bad, offenders = part[k][i]
+                rmin, rmax = min(rmin, lo), max(rmax, hi)
+                undefined += bad
+                worst += offenders
+            if undefined == total:  # no finite residual, or no sample at all
+                rmin = rmax = math.nan
+            ok = undefined == 0 and not (rmin < -eps - eta or rmax > eta)
+            worst.sort(key=lambda o: (-o[0], o[1]))
+            stats.append(ComponentStats(i + 1, total, rmin, rmax, ok,
+                                        [(pt, r) for _, _, pt, r in worst[:5]]))
+        certs.append(ResidualCertificate(eps, eta, stats, insufficient=total == 0))
+    return certs
 
 
 def certificate_csv_rows(cert: ResidualCertificate) -> list[str]:

@@ -10,9 +10,9 @@ needs, from a single probe round) and makes every step on it the same
 way, placing its pieces and certifying them, so the operator images rise
 monotonically step over step with no repairs in exact arithmetic; the
 running nodewise maximum enforces the invariant and counts any repairs
-float wobble would introduce.  The steps share one verification sample
-set, the drawn set of ``ocm.approx``: drawn in that partition once, and
-checked once that each sample lies strictly inside the subcell it was
+float wobble would introduce.  One ``check_residual`` call certifies
+all steps in one streamed pass over the drawn set of ``ocm.approx``,
+each sample checked once to lie strictly inside the subcell it was
 drawn in, which is what proves it misses the skeleton.
 """
 
@@ -204,23 +204,25 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     """Run the band construction for eps = 1, 1/2, ..., 1/n_max.
 
     The partition is planned once, by plan_partition at eps = 1/n_max,
-    and every step places its pieces on it and certifies them on one
-    sample set: the drawn set place_and_certify would stream for the same
-    partition and seed, kept whole when several steps read it, so each
-    certificate equals a standalone one.  Every step is placed before the
-    set is drawn, so placement errors come first.  All steps share
-    centers and skeleton, so the image sequence increases pointwise; the
-    running nodewise maximum makes that an invariant and repairs count
-    any node where a raw image dropped below the running maximum by more
-    than eta.
+    and every step places its pieces on it.  One check_residual call then
+    certifies all steps in one streamed pass over the set place_and_certify
+    would draw for the same partition and seed, so each certificate equals
+    a standalone one.  Every step is placed before the first sample is
+    drawn, so placement errors come first.  All steps share centers and
+    skeleton, so the image sequence increases pointwise; the running
+    nodewise maximum makes that an invariant and repairs count any node
+    where a raw image dropped below the running maximum by more than eta.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     base = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
-    placed = [_place(system, rhs, base, 1.0 / n) for n in range(1, n_max + 1)]
+    epss = [1.0 / n for n in range(1, n_max + 1)]
+    placed = [_place(system, rhs, base, eps) for eps in epss]
     drawn = _drawn_set(base, samples_per_cell, margin, seed)
-    drawn = drawn.kept() if n_max > 1 else drawn
+    # looked up on the module, where bench/spans.py wraps it: a name
+    # imported into this module would certify outside that span
+    certs = approx.check_residual(system, placed, rhs, epss, drawn, eta=eta, workers=workers)
     shape = tuple(len(a) for a in axes)
     nodes = lattice_nodes(axes)
     fvals = rhs(nodes)
@@ -230,11 +232,7 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
 
     steps: list[StepRecord] = []
     running: list[GridFn] | None = None
-    for n, U_n in enumerate(placed, start=1):
-        eps = 1.0 / n
-        # looked up on the module, where bench/spans.py wraps it: a name
-        # imported into this module would certify outside that span
-        cert = approx.check_residual(system, U_n, rhs, eps, drawn, eta=eta, workers=workers)
+    for n, (eps, U_n, cert) in enumerate(zip(epss, placed, certs), start=1):
         raw = _located_image(system, U_n, axes, nodes, *on_base)
         repairs = 0
         if running is None:

@@ -623,7 +623,7 @@ def test_check_residual_fresh_samples_pass():
     sys_, rhs, U, _ = _transport_setup()
     samples = sample_points(U.partition, per_cell=500, margin=0.05, seed=99)
     assert len(samples) >= 10_000
-    cert = check_residual(sys_, U, rhs, 0.1, samples)
+    (cert,) = check_residual(sys_, [U], rhs, [0.1], samples)
     assert cert.passed
     assert cert.components[0].samples == len(samples)
 
@@ -638,7 +638,7 @@ def test_check_residual_detects_injected_fault():
     )
     bad.coeffs[0, 1, 7] += 0.1  # push one piece's slope above the band
     samples = sample_points(U.partition, per_cell=200, margin=0.05, seed=5)
-    cert = check_residual(sys_, rhs=rhs, U=bad, eps=0.1, samples=samples)
+    (cert,) = check_residual(sys_, rhs=rhs, Us=[bad], epss=[0.1], samples=samples)
     assert not cert.passed
     lo, hi = bad.partition.subcell_bounds()
     offender = cert.components[0].offenders[0][0]
@@ -647,7 +647,7 @@ def test_check_residual_detects_injected_fault():
 
 def test_check_residual_empty_is_vacuous_but_flagged():
     sys_, rhs, U, _ = _transport_setup()
-    cert = check_residual(sys_, U, rhs, 0.1, np.empty((0, 1)))
+    (cert,) = check_residual(sys_, [U], rhs, [0.1], np.empty((0, 1)))
     assert cert.passed and cert.insufficient
     assert cert.components[0].samples == 0
 
@@ -659,9 +659,9 @@ def test_check_residual_rejects_skeleton_samples(monkeypatch):
     monkeypatch.setattr(CellPartition, "locate",
                         lambda self, pts: located.append(len(pts)) or locate(self, pts))
     with pytest.raises(ValueError, match="on the skeleton"):
-        check_residual(sys_, U, rhs, 0.1, np.asarray([[0.3], [0.5]]))
+        check_residual(sys_, [U], rhs, [0.1], np.asarray([[0.3], [0.5]]))
     with pytest.raises(ValueError, match="outside domain"):
-        check_residual(sys_, U, rhs, 0.1, np.asarray([[0.3], [1.5]]))
+        check_residual(sys_, [U], rhs, [0.1], np.asarray([[0.3], [1.5]]))
     # caller samples are located; drawn ones are checked against their subcell
     assert located == [2, 2]
     place_and_certify(sys_, rhs, U.partition, 0.1, seed=4)
@@ -702,16 +702,11 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
         return pts
 
     place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)  # the set as drawn is accepted
-    ocm.approx._drawn_set(fine, 3, 0.05, 0).kept()
     monkeypatch.setattr(ocm.approx, "_sample_chunk", moved)
-    monkeypatch.setattr(ocm.approx, "sample_points", lambda p, per_cell, margin, seed:
-                        moved(p, per_cell, margin, seed, 0, p.total_subcells).T.reshape(-1, p.n))
-    for use in (lambda: place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3),
-                lambda: ocm.approx._drawn_set(fine, 3, 0.05, 0).kept()):
-        with pytest.raises(ValueError) as exc:  # streamed, then kept
-            use()
-        if message is not None:
-            assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
+    if message is not None:
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("equation,degree", [("D(u1,(1,0)) + u1", 1), ("u1^3 + D(u1,(1,0))", 3)])
@@ -809,7 +804,6 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
         U.coeffs[:, :, [20, 21]] = 0.5
     eps, eta = 0.1, 1e-9
     drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 1)
-    kept = drawn.kept()
     pts = sample_points(U.partition, 3, 0.05, 1)
     r = np.repeat(U.coeffs[0, 0], 3)
     finite = np.isfinite(r)
@@ -817,9 +811,9 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     order = np.argsort(-excess, kind="stable")[:5]
     expect = [(tuple(map(float, pts[w])), float(r[w])) for w in order]
     assert math.isnan(expect[0][1]) == undefined
-    certs = [check_residual(sys_, U, rhs, eps, source, workers=workers)
+    certs = [check_residual(sys_, [U], rhs, [eps], source, workers=workers)[0]
              for workers in (1, 2)
-             for source in (drawn, kept, pts)]
+             for source in (drawn, pts)]
     for cert in certs:
         (c,) = cert.components
         assert not c.passed and c.samples == len(pts)
@@ -827,24 +821,6 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
         np.testing.assert_array_equal([v for _, v in c.offenders], [v for _, v in expect])
         assert (c.min_residual, c.max_residual) == (0.0, 0.5)
     assert all(repr(cert) == repr(certs[0]) for cert in certs)
-
-
-def test_kept_set_hands_out_its_chunks_without_copying(monkeypatch):
-    # a kept set holds the (n, per_cell, count) chunks the certificate reads,
-    # so every step reads each chunk as it is held, not a copy of it
-    monkeypatch.setattr(ocm.approx, "CHUNK", 20)
-    sys_, rhs, U = _stepped_setup()
-    kept = ocm.approx._drawn_set(U.partition, 3, 0.05, 1).kept()
-    handed = []
-    chunk = ocm.approx._DrawnSet.chunk
-    monkeypatch.setattr(ocm.approx._DrawnSet, "chunk",
-                        lambda self, first, count: handed.append(chunk(self, first, count))
-                        or handed[-1])
-    for _ in range(2):
-        check_residual(sys_, U, rhs, 0.1, kept)
-    assert len(handed) == 2 * len(kept.chunks) and len(kept.chunks) > 1
-    for at, held in zip(handed, 2 * kept.chunks):
-        assert np.shares_memory(at, held) and at.shape == held.shape == (1, 3, held.shape[2])
 
 
 @pytest.mark.parametrize("per_cell", [3, 7])
@@ -869,14 +845,13 @@ def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypa
     index = {tuple(map(float, q)): i for i, q in enumerate(pts)}
     r = np.repeat(values, per_cell)
     expect = np.argsort(-np.abs(r), kind="stable")[:5].tolist()
-    caller = check_residual(sys_, U, rhs, 0.1, pts).components[0]
+    caller = check_residual(sys_, [U], rhs, [0.1], pts)[0].components[0]
     assert [index[pt] for pt, _ in caller.offenders] == expect
-    for source in (drawn, drawn.kept()):
-        for workers in (1, 2):
-            (c,) = check_residual(sys_, U, rhs, 0.1, source, workers=workers).components
-            assert not c.passed and c.samples == len(pts)
-            assert [index[pt] for pt, _ in c.offenders] == expect
-            assert c.offenders == caller.offenders
+    for workers in (1, 2):
+        (c,) = check_residual(sys_, [U], rhs, [0.1], drawn, workers=workers)[0].components
+        assert not c.passed and c.samples == len(pts)
+        assert [index[pt] for pt, _ in c.offenders] == expect
+        assert c.offenders == caller.offenders
 
 
 def test_streamed_certificate_peaks_below_one_sample_array():
@@ -891,12 +866,99 @@ def test_streamed_certificate_peaks_below_one_sample_array():
     assert len(drawn) == 2**21
     tracemalloc.start()
     try:
-        cert = check_residual(sys_, U, rhs, 0.1, drawn)
+        (cert,) = check_residual(sys_, [U], rhs, [0.1], drawn)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert cert.passed and cert.components[0].samples == 2**21
     assert peak < 2**21 * 2 * 8
+
+
+def _three_approximants():
+    """Two placed approximants on one 2D partition, which share centres,
+    and a taylor_poly on it whose centres are shifted off them."""
+    sys_ = parse_system("D(u1,(2,0)) + u1 + D(u1,(0,1))^2", 2, 1, 2)
+    rhs = rhs_from_exprs(["x1*x2"], 2)
+    fine = plan_partition(sys_, rhs, build_partition(SQUARE, 2), 0.05)
+    U1 = ocm.approx._place(sys_, rhs, fine, 0.1)
+    U2 = ocm.approx._place(sys_, rhs, fine, 0.05)
+    rng = np.random.default_rng(21)
+    centers = fine.subcell_centers().T + rng.uniform(-0.01, 0.01, (fine.total_subcells, 2))
+    xis = [{(1, alpha): v for alpha, v in zip(sys_.alphas, rng.normal(size=len(sys_.alphas)))}
+           for _ in centers]
+    U3 = taylor_poly(fine, centers, xis)
+    return sys_, rhs, fine, [U1, U2, U3], [0.1, 0.05, 0.2]
+
+
+def test_one_call_certifies_each_approximant_as_alone(monkeypatch):
+    # one pass over the samples gives each approximant the certificate a
+    # call on it alone gives; rhs runs once per chunk, and the approximants
+    # with equal centres share one monomial memo per chunk
+    sys_, rhs, fine, Us, epss = _three_approximants()
+    monkeypatch.setattr(ocm.approx, "CHUNK", 1500)  # 500 subcells of 3 samples per chunk
+    drawn = ocm.approx._drawn_set(fine, 3, 0.05, 8)
+    pts = sample_points(fine, 3, 0.05, 8)
+    memos = []
+    values = ocm.approx._operator_values
+    monkeypatch.setattr(ocm.approx, "_operator_values",
+                        lambda *args: memos.append(id(args[4])) or values(*args))
+    rhs_calls = []
+    counting_rhs = lambda X: rhs_calls.append(len(X)) or rhs(X)  # noqa: E731
+    for source in (drawn, pts):
+        for workers in (1, 2):
+            memos.clear()
+            rhs_calls.clear()
+            together = check_residual(sys_, Us, counting_rhs, epss, source, workers=workers)
+            assert len(rhs_calls) == -(-fine.total_subcells // 500) > 1
+            assert sum(rhs_calls) == len(pts)
+            if workers == 1:  # a chunk's three calls run in order
+                for a, b, c in zip(memos[::3], memos[1::3], memos[2::3]):
+                    assert a == b != c
+            alone = [check_residual(sys_, [U], rhs, [eps], source, workers=workers)[0]
+                     for U, eps in zip(Us, epss)]
+            assert len(together) == 3 and repr(together) == repr(alone)
+    assert [c.passed for c in alone] == [True, True, False]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("empty", "got 0 approximants and 0 eps values"),
+    ("unequal", "got 3 approximants and 2 eps values"),
+    ("other partition", "approximants and samples must share one partition"),
+])
+def test_check_residual_rejects_an_ill_formed_sequence(case, message):
+    sys_, rhs, fine, Us, epss = _three_approximants()
+    drawn = ocm.approx._drawn_set(fine, 3, 0.05, 8)
+    if case == "empty":
+        Us, epss = [], []
+    elif case == "unequal":
+        epss = epss[:2]
+    else:
+        Us[1] = ocm.approx._place(sys_, rhs, build_partition(SQUARE, 2), 0.05)
+    for source in (drawn, sample_points(fine, 3, 0.05, 8)):
+        with pytest.raises(ValueError, match=message):
+            check_residual(sys_, Us, rhs, epss, source)
+
+
+@pytest.mark.parametrize("texts", [["x1"], ["x1", "0.5", "x1*x1"]], ids=["one row", "three rows"])
+def test_rhs_with_the_wrong_row_count_is_rejected(texts):
+    # two equations need two rows; a one-row rhs used to raise a bare
+    # IndexError and a three-row one a numpy broadcast error
+    from ocm.order import refine_solution
+
+    sys_ = parse_system("u1\nu2", 1, 2, 0)
+    p = build_partition(UNIT, 4)
+    bad = rhs_from_exprs(texts, 1)
+    message = f"right-hand side gives {len(texts)} rows, expected K=2"
+    with pytest.raises(ValueError, match=message):
+        global_approx(sys_, bad, p, 0.1)
+    with pytest.raises(ValueError, match=message):
+        refine_solution(sys_, bad, p, 3, (np.linspace(0.0, 1.0, 9),))
+    U, _ = place_and_certify(sys_, rhs_from_exprs(["x1", "0.5"], 1), p, 0.1)
+    for source in (ocm.approx._drawn_set(p, 3, 0.05, 0), sample_points(p, 3, 0.05, 0)):
+        with pytest.raises(ValueError, match=message):
+            check_residual(sys_, [U], bad, [0.1], source)
+    with pytest.raises(ValueError, match=message):
+        ocm.approx._place(sys_, bad, p, 0.1)
 
 
 def test_solve_jet_respects_anchor_and_explicit_pivot():
@@ -924,9 +986,8 @@ def _all_slots_system(n, K, m):
 
 @pytest.mark.parametrize("n,K,m", list(itertools.product((1, 2, 3), (1, 2), (1, 2))))
 def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
-    # drawn samples, kept whole or streamed, broadcast each piece over its
-    # own samples; caller samples are located and gathered; all three must
-    # give the same numbers
+    # drawn samples broadcast each piece over its own samples; caller
+    # samples are located and gathered; both must give the same numbers
     rng = np.random.default_rng(100 * n + 10 * K + m)
     system = _all_slots_system(n, K, m)
     rhs = rhs_from_exprs([f"x1*x{n}"] * K, n)
@@ -941,10 +1002,9 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
     # above it, where a chunk is a single subcell
     for per_cell in [1, 3, 7, 65536 // S + 5] + ([65539] if (n, K, m) == (1, 1, 1) else []):
         drawn = ocm.approx._drawn_set(p, per_cell, 0.05, per_cell)
-        kept = drawn.kept()
-        # the kept set in the subcell-last order of a chunk, (n, per_cell, S)
-        # and its flat (n, per_cell * S) rows, located point by point
-        grouped = np.concatenate(kept.chunks, axis=2)
+        # the whole set in the subcell-last order of a chunk, (n, per_cell,
+        # S), and its flat (n, per_cell * S) rows, located point by point
+        grouped = drawn.chunk(0, S)
         pts = grouped.T.reshape(-1, n)
         flat = grouped.reshape(n, -1)
         loc, _ = p.locate(flat.T)
@@ -953,11 +1013,10 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
             ocm.approx._operator_values(system, U.coeffs[:, :, loc], U.centers[:, loc], flat))
         for eps in (0.1, 1e3):
             for workers in (1, 2):
-                located = check_residual(system, U, rhs, eps, kept, workers=workers)
-                lookup = check_residual(system, U, rhs, eps, pts, workers=workers)
-                streamed = check_residual(system, U, rhs, eps, drawn, workers=workers)
-                assert located == lookup == streamed
-                assert located.components[0].samples == len(pts)
+                lookup = check_residual(system, [U], rhs, [eps], pts, workers=workers)
+                streamed = check_residual(system, [U], rhs, [eps], drawn, workers=workers)
+                assert lookup == streamed
+                assert streamed[0].components[0].samples == len(pts)
 
 
 def _subset_system(n, K, m, rng):

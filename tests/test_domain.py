@@ -224,12 +224,14 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
         lo, hi = p.subcell_bounds()
         owner = np.arange(len(pts)) // per_cell
         assert np.all((lo[:, owner] < pts.T) & (pts.T < hi[:, owner]))
-        # the kept set holds the same draw as (n, per_cell, count) chunks
-        kept = _drawn_set(p, per_cell, margin, k).kept()
-        np.testing.assert_array_equal(np.concatenate(kept.chunks, axis=2),
+        # the drawn set hands out the same draw as (n, per_cell, count)
+        # chunks, here 5 subcells wide, each checked against its subcells
+        drawn = _drawn_set(p, per_cell, margin, k)
+        chunks = [drawn.chunk(s, 5) for s in range(0, p.total_subcells, 5)]
+        np.testing.assert_array_equal(np.concatenate(chunks, axis=2),
                                       pts.reshape(-1, per_cell, p.n).T)
-        assert all(c.shape[:2] == (p.n, per_cell) for c in kept.chunks)
-        assert sum(c.shape[2] for c in kept.chunks) == p.total_subcells
+        assert all(c.shape[:2] == (p.n, per_cell) for c in chunks)
+        assert sum(c.shape[2] for c in chunks) == p.total_subcells
         ref, on_face = p.locate(pts)
         assert not on_face.any()
         np.testing.assert_array_equal(ref, owner)

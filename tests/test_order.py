@@ -184,68 +184,54 @@ def test_refine_single_step_trace():
     assert trace.steps[0].cauchy_gap_prev == 0.0
 
 
-def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch):
+@pytest.mark.parametrize("n_max", [1, 4])
+def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch, n_max):
+    # one plan, one certificate call for all steps, and the set streamed in
+    # that one pass, never drawn whole; a one-step refine takes the same path
     import ocm.approx
 
-    plans, planned, draws, streamed = [], [], [], []
-    plan = ocm.approx.plan_partition
-    sample_points, sample_chunk = ocm.approx.sample_points, ocm.approx._sample_chunk
+    plans, planned, certified, streamed = [], [], [], []
+    plan, check = ocm.approx.plan_partition, ocm.approx.check_residual
+    sample_chunk = ocm.approx._sample_chunk
 
     def counting_plan(*args, **kwargs):
         plans.append(args[3])  # eps
         planned.append(plan(*args, **kwargs))
         return planned[-1]
 
-    def counting_samples(*args, **kwargs):
-        draws.append(args[0])  # partition
-        return sample_points(*args, **kwargs)
-
-    def counting_chunks(*args, **kwargs):
-        streamed.append(args[0])  # partition
-        return sample_chunk(*args, **kwargs)
-
-    monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
-    monkeypatch.setattr(ocm.approx, "sample_points", counting_samples)
-    monkeypatch.setattr(ocm.approx, "_sample_chunk", counting_chunks)
-    sys_, trace = _refine(["D(u1,(1))"], ["x1"], 4)
-    monkeypatch.undo()
-    assert plans == [1 / 4]
-    (fine,) = planned
-    assert all(s.approximant.partition is fine for s in trace.steps)
-    assert trace.all_certified
-    # every step, the finest included, reads one set, drawn once as a whole
-    assert len(draws) == 1 and draws[0] is fine
-    assert streamed == []
-    rhs = rhs_from_exprs(["x1"], 1)
-    for s in trace.steps:
-        U, alone = place_and_certify(sys_, rhs, fine, s.eps, seed=7)
-        assert s.approximant.coeffs.tobytes() == U.coeffs.tobytes()
-        assert repr(s.certificate) == repr(alone)
-
-
-def test_one_step_refine_streams_its_set(monkeypatch):
-    # a single step reads its set once, so it is streamed, not held whole
-    import ocm.approx
-
-    streamed = []
-    sample_chunk = ocm.approx._sample_chunk
+    def counting_checks(*args, **kwargs):
+        certified.append(list(args[3]))  # epss
+        return check(*args, **kwargs)
 
     def counting_chunks(*args, **kwargs):
         streamed.append(args[0])  # partition
         return sample_chunk(*args, **kwargs)
 
     def never(*args, **kwargs):
-        raise AssertionError("a one-step refine drew its whole set")
+        raise AssertionError("refine drew its whole set")
 
+    monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
+    monkeypatch.setattr(ocm.approx, "check_residual", counting_checks)
     monkeypatch.setattr(ocm.approx, "_sample_chunk", counting_chunks)
     monkeypatch.setattr(ocm.approx, "sample_points", never)
-    sys_, trace = _refine(["D(u1,(1))"], ["x1"], 1)
+    sys_, trace = _refine(["D(u1,(1))"], ["x1"], n_max)
     monkeypatch.undo()
-    (step,) = trace.steps
-    fine = step.approximant.partition
-    assert streamed and all(d is fine for d in streamed)
-    _, alone = place_and_certify(sys_, rhs_from_exprs(["x1"], 1), fine, 1.0, seed=7)
-    assert repr(step.certificate) == repr(alone)
+    assert plans == [1 / n_max]
+    (fine,) = planned
+    assert all(s.approximant.partition is fine for s in trace.steps)
+    assert trace.all_certified
+    # every step, the finest included, is certified in one call on one set
+    assert certified == [[s.eps for s in trace.steps]]
+    # each chunk drawn once, not once per step
+    per_cell = -(-ocm.approx.TARGET_SAMPLES // fine.total_subcells)
+    step = max(1, ocm.approx.CHUNK // per_cell)
+    assert len(streamed) == -(-fine.total_subcells // step)
+    assert all(d is fine for d in streamed)
+    rhs = rhs_from_exprs(["x1"], 1)
+    for s in trace.steps:
+        U, alone = place_and_certify(sys_, rhs, fine, s.eps, seed=7)
+        assert s.approximant.coeffs.tobytes() == U.coeffs.tobytes()
+        assert repr(s.certificate) == repr(alone)
 
 
 def test_refine_placement_errors_precede_sample_errors(monkeypatch):
