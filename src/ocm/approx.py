@@ -37,12 +37,15 @@ transpose: ``sample_points`` returns (N, n), caller samples passed to
 ``local_approx`` take centre points.
 
 The jet solve is deterministic by construction: one designated pivot
-slot per equation.  A pivot that enters its equation affinely is solved
-in closed form from two evaluations, and the root is kept where one more
-evaluation puts the residual within SOLVE_TOL; every other point, and
-every other pivot, goes to a geometric bracket scan out to |t| = 1e6 and
-plain bisection, which stops each point on its own.  No randomness, no
-multi-start iterations.
+slot per equation, the first unused slot of one preference list.  A
+pivot that enters its equation affinely is solved in closed form from
+two evaluations, and the root is kept where one more evaluation puts the
+residual within SOLVE_TOL; every other point, and every other pivot,
+goes to a geometric bracket scan out to |t| = 1e6 and plain bisection,
+which stops each point on its own.  Equations are swept in order until
+a point's residuals are within SOLVE_TOL, a sweep moves none of its
+pivots, or SWEEPS sweeps have run.  No randomness, no multi-start
+iterations.
 """
 
 from __future__ import annotations
@@ -104,9 +107,10 @@ class RangeViolation(Exception):
     with ``reason`` saying which, when an equation has no jet slot to
     adjust and misses its target, when the right-hand side is not finite
     at the point, when the operator is undefined at the solved jet, and
-    when the pivot sweeps end with a residual still
-    above SOLVE_TOL; ``component`` and ``x`` then name the worst
-    residual.
+    when the pivot sweeps end with a residual still above SOLVE_TOL,
+    because a sweep moved no pivot or SWEEPS sweeps ran; the message
+    then gives the number of sweeps run, and ``component`` and ``x``
+    name the worst residual.
     """
 
     def __init__(self, component: int, x, *, reason: str | None = None):
@@ -335,26 +339,19 @@ def _rhs_at(rhs, pts: np.ndarray, K: int) -> np.ndarray:
 # jet solving
 
 def default_pivots(system: ex.PdeSystem) -> tuple:
-    """One pivot slot per equation: the equation's own zeroth-order slot
-    when referenced, else its first referenced derivative slot; pivots
-    are kept distinct across equations."""
+    """One pivot slot per equation, distinct across equations: the first
+    unused slot of one preference list, which holds the equation's own
+    zeroth-order slot when it is referenced, then its referenced
+    derivative slots, then every slot it references, in slot order.  An
+    equation that references no slot gets None."""
     used: set = set()
     pivots = []
-    zero_alpha = (0,) * system.n
     for i, comp in enumerate(system.components, start=1):
-        refs = ex.jet_slots_of(comp)
-        if not refs:
-            pivots.append(None)
-            continue
-        ordered = sorted(refs)
-        pick = None
-        if (i, zero_alpha) in refs and (i, zero_alpha) not in used:
-            pick = (i, zero_alpha)
-        if pick is None:
-            pick = next((s for s in ordered if sum(s[1]) >= 1 and s not in used), None)
-        if pick is None:
-            pick = next((s for s in ordered if s not in used), None)
-        if pick is None:
+        refs = sorted(ex.jet_slots_of(comp))
+        own = (i, (0,) * system.n)
+        prefs = [s for s in refs if s == own] + [s for s in refs if any(s[1])] + refs
+        pick = next((s for s in prefs if s not in used), None)
+        if refs and pick is None:
             raise ValueError(
                 f"cannot assign a distinct pivot slot to equation {i}; "
                 "pass explicit pivots"
@@ -407,87 +404,57 @@ def _affine_root(g, t: np.ndarray) -> np.ndarray:
     one more evaluation confirms |g(t)| <= SOLVE_TOL; a zero or nan slope
     or a root beyond the scan window fails it.
     """
-    t.fill(0.0)
+    t[:] = 0.0
     g0 = g()
-    t.fill(1.0)
-    slope = g()
+    t[:] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope -= g0
-        np.divide(g0, slope, out=t)
-    np.negative(t, out=t)
-    t += 0.0
-    ok = np.abs(t) <= SCAN_LIMIT
-    ok &= np.abs(g()) <= SOLVE_TOL
-    return ok
+        t[:] = -(g0 / (g() - g0)) + 0.0
+    return (np.abs(t) <= SCAN_LIMIT) & (np.abs(g()) <= SOLVE_TOL)
 
 
 def _bracket_root(g, t: np.ndarray) -> np.ndarray:
-    """Root of g in t by bracket scan plus bisection, in place on t.
+    """Root of g in t by bracket scan plus bisection, written into t.
 
     g() evaluates the residual at the pivot values now in t.  The scan
-    keeps each point's first sign change over the ascending candidates;
-    bisection then stops each point on its own, once its bracket is at
-    most BRACKET_WIDTH wide or its midpoint equals an end (further halvings
-    would leave that midpoint as it is), so a point's root does not depend
-    on the rest of the batch.  Returns the mask of points with a bracket;
-    the others end at t = 0.
+    keeps each point's first finite sign change over the ascending
+    candidates and ends once every point has one.  Bisection then stops
+    each point on its own, once its bracket is at most BRACKET_WIDTH wide
+    or its midpoint equals an end (further halvings would leave that
+    midpoint as it is), so a point's root does not depend on the rest of
+    the batch.  Returns the mask of points with a bracket; the others
+    end at t = 0.
     """
-    S = len(t)
-    cands = _scan_candidates()
-    lo = np.zeros(S)
-    hi = np.zeros(S)
-    s_lo = np.zeros(S)  # sign of g at lo: fixed, as lo only moves to midpoints of that sign
-    found = np.zeros(S, dtype=bool)
-    prev_sign = None
-    prev_ok = None
-    # the first sign change in ascending order is each point's bracket, so
-    # the scan ends once every point has one
-    for k, c in enumerate(cands):
-        t.fill(c)
-        gt = g()
-        ok = np.isfinite(gt)
-        sign = np.sign(gt)
-        if prev_sign is not None:
-            sel = prev_sign * sign <= 0
-            sel &= prev_ok
-            sel &= ok
-            sel &= ~found
-            if sel.any():
-                lo[sel] = cands[k - 1]
-                s_lo[sel] = prev_sign[sel]
-                hi[sel] = c
-                found |= sel
-                if found.all():
-                    break
-        prev_sign, prev_ok = sign, ok
+    # each point's bracket [lo, hi] and the sign s_lo of g at lo, which
+    # bisection keeps, as lo only moves to midpoints of that sign
+    lo = hi = s_lo = np.zeros(len(t))
+    found = np.zeros(len(t), dtype=bool)
+    prev = prev_sign = None
+    for c in _scan_candidates():
+        t[:] = c
+        gc = g()
+        sign = np.where(np.isfinite(gc), np.sign(gc), np.nan)
+        if prev is not None:
+            new = (prev_sign * sign <= 0) & ~found
+            lo = np.where(new, prev, lo)
+            hi = np.where(new, c, hi)
+            s_lo = np.where(new, prev_sign, s_lo)
+            found |= new
+            if found.all():
+                break
+        prev, prev_sign = c, sign
     # a point moves right when g(mid) has the sign of g(lo); where g(lo) is
     # 0 and g(mid) is infinite, inf * 0 is nan, so it moves left
-    go_right = np.empty(S, dtype=bool)
-    go_left = np.empty(S, dtype=bool)
-    width = np.empty(S)
-    mid = t
-    np.add(lo, hi, out=mid)
-    mid *= 0.5
-    done = (mid == lo) | (mid == hi)
+    t[:] = (lo + hi) * 0.5
+    done = (t == lo) | (t == hi)
     with np.errstate(invalid="ignore"):
         for _ in range(80):
             if done.all():
                 break
-            live = ~done
-            gm = g()
-            gm *= s_lo
-            np.greater(gm, 0.0, out=go_right)
-            np.logical_not(go_right, out=go_left)
-            go_right &= live
-            go_left &= live
-            np.copyto(lo, mid, where=go_right)
-            np.copyto(hi, mid, where=go_left)
-            np.subtract(hi, lo, out=width)
-            done |= width <= BRACKET_WIDTH
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            done |= mid == lo
-            done |= mid == hi
+            right = g() * s_lo > 0.0
+            lo, hi = np.where(right & ~done, t, lo), np.where(~right & ~done, t, hi)
+            done |= hi - lo <= BRACKET_WIDTH
+            t[:] = (lo + hi) * 0.5
+            done |= (t == lo) | (t == hi)
     return found
 
 
@@ -509,13 +476,15 @@ class _JetSolve:
     fail: np.ndarray  # (S,) failure code, 0 where the point was solved
     component: np.ndarray  # (S,) 1-based component of the failure
     residual: np.ndarray  # (S,) worst |residual| over components after the last sweep
+    sweeps: np.ndarray  # (S,) sweeps run by a point that did not converge
 
     def error(self, s: int, x) -> RangeViolation:
         component = int(self.component[s])
         if self.fail[s] == _NOT_CONVERGED:
+            sweeps = int(self.sweeps[s])
             return RangeViolation(component, x, reason=(
                 f"jet solve did not converge: residual {self.residual[s]:g} above "
-                f"{SOLVE_TOL:g} after {SWEEPS} pivot sweeps"
+                f"{SOLVE_TOL:g} after {sweeps} pivot sweep{'s' * (sweeps != 1)}"
             ))
         return RangeViolation(component, x, reason=_FAILURE_REASON.get(int(self.fail[s])))
 
@@ -532,15 +501,18 @@ class _JetSolve:
 def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> _JetSolve:
     """Solve the pivot slots so every component meets its target at its center.
 
-    centers: (n, S); targets: (K, S).  Equations are solved in order; if
-    pivot slots couple equations, extra sweeps run until every residual
-    is within SOLVE_TOL.  A pivot that enters its equation affinely is
-    solved in closed form, and only the points that closed form misses go
-    on to the bracket solve; any other pivot takes the bracket solve at
-    every point.  A point keeps the first failure it meets; it leaves the
-    sweeps once it fails or converges, so every point gets the jet it
-    would get alone.  A point whose target is not finite fails before any
-    scan.
+    centers: (n, S); targets: (K, S).  Each sweep solves the equations in
+    order, each for its own pivot with the others held; a pivot that
+    enters its equation affinely is solved in closed form, and only the
+    points that closed form misses go on to the bracket solve, which
+    every other pivot takes at every point.  A point leaves the sweeps
+    once it fails (it keeps its first failure, and a target that is not
+    finite fails before any scan), once every residual is within
+    SOLVE_TOL, or, as _NOT_CONVERGED, once a sweep leaves all its pivots
+    bit for bit as they were or SWEEPS sweeps have run.  Both root finders
+    overwrite the pivot before reading it, so a sweep that moves no pivot
+    would repeat itself exactly.  Every point gets the jet it would get
+    alone.
     """
     X = centers
     S = X.shape[1]
@@ -550,12 +522,13 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     else:
         XI = np.tile(np.asarray(anchor, dtype=float).reshape(-1, 1), (1, S))
     pivot_rows = [None if p is None else system.slot(*p) for p in pivots]
+    rows = [r for r in pivot_rows if r is not None]
     affine = [p is not None and _pivot_degree(tree, p) == 1
               for tree, p in zip(system.components, pivots)]
     fail = np.zeros(S, dtype=np.int8)
     comp = np.zeros(S, dtype=np.int32)
     worst = np.zeros(S)
-    worst_comp = np.zeros(S, dtype=np.int32)
+    sweeps = np.zeros(S, dtype=np.int32)
 
     def mark(points, bad, code, i):
         """Fail points[bad] in component i unless they failed before."""
@@ -577,9 +550,10 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     live = np.arange(S)
     for i in range(K):
         mark(live, ~np.isfinite(targets[i]), _NO_TARGET, i)
-    for _ in range(SWEEPS):
+    for sweep in range(1, SWEEPS + 1):
         whole = len(live) == S
         Xs, XIs, Ts = (X, XI, targets) if whole else (X[:, live], XI[:, live], targets[:, live])
+        before = XIs[rows]
         gs = [residual(i, Xs, XIs, Ts[i]) for i in range(K)]
         for i in range(K):
             row = pivot_rows[i]
@@ -596,19 +570,21 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
                 XIs[row, rest] = XI_rest[row]
                 mark(live[rest], ~found, _NO_SIGN_CHANGE, i)
         resid = np.abs(np.stack([g() for g in gs]))
+        moved = (XIs[rows].view(np.int64) != before.view(np.int64)).any(axis=0)
         if not whole:
             XI[:, live] = XIs
         for i in range(K):
             mark(live, ~np.isfinite(resid[i]), _UNDEFINED, i)
         worst[live] = resid.max(axis=0)
-        worst_comp[live] = np.argmax(resid, axis=0) + 1
-        live = live[(fail[live] == 0) & (worst[live] > SOLVE_TOL)]
+        unsolved = (fail[live] == 0) & (worst[live] > SOLVE_TOL)
+        stalled = unsolved & ~(moved & (sweep < SWEEPS))
+        fail[live[stalled]] = _NOT_CONVERGED
+        comp[live[stalled]] = np.argmax(resid[:, stalled], axis=0) + 1
+        sweeps[live[stalled]] = sweep
+        live = live[unsolved & ~stalled]
         if not len(live):
             break
-    else:
-        fail[live] = _NOT_CONVERGED
-        comp[live] = worst_comp[live]
-    return _JetSolve(xi=XI, fail=fail, component=comp, residual=worst)
+    return _JetSolve(xi=XI, fail=fail, component=comp, residual=worst, sweeps=sweeps)
 
 
 def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, pivots=None) -> JetPoint:
@@ -644,6 +620,15 @@ def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, 
 
 # ---------------------------------------------------------------------------
 # local and global construction
+
+def _check_band(eps: float, eta: float = 0.0) -> None:
+    """Raise ValueError unless [-eps - eta, eta] is a band that can be
+    checked: eps positive and finite, eta finite and >= 0."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+
 
 def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic verification samples in the closed ball around each
@@ -729,12 +714,13 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     until the sampled band check passes.  This is one probe of
     plan_partition, run alone.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_band(eps, eta)
+    start = float(start_delta) if start_delta is not None else box.diameter
+    if not 0.0 < start < math.inf:
+        raise ValueError(f"start_delta must be positive and finite, got {start_delta!r}")
     x0 = np.asarray(x0, dtype=float).reshape(-1, 1)
     if pivots is None:
         pivots = default_pivots(system)
-    start = float(start_delta) if start_delta is not None else box.diameter
     deltas, coeffs = _probe(system, rhs, x0, np.asarray([start]), eps, box, eta, pivots)
     return float(deltas[0]), PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
 
@@ -752,8 +738,7 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     Raises the error of the first failing probe, cells in C order and
     probes in lexicographic order within a cell.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_band(eps, eta)
     # (n, F) fractions, (n, n_cells) cell corners, (n, n_cells * F) probe points
     fracs = np.stack([g.ravel() for g in np.meshgrid(*[_PROBE_FRACTIONS] * p.n, indexing="ij")])
     where = p._cell_indices()
@@ -822,8 +807,7 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     the error raised is the whole batch's: the first hard failure, else
     the worst residual where the sweeps only failed to converge.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_band(eps)
     pivots = default_pivots(system)
     centers = fine.subcell_centers()
     S = centers.shape[1]
@@ -960,11 +944,15 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
     (x - c)^gamma.  ``workers`` threads fold each approximant's residuals
     into per-component extremes, undefined counts and top offenders,
     merged in chunk order, so the certificates do not depend on workers.
+    Every eps must be positive and finite and eta finite and >= 0; a nan
+    or infinite band edge would pass any residual.
     """
     Us, epss = list(Us), list(epss)
     if not Us or len(Us) != len(epss):
         raise ValueError(f"need one eps per approximant, got {len(Us)} approximants "
                          f"and {len(epss)} eps values")
+    for eps in epss:
+        _check_band(eps, eta)
     p = samples.partition if isinstance(samples, _DrawnSet) else Us[0].partition
     if any(tuple(U.alphas) != system.alphas or U.K != system.K for U in Us):
         raise ValueError("approximant jet layout does not match the system")

@@ -126,9 +126,16 @@ class SemicontinuityFlags:
 
 
 def make_lattice(bounds: Box, counts) -> tuple[np.ndarray, ...]:
-    """Midpoint lattice: per axis, N nodes at lo + (i + 1/2) * (hi - lo) / N."""
-    if isinstance(counts, int):
+    """Midpoint lattice: per axis, N nodes at lo + (i + 1/2) * (hi - lo) / N.
+
+    counts holds one N >= 1 per axis; a single int applies to every axis.
+    """
+    if isinstance(counts, (int, np.integer)):
         counts = (counts,) * bounds.n
+    if len(counts) != bounds.n or not all(isinstance(c, (int, np.integer)) and c >= 1
+                                          for c in counts):
+        raise ValueError(f"need one lattice count >= 1 per axis of a {bounds.n}-D box, "
+                         f"got {counts!r}")
     return tuple(
         bounds.lo[d] + (np.arange(counts[d]) + 0.5) * (bounds.hi[d] - bounds.lo[d]) / counts[d]
         for d in range(bounds.n)

@@ -38,6 +38,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("corner dimensions differ")
+        if not all(map(math.isfinite, (*self.lo, *self.hi))):
+            raise ValueError(f"box corners must be finite, got {self.lo} and {self.hi}")
         if not all(a < b for a, b in zip(self.lo, self.hi)):
             raise ValueError(f"degenerate box: lower corner {self.lo} not below upper {self.hi}")
 

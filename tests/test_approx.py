@@ -184,6 +184,13 @@ def test_default_pivot_prefers_zeroth_then_first_derivative():
     assert default_pivots(two) == ((1, (1,)), (2, (0,)))
 
 
+def test_default_pivot_takes_any_referenced_slot_and_keeps_pivots_distinct():
+    # equation 1 references neither its own slot nor a derivative slot
+    assert default_pivots(parse_system("u2\nu1", 1, 2, 0)) == ((2, (0,)), (1, (0,)))
+    with pytest.raises(ValueError, match="cannot assign a distinct pivot slot to equation 2"):
+        default_pivots(parse_system("u2\nu2", 1, 2, 0))
+
+
 def test_solve_jet_coupled_system_meets_both_targets():
     sys_ = parse_system("D(u1,(1))\nu2 + D(u1,(1))", 1, 2, 1)
     jet = solve_jet(sys_, (0.25,), (0.2, 1.2))
@@ -344,6 +351,40 @@ def test_converged_points_leave_the_sweeps():
         assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), k
     assert list(batch.fail) == [0, 1]
     assert list(batch.component) == [0, 1]
+
+
+def _spy(monkeypatch, name):
+    """The batch sizes of every call to the root finder ocm.approx.<name>."""
+    calls = []
+    real = getattr(ocm.approx, name)
+    monkeypatch.setattr(ocm.approx, name, lambda g, t: calls.append(len(t)) or real(g, t))
+    return calls
+
+
+def test_a_sweep_that_moves_no_pivot_ends_the_sweeps(monkeypatch):
+    # exp(u1) = 2 misses SOLVE_TOL = 0 by float spacing; the second sweep
+    # solves the pivot to the bits the first gave it, so it is the last
+    monkeypatch.setattr("ocm.approx.SOLVE_TOL", 0.0)
+    calls = _spy(monkeypatch, "_bracket_root")
+    sys_ = parse_system("exp(u1)", 1, 1, 0)
+    solve = _solve_jets(sys_, np.asarray([[0.25]]), np.asarray([[2.0]]), None,
+                        default_pivots(sys_))
+    assert calls == [1, 1]
+    assert list(solve.fail) == [4] and list(solve.component) == [1]
+    assert solve.residual[0] == 6.661338147750939e-16
+    with pytest.raises(RangeViolation, match="6.66134e-16 above 0 after 2 pivot sweeps$"):
+        solve_jet(sys_, (0.25,), (2.0,))
+
+
+def test_coupled_pivots_sweep_while_they_move(monkeypatch):
+    # every sweep moves both pivots until the sixth meets SOLVE_TOL
+    calls = _spy(monkeypatch, "_affine_root")
+    sys_ = parse_system("u1 + 0.1*u2\nu2 + 0.1*u1", 1, 2, 0)
+    solve = _solve_jets(sys_, np.asarray([[0.25]]), np.asarray([[0.3], [0.7]]), None,
+                        default_pivots(sys_))
+    assert len(calls) == 2 * 6
+    assert list(solve.fail) == [0]
+    assert solve.xi[:, 0].tolist() == [0.23232323233, 0.676767676767]
 
 
 @pytest.mark.parametrize("eqs,n,m,pivot,degree", [
@@ -918,6 +959,65 @@ def test_one_call_certifies_each_approximant_as_alone(monkeypatch):
                      for U, eps in zip(Us, epss)]
             assert len(together) == 3 and repr(together) == repr(alone)
     assert [c.passed for c in alone] == [True, True, False]
+
+
+def _overshooting_band():
+    """D(u1,(1)) = x1 on 4 cells, planned at eps 0.1 and placed for eps
+    0.01: its residuals lie in about [-0.019, 0.009], outside an eps
+    0.001 band on both sides."""
+    sys_ = parse_system("D(u1,(1))", 1, 1, 1)
+    rhs = rhs_from_exprs(["x1"], 1)
+    fine = plan_partition(sys_, rhs, build_partition(UNIT, 4), 0.1)
+    return sys_, rhs, ocm.approx._place(sys_, rhs, fine, 0.01)
+
+
+@pytest.mark.parametrize("eps,eta,message", [
+    (math.nan, 1e-9, "eps must be positive and finite"),
+    (math.inf, 1e-9, "eps must be positive and finite"),
+    (0.0, 1e-9, "eps must be positive and finite"),
+    (0.001, math.nan, "eta must be finite and >= 0"),
+    (0.001, math.inf, "eta must be finite and >= 0"),
+    (0.001, -1e-9, "eta must be finite and >= 0"),
+])
+def test_check_residual_rejects_a_band_that_checks_nothing(eps, eta, message):
+    sys_, rhs, U = _overshooting_band()
+    for source in (ocm.approx._drawn_set(U.partition, 3, 0.05, 0),
+                   sample_points(U.partition, 3, 0.05, 0)):
+        (cert,) = check_residual(sys_, [U], rhs, [0.001], source)
+        assert not cert.passed
+        # a nan or infinite eta or eps used to pass this certificate
+        with pytest.raises(ValueError, match=message):
+            check_residual(sys_, [U, U], rhs, [0.001, eps], source, eta=eta)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+def test_construction_rejects_eps_that_is_not_positive_and_finite(eps):
+    # eps = nan used to fail as "right-hand side not finite"
+    sys_, rhs = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 1)
+    p = build_partition(UNIT, 4)
+    for build in (global_approx, plan_partition, place_and_certify, ocm.approx._place):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            build(sys_, rhs, p, eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        local_approx(sys_, rhs, (0.5,), eps, box=UNIT)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -1e-9])
+def test_construction_rejects_eta_that_is_not_finite_and_nonnegative(eta):
+    sys_, rhs = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 1)
+    p = build_partition(UNIT, 4)
+    with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+        plan_partition(sys_, rhs, p, 0.1, eta=eta)
+    with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+        local_approx(sys_, rhs, (0.5,), 0.1, box=UNIT, eta=eta)
+
+
+@pytest.mark.parametrize("start", [-0.5, 0.0, math.nan, math.inf])
+def test_local_approx_rejects_a_start_radius_that_is_not_positive_and_finite(start):
+    # -0.5 used to end as "validity radius collapsed to -0.25"
+    sys_, rhs = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 1)
+    with pytest.raises(ValueError, match="start_delta must be positive and finite"):
+        local_approx(sys_, rhs, (0.5,), 0.1, box=UNIT, start_delta=start)
 
 
 @pytest.mark.parametrize("case,message", [

@@ -207,6 +207,16 @@ def _line_poly(partition, slope, intercept=0.0):
                                             for c in centers])
 
 
+@pytest.mark.parametrize("counts", [(4,), (4, 4, 4), (4, 0), 0, (4, 2.5)])
+def test_make_lattice_needs_one_count_per_axis(counts):
+    # (4,) used to raise a bare IndexError, (4, 4, 4) to build a 4x4
+    # lattice, and a 0 count an empty axis
+    with pytest.raises(ValueError, match="one lattice count >= 1 per axis of a 2-D box"):
+        make_lattice(Box((0.0, 0.0), (1.0, 1.0)), counts)
+    axes = make_lattice(Box((0.0, 0.0), (1.0, 2.0)), (2, 1))
+    assert [a.tolist() for a in axes] == [[0.25, 0.75], [1.0]]
+
+
 def test_embed_single_piece_identity_off_skeleton():
     partition = build_partition(Box((0.0,), (1.0,)), 1)
     u = _line_poly(partition, 1.0)  # u(x) = x globally

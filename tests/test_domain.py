@@ -41,6 +41,15 @@ def test_build_degenerate_box_rejected():
         Box((0.0, 0.5), (1.0, 0.5))
 
 
+@pytest.mark.parametrize("lo,hi", [((0.0,), (math.inf,)), ((-math.inf, 0.0), (1.0, 1.0)),
+                                   ((0.0,), (math.nan,))])
+def test_box_corners_must_be_finite(lo, hi):
+    # (0, inf) used to be accepted, then fail in build_partition as a
+    # "degenerate box" at the nan lower corner of its subcells
+    with pytest.raises(ValueError, match="box corners must be finite"):
+        Box(lo, hi)
+
+
 def test_subdivide_ceiling_rule():
     # ceil(1 / 0.3) = 4 equal parts of width 0.25
     p = build_partition(Box((0.0,), (1.0,)), 1)
