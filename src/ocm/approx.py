@@ -10,15 +10,14 @@ probe's radius until the sampled residual on its ball stays inside
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
 sample set.  ``check_residual`` certifies any number of approximants on
-one partition, as refine_solution's steps are, in one pass over samples
-from two sources: a drawn set (``_DrawnSet``), streamed subcell by
-subcell and checked to lie strictly inside the subcell it was drawn in,
-so each piece is evaluated over its own samples; or samples a caller
-passes, which are located in the partition.  Both the jet solve and the
-certificate run in chunks of about CHUNK centres or samples, so their
-working memory does not grow with the partition.  ``global_approx`` is
-the two stages in sequence; ``local_approx`` is the probe stage for a
-single point.
+one partition, as refine_solution's steps are, in one pass over a drawn
+sample set (``_DrawnSet``), streamed subcell by subcell and checked to
+lie strictly inside the subcell it was drawn in, so each piece is
+evaluated over its own samples and no sample is looked up.  Both the jet
+solve and the certificate run in chunks of about CHUNK centres or
+samples, so their working memory does not grow with the partition.
+``global_approx`` is the two stages in sequence; ``local_approx`` is the
+probe stage for a single point.
 
 Every per-subcell and per-probe array is stored subcell axis last, the
 way the kernels read it: subcell bounds and centres (n, S), piece
@@ -31,10 +30,9 @@ not a loop over n = 2 or 3 coordinates repeated per sample.
 Only the jet slots the system reads are built.  The layout decides which
 loop numpy runs innermost, not the operations on any element, so it
 cannot move a certificate.  Only the point-first public boundaries
-transpose: ``sample_points`` returns (N, n), caller samples passed to
-``check_residual`` are (N, n), a right-hand side maps (N, n) to (K, N),
-``PiecewisePoly.jets`` maps (N, n) to (N, K, A), and ``taylor_poly`` and
-``local_approx`` take centre points.
+transpose: ``sample_points`` returns (N, n), a right-hand side maps
+(N, n) to (K, N), ``PiecewisePoly.jets`` maps (N, n) to (N, K, A), and
+``taylor_poly`` and ``local_approx`` take centre points.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation, the first unused slot of one preference list.  A
@@ -668,6 +666,13 @@ def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarra
     return np.all(ok | ~inside, axis=0)
 
 
+def _solve_pieces(system, rhs, centers: np.ndarray, eps: float, pivots) -> tuple:
+    """Jets solved for f - eps/2 at centers (n, S), and their pieces (K, A, S)."""
+    target = _rhs_at(rhs, centers.T, system.K) - 0.5 * eps
+    solve = _solve_jets(system, centers, target, None, pivots)
+    return solve, _taylor_coeffs(system.alphas, solve.xi)
+
+
 def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box,
            eta: float, pivots) -> tuple[np.ndarray, np.ndarray]:
     """Validity radius (B,) and piece coefficients (K, A, B) at probe points x0s (n, B).
@@ -679,8 +684,7 @@ def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box
     whose radius falls below the floor.
     """
     B = x0s.shape[1]
-    solve = _solve_jets(system, x0s, _rhs_at(rhs, x0s.T, system.K) - 0.5 * eps, None, pivots)
-    coeffs = _taylor_coeffs(system.alphas, solve.xi)
+    solve, coeffs = _solve_pieces(system, rhs, x0s, eps, pivots)
     delta = np.array(start, dtype=float)
     floor = DELTA_FLOOR_FACTOR * max(box.sides)
     collapsed = np.zeros(B, dtype=bool)
@@ -752,9 +756,9 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
 
 @dataclass(frozen=True)
 class _DrawnSet:
-    """The certificate's sample set on a partition: sample_points(partition,
-    per_cell, margin, seed), sample i drawn in subcell i // per_cell and
-    checked to lie strictly inside it.  The set is streamed, never held
+    """The certificate's one kind of sample set on a partition: sample_points(
+    partition, per_cell, margin, seed), sample i drawn in subcell i // per_cell
+    and checked to lie strictly inside it.  The set is streamed, never held
     whole: each chunk is drawn and checked when check_residual reads it."""
 
     partition: CellPartition
@@ -815,14 +819,13 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     stalled = None  # (residual, error) of the worst point that did not converge
     for s in range(0, S, CHUNK):
         at = centers[:, s: s + CHUNK]
-        solve = _solve_jets(system, at, _rhs_at(rhs, at.T, system.K) - 0.5 * eps, None, pivots)
+        solve, coeffs[:, :, s: s + at.shape[1]] = _solve_pieces(system, rhs, at, eps, pivots)
         w = solve.worst()
         if w is not None:
             if solve.fail[w] != _NOT_CONVERGED:
                 raise solve.error(w, at[:, w])
             if stalled is None or solve.residual[w] > stalled[0]:
                 stalled = solve.residual[w], solve.error(w, at[:, w])
-        coeffs[:, :, s: s + at.shape[1]] = _taylor_coeffs(system.alphas, solve.xi)
     if stalled is not None:
         raise stalled[1]
     return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)
@@ -884,7 +887,6 @@ class ResidualCertificate:
     eps: float
     eta: float
     components: list[ComponentStats]
-    insufficient: bool = False
 
     @property
     def passed(self) -> bool:
@@ -929,58 +931,41 @@ def _fold(r: np.ndarray, X: np.ndarray, first: int, per_cell: int, eps: float,
 def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float = DEFAULT_ETA,
                    workers: int = 1) -> list[ResidualCertificate]:
     """Band check of approximants Us on one partition, each against its
-    own eps in epss, in one pass over the given off-skeleton samples;
-    returns one certificate per approximant.
+    own eps in epss, in one pass over samples, the _DrawnSet on that
+    partition (anything else raises TypeError); one certificate each.
 
-    Caller samples, an (N, n) array, are located in the partition once:
-    a sample on a subcell face (exactly the skeleton) or outside the
-    domain raises ValueError, and the subcell index picks its pieces.  A
-    _DrawnSet on the partition skips the lookup, as each of its samples
-    is checked to lie strictly inside the subcell it was drawn in, so
-    every piece is broadcast over its own samples.  Both are read in
-    chunks of about CHUNK samples, (n, per_cell, count) subcell axis
-    last, each drawn or sliced once with its right-hand side evaluated
-    once; approximants with equal centres share the chunk's monomials
+    The set is read in chunks of about CHUNK samples, (n, per_cell,
+    count) subcell axis last, each drawn once with its right-hand side
+    evaluated once, and every piece is broadcast over its own subcell's
+    samples; approximants with equal centres share the chunk's monomials
     (x - c)^gamma.  ``workers`` threads fold each approximant's residuals
     into per-component extremes, undefined counts and top offenders,
     merged in chunk order, so the certificates do not depend on workers.
     Every eps must be positive and finite and eta finite and >= 0; a nan
     or infinite band edge would pass any residual.
     """
+    if not isinstance(samples, _DrawnSet):
+        raise TypeError("samples must be the drawn sample set (_DrawnSet), "
+                        f"got {type(samples).__name__}")
     Us, epss = list(Us), list(epss)
     if not Us or len(Us) != len(epss):
         raise ValueError(f"need one eps per approximant, got {len(Us)} approximants "
                          f"and {len(epss)} eps values")
     for eps in epss:
         _check_band(eps, eta)
-    p = samples.partition if isinstance(samples, _DrawnSet) else Us[0].partition
+    p, per_cell, total = samples.partition, samples.per_cell, len(samples)
     if any(tuple(U.alphas) != system.alphas or U.K != system.K for U in Us):
         raise ValueError("approximant jet layout does not match the system")
     if any(U.partition is not p for U in Us):
         raise ValueError("approximants and samples must share one partition")
-    pick = None
-    if isinstance(samples, _DrawnSet):
-        per_cell, total, chunk = samples.per_cell, len(samples), samples.chunk
-    else:
-        pts = np.atleast_2d(np.asarray(samples, dtype=float))
-        if pts.size == 0:  # vacuous: every component passes on no samples
-            pts = pts.reshape(0, system.n)
-        pick, on_face = p.locate(pts)
-        if on_face.any():
-            raise ValueError("verification sample lies on the skeleton")
-        per_cell, total = 1, len(pts)
-
-        def chunk(s: int, g: int) -> np.ndarray:
-            return pts[s: s + g].T[:, None]
-
     step = max(1, CHUNK // per_cell)
     # each approximant shares the monomial memo of the first with equal centres
     share = [next((j for j in range(k) if np.array_equal(Us[j].centers, U.centers)), k)
              for k, U in enumerate(Us)]
 
     def fold(s: int) -> list[list[tuple]]:
-        at = chunk(s, step)
-        rows = slice(s, s + at.shape[2]) if pick is None else pick[s: s + at.shape[2]]
+        at = samples.chunk(s, step)
+        rows = slice(s, s + at.shape[2])
         X = at.reshape(system.n, -1)
         f = _rhs_at(rhs, X.T, system.K)
         memos = [{} for _ in Us]
@@ -992,7 +977,7 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
             out.append([_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)])
         return out
 
-    starts = range(0, total // per_cell, step)
+    starts = range(0, p.total_subcells, step)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(fold, starts))
@@ -1009,13 +994,13 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
                 rmin, rmax = min(rmin, lo), max(rmax, hi)
                 undefined += bad
                 worst += offenders
-            if undefined == total:  # no finite residual, or no sample at all
+            if undefined == total:  # no finite residual
                 rmin = rmax = math.nan
             ok = undefined == 0 and not (rmin < -eps - eta or rmax > eta)
             worst.sort(key=lambda o: (-o[0], o[1]))
             stats.append(ComponentStats(i + 1, total, rmin, rmax, ok,
                                         [(pt, r) for _, _, pt, r in worst[:5]]))
-        certs.append(ResidualCertificate(eps, eta, stats, insufficient=total == 0))
+        certs.append(ResidualCertificate(eps, eta, stats))
     return certs
 
 

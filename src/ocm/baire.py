@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from .approx import PiecewisePoly, _operator_values
-from .domain import Box
+from .domain import Box, _axis_counts
 
 __all__ = [
     "GridFn",
@@ -47,8 +47,6 @@ __all__ = [
     "classify_semicontinuity",
     "operator_image",
     "embed_piecewise",
-    "write_gridfn_csv",
-    "read_gridfn_csv",
 ]
 
 
@@ -130,16 +128,25 @@ def make_lattice(bounds: Box, counts) -> tuple[np.ndarray, ...]:
 
     counts holds one N >= 1 per axis; a single int applies to every axis.
     """
-    if isinstance(counts, (int, np.integer)):
-        counts = (counts,) * bounds.n
-    if len(counts) != bounds.n or not all(isinstance(c, (int, np.integer)) and c >= 1
-                                          for c in counts):
-        raise ValueError(f"need one lattice count >= 1 per axis of a {bounds.n}-D box, "
-                         f"got {counts!r}")
+    counts = _axis_counts(bounds, counts, "lattice")
     return tuple(
         bounds.lo[d] + (np.arange(counts[d]) + 0.5) * (bounds.hi[d] - bounds.lo[d]) / counts[d]
         for d in range(bounds.n)
     )
+
+
+def _lattice_axes(axes, bounds: Box) -> tuple[np.ndarray, ...]:
+    """axes as float arrays, one nonempty, strictly increasing axis per
+    dimension of bounds with every node inside it."""
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    if len(axes) != bounds.n:
+        raise ValueError(f"lattice has {len(axes)} axes, expected {bounds.n}")
+    for a, lo, hi in zip(axes, bounds.lo, bounds.hi):
+        if a.ndim != 1 or len(a) == 0 or not np.all(np.diff(a) > 0):
+            raise ValueError("lattice coordinates must be strictly increasing")
+        if not lo <= a[0] <= a[-1] <= hi:
+            raise ValueError("lattice node outside domain")
+    return axes
 
 
 def lattice_nodes(axes) -> np.ndarray:
@@ -208,9 +215,7 @@ def operator_image(system: ex.PdeSystem, u: PiecewisePoly, axes) -> list[GridFn]
     """
     if tuple(u.alphas) != system.alphas or u.K != system.K:
         raise ValueError("approximant jet layout does not match the system")
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    if len(axes) != system.n:
-        raise ValueError(f"lattice has {len(axes)} axes, expected {system.n}")
+    axes = _lattice_axes(axes, u.partition.bounds)
     nodes = lattice_nodes(axes)
     return _located_image(system, u, axes, nodes, *u.partition.locate(nodes))
 
@@ -237,43 +242,3 @@ def embed_piecewise(u: PiecewisePoly, axes) -> list[GridFn]:
     identity = ex.PdeSystem(n=n, K=u.K, m=max(map(sum, u.alphas)),
                             components=tuple(ex.Jet(j, (0,) * n) for j in range(1, u.K + 1)))
     return operator_image(identity, u, axes)
-
-
-# ---------------------------------------------------------------------------
-# CSV round-trip: one row per node with coordinates, value, mask flag
-
-def _fmt(v: float) -> str:
-    if v == np.inf:
-        return "inf"
-    if v == -np.inf:
-        return "-inf"
-    return repr(float(v))
-
-
-def write_gridfn_csv(f: GridFn, path) -> None:
-    mask = f.mask_array()
-    with open(path, "w", newline="\n") as fh:
-        header = [f"x{d + 1}" for d in range(f.n)] + ["value", "mask"]
-        fh.write(",".join(header) + "\n")
-        for idx in itertools.product(*(range(s) for s in f.shape)):
-            coords = [repr(float(f.axes[d][idx[d]])) for d in range(f.n)]
-            fh.write(",".join(coords + [_fmt(f.values[idx]), "1" if mask[idx] else "0"]) + "\n")
-
-
-def read_gridfn_csv(path) -> GridFn:
-    """Read rows in any order, each placed at the node its coordinates
-    name; a node listed twice or not at all raises ValueError."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        n = len(header) - 2
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    coords = np.asarray([[float(r[d]) for d in range(n)] for r in rows]).reshape(len(rows), n)
-    vals = np.asarray([float(r[n]) for r in rows])
-    mask = np.asarray([r[n + 1] == "1" for r in rows])
-    axes = tuple(np.unique(coords[:, d]) for d in range(n))
-    shape = tuple(len(a) for a in axes)
-    node = np.ravel_multi_index([np.searchsorted(a, coords[:, d]) for d, a in enumerate(axes)], shape)
-    if len(rows) != np.prod(shape) or len(np.unique(node)) != len(rows):
-        raise ValueError("grid CSV must list every lattice node exactly once")
-    order = np.argsort(node)
-    return GridFn(axes, vals[order].reshape(shape), mask[order].reshape(shape))

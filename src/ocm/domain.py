@@ -80,7 +80,8 @@ def _edge_index(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class CellPartition:
     """A box tiled by a grid of cells, each cell split into equal subcells.
 
-    ``cell_edges`` are the per-axis cell boundary coordinates.  Cells are
+    ``cell_edges`` are the per-axis cell boundary coordinates, from the
+    box's lower corner to its upper, strictly increasing.  Cells are
     numbered in C order over the cell grid, and ``splits[c, d]`` is the
     number of equal parts of cell ``c`` along axis ``d``: its subcell
     edges there are ``np.linspace(lo, hi, splits[c, d] + 1)`` over the
@@ -99,6 +100,13 @@ class CellPartition:
     _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.cell_edges = tuple(np.asarray(e, dtype=float) for e in self.cell_edges)
+        if len(self.cell_edges) != self.n or not all(
+                e.ndim == 1 and len(e) > 1 and e[0] == lo and e[-1] == hi
+                and np.all(np.diff(e) > 0)
+                for e, lo, hi in zip(self.cell_edges, self.bounds.lo, self.bounds.hi)):
+            raise ValueError("cell edges must be one strictly increasing array per axis, "
+                             "from the lower to the upper corner of the box")
         splits = np.asarray(self.splits)
         shape = (self.n_cells, self.n)
         if splits.shape != shape or splits.dtype.kind not in "iu" or np.any(splits < 1):
@@ -221,15 +229,20 @@ class CellPartition:
         return self._offsets[cell] + sub, on_face
 
 
+def _axis_counts(bounds: Box, counts, what: str) -> tuple[int, ...]:
+    """counts as one integer >= 1 per axis of bounds; one count applies to all."""
+    counts = counts if np.iterable(counts) else (counts,) * bounds.n
+    if len(counts) != bounds.n or not all(isinstance(c, (int, np.integer)) and c >= 1
+                                          for c in counts):
+        raise ValueError(f"need one {what} count >= 1 per axis of a {bounds.n}-D box, "
+                         f"got {counts!r}")
+    return tuple(int(c) for c in counts)
+
+
 def build_partition(bounds: Box, cells_per_axis) -> CellPartition:
-    """Tile a box with a uniform grid of cells (no subdivision yet)."""
-    if isinstance(cells_per_axis, int):
-        cells_per_axis = (cells_per_axis,) * bounds.n
-    cells_per_axis = tuple(int(c) for c in cells_per_axis)
-    if len(cells_per_axis) != bounds.n:
-        raise ValueError("need one cell count per axis")
-    if any(c < 1 for c in cells_per_axis):
-        raise ValueError("cell counts must be >= 1")
+    """Tile a box with a uniform grid of cells (no subdivision yet); one
+    integer cell count per axis, or a single one for every axis."""
+    cells_per_axis = _axis_counts(bounds, cells_per_axis, "cell")
     cell_edges = tuple(
         np.linspace(bounds.lo[d], bounds.hi[d], cells_per_axis[d] + 1) for d in range(bounds.n)
     )

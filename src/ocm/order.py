@@ -26,7 +26,8 @@ from . import approx, expr as ex
 # global_approx has no caller here: it is bound because bench/spans.py wraps ocm.order.global_approx
 from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertificate, _drawn_set,
                      _place, global_approx)
-from .baire import GridFn, EnvelopePair, _located_image, lattice_nodes, nlsc_regularize, operator_image
+from .baire import (GridFn, EnvelopePair, _lattice_axes, _located_image, lattice_nodes,
+                    nlsc_regularize, operator_image)
 from .domain import CellPartition, Skeleton
 
 __all__ = [
@@ -207,15 +208,17 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     and every step places its pieces on it.  One check_residual call then
     certifies all steps in one streamed pass over the set place_and_certify
     would draw for the same partition and seed, so each certificate equals
-    a standalone one.  Every step is placed before the first sample is
-    drawn, so placement errors come first.  All steps share centers and
-    skeleton, so the image sequence increases pointwise; the running
-    nodewise maximum makes that an invariant and repairs count any node
-    where a raw image dropped below the running maximum by more than eta.
+    a standalone one.  The lattice axes are checked before the partition
+    is planned, and every step is placed before the first sample is
+    drawn, so a lattice error comes first, then placement errors.  All
+    steps share centers and skeleton, so the image sequence increases
+    pointwise; the running nodewise maximum makes that an invariant and
+    repairs count any node where a raw image dropped below the running
+    maximum by more than eta.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    axes = _lattice_axes(axes, p.bounds)
     base = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
     epss = [1.0 / n for n in range(1, n_max + 1)]
     placed = [_place(system, rhs, base, eps) for eps in epss]

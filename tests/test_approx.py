@@ -662,7 +662,7 @@ def _transport_setup(eps=0.1):
 
 def test_check_residual_fresh_samples_pass():
     sys_, rhs, U, _ = _transport_setup()
-    samples = sample_points(U.partition, per_cell=500, margin=0.05, seed=99)
+    samples = ocm.approx._drawn_set(U.partition, 500, 0.05, 99)
     assert len(samples) >= 10_000
     (cert,) = check_residual(sys_, [U], rhs, [0.1], samples)
     assert cert.passed
@@ -678,7 +678,7 @@ def test_check_residual_detects_injected_fault():
         centers=U.centers,
     )
     bad.coeffs[0, 1, 7] += 0.1  # push one piece's slope above the band
-    samples = sample_points(U.partition, per_cell=200, margin=0.05, seed=5)
+    samples = ocm.approx._drawn_set(U.partition, 200, 0.05, 5)
     (cert,) = check_residual(sys_, rhs=rhs, Us=[bad], epss=[0.1], samples=samples)
     assert not cert.passed
     lo, hi = bad.partition.subcell_bounds()
@@ -686,27 +686,20 @@ def test_check_residual_detects_injected_fault():
     assert lo[0, 7] <= offender[0] <= hi[0, 7]
 
 
-def test_check_residual_empty_is_vacuous_but_flagged():
-    sys_, rhs, U, _ = _transport_setup()
-    (cert,) = check_residual(sys_, [U], rhs, [0.1], np.empty((0, 1)))
-    assert cert.passed and cert.insufficient
-    assert cert.components[0].samples == 0
-
-
 def test_check_residual_rejects_skeleton_samples(monkeypatch):
+    # the certificate reads only its drawn set, each sample checked against
+    # the subcell it was drawn in: an (N, n) array, here with a sample on
+    # the skeleton, is not a sample set, and no sample is ever located
     sys_, rhs, U, _ = _transport_setup()
     located = []
     locate = CellPartition.locate
     monkeypatch.setattr(CellPartition, "locate",
                         lambda self, pts: located.append(len(pts)) or locate(self, pts))
-    with pytest.raises(ValueError, match="on the skeleton"):
-        check_residual(sys_, [U], rhs, [0.1], np.asarray([[0.3], [0.5]]))
-    with pytest.raises(ValueError, match="outside domain"):
-        check_residual(sys_, [U], rhs, [0.1], np.asarray([[0.3], [1.5]]))
-    # caller samples are located; drawn ones are checked against their subcell
-    assert located == [2, 2]
+    for pts in (np.asarray([[0.3], [0.5]]), sample_points(U.partition, 3, 0.05, 4)):
+        with pytest.raises(TypeError, match="drawn sample set"):
+            check_residual(sys_, [U], rhs, [0.1], pts)
     place_and_certify(sys_, rhs, U.partition, 0.1, seed=4)
-    assert located == [2, 2]
+    assert located == []
 
 
 @pytest.mark.parametrize("move,message", [
@@ -838,7 +831,7 @@ def _stepped_setup():
 def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined):
     # chunks of 3 subcells of 3 samples each; the offenders of the merged
     # chunks are those of a stable sort of the whole residual array by
-    # excess, descending, whichever source and worker count
+    # excess, descending, whichever worker count
     monkeypatch.setattr(ocm.approx, "CHUNK", 10)
     sys_, rhs, U = _stepped_setup()
     if not undefined:
@@ -852,9 +845,8 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     order = np.argsort(-excess, kind="stable")[:5]
     expect = [(tuple(map(float, pts[w])), float(r[w])) for w in order]
     assert math.isnan(expect[0][1]) == undefined
-    certs = [check_residual(sys_, [U], rhs, [eps], source, workers=workers)[0]
-             for workers in (1, 2)
-             for source in (drawn, pts)]
+    certs = [check_residual(sys_, [U], rhs, [eps], drawn, workers=workers)[0]
+             for workers in (1, 2)]
     for cert in certs:
         (c,) = cert.components
         assert not c.passed and c.samples == len(pts)
@@ -868,8 +860,8 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
 def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypatch, per_cell):
     # a chunk's samples sit subcell axis last, so its flat position j holds
     # sample (first + j % count) * per_cell + j // count; the offenders, ties
-    # in excess broken by sample index, must be those of the same samples
-    # passed as caller samples, which are folded in sample order; chunks
+    # in excess broken by sample index, must be those of a stable sort of
+    # the same samples in sample order, as sample_points lists them; chunks
     # hold 6 or 2 subcells, so the tied subcells 4 and 5 share one
     monkeypatch.setattr(ocm.approx, "CHUNK", 20)
     sys_ = parse_system("u1", 2, 1, 0)
@@ -886,13 +878,11 @@ def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypa
     index = {tuple(map(float, q)): i for i, q in enumerate(pts)}
     r = np.repeat(values, per_cell)
     expect = np.argsort(-np.abs(r), kind="stable")[:5].tolist()
-    caller = check_residual(sys_, [U], rhs, [0.1], pts)[0].components[0]
-    assert [index[pt] for pt, _ in caller.offenders] == expect
     for workers in (1, 2):
         (c,) = check_residual(sys_, [U], rhs, [0.1], drawn, workers=workers)[0].components
         assert not c.passed and c.samples == len(pts)
         assert [index[pt] for pt, _ in c.offenders] == expect
-        assert c.offenders == caller.offenders
+        assert [v for _, v in c.offenders] == r[expect].tolist()
 
 
 def test_streamed_certificate_peaks_below_one_sample_array():
@@ -938,26 +928,24 @@ def test_one_call_certifies_each_approximant_as_alone(monkeypatch):
     sys_, rhs, fine, Us, epss = _three_approximants()
     monkeypatch.setattr(ocm.approx, "CHUNK", 1500)  # 500 subcells of 3 samples per chunk
     drawn = ocm.approx._drawn_set(fine, 3, 0.05, 8)
-    pts = sample_points(fine, 3, 0.05, 8)
     memos = []
     values = ocm.approx._operator_values
     monkeypatch.setattr(ocm.approx, "_operator_values",
                         lambda *args: memos.append(id(args[4])) or values(*args))
     rhs_calls = []
     counting_rhs = lambda X: rhs_calls.append(len(X)) or rhs(X)  # noqa: E731
-    for source in (drawn, pts):
-        for workers in (1, 2):
-            memos.clear()
-            rhs_calls.clear()
-            together = check_residual(sys_, Us, counting_rhs, epss, source, workers=workers)
-            assert len(rhs_calls) == -(-fine.total_subcells // 500) > 1
-            assert sum(rhs_calls) == len(pts)
-            if workers == 1:  # a chunk's three calls run in order
-                for a, b, c in zip(memos[::3], memos[1::3], memos[2::3]):
-                    assert a == b != c
-            alone = [check_residual(sys_, [U], rhs, [eps], source, workers=workers)[0]
-                     for U, eps in zip(Us, epss)]
-            assert len(together) == 3 and repr(together) == repr(alone)
+    for workers in (1, 2):
+        memos.clear()
+        rhs_calls.clear()
+        together = check_residual(sys_, Us, counting_rhs, epss, drawn, workers=workers)
+        assert len(rhs_calls) == -(-fine.total_subcells // 500) > 1
+        assert sum(rhs_calls) == len(drawn)
+        if workers == 1:  # a chunk's three calls run in order
+            for a, b, c in zip(memos[::3], memos[1::3], memos[2::3]):
+                assert a == b != c
+        alone = [check_residual(sys_, [U], rhs, [eps], drawn, workers=workers)[0]
+                 for U, eps in zip(Us, epss)]
+        assert len(together) == 3 and repr(together) == repr(alone)
     assert [c.passed for c in alone] == [True, True, False]
 
 
@@ -981,13 +969,12 @@ def _overshooting_band():
 ])
 def test_check_residual_rejects_a_band_that_checks_nothing(eps, eta, message):
     sys_, rhs, U = _overshooting_band()
-    for source in (ocm.approx._drawn_set(U.partition, 3, 0.05, 0),
-                   sample_points(U.partition, 3, 0.05, 0)):
-        (cert,) = check_residual(sys_, [U], rhs, [0.001], source)
-        assert not cert.passed
-        # a nan or infinite eta or eps used to pass this certificate
-        with pytest.raises(ValueError, match=message):
-            check_residual(sys_, [U, U], rhs, [0.001, eps], source, eta=eta)
+    drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 0)
+    (cert,) = check_residual(sys_, [U], rhs, [0.001], drawn)
+    assert not cert.passed
+    # a nan or infinite eta or eps used to pass this certificate
+    with pytest.raises(ValueError, match=message):
+        check_residual(sys_, [U, U], rhs, [0.001, eps], drawn, eta=eta)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
@@ -1034,9 +1021,8 @@ def test_check_residual_rejects_an_ill_formed_sequence(case, message):
         epss = epss[:2]
     else:
         Us[1] = ocm.approx._place(sys_, rhs, build_partition(SQUARE, 2), 0.05)
-    for source in (drawn, sample_points(fine, 3, 0.05, 8)):
-        with pytest.raises(ValueError, match=message):
-            check_residual(sys_, Us, rhs, epss, source)
+    with pytest.raises(ValueError, match=message):
+        check_residual(sys_, Us, rhs, epss, drawn)
 
 
 @pytest.mark.parametrize("texts", [["x1"], ["x1", "0.5", "x1*x1"]], ids=["one row", "three rows"])
@@ -1054,9 +1040,8 @@ def test_rhs_with_the_wrong_row_count_is_rejected(texts):
     with pytest.raises(ValueError, match=message):
         refine_solution(sys_, bad, p, 3, (np.linspace(0.0, 1.0, 9),))
     U, _ = place_and_certify(sys_, rhs_from_exprs(["x1", "0.5"], 1), p, 0.1)
-    for source in (ocm.approx._drawn_set(p, 3, 0.05, 0), sample_points(p, 3, 0.05, 0)):
-        with pytest.raises(ValueError, match=message):
-            check_residual(sys_, [U], bad, [0.1], source)
+    with pytest.raises(ValueError, match=message):
+        check_residual(sys_, [U], bad, [0.1], ocm.approx._drawn_set(p, 3, 0.05, 0))
     with pytest.raises(ValueError, match=message):
         ocm.approx._place(sys_, bad, p, 0.1)
 
@@ -1086,8 +1071,9 @@ def _all_slots_system(n, K, m):
 
 @pytest.mark.parametrize("n,K,m", list(itertools.product((1, 2, 3), (1, 2), (1, 2))))
 def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
-    # drawn samples broadcast each piece over its own samples; caller
-    # samples are located and gathered; both must give the same numbers
+    # drawn samples broadcast each piece over its own samples; the same
+    # samples located and gathered must give the same numbers, and the
+    # certificate the extremes, verdict and count of those residuals
     rng = np.random.default_rng(100 * n + 10 * K + m)
     system = _all_slots_system(n, K, m)
     rhs = rhs_from_exprs([f"x1*x{n}"] * K, n)
@@ -1105,18 +1091,23 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
         # the whole set in the subcell-last order of a chunk, (n, per_cell,
         # S), and its flat (n, per_cell * S) rows, located point by point
         grouped = drawn.chunk(0, S)
-        pts = grouped.T.reshape(-1, n)
         flat = grouped.reshape(n, -1)
         loc, _ = p.locate(flat.T)
+        located = ocm.approx._operator_values(system, U.coeffs[:, :, loc], U.centers[:, loc], flat)
         np.testing.assert_array_equal(
             ocm.approx._operator_values(system, U.coeffs[:, :, None], U.centers[:, None], grouped),
-            ocm.approx._operator_values(system, U.coeffs[:, :, loc], U.centers[:, loc], flat))
-        for eps in (0.1, 1e3):
+            located)
+        r = located - rhs(flat.T)
+        assert np.isfinite(r).all()
+        # a band the residuals overshoot, and one that holds them all
+        for eps, eta in ((0.1, ocm.approx.DEFAULT_ETA), (1e3, 1e3)):
+            want = [(S * per_cell, float(ri.min()), float(ri.max()),
+                     bool(ri.min() >= -eps - eta and ri.max() <= eta)) for ri in r]
+            assert all(ok == (eta == 1e3) for *_, ok in want)
             for workers in (1, 2):
-                lookup = check_residual(system, [U], rhs, [eps], pts, workers=workers)
-                streamed = check_residual(system, [U], rhs, [eps], drawn, workers=workers)
-                assert lookup == streamed
-                assert streamed[0].components[0].samples == len(pts)
+                (cert,) = check_residual(system, [U], rhs, [eps], drawn, eta=eta, workers=workers)
+                assert [(c.samples, c.min_residual, c.max_residual, c.passed)
+                        for c in cert.components] == want
 
 
 def _subset_system(n, K, m, rng):

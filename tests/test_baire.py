@@ -21,9 +21,7 @@ from ocm.baire import (
     make_lattice,
     nlsc_regularize,
     operator_image,
-    read_gridfn_csv,
     upper_baire,
-    write_gridfn_csv,
 )
 from ocm.approx import PiecewisePoly, taylor_poly
 from ocm.domain import Box, CellPartition, build_partition
@@ -294,40 +292,6 @@ def test_image_locates_the_lattice_once(monkeypatch):
     assert calls == [nodes]
     embed_piecewise(u, UNEVEN_AXES)
     assert calls == [nodes, nodes]
-
-
-def test_gridfn_csv_round_trip(tmp_path):
-    axes = (np.asarray([0.0, 0.5, 1.0]), np.asarray([0.0, 1.0]))
-    vals = np.asarray([[1.5, np.inf], [-np.inf, 0.0], [2.0, -3.25]])
-    mask = np.zeros((3, 2), dtype=bool)
-    mask[1, 0] = True
-    f = GridFn(axes, vals, mask)
-    path = tmp_path / "grid.csv"
-    write_gridfn_csv(f, path)
-    g = read_gridfn_csv(path)
-    np.testing.assert_array_equal(g.values, f.values)
-    np.testing.assert_array_equal(g.mask_array(), f.mask_array())
-    for a, b in zip(g.axes, f.axes):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_gridfn_csv_rows_in_any_order(tmp_path):
-    # rows are placed by their coordinates, not by their position in the file
-    f = GridFn((np.asarray([0.0, 1.0]), np.asarray([0.0, 0.5, 1.0])),
-               np.arange(6.0).reshape(2, 3), np.eye(2, 3, dtype=bool))
-    path = tmp_path / "grid.csv"
-    write_gridfn_csv(f, path)
-    header, *rows = path.read_text().splitlines()
-    for order in (rows[::-1], [rows[k] for k in np.random.default_rng(4).permutation(len(rows))]):
-        path.write_text("\n".join([header] + order) + "\n")
-        g = read_gridfn_csv(path)
-        np.testing.assert_array_equal(g.values, f.values)
-        np.testing.assert_array_equal(g.mask_array(), f.mask_array())
-    # a node listed twice, or not at all, is rejected
-    for bad in ([rows[0]] + rows, rows[1:], rows[1:] + [rows[1]]):
-        path.write_text("\n".join([header] + bad) + "\n")
-        with pytest.raises(ValueError, match="exactly once"):
-            read_gridfn_csv(path)
 
 
 def test_gridfn_rejects_nan_and_bad_shapes():

@@ -34,6 +34,37 @@ def test_build_tensor_2d():
             CellPartition(p.bounds, p.cell_edges, bad)
 
 
+@pytest.mark.parametrize("counts", [(2.5,), 2.5, (2.0,), 0, (0,), (2, 2), ()])
+def test_build_partition_needs_one_integer_count_per_axis(counts):
+    # (2.5,) used to build 2 cells, and 2.5 alone raised a bare TypeError
+    with pytest.raises(ValueError, match="one cell count >= 1 per axis of a 1-D box"):
+        build_partition(Box((0.0,), (1.0,)), counts)
+    for one in (3, np.int64(3), (3,), [np.int32(3)]):
+        assert build_partition(Box((0.0,), (1.0,)), one).cells_per_axis == (3,)
+    assert build_partition(Box((0.0, 0.0), (1.0, 1.0)), 2).cells_per_axis == (2, 2)
+
+
+@pytest.mark.parametrize("edges", [
+    ([0.0, 2.0],),  # past the upper corner
+    ([0.0, 0.7, 0.5, 1.0],),  # not increasing
+    ([0.0, 0.5, 0.5, 1.0],),  # a cell of zero width
+    ([0.25, 1.0],),  # short of the lower corner
+    ([0.0],),  # no cell
+    ([0.0, np.nan, 1.0],),
+    ([[0.0, 1.0]],),  # not one array per axis
+    ([0.0, 1.0], [0.0, 1.0]),  # two axes for a 1-D box
+])
+def test_cell_partition_checks_its_cell_edges(edges):
+    # [0, 2] used to give subcells up to 2.0, and [0, 0.7, 0.5, 1] to
+    # locate 0.6 in subcell 2 without an error
+    box = Box((0.0,), (1.0,))
+    with pytest.raises(ValueError, match="cell edges must be one strictly increasing array"):
+        CellPartition(box, tuple(np.asarray(e) for e in edges), np.ones((1, 1), dtype=int))
+    p = CellPartition(box, ([0.0, 0.25, 1.0],), [[2], [1]])
+    assert p.cell_edges[0].dtype == float
+    np.testing.assert_array_equal(p.subcell_bounds()[1], [[0.125, 0.25, 1.0]])
+
+
 def test_build_degenerate_box_rejected():
     with pytest.raises(ValueError):
         Box((1.0,), (0.0,))

@@ -256,6 +256,30 @@ def test_refine_placement_errors_precede_sample_errors(monkeypatch):
             refine_solution(sys_, rhs, p, 3, axes, margin=margin)
 
 
+@pytest.mark.parametrize("axes,message", [
+    ((np.linspace(0.1, 0.9, 5),), "lattice has 1 axes, expected 2"),
+    ((np.linspace(0.1, 0.9, 5), np.asarray([0.2, 0.6, 0.4])),
+     "lattice coordinates must be strictly increasing"),
+    ((np.linspace(0.1, 0.9, 5), np.asarray([])), "lattice coordinates must be strictly increasing"),
+    ((np.linspace(0.1, 0.9, 5), np.asarray([0.5, 1.5])), "lattice node outside domain"),
+    ((np.asarray([np.nan]), np.asarray([0.5])), "lattice node outside domain"),
+])
+def test_refine_checks_its_lattice_before_it_plans(monkeypatch, axes, message):
+    # a lattice that does not fit the problem used to fail only after every
+    # step had been planned, placed and certified
+    import ocm.approx
+
+    def never(*args, **kwargs):
+        raise AssertionError("refine planned before checking its lattice")
+
+    monkeypatch.setattr(ocm.approx, "plan_partition", never)
+    sys_ = parse_system("D(u1,(1,0)) + D(u1,(0,1)) + u1", 2, 1, 1)
+    rhs = rhs_from_exprs(["x1 + x2"], 2)
+    p = build_partition(Box((0.0, 0.0), (1.0, 1.0)), (4, 4))
+    with pytest.raises(ValueError, match=message):
+        refine_solution(sys_, rhs, p, 10, axes)
+
+
 def test_refine_locates_the_lattice_once(monkeypatch):
     # every step images its approximant on the one planned partition, so
     # one lookup of the lattice serves all of them
