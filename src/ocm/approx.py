@@ -35,12 +35,14 @@ transpose: ``sample_points`` returns (N, n), a right-hand side maps
 ``taylor_poly`` and ``local_approx`` take centre points.
 
 The jet solve is deterministic by construction: one designated pivot
-slot per equation, the first unused slot of one preference list.  A
-pivot that enters its equation affinely is solved in closed form from
-two evaluations, and the root is kept where one more evaluation puts the
-residual within SOLVE_TOL; every other point, and every other pivot,
-goes to a geometric bracket scan out to |t| = 1e6 and plain bisection,
-which stops each point on its own.  Equations are swept in order until
+slot per equation, the first unused slot of one preference list.  The
+slots an equation reads, and its degree in each, come from the system's
+compiled form (``PdeSystem.slot_degrees``); this module walks no
+expression tree.  A pivot of degree 1, which enters its equation
+affinely, is solved in closed form from two evaluations, and the root is
+kept where one more evaluation puts the residual within SOLVE_TOL; every
+other point, and every other pivot, goes to a geometric bracket scan out
+to |t| = 1e6 and plain bisection, which stops each point on its own.  Equations are swept in order until
 a point's residuals are within SOLVE_TOL, a sweep moves none of its
 pivots, or SWEEPS sweeps have run.  No randomness, no multi-start
 iterations.
@@ -218,7 +220,7 @@ def _jets_from_coeffs(coeffs: np.ndarray, centers: np.ndarray, alphas, pts: np.n
 def _read_slots(system: ex.PdeSystem) -> tuple[tuple[int, int], ...]:
     """The jet slots some component of system reads, as 0-based
     (component, alpha index) pairs in slot order."""
-    refs = set().union(*map(ex.jet_slots_of, system.components))
+    refs = set().union(*system.slot_degrees)
     return tuple(divmod(s, len(system.alphas)) for s in sorted(system.slot(*r) for r in refs))
 
 
@@ -341,19 +343,18 @@ def default_pivots(system: ex.PdeSystem) -> tuple:
     unused slot of one preference list, which holds the equation's own
     zeroth-order slot when it is referenced, then its referenced
     derivative slots, then every slot it references, in slot order.  An
-    equation that references no slot gets None."""
+    equation that references no slot gets None; one whose every slot is
+    taken raises ValueError."""
     used: set = set()
     pivots = []
-    for i, comp in enumerate(system.components, start=1):
-        refs = sorted(ex.jet_slots_of(comp))
+    for i, degrees in enumerate(system.slot_degrees, start=1):
+        refs = sorted(degrees)
         own = (i, (0,) * system.n)
         prefs = [s for s in refs if s == own] + [s for s in refs if any(s[1])] + refs
         pick = next((s for s in prefs if s not in used), None)
         if refs and pick is None:
-            raise ValueError(
-                f"cannot assign a distinct pivot slot to equation {i}; "
-                "pass explicit pivots"
-            )
+            raise ValueError(f"cannot assign a distinct pivot slot to equation {i}: "
+                             "every slot it reads is the pivot of an earlier equation")
         used.add(pick)
         pivots.append(pick)
     return tuple(pivots)
@@ -362,35 +363,6 @@ def default_pivots(system: ex.PdeSystem) -> tuple:
 def _scan_candidates() -> np.ndarray:
     ups = [2.0**k for k in range(20)] + [SCAN_LIMIT]
     return np.asarray(sorted({-t for t in ups} | {0.0} | set(ups)))
-
-
-def _pivot_degree(node: ex.Expr, pivot) -> int | None:
-    """Degree of an expression as a polynomial in the pivot slot, or None
-    where the pivot enters otherwise (under a function or a denominator).
-
-    Constants, coordinates and every other slot have degree 0; ``+``/``-``
-    take the max, ``*`` the sum, ``^k`` multiplies by k, and ``/`` keeps the
-    numerator's degree only over a denominator of degree 0.
-    """
-    if isinstance(node, ex.Jet):
-        return int((node.comp, node.alpha) == tuple(pivot))
-    if isinstance(node, (ex.Const, ex.Coord)):
-        return 0
-    if isinstance(node, ex.Unary):
-        d = _pivot_degree(node.arg, pivot)
-        return d if node.op == "neg" or d == 0 else None
-    if isinstance(node, ex.Power):
-        d = _pivot_degree(node.base, pivot)
-        return None if d is None else d * node.exponent
-    a = _pivot_degree(node.left, pivot)
-    b = _pivot_degree(node.right, pivot)
-    if a is None or b is None:
-        return None
-    if node.op in "+-":
-        return max(a, b)
-    if node.op == "*":
-        return a + b
-    return a if b == 0 else None
 
 
 def _affine_root(g, t: np.ndarray) -> np.ndarray:
@@ -521,8 +493,8 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
         XI = np.tile(np.asarray(anchor, dtype=float).reshape(-1, 1), (1, S))
     pivot_rows = [None if p is None else system.slot(*p) for p in pivots]
     rows = [r for r in pivot_rows if r is not None]
-    affine = [p is not None and _pivot_degree(tree, p) == 1
-              for tree, p in zip(system.components, pivots)]
+    affine = [p is not None and degrees.get((p[0], tuple(p[1])), 0) == 1
+              for degrees, p in zip(system.slot_degrees, pivots)]
     fail = np.zeros(S, dtype=np.int8)
     comp = np.zeros(S, dtype=np.int32)
     worst = np.zeros(S)
@@ -628,6 +600,12 @@ def _check_band(eps: float, eta: float = 0.0) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
+def _check_dims(system, p) -> None:
+    """Raise ValueError unless system and the partition or box p have one dimension."""
+    if system.n != p.n:
+        raise ValueError(f"the system has n = {system.n} variables but the domain is {p.n}-D")
+
+
 def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic verification samples in the closed ball around each
     center, clipped to the box, with the center itself last.
@@ -716,13 +694,17 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     The jet at x0 is solved for the target f(x0) - eps/2, centering the
     residual in the band; the radius starts at start_delta and halves
     until the sampled band check passes.  This is one probe of
-    plan_partition, run alone.
+    plan_partition, run alone.  x0 must be a point of the closed box.
     """
     _check_band(eps, eta)
     start = float(start_delta) if start_delta is not None else box.diameter
     if not 0.0 < start < math.inf:
         raise ValueError(f"start_delta must be positive and finite, got {start_delta!r}")
+    _check_dims(system, box)
     x0 = np.asarray(x0, dtype=float).reshape(-1, 1)
+    if x0.shape != (box.n, 1) or not np.all((np.c_[box.lo] <= x0) & (x0 <= np.c_[box.hi])):
+        raise ValueError(f"x0 = {tuple(x0.ravel().tolist())} lies outside the box "
+                         f"[{box.lo}, {box.hi}]")
     if pivots is None:
         pivots = default_pivots(system)
     deltas, coeffs = _probe(system, rhs, x0, np.asarray([start]), eps, box, eta, pivots)
@@ -743,6 +725,7 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     probes in lexicographic order within a cell.
     """
     _check_band(eps, eta)
+    _check_dims(system, p)
     # (n, F) fractions, (n, n_cells) cell corners, (n, n_cells * F) probe points
     fracs = np.stack([g.ravel() for g in np.meshgrid(*[_PROBE_FRACTIONS] * p.n, indexing="ij")])
     where = p._cell_indices()
@@ -812,6 +795,7 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     the worst residual where the sweeps only failed to converge.
     """
     _check_band(eps)
+    _check_dims(system, fine)
     pivots = default_pivots(system)
     centers = fine.subcell_centers()
     S = centers.shape[1]

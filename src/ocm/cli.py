@@ -23,8 +23,10 @@ Config files are sectioned key-value text:
     eta = 1e-9
 
 Values are numbers, double-quoted strings, or bracketed arrays of
-either; ``#`` starts a comment.  Exit codes: 0 success, 2 config error,
-3 range-condition violation or jet-solve non-convergence, 4
+either; ``#`` starts a comment.  A section or key not shown above is a
+config error.  Exit codes: 0 success, 2 config error (also an operator
+whose equations cannot be given distinct pivot slots), 3
+range-condition violation or jet-solve non-convergence, 4
 validity-radius collapse, 5 certificate or self-check failure.  All
 randomness comes from the seed; the env var ``OCM_THREADS`` caps the
 number of threads that run the certificate's chunks (default: machine
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import filters as flt
 from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, DeltaCollapse, RangeViolation,
-                     certificate_csv_rows, global_approx, rhs_from_exprs)
+                     certificate_csv_rows, default_pivots, global_approx, rhs_from_exprs)
 from .baire import make_lattice
 from .domain import Box, build_partition
 from .expr import ParseError, parse_system
@@ -97,6 +99,13 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 # config parsing
 
+# the keys each section may hold
+_SECTIONS = {
+    "domain": ("lo", "hi", "cells"),
+    "system": ("n", "K", "m", "equations", "rhs"),
+    "solve": ("epsilon", "refine_steps", "samples_per_cell", "margin", "seed", "eta"),
+}
+
 _NUM_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?$")
 
 
@@ -140,14 +149,18 @@ def _parse_config_text(text: str) -> dict[str, dict[str, object]]:
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", lineno)
             current = line[1:-1].strip()
+            if current not in _SECTIONS:
+                raise ConfigError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
         if current is None:
             raise ConfigError("key before any [section]", lineno)
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = _parse_value(value, lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SECTIONS[current]:
+            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
+        sections[current][key] = _parse_value(value, lineno)
     return sections
 
 
@@ -178,7 +191,7 @@ def _require(section: dict, key: str, section_name: str):
 def load_config(path) -> ProblemConfig:
     text = Path(path).read_text()
     sections = _parse_config_text(text)
-    for name in ("domain", "system", "solve"):
+    for name in _SECTIONS:
         if name not in sections:
             raise ConfigError(f"missing section [{name}]")
     dom, sys_, slv = sections["domain"], sections["system"], sections["solve"]
@@ -235,6 +248,7 @@ def _build_problem(cfg: ProblemConfig):
         rhs = rhs_from_exprs(cfg.rhs, cfg.n)
         box = Box(cfg.lo, cfg.hi)
         partition = build_partition(box, cfg.cells)
+        default_pivots(system)
     except ParseError as e:
         raise ConfigError(f"bad expression: {e}") from e
     except ValueError as e:

@@ -230,9 +230,11 @@ class CellPartition:
 
 
 def _axis_counts(bounds: Box, counts, what: str) -> tuple[int, ...]:
-    """counts as one integer >= 1 per axis of bounds; one count applies to all."""
+    """counts as one integer >= 1 per axis of bounds; one count applies to
+    all, and a bool is no count."""
     counts = counts if np.iterable(counts) else (counts,) * bounds.n
-    if len(counts) != bounds.n or not all(isinstance(c, (int, np.integer)) and c >= 1
+    if len(counts) != bounds.n or not all(isinstance(c, (int, np.integer))
+                                          and not isinstance(c, bool) and c >= 1
                                           for c in counts):
         raise ValueError(f"need one {what} count >= 1 per axis of a {bounds.n}-D box, "
                          f"got {counts!r}")

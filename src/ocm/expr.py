@@ -6,8 +6,14 @@ stands for the value of the derivative ``D^alpha u_j`` that an
 approximant supplies at a point; a bare ``uj`` abbreviates the
 zeroth-order slot ``D(uj,(0,...,0))``.  Evaluation therefore never
 differentiates anything: it reads derivative values out of a jet vector.
-There is one evaluator, ``eval_component_batch``, vectorised over points;
-``eval_operator`` is a batch of one of it.
+
+A ``PdeSystem`` compiles each component once, when it is built, in one
+walk of its tree: into an evaluator with every slot resolved to its row
+of the jet vector, and into ``slot_degrees``, the degree of the
+component as a polynomial in each slot it reads.  Only this module
+knows the node classes.  There is one way to evaluate,
+``eval_component_batch``, vectorised over points; ``eval_operator`` is a
+batch of one of it.
 
 Grammar (whitespace insignificant, one expression per line or ``;``):
 
@@ -26,10 +32,11 @@ emits canonical text that re-parses to the identical tree.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -53,7 +60,6 @@ __all__ = [
     "print_system",
     "eval_operator",
     "eval_component_batch",
-    "jet_slots_of",
 ]
 
 UNARY_FUNCS = ("sin", "cos", "exp", "log", "abs", "sqrt")
@@ -142,12 +148,25 @@ def multi_factorial(alpha: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class PdeSystem:
-    """A parsed K-equation operator of order at most m in n variables."""
+    """A parsed K-equation operator of order at most m in n variables.
+
+    Each component is compiled once, when the system is built, into its
+    evaluator and ``slot_degrees[i]``: every (comp, alpha) slot it reads,
+    mapped to its degree in that slot (_compile).  Neither is part of the
+    system's equality, hash or repr.
+    """
 
     n: int
     K: int
     m: int
     components: tuple[Expr, ...]
+    _evaluators: tuple[Callable, ...] = field(init=False, repr=False, compare=False)
+    slot_degrees: tuple[dict, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        compiled = [_compile(c, self) for c in self.components]
+        object.__setattr__(self, "_evaluators", tuple(f for f, _ in compiled))
+        object.__setattr__(self, "slot_degrees", tuple(d for _, d in compiled))
 
     @property
     def alphas(self) -> tuple[tuple[int, ...], ...]:
@@ -160,22 +179,6 @@ class PdeSystem:
     def slot(self, comp: int, alpha: tuple[int, ...]) -> int:
         """Flat index of jet slot (comp, alpha) in a jet vector."""
         return (comp - 1) * len(self.alphas) + self.alphas.index(tuple(alpha))
-
-
-def _walk(tree: Expr):
-    yield tree
-    if isinstance(tree, Unary):
-        yield from _walk(tree.arg)
-    elif isinstance(tree, Binary):
-        yield from _walk(tree.left)
-        yield from _walk(tree.right)
-    elif isinstance(tree, Power):
-        yield from _walk(tree.base)
-
-
-def jet_slots_of(tree: Expr) -> set[tuple[int, tuple[int, ...]]]:
-    """All (component, alpha) jet slots referenced by an expression."""
-    return {(node.comp, node.alpha) for node in _walk(tree) if isinstance(node, Jet)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +463,8 @@ def eval_component_batch(system: PdeSystem, comp_index: int, X: np.ndarray, XI: 
     is copied out of X or XI, and anything else is already the fresh
     output of its last operation.
     """
-    node = system.components[comp_index]
     with np.errstate(all="ignore"):
-        out = _eval_batch(node, X, XI, system)
+        out = system._evaluators[comp_index](X, XI)
     if np.ndim(out) == 0:
         return np.full(X.shape[1], out, dtype=float)
     if out.base is None and out.dtype == float:
@@ -470,32 +472,53 @@ def eval_component_batch(system: PdeSystem, comp_index: int, X: np.ndarray, XI: 
     return out.astype(float)
 
 
-def _eval_batch(node: Expr, X, XI, system) -> np.ndarray:
+_FUNCS = {
+    "neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
+    "log": lambda v: np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), np.nan),
+    "sqrt": lambda v: np.where(v >= 0, np.sqrt(np.abs(v)), np.nan),
+}
+# op -> (operation, degree of the result in a slot from the operands' degrees)
+_BINARY = {
+    "+": (operator.add, max),
+    "-": (operator.sub, max),
+    "*": (operator.mul, operator.add),
+    "/": (lambda a, b: np.where(b != 0, a / np.where(b != 0, b, 1.0), np.nan),
+          lambda a, b: None if b else a),
+}
+
+
+def _compile(node: Expr, system: PdeSystem) -> tuple[Callable, dict]:
+    """One walk of a tree: its evaluator (X, XI) -> values, with every slot
+    resolved to its row of XI, and its degree in each slot it reads.
+
+    A slot has degree 1 in itself and 0 in anything that does not read
+    it; negation keeps a degree and any other function makes a nonzero
+    one None; ``+``/``-`` take the max, ``*`` the sum, ``^k`` multiplies
+    by k, and ``/`` keeps the numerator's degree only over a denominator
+    of degree 0.
+    """
     if isinstance(node, Const):
-        return np.float64(node.value)
+        c = np.float64(node.value)
+        return (lambda X, XI: c), {}
     if isinstance(node, Coord):
-        return X[node.axis - 1]
+        axis = node.axis - 1
+        return (lambda X, XI: X[axis]), {}
     if isinstance(node, Jet):
-        return XI[system.slot(node.comp, node.alpha)]
+        row = system.slot(node.comp, node.alpha)
+        return (lambda X, XI: XI[row]), {(node.comp, node.alpha): 1}
     if isinstance(node, Unary):
-        v = _eval_batch(node.arg, X, XI, system)
-        if node.op == "neg":
-            return -v
-        if node.op == "log":
-            return np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), np.nan)
-        if node.op == "sqrt":
-            return np.where(v >= 0, np.sqrt(np.abs(v)), np.nan)
-        return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}[node.op](v)
+        (f, deg), func = _compile(node.arg, system), _FUNCS[node.op]
+        if node.op != "neg":
+            deg = {s: 0 if d == 0 else None for s, d in deg.items()}
+        return (lambda X, XI: func(f(X, XI))), deg
     if isinstance(node, Power):
-        return _eval_batch(node.base, X, XI, system) ** node.exponent
+        (f, deg), k = _compile(node.base, system), node.exponent
+        return (lambda X, XI: f(X, XI) ** k), {s: d if d is None else d * k
+                                                for s, d in deg.items()}
     if isinstance(node, Binary):
-        a = _eval_batch(node.left, X, XI, system)
-        b = _eval_batch(node.right, X, XI, system)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return np.where(b != 0, a / np.where(b != 0, b, 1.0), np.nan)
+        (fa, da), (fb, db) = _compile(node.left, system), _compile(node.right, system)
+        op, degree = _BINARY[node.op]
+        pairs = {s: (da.get(s, 0), db.get(s, 0)) for s in da | db}
+        return (lambda X, XI: op(fa(X, XI), fb(X, XI))), {
+            s: None if None in ab else degree(*ab) for s, ab in pairs.items()}
     raise TypeError(f"not an expression node: {node!r}")

@@ -1,5 +1,6 @@
 """Jet construction, local/global band assembly, and certification tests."""
 
+import copy
 import itertools
 import math
 
@@ -21,9 +22,9 @@ from ocm.approx import (
     solve_jet,
     taylor_poly,
 )
-from ocm.approx import _pivot_degree, _solve_jets
+from ocm.approx import _solve_jets
 from ocm.domain import Box, CellPartition, build_partition, sample_points, subdivide
-from ocm.expr import eval_component_batch, parse_expr, parse_system
+from ocm.expr import eval_component_batch, parse_system
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -404,7 +405,8 @@ def test_coupled_pivots_sweep_while_they_move(monkeypatch):
     ("sin(x1)*u1 - u2", 1, 0, (1, (0,)), 1),
 ])
 def test_pivot_degree(eqs, n, m, pivot, degree):
-    assert _pivot_degree(parse_expr(eqs, n, 2, m), pivot) == degree
+    # the compiled degrees of the first of two equations; a slot it does not read has degree 0
+    assert parse_system(eqs + "; 0", n, 2, m).slot_degrees[0].get(pivot, 0) == degree
 
 
 def test_affine_root_beyond_the_scan_window_is_a_range_violation():
@@ -424,11 +426,13 @@ def test_affine_zero_root_is_positive_zero():
     assert math.copysign(1.0, jet.values[(1, (0,))]) == 1.0
 
 
-def _solve_without_closed_form(monkeypatch, sys_, x, targets):
-    """_solve_jets with every pivot sent through the bracket solve."""
-    with monkeypatch.context() as mp:
-        mp.setattr(ocm.approx, "_pivot_degree", lambda node, pivot: None)
-        return _solve_jets(sys_, x, targets, None, default_pivots(sys_))
+def _solve_without_closed_form(sys_, x, targets):
+    """_solve_jets with every pivot sent through the bracket solve, on a copy
+    of sys_ whose compiled degrees make every slot it reads nonlinear."""
+    bracket_only = copy.copy(sys_)
+    object.__setattr__(bracket_only, "slot_degrees",
+                       tuple(dict.fromkeys(d) for d in sys_.slot_degrees))
+    return _solve_jets(bracket_only, x, targets, None, default_pivots(sys_))
 
 
 @pytest.mark.parametrize("eqs,m,cases,closed,fails", [
@@ -445,7 +449,7 @@ def _solve_without_closed_form(monkeypatch, sys_, x, targets):
         (0.25, np.nan),
     ], [0, 1, 4], [0, 0, 4, 1, 0, 5, 5]),
 ])
-def test_affine_batch_matches_each_point_alone(monkeypatch, eqs, m, cases, closed, fails):
+def test_affine_batch_matches_each_point_alone(eqs, m, cases, closed, fails):
     sys_ = parse_system(eqs, 1, 1, m)
     x = np.asarray([[a for a, _ in cases]])
     targets = np.asarray([[c for _, c in cases]])
@@ -455,7 +459,7 @@ def test_affine_batch_matches_each_point_alone(monkeypatch, eqs, m, cases, close
         assert (one.fail[0], one.component[0]) == (batch.fail[k], batch.component[k]), cases[k]
     # points the closed form solves meet their target within SOLVE_TOL; every
     # other point gets exactly what the bracket solve alone gives it
-    bracket = _solve_without_closed_form(monkeypatch, sys_, x, targets)
+    bracket = _solve_without_closed_form(sys_, x, targets)
     for k in range(len(cases)):
         if k in closed:
             assert batch.fail[k] == 0 and batch.residual[k] <= ocm.approx.SOLVE_TOL, cases[k]
@@ -748,7 +752,7 @@ def test_chunked_placement_equals_one_batch(monkeypatch, equation, degree):
     # every point's jet is the one it gets alone, so the chunks give the
     # one batch's jets bit for bit, on a closed-form pivot and a bisected one
     sys_ = parse_system(equation, 2, 1, 1)
-    assert _pivot_degree(sys_.components[0], default_pivots(sys_)[0]) == degree
+    assert sys_.slot_degrees[0][default_pivots(sys_)[0]] == degree
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = subdivide(build_partition(SQUARE, 2), 0.15)
     S = fine.total_subcells
@@ -1005,6 +1009,31 @@ def test_local_approx_rejects_a_start_radius_that_is_not_positive_and_finite(sta
     sys_, rhs = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 1)
     with pytest.raises(ValueError, match="start_delta must be positive and finite"):
         local_approx(sys_, rhs, (0.5,), 0.1, box=UNIT, start_delta=start)
+
+
+@pytest.mark.parametrize("x0", [(5.0,), (-1e-9,), (math.nan,)])
+def test_local_approx_rejects_x0_outside_its_box(x0):
+    # (5.0,) used to halve its radius about 20 times and raise DeltaCollapse
+    sys_, rhs = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 1)
+    with pytest.raises(ValueError, match=r"lies outside the box \[\(0.0,\), \(1.0,\)\]"):
+        local_approx(sys_, rhs, x0, 0.1, box=UNIT)
+    for edge in ((0.0,), (1.0,)):  # the closed box
+        local_approx(sys_, rhs, edge, 0.1, box=UNIT)
+
+
+def test_a_system_and_partition_of_different_dimension_are_rejected():
+    # used to die in numpy: "could not broadcast input array from shape (2952,) into shape (5904,)"
+    from ocm.order import refine_solution
+
+    sys_, rhs = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 2)
+    p = build_partition(SQUARE, 2)
+    message = "the system has n = 1 variables but the domain is 2-D"
+    with pytest.raises(ValueError, match=message):
+        global_approx(sys_, rhs, p, 0.1)
+    with pytest.raises(ValueError, match=message):
+        place_and_certify(sys_, rhs, p, 0.1)
+    with pytest.raises(ValueError, match=message):
+        refine_solution(sys_, rhs, p, 2, (np.linspace(0.0, 1.0, 5),) * 2)
 
 
 @pytest.mark.parametrize("case,message", [

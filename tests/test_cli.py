@@ -1,6 +1,7 @@
 """Config parsing, pipelines, exit codes, CSV formats, determinism."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -74,6 +75,45 @@ def test_load_config_missing_section(tmp_path):
     path = write_config(tmp_path, "[domain]\nlo = [0.0]\n")
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("samples_per_cell = 60", "sample_per_cell = 3", "unknown key 'sample_per_cell' in [solve] (line 17)"),
+    ("seed = 42", "seeds = 5", "unknown key 'seeds' in [solve] (line 19)"),
+    ("[solve]", "[solver]", "unknown section [solver] (line 14)"),
+], ids=["misspelled key", "plural key", "unknown section"])
+def test_unknown_section_or_key_exits_2(tmp_path, capsys, old, new, message):
+    # each was accepted silently, solving with the default it failed to set
+    cfg = write_config(tmp_path, TRANSPORT.replace(old, new))
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.load_config(cfg)
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_operator_with_no_distinct_pivots_exits_2(tmp_path, capsys):
+    # both equations read only u1: this used to exit 1 with a traceback
+    text = TRANSPORT.replace("K = 1\nm = 1", "K = 2\nm = 0").replace(
+        'equations = ["D(u1,(1))"]\nrhs = ["x1"]', 'equations = ["u1", "u1 - 1"]\nrhs = ["x1", "x1"]')
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot assign a distinct pivot slot to equation 2")
+    assert "pass explicit pivots" not in err
+
+
+@pytest.mark.parametrize("args, text, code", [
+    (["selfcheck"], None, 0),
+    (["solve"], TRANSPORT.replace("samples_per_cell", "sample_per_cell"), 2),
+])
+def test_console_main_exits_with_the_command_s_code(tmp_path, monkeypatch, args, text, code):
+    # the [project.scripts] entry point reads sys.argv and exits with main's code
+    if text is not None:
+        args = args + [str(write_config(tmp_path, text)), "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(sys, "argv", ["ocm"] + args)
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
 
 
 def test_load_config_bad_value_reports_line(tmp_path):

@@ -44,6 +44,18 @@ def test_build_partition_needs_one_integer_count_per_axis(counts):
     assert build_partition(Box((0.0, 0.0), (1.0, 1.0)), 2).cells_per_axis == (2, 2)
 
 
+@pytest.mark.parametrize("counts", [True, (True,), (np.int64(2), True)])
+def test_a_bool_is_no_count(counts):
+    # bool is an int: True used to build one cell and one lattice node
+    from ocm.baire import make_lattice
+
+    box = Box((0.0,) * np.size(counts), (1.0,) * np.size(counts))
+    with pytest.raises(ValueError, match="one cell count >= 1 per axis"):
+        build_partition(box, counts)
+    with pytest.raises(ValueError, match="one lattice count >= 1 per axis"):
+        make_lattice(box, counts)
+
+
 @pytest.mark.parametrize("edges", [
     ([0.0, 2.0],),  # past the upper corner
     ([0.0, 0.7, 0.5, 1.0],),  # not increasing

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ocm.expr import (
+    UNARY_FUNCS,
     Binary,
     Const,
+    Coord,
     EvalDomainError,
     Jet,
     ParseError,
+    PdeSystem,
     Power,
+    Unary,
     eval_component_batch,
     eval_operator,
     multi_indices,
@@ -194,6 +199,102 @@ def test_eval_domain_errors():
     for text, u in [("exp(u1)", 1000.0), ("u1^3", 1e200), ("u1 * u1", 1e200)]:
         with pytest.raises(EvalDomainError):
             eval_operator(parse_system(text, 1, 1, 0), (0.0,), (u,))
+
+
+def _reference_eval(node, X, XI, system):
+    """The operator language's meaning, walked node by node on every call."""
+    if isinstance(node, Const):
+        return np.float64(node.value)
+    if isinstance(node, Coord):
+        return X[node.axis - 1]
+    if isinstance(node, Jet):
+        return XI[system.slot(node.comp, node.alpha)]
+    if isinstance(node, Unary):
+        v = _reference_eval(node.arg, X, XI, system)
+        if node.op == "neg":
+            return -v
+        if node.op == "log":
+            return np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), np.nan)
+        if node.op == "sqrt":
+            return np.where(v >= 0, np.sqrt(np.abs(v)), np.nan)
+        return getattr(np, node.op)(v)
+    if isinstance(node, Power):
+        return _reference_eval(node.base, X, XI, system) ** node.exponent
+    a = _reference_eval(node.left, X, XI, system)
+    b = _reference_eval(node.right, X, XI, system)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    return np.where(b != 0, a / np.where(b != 0, b, 1.0), np.nan)
+
+
+def _reference_degree(node, slot):
+    """Degree of a tree as a polynomial in one slot, None under a function
+    other than negation or in a denominator."""
+    if isinstance(node, Jet):
+        return int((node.comp, node.alpha) == slot)
+    if isinstance(node, (Const, Coord)):
+        return 0
+    if isinstance(node, Unary):
+        d = _reference_degree(node.arg, slot)
+        return d if node.op == "neg" or d == 0 else None
+    if isinstance(node, Power):
+        d = _reference_degree(node.base, slot)
+        return None if d is None else d * node.exponent
+    a, b = _reference_degree(node.left, slot), _reference_degree(node.right, slot)
+    if a is None or b is None:
+        return None
+    if node.op in "+-":
+        return max(a, b)
+    return a + b if node.op == "*" else (a if b == 0 else None)
+
+
+_ALPHAS = multi_indices(2, 1)
+# domain edges of log, sqrt and division (+-0, tiny and negative values),
+# overflow of exp and powers, and plain values
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, -1e-300, 710.0, 1e200, -1e200, 3.0]
+_POINTS = 12
+_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-300, 1e300]).map(Const),
+        st.integers(1, 2).map(Coord),
+        st.builds(Jet, st.integers(1, 2), st.sampled_from(_ALPHAS)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(UNARY_FUNCS + ("neg",)), sub),
+        st.builds(Binary, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Power, sub, st.integers(0, 4)),
+    ),
+    max_leaves=10,
+)
+_ROWS = st.lists(st.lists(st.sampled_from(_EDGE_VALUES), min_size=_POINTS, max_size=_POINTS),
+                 min_size=2 + 2 * len(_ALPHAS), max_size=2 + 2 * len(_ALPHAS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree=_TREES, rows=_ROWS)
+@example(tree=Unary("log", Jet(1, (0, 0))), rows=[_EDGE_VALUES] * 8)
+@example(tree=Unary("sqrt", Unary("neg", Coord(1))), rows=[_EDGE_VALUES] * 8)
+@example(tree=Binary("/", Coord(2), Binary("-", Jet(2, (1, 0)), Coord(1))),
+         rows=[_EDGE_VALUES, _EDGE_VALUES[::-1]] * 4)
+def test_compiled_component_matches_a_tree_walk(tree, rows):
+    # eval_component_batch runs the evaluator each component compiles to when
+    # its system is built; it must give the tree walk's bytes, nan, inf and
+    # signed zeros in place, and the compiled degrees the walk's degrees
+    system = PdeSystem(n=2, K=2, m=1, components=(tree, Const(0.0)))
+    points = np.asarray(rows)
+    X, XI = points[:2], points[2:]
+    got = eval_component_batch(system, 0, X, XI)
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(_reference_eval(tree, X, XI, system), (_POINTS,)).astype(float)
+    assert got.tobytes() == want.tobytes()
+    degrees = system.slot_degrees[0]
+    for slot in [(j, alpha) for j in (1, 2) for alpha in _ALPHAS]:
+        assert degrees.get(slot, 0) == _reference_degree(tree, slot), slot
+    assert not system.slot_degrees[1]
 
 
 @pytest.mark.parametrize("text, K", [(t, 1) for t in CORPUS]
