@@ -8,7 +8,7 @@ checks the convergence-space axioms the construction leans on, on
 finite ground sets.
 """
 
-from .domain import Box, CellPartition, Skeleton, build_partition, sample_points, skeleton_of, subdivide
+from .domain import Box, CellPartition, SampleSet, Skeleton, build_partition, sample_points, skeleton_of, subdivide
 from .expr import (
     EvalDomainError,
     ParseError,

@@ -10,8 +10,8 @@ probe's radius until the sampled residual on its ball stays inside
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
 sample set.  ``check_residual`` certifies any number of approximants on
-one partition, as refine_solution's steps are, in one pass over a drawn
-sample set (``_DrawnSet``), streamed subcell by subcell and checked to
+one partition, as refine_solution's steps are, in one pass over an
+``ocm.domain.SampleSet``, streamed subcell by subcell and checked to
 lie strictly inside the subcell it was drawn in, so each piece is
 evaluated over its own samples and no sample is looked up.  Both the jet
 solve and the certificate run in chunks of about CHUNK centres or
@@ -60,8 +60,8 @@ import numpy as np
 
 from . import expr as ex
 # skeleton_of and sample_points have no caller here: bench/spans.py wraps them in ocm.approx
-from .domain import (Box, CellPartition, _check_sampling, _sample_chunk, build_partition,
-                     sample_points, skeleton_of, subdivide)
+from .domain import (Box, CellPartition, SampleSet, build_partition, sample_points, skeleton_of,
+                     subdivide)
 
 __all__ = [
     "JetPoint",
@@ -91,7 +91,6 @@ SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
 DEFAULT_ETA = 1e-9
 DEFAULT_MARGIN = 0.05
-TARGET_SAMPLES = 10_000
 # subcell centres solved, or certificate samples drawn and checked, per batch
 CHUNK = 65_536
 
@@ -737,55 +736,6 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     return subdivide(p, float(deltas.min()))
 
 
-@dataclass(frozen=True)
-class _DrawnSet:
-    """The certificate's one kind of sample set on a partition: sample_points(
-    partition, per_cell, margin, seed), sample i drawn in subcell i // per_cell
-    and checked to lie strictly inside it.  The set is streamed, never held
-    whole: each chunk is drawn and checked when check_residual reads it."""
-
-    partition: CellPartition
-    per_cell: int
-    margin: float
-    seed: int
-
-    def __len__(self) -> int:
-        return self.partition.total_subcells * self.per_cell
-
-    def chunk(self, first: int, count: int) -> np.ndarray:
-        """The samples of subcells first, ..., first + count - 1, (n,
-        per_cell, count), subcell axis last as _sample_chunk draws them."""
-        at = _sample_chunk(self.partition, self.per_cell, self.margin, self.seed, first, count)
-        _check_drawn(self.partition, first, at)
-        return at
-
-
-def _drawn_set(fine: CellPartition, samples_per_cell: int | None, margin: float,
-               seed: int) -> _DrawnSet:
-    """The certificate's sample set on fine: samples_per_cell points per
-    subcell, by default the fewest that give TARGET_SAMPLES."""
-    if samples_per_cell is None:
-        samples_per_cell = max(1, math.ceil(TARGET_SAMPLES / fine.total_subcells))
-    _check_sampling(samples_per_cell, margin)
-    return _DrawnSet(fine, samples_per_cell, margin, seed)
-
-
-def _check_drawn(p: CellPartition, first: int, drawn: np.ndarray) -> None:
-    """Raise ValueError unless every sample of drawn (n, P, g) lies strictly
-    inside subcell first + g' of p, g' its column, which proves its
-    subcell and that it is inside the domain and off every face, so no
-    drawn sample is searched for in the partition.  A non-finite sample
-    fails with its own error, before the domain and face tests."""
-    lo, hi = (b[:, None, first: first + drawn.shape[2]] for b in p.subcell_bounds())
-    if not np.all((lo < drawn) & (drawn < hi)):
-        if not np.all(np.isfinite(drawn)):
-            raise ValueError("verification sample is not finite")
-        box_lo, box_hi = (np.reshape(c, (-1, 1, 1)) for c in (p.bounds.lo, p.bounds.hi))
-        if np.any(drawn < box_lo) or np.any(drawn > box_hi):
-            raise ValueError("point outside domain")
-        raise ValueError("verification sample lies on the skeleton")
-
-
 def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     """One piece per subcell of fine, its jet solved for f - eps/2 at its centre.
 
@@ -822,19 +772,19 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     """Place one piece per subcell of a fixed partition and certify the band.
 
     The jet at every subcell center is solved for f - eps/2 there.  The
-    certificate checks the band on a fresh off-skeleton sample set, at
-    least TARGET_SAMPLES points unless samples_per_cell is given, each
-    checked to lie strictly inside the subcell of fine it was drawn in
-    (which proves it misses the skeleton and picks its piece).  The set
-    is streamed: ``workers`` threads each draw, check, evaluate and fold
+    certificate checks the band on SampleSet(fine, samples_per_cell,
+    margin, seed), at least ocm.domain.TARGET_SAMPLES points unless
+    samples_per_cell is given, each checked to lie strictly inside the
+    subcell of fine it was drawn in (which proves it misses the skeleton
+    and picks its piece).  The set is streamed: ``workers`` threads each draw, check, evaluate and fold
     whole chunks, and no array of all samples or residuals is built.  This
     is check_residual on one approximant; refine_solution certifies all
     its steps on the same set in one call.  Placement ends before the set
     is drawn, so a placement error comes before any sample-set error.
     """
     U = _place(system, rhs, fine, eps)
-    drawn = _drawn_set(fine, samples_per_cell, margin, seed)
-    return U, check_residual(system, [U], rhs, [eps], drawn, eta=eta, workers=workers)[0]
+    samples = SampleSet(fine, samples_per_cell, margin, seed)
+    return U, check_residual(system, [U], rhs, [eps], samples, eta=eta, workers=workers)[0]
 
 
 def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
@@ -915,7 +865,7 @@ def _fold(r: np.ndarray, X: np.ndarray, first: int, per_cell: int, eps: float,
 def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float = DEFAULT_ETA,
                    workers: int = 1) -> list[ResidualCertificate]:
     """Band check of approximants Us on one partition, each against its
-    own eps in epss, in one pass over samples, the _DrawnSet on that
+    own eps in epss, in one pass over samples, the SampleSet on that
     partition (anything else raises TypeError); one certificate each.
 
     The set is read in chunks of about CHUNK samples, (n, per_cell,
@@ -928,8 +878,8 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
     Every eps must be positive and finite and eta finite and >= 0; a nan
     or infinite band edge would pass any residual.
     """
-    if not isinstance(samples, _DrawnSet):
-        raise TypeError("samples must be the drawn sample set (_DrawnSet), "
+    if not isinstance(samples, SampleSet):
+        raise TypeError("samples must be the drawn sample set (SampleSet), "
                         f"got {type(samples).__name__}")
     Us, epss = list(Us), list(epss)
     if not Us or len(Us) != len(epss):

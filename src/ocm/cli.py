@@ -24,9 +24,13 @@ Config files are sectioned key-value text:
 
 Values are numbers, double-quoted strings, or bracketed arrays of
 either; ``#`` starts a comment.  A section or key not shown above is a
-config error.  Exit codes: 0 success, 2 config error (also an operator
-whose equations cannot be given distinct pivot slots), 3
-range-condition violation or jet-solve non-convergence, 4
+config error, and so is a key set twice, also across a repeated section
+header.  Both commands require every key above except the last five,
+which have defaults, but each reads only its own: ``solve`` never reads
+``refine_steps``, and ``refine`` never reads ``epsilon`` (its bands are
+1, 1/2, ..., 1/refine_steps).  Exit codes: 0 success, 2 config error
+(also an operator whose equations cannot be given distinct pivot
+slots), 3 range-condition violation or jet-solve non-convergence, 4
 validity-radius collapse, 5 certificate or self-check failure.  All
 randomness comes from the seed; the env var ``OCM_THREADS`` caps the
 number of threads that run the certificate's chunks (default: machine
@@ -140,6 +144,7 @@ def _parse_value(text: str, line: int):
 
 def _parse_config_text(text: str) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
+    set_on: dict[tuple[str, str], int] = {}  # (section, key) -> line that set it
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,6 +165,9 @@ def _parse_config_text(text: str) -> dict[str, dict[str, object]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTIONS[current]:
             raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
+        first = set_on.setdefault((current, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"key {key!r} in [{current}] repeats line {first}", lineno)
         sections[current][key] = _parse_value(value, lineno)
     return sections
 

@@ -1,4 +1,5 @@
-"""Rectangular domains, cell partitions and face skeletons.
+"""Rectangular domains, cell partitions, face skeletons and the
+certificate's sample set.
 
 The domain is one bounding box tiled by a grid of cells.  Each cell is
 split into an equal-spaced grid of subcells, with its own integer number
@@ -9,7 +10,8 @@ patches, so it is closed, has empty interior and Lebesgue measure zero.
 Membership is a face test on the partition: a point is on the skeleton
 iff it equals a cell edge or an interior split of its own cell, decided
 by exact coordinate comparison (a cell's edges on an axis are always the
-same ``np.linspace`` of its side).
+same ``np.linspace`` of its side).  A ``SampleSet`` draws its samples
+off the skeleton and checks each inside the subcell it was drawn in.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "build_partition",
     "subdivide",
     "skeleton_of",
+    "SampleSet",
     "sample_points",
 ]
 
@@ -293,59 +296,84 @@ def skeleton_of(p: CellPartition) -> Skeleton:
     return Skeleton(partition=p)
 
 
-def _check_sampling(per_cell: int, margin: float) -> None:
-    """Raise ValueError unless per_cell >= 1 and 0 < margin < 0.5, the
-    margin that keeps every sample off the faces of its subcell."""
-    if per_cell < 1:
-        raise ValueError("per_cell must be >= 1")
-    if not (0.0 < margin < 0.5):
-        raise ValueError("margin must be in (0, 0.5)")
+# the fewest samples a SampleSet holds when per_cell is not given
+TARGET_SAMPLES = 10_000
 
 
-def _sample_chunk(p: CellPartition, per_cell: int, margin: float, seed: int,
-                  first: int, count: int) -> np.ndarray:
-    """The samples of subcells first, ..., first + count - 1, (n, per_cell,
-    count), subcell axis last: column [:, k, s] is sample k of subcell
-    first + s.  Exactly that slice of sample_points, drawn from a
-    generator seeded with ``seed`` and advanced past the draws of every
-    earlier subcell, so any chunk is drawn without the ones before it.
+@dataclass(frozen=True)
+class SampleSet:
+    """The certificate's sample set: ``per_cell`` points in every subcell
+    of ``partition``, each at least ``margin`` times the subcell width off
+    every face; ``per_cell=None`` takes the fewest that give
+    TARGET_SAMPLES.  Sample i lies in subcell i // per_cell, and the set
+    is one ``default_rng(seed).random`` draw mapped into the subcells.
+    Its length is the sample count.  It is streamed, never held whole:
+    ``chunk`` draws any run of subcells and checks each sample strictly
+    inside the subcell it was drawn in, which proves its subcell and that
+    it is in the domain and off the skeleton, so no sample is located.
+    """
 
-    The draw keeps its own (count, per_cell, n) order and is mapped into
-    the subcell-last array, so every step runs over the chunk's subcells
-    in numpy's innermost loop, not over its n coordinates."""
-    lo, hi = (b[:, first: first + count] for b in p.subcell_bounds())
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(first * per_cell * p.n)  # one 64-bit step per double
-    u = rng.random((lo.shape[1], per_cell, p.n)).T
-    # lo + (margin + u * (1 - 2 margin)) * width, computed in place
-    pts = np.multiply(u, 1.0 - 2.0 * margin, out=np.empty(u.shape))
-    pts += margin
-    pts *= (hi - lo)[:, None, :]
-    pts += lo[:, None, :]
-    return pts
+    partition: CellPartition
+    per_cell: int | None
+    margin: float
+    seed: int = 0
 
+    def __post_init__(self):
+        if self.per_cell is None:
+            object.__setattr__(self, "per_cell",
+                               max(1, math.ceil(TARGET_SAMPLES / self.partition.total_subcells)))
+        per_cell = self.per_cell
+        if isinstance(per_cell, bool) or not isinstance(per_cell, (int, np.integer)) or per_cell < 1:
+            raise ValueError(f"per_cell must be an integer >= 1, got {per_cell!r}")
+        if not (0.0 < self.margin < 0.5):
+            raise ValueError("margin must be in (0, 0.5)")
 
-# subcell samples mapped per pass while sample_points fills its output
-_FILL = 65_536
+    def __len__(self) -> int:
+        return self.partition.total_subcells * self.per_cell
+
+    def _draw(self, first: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Unchecked samples of the subcells with corners lo, hi (n, 1, count)
+        from subcell first on, the generator advanced past earlier subcells.
+        The (count, per_cell, n) draw is mapped into the subcell-last array,
+        so numpy's innermost loop runs over subcells, not coordinates."""
+        n, per_cell, margin = self.partition.n, self.per_cell, self.margin
+        rng = np.random.default_rng(self.seed)
+        rng.bit_generator.advance(first * per_cell * n)  # one 64-bit step per double
+        u = rng.random((lo.shape[2], per_cell, n)).T
+        # lo + (margin + u * (1 - 2 margin)) * width, computed in place
+        pts = np.multiply(u, 1.0 - 2.0 * margin, out=np.empty(u.shape))
+        pts += margin
+        pts *= hi - lo
+        pts += lo
+        return pts
+
+    def chunk(self, first: int, count: int) -> np.ndarray:
+        """The samples of subcells first, ..., first + count - 1, (n,
+        per_cell, count): column [:, k, s] is sample k of subcell first + s.
+        A sample not strictly inside its subcell raises ValueError; only
+        then are the failing samples located, to name the fault."""
+        lo, hi = (b[:, None, first: first + count] for b in self.partition.subcell_bounds())
+        pts = self._draw(first, lo, hi)
+        inside = (lo < pts) & (pts < hi)
+        if not inside.all():
+            bad = ~inside.all(axis=0)
+            if not np.all(np.isfinite(pts[:, bad])):
+                raise ValueError("verification sample is not finite")
+            found, on_face = self.partition.locate(pts[:, bad].T)  # or "point outside domain"
+            if on_face.any():
+                raise ValueError("verification sample lies on the skeleton")
+            raise ValueError(f"verification sample drawn in subcell {first + bad.nonzero()[1][0]} "
+                             f"lies in subcell {found[0]}")
+        return pts
 
 
 def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0) -> np.ndarray:
-    """Deterministic off-skeleton verification samples, (N, n).
-
-    Draws ``per_cell`` points in every subcell, each at distance at least
-    ``margin`` times the subcell width from every face, so no sample can
-    lie on the skeleton.  Sample ``i`` is drawn in subcell
-    ``i // per_cell`` of the flat order of ``subcell_bounds``.  The array
-    is one ``default_rng(seed).random`` draw over all samples, mapped into
-    their subcells, so it equals ``_sample_chunk`` over any split of the
-    subcells into consecutive chunks, each transposed back to (count,
-    per_cell, n).  It is filled chunk by chunk, so no second array of
-    all samples is made.
-    """
-    _check_sampling(per_cell, margin)
-    S = p.total_subcells
-    out = np.empty((S, per_cell, p.n))
-    step = max(1, _FILL // per_cell)
-    for first in range(0, S, step):
-        out[first: first + step] = _sample_chunk(p, per_cell, margin, seed, first, step).T
+    """All of SampleSet(p, per_cell, margin, seed) as one (N, n) array,
+    sample i in subcell i // per_cell.  It is filled from the set's
+    checked chunks, so no second array of all samples is made."""
+    samples = SampleSet(p, per_cell, margin, seed)
+    out = np.empty((p.total_subcells, samples.per_cell, p.n))
+    step = max(1, 65_536 // samples.per_cell)  # subcells per chunk, about 65,536 samples
+    for first in range(0, p.total_subcells, step):
+        out[first: first + step] = samples.chunk(first, step).T
     return out.reshape(-1, p.n)

@@ -11,9 +11,9 @@ way, placing its pieces and certifying them, so the operator images rise
 monotonically step over step with no repairs in exact arithmetic; the
 running nodewise maximum enforces the invariant and counts any repairs
 float wobble would introduce.  One ``check_residual`` call certifies
-all steps in one streamed pass over the drawn set of ``ocm.approx``,
-each sample checked once to lie strictly inside the subcell it was
-drawn in, which is what proves it misses the skeleton.
+all steps in one streamed pass over one ``ocm.domain.SampleSet``, each
+sample checked once to lie strictly inside the subcell it was drawn in,
+which is what proves it misses the skeleton.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 
 from . import approx, expr as ex
 # global_approx has no caller here: it is bound because bench/spans.py wraps ocm.order.global_approx
-from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertificate, _drawn_set,
-                     _place, global_approx)
+from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertificate, _place,
+                     global_approx)
 from .baire import (GridFn, EnvelopePair, _lattice_axes, _located_image, lattice_nodes,
                     nlsc_regularize, operator_image)
-from .domain import CellPartition, Skeleton
+from .domain import CellPartition, SampleSet, Skeleton
 
 __all__ = [
     "OrderIntervalSeq",
@@ -206,11 +206,11 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
 
     The partition is planned once, by plan_partition at eps = 1/n_max,
     and every step places its pieces on it.  One check_residual call then
-    certifies all steps in one streamed pass over the set place_and_certify
-    would draw for the same partition and seed, so each certificate equals
-    a standalone one.  The lattice axes are checked before the partition
-    is planned, and every step is placed before the first sample is
-    drawn, so a lattice error comes first, then placement errors.  All
+    certifies all steps in one streamed pass over the SampleSet that
+    place_and_certify draws for the same partition and seed, so each
+    certificate equals a standalone one.  The lattice axes are checked
+    before the partition is planned, and every step is placed before the
+    first sample is drawn, so a lattice error comes first, then placement errors.  All
     steps share centers and skeleton, so the image sequence increases
     pointwise; the running nodewise maximum makes that an invariant and
     repairs count any node where a raw image dropped below the running
@@ -222,10 +222,10 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     base = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
     epss = [1.0 / n for n in range(1, n_max + 1)]
     placed = [_place(system, rhs, base, eps) for eps in epss]
-    drawn = _drawn_set(base, samples_per_cell, margin, seed)
+    samples = SampleSet(base, samples_per_cell, margin, seed)
     # looked up on the module, where bench/spans.py wraps it: a name
     # imported into this module would certify outside that span
-    certs = approx.check_residual(system, placed, rhs, epss, drawn, eta=eta, workers=workers)
+    certs = approx.check_residual(system, placed, rhs, epss, samples, eta=eta, workers=workers)
     shape = tuple(len(a) for a in axes)
     nodes = lattice_nodes(axes)
     fvals = rhs(nodes)

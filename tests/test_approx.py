@@ -23,7 +23,7 @@ from ocm.approx import (
     taylor_poly,
 )
 from ocm.approx import _solve_jets
-from ocm.domain import Box, CellPartition, build_partition, sample_points, subdivide
+from ocm.domain import Box, CellPartition, SampleSet, build_partition, sample_points, subdivide
 from ocm.expr import eval_component_batch, parse_system
 
 UNIT = Box((0.0,), (1.0,))
@@ -666,7 +666,7 @@ def _transport_setup(eps=0.1):
 
 def test_check_residual_fresh_samples_pass():
     sys_, rhs, U, _ = _transport_setup()
-    samples = ocm.approx._drawn_set(U.partition, 500, 0.05, 99)
+    samples = SampleSet(U.partition, 500, 0.05, 99)
     assert len(samples) >= 10_000
     (cert,) = check_residual(sys_, [U], rhs, [0.1], samples)
     assert cert.passed
@@ -682,7 +682,7 @@ def test_check_residual_detects_injected_fault():
         centers=U.centers,
     )
     bad.coeffs[0, 1, 7] += 0.1  # push one piece's slope above the band
-    samples = ocm.approx._drawn_set(U.partition, 200, 0.05, 5)
+    samples = SampleSet(U.partition, 200, 0.05, 5)
     (cert,) = check_residual(sys_, rhs=rhs, Us=[bad], epss=[0.1], samples=samples)
     assert not cert.passed
     lo, hi = bad.partition.subcell_bounds()
@@ -714,18 +714,23 @@ def test_check_residual_rejects_skeleton_samples(monkeypatch):
     ("nan", None),
 ])
 def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message):
-    if move == "nan":  # set here, not in the table, so the case keeps its test id
+    # set here, not in the table, so the cases keep their test ids; sample
+    # 5 of 3 per subcell is drawn in subcell 1 and moved into subcell 2
+    if move == "neighbour":
+        message = "verification sample drawn in subcell 1 lies in subcell 2"
+    elif move == "nan":
         message = "verification sample is not finite"
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = subdivide(build_partition(SQUARE, 2), 0.3)
-    draw = ocm.approx._sample_chunk
+    draw = SampleSet._draw
 
-    def moved(p, per_cell, margin, seed, first, count):
-        # the chunk drawer's (n, per_cell, count) block; sample 5 of the set
-        # is column 5 // per_cell - first, row 5 % per_cell
-        pts = draw(p, per_cell, margin, seed, first, count)
-        lo, hi = p.subcell_bounds()
+    def moved(self, first, lo_, hi_):
+        # the set's unchecked (n, per_cell, count) block; sample 5 of the
+        # set is column 5 // per_cell - first, row 5 % per_cell
+        pts = draw(self, first, lo_, hi_)
+        per_cell = self.per_cell
+        lo, hi = self.partition.subcell_bounds()
         s = 5 // per_cell
         if first <= s < first + pts.shape[2]:
             at = pts[:, 5 % per_cell, s - first]
@@ -740,11 +745,15 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
         return pts
 
     place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)  # the set as drawn is accepted
-    monkeypatch.setattr(ocm.approx, "_sample_chunk", moved)
+    sample_points(fine, 3, 0.05)
+    monkeypatch.setattr(SampleSet, "_draw", moved)
     with pytest.raises(ValueError) as exc:
         place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
-    if message is not None:
-        assert str(exc.value) == message
+    assert str(exc.value) == message
+    # the whole-set form is filled from the same checked chunks
+    with pytest.raises(ValueError) as exc:
+        sample_points(fine, 3, 0.05)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("equation,degree", [("D(u1,(1,0)) + u1", 1), ("u1^3 + D(u1,(1,0))", 3)])
@@ -809,7 +818,7 @@ def test_placement_errors_precede_sample_errors(monkeypatch):
     def never(*args):
         raise AssertionError("a chunk was drawn before placement finished")
 
-    monkeypatch.setattr(ocm.approx, "_sample_chunk", never)
+    monkeypatch.setattr(SampleSet, "_draw", never)
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     pole = rhs_from_exprs(["1/(x1 - 0.375)"], 1)
     for margin in (0.05, 0.6):  # a sound set, and one the sampler rejects
@@ -841,7 +850,7 @@ def test_offenders_with_tied_excess_follow_a_stable_sort(monkeypatch, undefined)
     if not undefined:
         U.coeffs[:, :, [20, 21]] = 0.5
     eps, eta = 0.1, 1e-9
-    drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 1)
+    drawn = SampleSet(U.partition, 3, 0.05, 1)
     pts = sample_points(U.partition, 3, 0.05, 1)
     r = np.repeat(U.coeffs[0, 0], 3)
     finite = np.isfinite(r)
@@ -877,7 +886,7 @@ def test_failing_streamed_certificate_names_the_caller_sample_offenders(monkeypa
     U = PiecewisePoly(partition=p, alphas=sys_.alphas, coeffs=values.reshape(1, 1, -1),
                       centers=p.subcell_centers())
     rhs = rhs_from_exprs(["0"], 2)
-    drawn = ocm.approx._drawn_set(p, per_cell, 0.05, 6)
+    drawn = SampleSet(p, per_cell, 0.05, 6)
     pts = sample_points(p, per_cell, 0.05, 6)
     index = {tuple(map(float, q)): i for i, q in enumerate(pts)}
     r = np.repeat(values, per_cell)
@@ -897,7 +906,7 @@ def test_streamed_certificate_peaks_below_one_sample_array():
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = build_partition(SQUARE, (256, 256))
     U = ocm.approx._place(sys_, rhs, fine, 0.1)
-    drawn = ocm.approx._drawn_set(fine, 32, 0.05, 3)
+    drawn = SampleSet(fine, 32, 0.05, 3)
     assert len(drawn) == 2**21
     tracemalloc.start()
     try:
@@ -931,7 +940,7 @@ def test_one_call_certifies_each_approximant_as_alone(monkeypatch):
     # with equal centres share one monomial memo per chunk
     sys_, rhs, fine, Us, epss = _three_approximants()
     monkeypatch.setattr(ocm.approx, "CHUNK", 1500)  # 500 subcells of 3 samples per chunk
-    drawn = ocm.approx._drawn_set(fine, 3, 0.05, 8)
+    drawn = SampleSet(fine, 3, 0.05, 8)
     memos = []
     values = ocm.approx._operator_values
     monkeypatch.setattr(ocm.approx, "_operator_values",
@@ -973,7 +982,7 @@ def _overshooting_band():
 ])
 def test_check_residual_rejects_a_band_that_checks_nothing(eps, eta, message):
     sys_, rhs, U = _overshooting_band()
-    drawn = ocm.approx._drawn_set(U.partition, 3, 0.05, 0)
+    drawn = SampleSet(U.partition, 3, 0.05, 0)
     (cert,) = check_residual(sys_, [U], rhs, [0.001], drawn)
     assert not cert.passed
     # a nan or infinite eta or eps used to pass this certificate
@@ -1043,7 +1052,7 @@ def test_a_system_and_partition_of_different_dimension_are_rejected():
 ])
 def test_check_residual_rejects_an_ill_formed_sequence(case, message):
     sys_, rhs, fine, Us, epss = _three_approximants()
-    drawn = ocm.approx._drawn_set(fine, 3, 0.05, 8)
+    drawn = SampleSet(fine, 3, 0.05, 8)
     if case == "empty":
         Us, epss = [], []
     elif case == "unequal":
@@ -1070,7 +1079,7 @@ def test_rhs_with_the_wrong_row_count_is_rejected(texts):
         refine_solution(sys_, bad, p, 3, (np.linspace(0.0, 1.0, 9),))
     U, _ = place_and_certify(sys_, rhs_from_exprs(["x1", "0.5"], 1), p, 0.1)
     with pytest.raises(ValueError, match=message):
-        check_residual(sys_, [U], bad, [0.1], ocm.approx._drawn_set(p, 3, 0.05, 0))
+        check_residual(sys_, [U], bad, [0.1], SampleSet(p, 3, 0.05, 0))
     with pytest.raises(ValueError, match=message):
         ocm.approx._place(sys_, bad, p, 0.1)
 
@@ -1116,7 +1125,7 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
     # per_cell values that do not divide the 65,536-sample chunk, and one
     # above it, where a chunk is a single subcell
     for per_cell in [1, 3, 7, 65536 // S + 5] + ([65539] if (n, K, m) == (1, 1, 1) else []):
-        drawn = ocm.approx._drawn_set(p, per_cell, 0.05, per_cell)
+        drawn = SampleSet(p, per_cell, 0.05, per_cell)
         # the whole set in the subcell-last order of a chunk, (n, per_cell,
         # S), and its flat (n, per_cell * S) rows, located point by point
         grouped = drawn.chunk(0, S)

@@ -81,9 +81,12 @@ def test_load_config_missing_section(tmp_path):
     ("samples_per_cell = 60", "sample_per_cell = 3", "unknown key 'sample_per_cell' in [solve] (line 17)"),
     ("seed = 42", "seeds = 5", "unknown key 'seeds' in [solve] (line 19)"),
     ("[solve]", "[solver]", "unknown section [solver] (line 14)"),
-], ids=["misspelled key", "plural key", "unknown section"])
+    ("seed = 42", "seed = 1\nseed = 2", "key 'seed' in [solve] repeats line 19 (line 20)"),
+    ("eta = 1e-9", "eta = 1e-9\n[solve]\nseed = 7", "key 'seed' in [solve] repeats line 19 (line 22)"),
+], ids=["misspelled key", "plural key", "unknown section", "repeated key", "key repeated under a repeated header"])
 def test_unknown_section_or_key_exits_2(tmp_path, capsys, old, new, message):
     # each was accepted silently, solving with the default it failed to set
+    # or with the last value given
     cfg = write_config(tmp_path, TRANSPORT.replace(old, new))
     with pytest.raises(cli.ConfigError, match=re.escape(message)):
         cli.load_config(cfg)

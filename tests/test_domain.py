@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ocm.approx import _drawn_set
-from ocm.domain import (Box, CellPartition, _sample_chunk, build_partition, sample_points,
+from ocm.domain import (Box, CellPartition, SampleSet, build_partition, sample_points,
                         skeleton_of, subdivide)
 
 
@@ -278,7 +277,7 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
         assert np.all((lo[:, owner] < pts.T) & (pts.T < hi[:, owner]))
         # the drawn set hands out the same draw as (n, per_cell, count)
         # chunks, here 5 subcells wide, each checked against its subcells
-        drawn = _drawn_set(p, per_cell, margin, k)
+        drawn = SampleSet(p, per_cell, margin, k)
         chunks = [drawn.chunk(s, 5) for s in range(0, p.total_subcells, 5)]
         np.testing.assert_array_equal(np.concatenate(chunks, axis=2),
                                       pts.reshape(-1, per_cell, p.n).T)
@@ -303,10 +302,11 @@ def test_chunked_draws_equal_one_draw(per_cell):
     np.testing.assert_array_equal(sample_points(p, per_cell, margin, seed), one.T.reshape(-1, n))
     rng = np.random.default_rng(per_cell)
     step = max(1, 65536 // per_cell)
+    samples = SampleSet(p, per_cell, margin, seed)
     for cuts in ([0, S], list(range(0, S, step)) + [S], [0, 1, 2, S], [0] + sorted(rng.choice(
             np.arange(1, S), 2, replace=False).tolist()) + [S]):
         # each chunk is (n, per_cell, count), subcell axis last
-        chunks = [_sample_chunk(p, per_cell, margin, seed, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        chunks = [samples.chunk(a, b - a) for a, b in zip(cuts, cuts[1:])]
         assert all(c.shape == (n, per_cell, b - a) for c, a, b in zip(chunks, cuts, cuts[1:]))
         np.testing.assert_array_equal(np.concatenate(chunks, axis=2), one)
 
@@ -337,8 +337,10 @@ def test_sample_points_deterministic():
 
 def test_sample_points_validates_args():
     p = build_partition(Box((0.0,), (1.0,)), 1)
-    with pytest.raises(ValueError):
-        sample_points(p, per_cell=0, margin=0.1)
+    # 2.5 and True used to build a set that failed only when drawn or counted
+    for per_cell in (0, 2.5, True):
+        with pytest.raises(ValueError, match="per_cell must be an integer >= 1"):
+            sample_points(p, per_cell=per_cell, margin=0.1)
     with pytest.raises(ValueError):
         sample_points(p, per_cell=1, margin=0.6)
 

@@ -5,7 +5,7 @@ import pytest
 
 from ocm.approx import RangeViolation, place_and_certify, rhs_from_exprs, taylor_poly
 from ocm.baire import GridFn, make_lattice
-from ocm.domain import Box, build_partition, skeleton_of
+from ocm.domain import TARGET_SAMPLES, Box, SampleSet, build_partition, skeleton_of
 from ocm.expr import parse_system
 from ocm.order import (
     OrderIntervalSeq,
@@ -192,7 +192,7 @@ def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch
 
     plans, planned, certified, streamed = [], [], [], []
     plan, check = ocm.approx.plan_partition, ocm.approx.check_residual
-    sample_chunk = ocm.approx._sample_chunk
+    chunk = SampleSet.chunk
 
     def counting_plan(*args, **kwargs):
         plans.append(args[3])  # eps
@@ -203,16 +203,16 @@ def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch
         certified.append(list(args[3]))  # epss
         return check(*args, **kwargs)
 
-    def counting_chunks(*args, **kwargs):
-        streamed.append(args[0])  # partition
-        return sample_chunk(*args, **kwargs)
+    def counting_chunks(self, first, count):
+        streamed.append(self.partition)
+        return chunk(self, first, count)
 
     def never(*args, **kwargs):
         raise AssertionError("refine drew its whole set")
 
     monkeypatch.setattr(ocm.approx, "plan_partition", counting_plan)
     monkeypatch.setattr(ocm.approx, "check_residual", counting_checks)
-    monkeypatch.setattr(ocm.approx, "_sample_chunk", counting_chunks)
+    monkeypatch.setattr(SampleSet, "chunk", counting_chunks)
     monkeypatch.setattr(ocm.approx, "sample_points", never)
     sys_, trace = _refine(["D(u1,(1))"], ["x1"], n_max)
     monkeypatch.undo()
@@ -223,7 +223,7 @@ def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch
     # every step, the finest included, is certified in one call on one set
     assert certified == [[s.eps for s in trace.steps]]
     # each chunk drawn once, not once per step
-    per_cell = -(-ocm.approx.TARGET_SAMPLES // fine.total_subcells)
+    per_cell = -(-TARGET_SAMPLES // fine.total_subcells)
     step = max(1, ocm.approx.CHUNK // per_cell)
     assert len(streamed) == -(-fine.total_subcells // step)
     assert all(d is fine for d in streamed)
@@ -243,7 +243,7 @@ def test_refine_placement_errors_precede_sample_errors(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sample was drawn before every step was placed")
 
-    monkeypatch.setattr(ocm.approx, "_sample_chunk", never)
+    monkeypatch.setattr(SampleSet, "_draw", never)
     monkeypatch.setattr(ocm.approx, "sample_points", never)
     sys_ = parse_system("exp(u1)", 1, 1, 0)
     rhs = rhs_from_exprs(["0.3 + x1"], 1)
