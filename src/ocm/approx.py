@@ -3,10 +3,10 @@
 Given a system ``T u = f`` and a band width ``eps``, the construction
 places one Taylor piece per subcell, with the jet at the subcell center
 solved so that the residual there equals exactly ``-eps/2``.  It runs in
-two stages.  ``plan_partition`` probes a 3^n grid of points in every
-cell in one batch: it solves all probe jets together, then halves each
-probe's radius until the sampled residual on its ball stays inside
-``[-eps - eta, eta]``, and subdivides to the smallest radius found.
+two stages.  ``plan_partition`` places a piece in every subcell and
+evaluates each at the vertices of its own subcell, splitting every cell
+with a vertex residual outside ``[-eps - eta, eta]`` and placing again
+until no cell moves; it returns the pieces of its last round.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
 sample set.  ``check_residual`` certifies any number of approximants on
@@ -16,14 +16,16 @@ lie strictly inside the subcell it was drawn in, so each piece is
 evaluated over its own samples and no sample is looked up.  Both the jet
 solve and the certificate run in chunks of about CHUNK centres or
 samples, so their working memory does not grow with the partition.
-``global_approx`` is the two stages in sequence; ``local_approx`` is the
-probe stage for a single point.
+``global_approx`` is the plan and its certificate; ``local_approx``
+halves a ball's radius around a single point until a sampled band check
+on the ball passes.
 
 Every per-subcell and per-probe array is stored subcell axis last, the
 way the kernels read it: subcell bounds and centres (n, S), piece
 coefficients (K, A, S), jet-solve targets (K, S) and jets (M, S), probe
 points (n, B), and a certificate's samples as (n, per_cell, count)
-chunks, against which a chunk's pieces are sliced to (K, A, 1, count).
+chunks and a plan round's vertices as (n, 2^n, count), against which a
+chunk's pieces are sliced to (K, A, 1, count).
 numpy runs its innermost loop along the last axis, so each piece
 broadcast over its own samples is one loop over the chunk's subcells,
 not a loop over n = 2 or 3 coordinates repeated per sample.
@@ -59,7 +61,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-# skeleton_of and sample_points have no caller here: bench/spans.py wraps them in ocm.approx
+# skeleton_of, sample_points and subdivide have no caller here: bench/spans.py
+# wraps them in ocm.approx
 from .domain import (Box, CellPartition, SampleSet, build_partition, sample_points, skeleton_of,
                      subdivide)
 
@@ -89,6 +92,11 @@ BRACKET_WIDTH = BISECT_TOL * 1e-3
 SCAN_LIMIT = 1e6
 SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
+# the most a planning round multiplies a cell's split count by, per axis
+SPLIT_GROWTH_CAP = 64
+# how far the plan moves a boundary vertex whose residual is not finite,
+# as a share of the way to its subcell's centre
+INWARD = 2.0 ** -20
 DEFAULT_ETA = 1e-9
 DEFAULT_MARGIN = 0.05
 # subcell centres solved, or certificate samples drawn and checked, per batch
@@ -124,13 +132,29 @@ class RangeViolation(Exception):
 
 
 class DeltaCollapse(Exception):
-    """Validity radius shrank to the floor without the band check passing."""
+    """The band needs pieces narrower than the floor, DELTA_FLOOR_FACTOR
+    times the largest box side.
 
-    def __init__(self, x, delta: float):
+    plan_partition raises it for the first cell, in C order, whose next
+    split counts would give a subcell side below the floor: ``cell`` is
+    that cell, ``x`` its worst vertex, ``residual`` the residual there and
+    ``width`` the narrowest subcell side the split would give.
+    local_approx raises it when its ball's radius ``width`` halves below
+    the floor around ``x``; ``cell`` and ``residual`` are then None.
+    """
+
+    def __init__(self, x, width: float, *, cell: int | None = None,
+                 residual: float | None = None, floor: float | None = None):
         self.x = tuple(float(v) for v in np.atleast_1d(x))
-        super().__init__(
-            f"validity radius collapsed to {delta:g} at x={self.x} without certifying the band"
-        )
+        self.width, self.cell, self.residual = width, cell, residual
+        if cell is None:
+            message = (f"validity radius collapsed to {width:g} at x={self.x} "
+                       "without certifying the band")
+        else:
+            message = (f"cell {cell} would need subcells {width:g} wide, below the floor "
+                       f"{floor:g}, for its worst vertex x={self.x} (residual {residual:g}) "
+                       "to reach the band")
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -692,8 +716,9 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
 
     The jet at x0 is solved for the target f(x0) - eps/2, centering the
     residual in the band; the radius starts at start_delta and halves
-    until the sampled band check passes.  This is one probe of
-    plan_partition, run alone.  x0 must be a point of the closed box.
+    until the sampled band check passes, and raises DeltaCollapse once it
+    falls below DELTA_FLOOR_FACTOR times the largest box side.  x0 must be
+    a point of the closed box.
     """
     _check_band(eps, eta)
     start = float(start_delta) if start_delta is not None else box.diameter
@@ -708,32 +733,6 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
         pivots = default_pivots(system)
     deltas, coeffs = _probe(system, rhs, x0, np.asarray([start]), eps, box, eta, pivots)
     return float(deltas[0]), PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
-
-
-_PROBE_FRACTIONS = (0.25, 0.5, 0.75)
-
-
-def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
-                   eta: float = DEFAULT_ETA) -> CellPartition:
-    """Subdivide p to the smallest validity radius over all probe points.
-
-    Every cell is probed at the 3^n points at fractions 1/4, 1/2, 3/4 of
-    its sides, each radius starting at the cell's diameter, all in one
-    batch.  The returned partition records that radius as ``delta``.
-    Raises the error of the first failing probe, cells in C order and
-    probes in lexicographic order within a cell.
-    """
-    _check_band(eps, eta)
-    _check_dims(system, p)
-    # (n, F) fractions, (n, n_cells) cell corners, (n, n_cells * F) probe points
-    fracs = np.stack([g.ravel() for g in np.meshgrid(*[_PROBE_FRACTIONS] * p.n, indexing="ij")])
-    where = p._cell_indices()
-    lo = np.stack([e[i] for e, i in zip(p.cell_edges, where)])
-    hi = np.stack([e[i + 1] for e, i in zip(p.cell_edges, where)])
-    x0s = (lo[:, :, None] + fracs[:, None, :] * (hi - lo)[:, :, None]).reshape(p.n, -1)
-    start = np.repeat([p.cell_box(c).diameter for c in range(p.n_cells)], fracs.shape[1])
-    deltas, _ = _probe(system, rhs, x0s, start, eps, p.bounds, eta, default_pivots(system))
-    return subdivide(p, float(deltas.min()))
 
 
 def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
@@ -765,6 +764,115 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)
 
 
+def _vertex_residuals(system, rhs, U: PiecewisePoly, rows: slice) -> tuple:
+    """The pieces of U's subcells rows at the 2^n vertices of their own
+    closed subcells: points (n, V, count) and residuals (K, V, count),
+    V = 2^n, vertex v taking the upper end on axis d where bit d of v is set.
+
+    The band is required on the open domain, so a vertex on the outer
+    boundary whose residual is not finite (x1*log(x1) at x1 = 0) is moved
+    INWARD of the way to its subcell's centre and evaluated there instead.
+    A right-hand side that is still not finite raises RangeViolation, first
+    subcell first: splitting keeps every vertex, so no plan would move it.
+    """
+    p = U.partition
+    n, K, V = p.n, system.K, 2 ** p.n
+    coeffs, centers = U.coeffs[:, :, None, rows], U.centers[:, None, rows]
+
+    def residual(pts):
+        f = _rhs_at(rhs, pts.reshape(n, -1).T, K).reshape(K, V, -1)
+        r = _operator_values(system, coeffs, centers, pts).reshape(K, V, -1)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            r -= f
+        return f, r
+
+    upper = ((np.arange(V) >> np.arange(n)[:, None]) & 1).astype(bool)[:, :, None]  # (n, V, 1)
+    lo, hi = (b[:, None, rows] for b in p.subcell_bounds())
+    pts = np.where(upper, hi, lo)
+    f, r = residual(pts)
+    undefined = ~np.isfinite(r).all(axis=0)  # (V, count)
+    if undefined.any():
+        box_lo, box_hi = (np.reshape(c, (n, 1, 1)) for c in (p.bounds.lo, p.bounds.hi))
+        moved = undefined & ~np.all((box_lo < pts) & (pts < box_hi), axis=0)
+        if moved.any():
+            pts = np.where(moved, pts + INWARD * (centers - pts), pts)
+            f, r = residual(pts)
+        pole = ~np.isfinite(f)
+        if pole.any():
+            j, k, v = np.unravel_index(np.argmax(pole.transpose(2, 0, 1)), (pts.shape[2], K, V))
+            raise RangeViolation(k + 1, pts[:, v, j], reason=_FAILURE_REASON[_NO_TARGET])
+    return pts, r
+
+
+def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float) -> np.ndarray:
+    """Per subcell of U, the largest |r + eps/2| over its vertex residuals
+    r (_vertex_residuals) when one lies outside [-eps - eta, eta]: 0 where
+    none does, inf where one is not finite.  One pass over the partition,
+    CHUNK vertices at a time."""
+    S = U.partition.total_subcells
+    dev = np.empty(S)
+    step = max(1, CHUNK // 2 ** U.partition.n)
+    for s in range(0, S, step):
+        _, r = _vertex_residuals(system, rhs, U, slice(s, s + step))
+        r = r.reshape(-1, r.shape[2])
+        rmin, rmax = r.min(axis=0), r.max(axis=0)  # nan where any residual is
+        d = dev[s: s + step]
+        np.maximum(rmax + 0.5 * eps, -0.5 * eps - rmin, out=d)
+        d[~np.isfinite(d)] = np.inf
+        d[(rmax <= eta) & (rmin >= -eps - eta)] = 0.0
+    return dev
+
+
+def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
+                   eta: float = DEFAULT_ETA) -> PiecewisePoly:
+    """Split p's cells until every piece keeps the band at its subcell's
+    vertices; returns the pieces placed on the final partition.
+
+    Each round places a piece in every subcell (_place) and evaluates it
+    at the 2^n vertices of its own closed subcell (_vertex_excess).  A
+    cell with a vertex residual outside [-eps - eta, eta] multiplies its
+    split count on every axis by ceil((dev / (eps/2))^(1/n)), at least 2
+    and at most SPLIT_GROWTH_CAP, dev the largest |r + eps/2| over those
+    vertices (inf where a residual is not finite).  The rounds end when
+    no cell moves.  A degree-m piece drifts most at its subcell's faces,
+    where the vertices sit; the sampled certificate stays the band's only
+    proof.  The plan draws no sample and reads no seed.
+
+    Range violations come from placement, round 0 at the cell centres.
+    Before a partition is built, its split counts are checked against the
+    floor, DELTA_FLOOR_FACTOR times the largest box side: the first cell
+    whose subcells would be narrower raises DeltaCollapse.
+    """
+    _check_band(eps, eta)
+    _check_dims(system, p)
+    floor = DELTA_FLOOR_FACTOR * max(p.bounds.sides)
+    sides = np.stack([np.diff(e)[i] for e, i in zip(p.cell_edges, p._cell_indices())],
+                     axis=1)  # (n_cells, n)
+    while True:
+        U = _place(system, rhs, p, eps)
+        dev = _vertex_excess(system, rhs, U, eps, eta)
+        offsets = p._offsets
+        cell_dev = np.maximum.reduceat(dev, offsets[:-1])
+        moves = cell_dev > 0.0
+        if not moves.any():
+            return U
+        with np.errstate(over="ignore"):
+            ratio = cell_dev / (0.5 * eps)
+        grow = np.clip(np.ceil(ratio ** (1.0 / p.n)), 2, SPLIT_GROWTH_CAP).astype(np.int64)
+        splits = p.splits * np.where(moves, grow, 1)[:, None]
+        width = (sides / splits).min(axis=1)
+        low = moves & (width < floor)
+        if low.any():
+            c = int(np.argmax(low))
+            s = offsets[c] + int(np.argmax(dev[offsets[c]: offsets[c + 1]]))
+            pts, r = _vertex_residuals(system, rhs, U, slice(s, s + 1))
+            d = np.abs(r + 0.5 * eps)
+            k, v = np.unravel_index(np.argmax(np.where(np.isnan(d), np.inf, d)), r.shape[:2])
+            raise DeltaCollapse(pts[:, v, 0], float(width[c]), cell=c, residual=float(r[k, v, 0]),
+                                floor=floor)
+        p = CellPartition(p.bounds, p.cell_edges, splits)
+
+
 def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float, *,
                       eta: float = DEFAULT_ETA, samples_per_cell: int | None = None,
                       margin: float = DEFAULT_MARGIN, seed: int = 0,
@@ -792,13 +900,14 @@ def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
                   margin: float = DEFAULT_MARGIN, seed: int = 0,
                   workers: int = 1) -> tuple[PiecewisePoly, "ResidualCertificate"]:
     """Assemble a certified one-sided approximant over the whole partition:
-    plan_partition picks the subdivision, then place_and_certify places
-    the pieces on it and certifies the band.  ``workers`` applies to the
-    certificate's chunks only; probing runs as one batch.
+    plan_partition splits the cells and places the pieces, which are then
+    certified as place_and_certify certifies them, on SampleSet(partition,
+    samples_per_cell, margin, seed).  ``workers`` applies to the
+    certificate's chunks only; planning runs without threads.
     """
-    fine = plan_partition(system, rhs, p, eps, eta=eta)
-    return place_and_certify(system, rhs, fine, eps, eta=eta, samples_per_cell=samples_per_cell,
-                             margin=margin, seed=seed, workers=workers)
+    U = plan_partition(system, rhs, p, eps, eta=eta)
+    samples = SampleSet(U.partition, samples_per_cell, margin, seed)
+    return U, check_residual(system, [U], rhs, [eps], samples, eta=eta, workers=workers)[0]
 
 
 # ---------------------------------------------------------------------------

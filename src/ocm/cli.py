@@ -31,7 +31,8 @@ which have defaults, but each reads only its own: ``solve`` never reads
 1, 1/2, ..., 1/refine_steps).  Exit codes: 0 success, 2 config error
 (also an operator whose equations cannot be given distinct pivot
 slots), 3 range-condition violation or jet-solve non-convergence, 4
-validity-radius collapse, 5 certificate or self-check failure.  All
+a plan that would split a cell below the subcell-width floor, 5
+certificate or self-check failure.  All
 randomness comes from the seed; the env var ``OCM_THREADS`` caps the
 number of threads that run the certificate's chunks (default: machine
 parallelism) and never changes any output byte.

@@ -92,8 +92,10 @@ class CellPartition:
     in C order over its own grid, then cell 1's, and so on.  Per-subcell
     arrays (``subcell_bounds``, ``subcell_centers``) are (n, S), subcell
     axis last; points, as ``locate`` takes them, are (N, n).  ``delta``
-    records the target diameter of the last subdivision.  A partition is
-    not changed after construction; ``subdivide`` builds a new one.
+    records the target diameter of a ``subdivide``, the only builder that
+    sets it; a vertex plan (``ocm.approx.plan_partition``) leaves it None.
+    A partition is not changed after construction; ``subdivide`` and each
+    planning round build a new one.
     """
 
     bounds: Box

@@ -6,8 +6,8 @@ and both masks: equality and order modulo a closed nowhere dense set.
 Approximants are compared through their operator images, built by
 ``ocm.baire.operator_image`` (re-exported here).
 The refinement driver plans one partition (the one the finest step
-needs, from a single probe round) and makes every step on it the same
-way, placing its pieces and certifying them, so the operator images rise
+needs, from one vertex plan) and makes every step on it the same way,
+placing its pieces and certifying them, so the operator images rise
 monotonically step over step with no repairs in exact arithmetic; the
 running nodewise maximum enforces the invariant and counts any repairs
 float wobble would introduce.  One ``check_residual`` call certifies
@@ -205,7 +205,8 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     """Run the band construction for eps = 1, 1/2, ..., 1/n_max.
 
     The partition is planned once, by plan_partition at eps = 1/n_max,
-    and every step places its pieces on it.  One check_residual call then
+    whose pieces are the last step's; every other step places its pieces
+    on it.  One check_residual call then
     certifies all steps in one streamed pass over the SampleSet that
     place_and_certify draws for the same partition and seed, so each
     certificate equals a standalone one.  The lattice axes are checked
@@ -219,9 +220,10 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     axes = _lattice_axes(axes, p.bounds)
-    base = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
+    finest = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
+    base = finest.partition
     epss = [1.0 / n for n in range(1, n_max + 1)]
-    placed = [_place(system, rhs, base, eps) for eps in epss]
+    placed = [_place(system, rhs, base, eps) for eps in epss[:-1]] + [finest]
     samples = SampleSet(base, samples_per_cell, margin, seed)
     # looked up on the module, where bench/spans.py wraps it: a name
     # imported into this module would certify outside that span

@@ -543,57 +543,121 @@ def test_local_delta_collapse_on_steep_rhs():
 # ---------------------------------------------------------------------------
 # partition planning
 
-def per_point_plan(sys_, rhs, p, eps):
-    """The probe loop one point at a time, as a reference: local_approx at
-    every 3^n probe point of every cell, cells in C order; the first
-    failing probe raises."""
-    best = math.inf
-    for c in range(p.n_cells):
-        cbox = p.cell_box(c)
-        for frac in itertools.product((0.25, 0.5, 0.75), repeat=p.n):
-            x0 = tuple(a + f * (b - a) for a, b, f in zip(cbox.lo, cbox.hi, frac))
-            delta, _ = local_approx(sys_, rhs, x0, eps, box=p.bounds, start_delta=cbox.diameter)
-            best = min(best, delta)
-    return best
-
-
 SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 
 
-@pytest.mark.parametrize("eqs,rhs_texts,n,K,box,cells,eps", [
-    ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.1),
-    ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.01),
-    ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1),
-    ("D(u1,(1))\nu2 + D(u1,(1))", ["x1", "1 + x1"], 1, 2, UNIT, 10, 0.05),
+def vertex_residuals(sys_, rhs, U):
+    """Residuals (S, 2^n, K) of every piece of U at the vertices of its own
+    closed subcell, read one piece at a time through PiecewisePoly.jets on
+    a box strictly containing the domain."""
+    lo, hi = U.partition.subcell_bounds()
+    b = U.partition.bounds
+    wide = build_partition(Box(tuple(v - 1 for v in b.lo), tuple(v + 1 for v in b.hi)), 1)
+    out = []
+    for s in range(U.n_pieces):
+        piece = PiecewisePoly(wide, U.alphas, U.coeffs[:, :, s:s + 1], U.centers[:, s:s + 1])
+        verts = np.asarray(list(itertools.product(*zip(lo[:, s], hi[:, s]))))
+        xi = piece.jets(verts).reshape(len(verts), -1).T
+        values = np.stack([eval_component_batch(sys_, i, verts.T, xi) for i in range(sys_.K)])
+        out.append((values - rhs(verts)).T)
+    return np.stack(out)
+
+
+def planned_rounds(monkeypatch, sys_, rhs, p, eps):
+    """plan_partition's result and the approximant it placed in each round."""
+    rounds = []
+    place = ocm.approx._place
+    monkeypatch.setattr(ocm.approx, "_place",
+                        lambda *args: rounds.append(place(*args)) or rounds[-1])
+    U = plan_partition(sys_, rhs, p, eps)
+    monkeypatch.undo()
+    assert U is rounds[-1]
+    return U, rounds
+
+
+@pytest.mark.parametrize("eqs,rhs_texts,n,K,box,cells,eps,rounds", [
+    # each cell's vertex residuals are 0 and -0.1 up to rounding: no split
+    ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.1, 1),
+    ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.01, 2),
+    ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1, 3),
+    ("D(u1,(1))\nu2 + D(u1,(1))", ["x1", "1 + x1"], 1, 2, UNIT, 10, 0.05, 2),
+    ("D(u1,(1))", ["sqrt(x1)"], 1, 1, UNIT, 4, 0.1, 5),
 ])
-def test_planned_diameter_matches_per_point_probes(eqs, rhs_texts, n, K, box, cells, eps):
+def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts, n, K, box,
+                                                     cells, eps, rounds):
+    # the plan ends once every piece keeps the band at its subcell's
+    # vertices, and in every round a cell moved exactly when one of its
+    # vertex residuals had left the band, by the factor that residual asks
     sys_ = parse_system(eqs, n, K, 1)
     rhs = rhs_from_exprs(rhs_texts, n)
+    eta = ocm.approx.DEFAULT_ETA
     p = build_partition(box, cells)
-    fine = plan_partition(sys_, rhs, p, eps)
-    assert fine.delta == per_point_plan(sys_, rhs, p, eps)
-    assert fine.total_subcells > p.n_cells
+    U, placed = planned_rounds(monkeypatch, sys_, rhs, p, eps)
+    assert len(placed) == rounds and placed[0].partition is p
+    r = vertex_residuals(sys_, rhs, U)
+    assert np.all((r <= eta) & (r >= -eps - eta))
+    for before, after in zip(placed, placed[1:]):
+        q = before.partition
+        r = vertex_residuals(sys_, rhs, before).reshape(q.total_subcells, -1)
+        dev = np.abs(r + 0.5 * eps).max(axis=1)
+        left = ~np.all((r <= eta) & (r >= -eps - eta), axis=1)
+        for c in range(q.n_cells):
+            cell = slice(q._offsets[c], q._offsets[c + 1])
+            grow = 1
+            if left[cell].any():
+                ratio = dev[cell][left[cell]].max() / (0.5 * eps)
+                grow = min(max(math.ceil(ratio ** (1 / n)), 2), ocm.approx.SPLIT_GROWTH_CAP)
+            np.testing.assert_array_equal(after.partition.splits[c], q.splits[c] * grow)
 
 
-@pytest.mark.parametrize("eqs,rhs_text,eps,error", [
-    # steeper as x1 grows: the third probe of the first cell collapses
-    ("u1", "10000 * x1^2", 0.01, DeltaCollapse),
-    # unattainable for x1 > 0.45 only: the first probe of the third cell fails
-    ("D(u1,(1))^2", "0.5 - x1", 0.1, RangeViolation),
-    # radius collapse at the first probe, unattainable targets past x1 = 0.7
-    ("exp(u1)", "20000 * (0.7 - x1)", 0.01, DeltaCollapse),
+@pytest.mark.parametrize("eqs,rhs_text,eps,error,x", [
+    # steeper as x1 grows: cell 1 is the first whose next split would fall
+    # below the floor, and its worst vertex is its upper end
+    ("u1", "10000 * x1^2", 0.01, DeltaCollapse, (0.5,)),
+    # unattainable for x1 > 0.45 only: round 0 places at the cell centres
+    ("D(u1,(1))^2", "0.5 - x1", 0.1, RangeViolation, (0.625,)),
+    # unattainable past x1 = 0.7: the last centre fails before any split
+    ("exp(u1)", "20000 * (0.7 - x1)", 0.01, RangeViolation, (0.875,)),
+    # undefined at the interior vertex 0.5, whatever the split
+    ("u1 / (x1 - 0.5)", "1", 0.1, DeltaCollapse, (0.5,)),
 ])
-def test_planner_raises_at_the_first_failing_probe(eqs, rhs_text, eps, error):
+def test_planner_raises_at_the_first_failing_probe(eqs, rhs_text, eps, error, x):
     sys_ = parse_system(eqs, 1, 1, 1)
     rhs = rhs_from_exprs([rhs_text], 1)
     p = build_partition(UNIT, 4)
-    with pytest.raises(error) as ref:
-        per_point_plan(sys_, rhs, p, eps)
     with pytest.raises(error) as got:
         plan_partition(sys_, rhs, p, eps)
-    assert type(got.value) is type(ref.value)
-    assert got.value.x == ref.value.x
-    assert str(got.value) == str(ref.value)
+    assert type(got.value) is error and got.value.x == x
+    if error is RangeViolation:  # placement's own error at the cell centres
+        with pytest.raises(error) as ref:
+            ocm.approx._place(sys_, rhs, p, eps)
+        assert str(got.value) == str(ref.value)
+    else:
+        e = got.value
+        assert e.cell == 1 and e.width < ocm.approx.DELTA_FLOOR_FACTOR
+        assert not -eps - 1e-9 <= e.residual <= 1e-9
+        assert str(e).startswith(f"cell 1 would need subcells {e.width:g} wide, below the floor 1e-06")
+
+
+def test_rhs_undefined_at_an_interior_vertex_is_a_range_violation():
+    # no split removes the vertex 0.5, so the plan stops there at once
+    sys_ = parse_system("D(u1,(1))", 1, 1, 1)
+    rhs = rhs_from_exprs(["1/(x1 - 0.5)"], 1)
+    with pytest.raises(RangeViolation, match="right-hand side not finite") as exc:
+        plan_partition(sys_, rhs, build_partition(UNIT, 2), 0.1)
+    assert exc.value.x == (0.5,)
+
+
+def test_undefined_residual_on_the_boundary_is_read_just_inside():
+    # x1*log(x1) is nan at x1 = 0, where the band is not required; read
+    # just inside, its limit 0 still splits the first cell, which the
+    # certificate needs: ignoring the vertex left min residual -0.105
+    sys_ = parse_system("u1", 1, 1, 1)
+    rhs = rhs_from_exprs(["x1*log(x1)"], 1)
+    U, cert = global_approx(sys_, rhs, build_partition(UNIT, 4), 0.1, seed=1)
+    assert cert.passed
+    assert U.partition.splits[0, 0] > 8
+    assert U.n_pieces < 64
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +668,12 @@ def test_global_transport_matches_worked_example():
     rhs = rhs_from_exprs(["x1"], 1)
     p = build_partition(UNIT, 10)
     U, cert = global_approx(sys_, rhs, p, 0.1, seed=3)
-    assert U.n_pieces == 20
-    np.testing.assert_array_equal(U.partition.splits, np.full((10, 1), 2))
+    # each cell's vertex residuals are 0 and -0.1, up to rounding: inside
+    # the band [-0.1 - eta, eta], so no cell splits
+    assert U.n_pieces == 10
+    assert U.partition is p
     lo, hi = U.partition.subcell_bounds()
-    np.testing.assert_allclose(hi - lo, 0.05)
+    np.testing.assert_allclose(hi - lo, 0.1)
     assert cert.passed
     assert cert.max_residual <= 1e-9
     assert cert.min_residual >= -0.1 - 1e-9
@@ -666,7 +732,7 @@ def _transport_setup(eps=0.1):
 
 def test_check_residual_fresh_samples_pass():
     sys_, rhs, U, _ = _transport_setup()
-    samples = SampleSet(U.partition, 500, 0.05, 99)
+    samples = SampleSet(U.partition, 1000, 0.05, 99)
     assert len(samples) >= 10_000
     (cert,) = check_residual(sys_, [U], rhs, [0.1], samples)
     assert cert.passed
@@ -923,7 +989,7 @@ def _three_approximants():
     and a taylor_poly on it whose centres are shifted off them."""
     sys_ = parse_system("D(u1,(2,0)) + u1 + D(u1,(0,1))^2", 2, 1, 2)
     rhs = rhs_from_exprs(["x1*x2"], 2)
-    fine = plan_partition(sys_, rhs, build_partition(SQUARE, 2), 0.05)
+    fine = plan_partition(sys_, rhs, build_partition(SQUARE, 2), 0.05).partition
     U1 = ocm.approx._place(sys_, rhs, fine, 0.1)
     U2 = ocm.approx._place(sys_, rhs, fine, 0.05)
     rng = np.random.default_rng(21)
@@ -964,11 +1030,11 @@ def test_one_call_certifies_each_approximant_as_alone(monkeypatch):
 
 def _overshooting_band():
     """D(u1,(1)) = x1 on 4 cells, planned at eps 0.1 and placed for eps
-    0.01: its residuals lie in about [-0.019, 0.009], outside an eps
+    0.01: its residuals lie in about [-0.042, 0.032], outside an eps
     0.001 band on both sides."""
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     rhs = rhs_from_exprs(["x1"], 1)
-    fine = plan_partition(sys_, rhs, build_partition(UNIT, 4), 0.1)
+    fine = plan_partition(sys_, rhs, build_partition(UNIT, 4), 0.1).partition
     return sys_, rhs, ocm.approx._place(sys_, rhs, fine, 0.01)
 
 

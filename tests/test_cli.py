@@ -197,7 +197,8 @@ def test_sine_range_violation_exits_3(tmp_path):
 
 
 def test_rhs_undefined_at_a_probe_exits_3_and_says_so(tmp_path, capsys):
-    # probes at 1/4, 1/2, 3/4 of the cell [0, 0.5] hit the pole at 0.25
+    # the plan's first placement, at the centre 0.25 of the cell [0, 0.5],
+    # hits the pole
     text = TRANSPORT.replace('"x1"', '"1/(x1-0.25)"').replace("cells = [10]", "cells = [2]")
     cfg = write_config(tmp_path, text)
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -206,11 +207,27 @@ def test_rhs_undefined_at_a_probe_exits_3_and_says_so(tmp_path, capsys):
     assert "sign change" not in err
 
 
-def test_delta_collapse_exits_4(tmp_path):
-    text = TRANSPORT.replace('"D(u1,(1))"', '"u1"').replace('"x1"', '"10000 * x1"')
+def test_delta_collapse_exits_4(tmp_path, capsys):
+    # u1 = 100000 * x1 needs pieces 1e-7 wide for eps 0.01, a tenth of the
+    # floor: two rounds split every cell 64 times, and the third split is
+    # refused before it is built
+    text = TRANSPORT.replace('"D(u1,(1))"', '"u1"').replace('"x1"', '"100000 * x1"')
     text = text.replace("epsilon = 0.1", "epsilon = 0.01")
     cfg = write_config(tmp_path, text)
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"delta collapse: cell 0 would need subcells {0.1 / 64**3:g} wide, below the floor 1e-06" in err
+
+
+@pytest.mark.parametrize("equation,rhs,cells", [
+    ("D(u1,(1))", "sqrt(x1)", 4), ("D(u1,(1))", "1/(x1+0.02)", 2), ("u1", "x1*log(x1)", 4),
+])
+def test_steep_rhs_near_the_boundary_certifies(tmp_path, equation, rhs, cells):
+    # the probe plan missed the cell corners: the first two exited 5, with
+    # max residual +0.0086 on 64 subcells and range [-1.10, +0.93] on 1,024
+    text = TRANSPORT.replace('"x1"', f'"{rhs}"').replace("cells = [10]", f"cells = [{cells}]")
+    cfg = write_config(tmp_path, text.replace('"D(u1,(1))"', f'"{equation}"'))
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_refine_trace(tmp_path):
@@ -357,8 +374,8 @@ def test_subcell_bounds_built_once_per_partition(tmp_path, monkeypatch):
         report = run(write_config(tmp_path, text, f"{name}.cfg"), tmp_path / name)
         assert report.exit_code == 0
         builds = {(id(p), id(lo)) for p, (lo, _) in seen}
-        # the coarse partition's, for subdivision, and the fine one's
-        assert len(builds) == len({id(p) for p, _ in seen}) == 2, name
+        # one build for each partition a planning round placed on
+        assert len(builds) == len({id(p) for p, _ in seen}) > 1, name
 
 
 def test_selfcheck_empty_is_vacuous():
@@ -368,10 +385,11 @@ def test_selfcheck_empty_is_vacuous():
 
 
 def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
-    # the 2D config has 2x2 cells and 1,024 subcells at 80 samples each,
+    # the 2D config has 2x2 cells and 496 subcells at 200 samples each,
     # so every certificate spans two of check_residual's 65,536-sample
     # chunks and the pool really splits them
-    for name, text in (("1d", TRANSPORT), ("2d", TRANSPORT_2D)):
+    text_2d = TRANSPORT_2D.replace("samples_per_cell = 80", "samples_per_cell = 200")
+    for name, text in (("1d", TRANSPORT), ("2d", text_2d)):
         cfg = write_config(tmp_path, text, f"{name}.cfg")
         blobs = {}
         for threads in ("1", "4"):
@@ -386,7 +404,7 @@ def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
                 )
         baseline = blobs[("1", 0)]
         if name == "2d":
-            assert b"\n1,81920," in baseline[0]
+            assert b"\n1,99200," in baseline[0]
         for key, value in blobs.items():
             assert value == baseline, (name, key)
 

@@ -217,7 +217,10 @@ def test_refine_plans_once_and_certifies_every_step_on_one_drawn_set(monkeypatch
     sys_, trace = _refine(["D(u1,(1))"], ["x1"], n_max)
     monkeypatch.undo()
     assert plans == [1 / n_max]
-    (fine,) = planned
+    (finest,) = planned
+    fine = finest.partition
+    # the plan's own pieces are the last step's
+    assert trace.steps[-1].approximant is finest
     assert all(s.approximant.partition is fine for s in trace.steps)
     assert trace.all_certified
     # every step, the finest included, is certified in one call on one set
@@ -249,8 +252,7 @@ def test_refine_placement_errors_precede_sample_errors(monkeypatch):
     rhs = rhs_from_exprs(["0.3 + x1"], 1)
     p = build_partition(UNIT, 10)
     axes = make_lattice(UNIT, 64)
-    fine = ocm.approx.plan_partition(sys_, rhs, p, 1 / 3)
-    ocm.approx._place(sys_, rhs, fine, 1 / 3)
+    ocm.approx.plan_partition(sys_, rhs, p, 1 / 3)
     for margin in (0.05, 0.6):  # a sound set, and one the sampler rejects
         with pytest.raises(RangeViolation, match="no sign change"):
             refine_solution(sys_, rhs, p, 3, axes, margin=margin)
