@@ -92,6 +92,9 @@ BRACKET_WIDTH = BISECT_TOL * 1e-3
 SCAN_LIMIT = 1e6
 SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
+# the most subcells a plan may propose: four times the 1,048,576 the
+# probe plan once certified, and far above any problem the benchmark runs
+MAX_SUBCELLS = 2**22
 # the most a planning round multiplies a cell's split count by, per axis
 SPLIT_GROWTH_CAP = 64
 # how far the plan moves a boundary vertex whose residual is not finite,
@@ -133,23 +136,30 @@ class RangeViolation(Exception):
 
 class DeltaCollapse(Exception):
     """The band needs pieces narrower than the floor, DELTA_FLOOR_FACTOR
-    times the largest box side.
+    times the largest box side, or more of them than MAX_SUBCELLS.
 
     plan_partition raises it for the first cell, in C order, whose next
     split counts would give a subcell side below the floor: ``cell`` is
     that cell, ``x`` its worst vertex, ``residual`` the residual there and
-    ``width`` the narrowest subcell side the split would give.
+    ``width`` the narrowest subcell side the split would give.  When the
+    next split counts would give ``planned`` subcells in all, more than
+    MAX_SUBCELLS, ``cell`` is the cell that would hold the most.
     local_approx raises it when its ball's radius ``width`` halves below
     the floor around ``x``; ``cell`` and ``residual`` are then None.
     """
 
     def __init__(self, x, width: float, *, cell: int | None = None,
-                 residual: float | None = None, floor: float | None = None):
+                 residual: float | None = None, floor: float | None = None,
+                 planned: int | None = None):
         self.x = tuple(float(v) for v in np.atleast_1d(x))
         self.width, self.cell, self.residual = width, cell, residual
         if cell is None:
             message = (f"validity radius collapsed to {width:g} at x={self.x} "
                        "without certifying the band")
+        elif planned is not None:
+            message = (f"the plan would split into {planned:,} subcells, over the budget of "
+                       f"{MAX_SUBCELLS:,}; cell {cell} would hold the most, {width:g} wide, "
+                       f"for its worst vertex x={self.x} (residual {residual:g})")
         else:
             message = (f"cell {cell} would need subcells {width:g} wide, below the floor "
                        f"{floor:g}, for its worst vertex x={self.x} (residual {residual:g}) "
@@ -841,7 +851,9 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     Range violations come from placement, round 0 at the cell centres.
     Before a partition is built, its split counts are checked against the
     floor, DELTA_FLOOR_FACTOR times the largest box side: the first cell
-    whose subcells would be narrower raises DeltaCollapse.
+    whose subcells would be narrower raises DeltaCollapse.  So does a
+    plan of more than MAX_SUBCELLS subcells in all, at the cell that would
+    hold the most.
     """
     _check_band(eps, eta)
     _check_dims(system, p)
@@ -862,14 +874,17 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
         splits = p.splits * np.where(moves, grow, 1)[:, None]
         width = (sides / splits).min(axis=1)
         low = moves & (width < floor)
-        if low.any():
-            c = int(np.argmax(low))
+        # in floats: split counts near the floor can overflow an int64 product
+        counts = splits.prod(axis=1, dtype=float)
+        if low.any() or counts.sum() > MAX_SUBCELLS:
+            over = not low.any()
+            c = int(np.argmax(counts if over else low))
             s = offsets[c] + int(np.argmax(dev[offsets[c]: offsets[c + 1]]))
             pts, r = _vertex_residuals(system, rhs, U, slice(s, s + 1))
             d = np.abs(r + 0.5 * eps)
             k, v = np.unravel_index(np.argmax(np.where(np.isnan(d), np.inf, d)), r.shape[:2])
             raise DeltaCollapse(pts[:, v, 0], float(width[c]), cell=c, residual=float(r[k, v, 0]),
-                                floor=floor)
+                                floor=floor, planned=int(counts.sum()) if over else None)
         p = CellPartition(p.bounds, p.cell_edges, splits)
 
 

@@ -219,6 +219,18 @@ def test_delta_collapse_exits_4(tmp_path, capsys):
     assert f"delta collapse: cell 0 would need subcells {0.1 / 64**3:g} wide, below the floor 1e-06" in err
 
 
+def test_plan_over_the_subcell_budget_exits_4(tmp_path, capsys):
+    # log(x1) is unbounded along x1 = 0: the plan places 4, 596 and 167,114
+    # subcells, then proposes 48,275,426, still 1e-4 wide and far above the
+    # floor; that proposal is refused before its partition is built
+    text = TRANSPORT_2D.replace('"D(u1,(1,0)) + u1"', '"D(u1,(1,0))"').replace('"x1*x2"', '"log(x1)"')
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert ("delta collapse: the plan would split into 48,275,426 subcells, over the budget of "
+            "4,194,304; cell 0 would hold the most") in err
+
+
 @pytest.mark.parametrize("equation,rhs,cells", [
     ("D(u1,(1))", "sqrt(x1)", 4), ("D(u1,(1))", "1/(x1+0.02)", 2), ("u1", "x1*log(x1)", 4),
 ])

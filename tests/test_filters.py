@@ -370,6 +370,89 @@ def test_closed_tables_always_valid():
         assert check_uniform_convergence(table).ok
 
 
+def reference_convergence(t: ConvergenceTable):
+    """The pairwise-meet checker the one-generator test replaced, kept as
+    the reference: (ok, failed_axiom, witness, hausdorff)."""
+    points = sorted(t.ground, key=repr)
+    hausdorff = not any(gx.least & gy.least for x, y in itertools.combinations(points, 2)
+                        for gx in t.minimal[x] for gy in t.minimal[y])
+    for x in points:
+        if not any(x in g.least for g in t.minimal[x]):
+            return False, 1, x, hausdorff
+    for x in points:
+        gens = t.minimal[x]
+        for g1, g2 in itertools.product(gens, repeat=2):
+            if not any(g1.least | g2.least <= g.least for g in gens):
+                return False, 2, (x, g1.least, g2.least), hausdorff
+    return True, None, None, hausdorff
+
+
+def reference_ucs(t: UcsTable):
+    """The pairwise meet, inverse and composition loops the one-generator
+    test replaced: (ok, failed_axiom, witness, hausdorff)."""
+    gens = t.minimal
+    def member(rel):
+        return any(rel <= g.least for g in gens)
+    for x in sorted(t.ground, key=repr):
+        if not member(frozenset([(x, x)])):
+            return False, 1, x, None
+    for g1, g2 in itertools.product(gens, repeat=2):
+        if not member(g1.least | g2.least):
+            return False, 2, (g1.least, g2.least), None
+    for g1 in gens:
+        if not member(_oracle_inverse(g1.least)):
+            return False, 4, g1.least, None
+    for g1, g2 in itertools.product(gens, repeat=2):
+        comp = _oracle_compose(g1.least, g2.least)
+        if comp and not member(comp):
+            return False, 5, (g1.least, g2.least), None
+    return True, None, None, None
+
+
+def _verdict(res):
+    return res.ok, res.failed_axiom, res.witness, res.hausdorff
+
+
+def test_checkers_match_the_pairwise_reference():
+    rng = np.random.default_rng(41)
+    failed = set()
+    # every assignment of one antichain per point of a 3-point ground
+    chains = all_antichains(ABC)
+    for combo in itertools.product(chains, repeat=3):
+        table = _cs_table(ABC, dict(zip(sorted(ABC), combo)))
+        got = _verdict(check_convergence_structure(table))
+        assert got == reference_convergence(table), combo
+        failed.add(got[1])
+    assert failed == {None, 1, 2}
+    # seeded convergence tables on 1-4 points, 0-4 filters per point,
+    # repeated and nested filters included
+    for _ in range(3000):
+        ground = frozenset("abcd"[: int(rng.integers(1, 5))])
+        subs = nonempty_subsets(ground)
+        assignment = {x: [subs[int(i)] for i in rng.integers(0, len(subs), int(rng.integers(0, 5)))]
+                      for x in ground}
+        table = _cs_table(ground, assignment)
+        got = _verdict(check_convergence_structure(table))
+        assert got == reference_convergence(table), assignment
+        failed.add(got[1])
+    # seeded uniform tables on 1-3 points with 1-3 generators, half of
+    # them made reflexive so that axioms (2), (4) and (5) are reached
+    for _ in range(3000):
+        ground = frozenset("abc"[: int(rng.integers(1, 4))])
+        pairs = sorted(_pairs(ground))
+        diag = frozenset((x, x) for x in ground)
+        rels = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, len(pairs) + 1))
+            rel = frozenset(pairs[int(i)] for i in rng.choice(len(pairs), size, replace=False))
+            rels.append(rel | diag if rng.random() < 0.5 else rel)
+        table = UcsTable(ground, tuple(FiniteFilter(_pairs(ground), r) for r in rels))
+        got = _verdict(check_uniform_convergence(table))
+        assert got == reference_ucs(table), rels
+        failed.add(got[1])
+    assert failed == {None, 1, 2, 4, 5}
+
+
 def set_partitions(elems):
     if not elems:
         yield []
@@ -433,6 +516,26 @@ def test_tables_keep_the_surviving_given_filters_in_the_given_order():
     ucs = UcsTable(AB, (ba, FiniteFilter(pg, diag), ab_rel, ba_again))
     assert len(ucs.minimal) == 2
     assert all(kept is given for kept, given in zip(ucs.minimal, (ba, ab_rel)))
+
+
+def test_tables_read_one_shot_iterables_as_lists_and_tuples():
+    # a family given as a generator is read once, so validation and
+    # reduction must see the same materialised filters
+    fam = {"a": [frozenset("a"), frozenset("ab"), frozenset("a")], "b": [frozenset("b")]}
+    conv = [
+        ConvergenceTable(AB, {x: kind(FiniteFilter(AB, s) for s in sets) for x, sets in fam.items()})
+        for kind in (iter, list, tuple)
+    ]
+    assert conv[0].minimal == conv[1].minimal == conv[2].minimal
+    assert [f.least for f in conv[0].minimal["a"]] == [frozenset("ab")]
+    assert check_convergence_structure(conv[0]) == check_convergence_structure(conv[2])
+
+    pg = _pairs(AB)
+    rels = [frozenset((x, x) for x in AB), pg]
+    ucs = [UcsTable(AB, kind(FiniteFilter(pg, r) for r in rels)) for kind in (iter, list, tuple)]
+    assert ucs[0].minimal == ucs[1].minimal == ucs[2].minimal
+    assert [f.least for f in ucs[0].minimal] == [pg]
+    assert check_uniform_convergence(ucs[0]).ok
 
 
 def test_initial_convergence_along_no_maps_is_indiscrete():
