@@ -97,6 +97,8 @@ DELTA_FLOOR_FACTOR = 1e-6
 MAX_SUBCELLS = 2**22
 # the most a planning round multiplies a cell's split count by, per axis
 SPLIT_GROWTH_CAP = 64
+# the range a cell's measured drift order (dev ~ side^alpha) is clipped to
+DRIFT_ORDER_MIN, DRIFT_ORDER_MAX = 0.25, 1.0
 # how far the plan moves a boundary vertex whose residual is not finite,
 # as a share of the way to its subcell's centre
 INWARD = 2.0 ** -20
@@ -840,13 +842,23 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
 
     Each round places a piece in every subcell (_place) and evaluates it
     at the 2^n vertices of its own closed subcell (_vertex_excess).  A
-    cell with a vertex residual outside [-eps - eta, eta] multiplies its
-    split count on every axis by ceil((dev / (eps/2))^(1/n)), at least 2
-    and at most SPLIT_GROWTH_CAP, dev the largest |r + eps/2| over those
-    vertices (inf where a residual is not finite).  The rounds end when
-    no cell moves.  A degree-m piece drifts most at its subcell's faces,
-    where the vertices sit; the sampled certificate stays the band's only
-    proof.  The plan draws no sample and reads no seed.
+    cell with a vertex residual outside [-eps - eta, eta] moves: with
+    rho = dev / (eps/2) > 1, dev the largest |r + eps/2| over those
+    vertices (inf where a residual is not finite), its split count k
+    becomes max(k + 1, ceil(k * min(rho^(1/alpha), SPLIT_GROWTH_CAP)))
+    on every axis.  alpha is the cell's drift order, dev ~ side^alpha.
+    A degree-m piece solved at its subcell's centre drifts linearly in
+    the side wherever the operator and rhs are smooth, so alpha is 1,
+    whatever n is.  Near a singular rhs the drift is slower (sqrt(x1)
+    drifts like side^(1/2) at x1 = 0), and growth at alpha = 1 would
+    creep by one split a round; so a cell that also moved in the round
+    before, by less than the cap, measures alpha = ln(rho_prev / rho) /
+    ln(k / k_prev), clipped to [DRIFT_ORDER_MIN, DRIFT_ORDER_MAX].  A
+    capped move measures nothing: the cap, not the drift, set it.  The
+    rounds end when no cell moves.  A degree-m piece drifts most at its
+    subcell's faces, where the vertices sit; the sampled certificate
+    stays the band's only proof.  The plan draws no sample and reads no
+    seed.
 
     Range violations come from placement, round 0 at the cell centres.
     Before a partition is built, its split counts are checked against the
@@ -860,6 +872,7 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     floor = DELTA_FLOOR_FACTOR * max(p.bounds.sides)
     sides = np.stack([np.diff(e)[i] for e, i in zip(p.cell_edges, p._cell_indices())],
                      axis=1)  # (n_cells, n)
+    prev = None  # the last round's split counts and rho, 0 where a cell did not move
     while True:
         U = _place(system, rhs, p, eps)
         dev = _vertex_excess(system, rhs, U, eps, eta)
@@ -868,10 +881,18 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
         moves = cell_dev > 0.0
         if not moves.any():
             return U
-        with np.errstate(over="ignore"):
-            ratio = cell_dev / (0.5 * eps)
-        grow = np.clip(np.ceil(ratio ** (1.0 / p.n)), 2, SPLIT_GROWTH_CAP).astype(np.int64)
-        splits = p.splits * np.where(moves, grow, 1)[:, None]
+        k = p.splits
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rho = cell_dev / (0.5 * eps)
+            alpha = np.full(len(rho), DRIFT_ORDER_MAX)
+            if prev is not None:
+                k_prev, rho_prev = prev
+                measured = moves & (rho_prev > 0.0) & np.all(k < SPLIT_GROWTH_CAP * k_prev, axis=1)
+                order = np.log(rho_prev / rho) / np.log(k / k_prev).mean(axis=1)
+                alpha[measured] = np.clip(order[measured], DRIFT_ORDER_MIN, DRIFT_ORDER_MAX)
+            grow = np.minimum(rho ** (1.0 / alpha), SPLIT_GROWTH_CAP)
+        splits = np.where(moves[:, None], np.maximum(k + 1, np.ceil(k * grow[:, None])),
+                          k).astype(np.int64)
         width = (sides / splits).min(axis=1)
         low = moves & (width < floor)
         # in floats: split counts near the floor can overflow an int64 product
@@ -882,9 +903,10 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
             s = offsets[c] + int(np.argmax(dev[offsets[c]: offsets[c + 1]]))
             pts, r = _vertex_residuals(system, rhs, U, slice(s, s + 1))
             d = np.abs(r + 0.5 * eps)
-            k, v = np.unravel_index(np.argmax(np.where(np.isnan(d), np.inf, d)), r.shape[:2])
-            raise DeltaCollapse(pts[:, v, 0], float(width[c]), cell=c, residual=float(r[k, v, 0]),
+            j, v = np.unravel_index(np.argmax(np.where(np.isnan(d), np.inf, d)), r.shape[:2])
+            raise DeltaCollapse(pts[:, v, 0], float(width[c]), cell=c, residual=float(r[j, v, 0]),
                                 floor=floor, planned=int(counts.sum()) if over else None)
+        prev = k, np.where(moves, rho, 0.0)
         p = CellPartition(p.bounds, p.cell_edges, splits)
 
 

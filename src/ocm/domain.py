@@ -149,11 +149,12 @@ class CellPartition:
         Entry k lays every cell interval split k times end to end, so
         interval i owns entries i*k to (i+1)*k: the np.linspace of that
         interval, which are the own edges of every cell over it that is
-        split k times on axis d.
+        split k times on axis d.  One vectorised np.linspace per k lays
+        all intervals at once, bit for bit the per-interval values.
         """
         e = self.cell_edges[d]
-        return {k: np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b in zip(e[:-1], e[1:])]
-                                  + [e[-1:]])
+        return {k: np.concatenate([np.linspace(e[:-1], e[1:], k + 1, axis=1)[:, :-1].ravel(),
+                                   e[-1:]])
                 for k in np.unique(self.splits[:, d]).tolist()}
 
     def _subcell_widths(self) -> np.ndarray:

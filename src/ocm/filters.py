@@ -375,10 +375,18 @@ def induced_convergence(t: UcsTable) -> ConvergenceTable:
     return ConvergenceTable(t.ground, minimal)
 
 
+def _check_paired(maps, tables) -> None:
+    """An initial structure takes one map per target table."""
+    if len(maps) != len(tables):
+        raise ValueError(f"an initial structure needs one map per table: "
+                         f"got {len(maps)} maps and {len(tables)} tables")
+
+
 def initial_ucs(ground, maps, tables) -> UcsTable:
     """Initial structure along maps f_i into uniform convergence spaces:
     a relation filter belongs iff all its images do.  Minimal filters are
     the maximal relation preimages over one generator choice per factor."""
+    _check_paired(maps, tables)
     ground = frozenset(ground)
     pg = frozenset(itertools.product(ground, ground))
     choices = itertools.product(*(t.minimal for t in tables))
@@ -398,6 +406,7 @@ def initial_ucs(ground, maps, tables) -> UcsTable:
 
 def initial_convergence(ground, maps, tables) -> ConvergenceTable:
     """Initial convergence structure along maps into convergence spaces."""
+    _check_paired(maps, tables)
     ground = frozenset(ground)
     minimal = {}
     for x in ground:

@@ -581,39 +581,82 @@ def planned_rounds(monkeypatch, sys_, rhs, p, eps):
     ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.01, 2),
     ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1, 3),
     ("D(u1,(1))\nu2 + D(u1,(1))", ["x1", "1 + x1"], 1, 2, UNIT, 10, 0.05, 2),
-    ("D(u1,(1))", ["sqrt(x1)"], 1, 1, UNIT, 4, 0.1, 5),
+    ("D(u1,(1))", ["sqrt(x1)"], 1, 1, UNIT, 4, 0.1, 3),
 ])
 def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts, n, K, box,
                                                      cells, eps, rounds):
     # the plan ends once every piece keeps the band at its subcell's
     # vertices, and in every round a cell moved exactly when one of its
-    # vertex residuals had left the band, by the factor that residual asks
+    # vertex residuals had left the band, by the growth that residual asks
+    # at the drift order its last two rounds measured (1 unless the cell
+    # also moved, uncapped, in the round before)
     sys_ = parse_system(eqs, n, K, 1)
     rhs = rhs_from_exprs(rhs_texts, n)
     eta = ocm.approx.DEFAULT_ETA
+    cap = ocm.approx.SPLIT_GROWTH_CAP
     p = build_partition(box, cells)
     U, placed = planned_rounds(monkeypatch, sys_, rhs, p, eps)
     assert len(placed) == rounds and placed[0].partition is p
     r = vertex_residuals(sys_, rhs, U)
     assert np.all((r <= eta) & (r >= -eps - eta))
+    last = {}  # cell -> (split counts, rho) of the round before, where it moved
     for before, after in zip(placed, placed[1:]):
         q = before.partition
         r = vertex_residuals(sys_, rhs, before).reshape(q.total_subcells, -1)
         dev = np.abs(r + 0.5 * eps).max(axis=1)
         left = ~np.all((r <= eta) & (r >= -eps - eta), axis=1)
+        moved = {}
         for c in range(q.n_cells):
             cell = slice(q._offsets[c], q._offsets[c + 1])
-            grow = 1
+            k = q.splits[c].tolist()
+            want = k
             if left[cell].any():
-                ratio = dev[cell][left[cell]].max() / (0.5 * eps)
-                grow = min(max(math.ceil(ratio ** (1 / n)), 2), ocm.approx.SPLIT_GROWTH_CAP)
-            np.testing.assert_array_equal(after.partition.splits[c], q.splits[c] * grow)
+                rho = dev[cell][left[cell]].max() / (0.5 * eps)
+                alpha = ocm.approx.DRIFT_ORDER_MAX
+                if c in last and all(a < cap * b for a, b in zip(k, last[c][0])):
+                    alpha = math.log(last[c][1] / rho) / math.log(k[0] / last[c][0][0])
+                    alpha = min(max(alpha, ocm.approx.DRIFT_ORDER_MIN), ocm.approx.DRIFT_ORDER_MAX)
+                grow = min(rho ** (1 / alpha), cap)
+                want = [max(a + 1, math.ceil(a * grow)) for a in k]
+                moved[c] = k, rho
+            np.testing.assert_array_equal(after.partition.splits[c], want)
+        last = moved
+
+
+def test_transport_plan_grows_at_drift_order_one(monkeypatch):
+    # a degree-1 piece drifts linearly in its subcell's side, so each cell
+    # grows by dev / (eps/2) per axis: 4 -> 16,384 -> 148,813 subcells, cell
+    # 0 split 1 -> 64 (the cap) -> 125.  Growing by (dev / (eps/2))^(1/2),
+    # as if the drift scaled with the subcell's area, took 5 rounds on
+    # 4 -> 663 -> 12,633 -> 50,532 -> 202,128, cell 0 split up to 160
+    sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
+    rhs = rhs_from_exprs(["x1*x2"], 2)
+    _, placed = planned_rounds(monkeypatch, sys_, rhs, build_partition(SQUARE, 2), 0.004)
+    assert [V.partition.total_subcells for V in placed] == [4, 16_384, 148_813]
+    assert [int(V.partition.splits[0, 0]) for V in placed] == [1, 64, 125]
+
+
+@pytest.mark.parametrize("eqs,rhs_text,rounds", [
+    # rounds at drift order 1 throughout: 9 and 5; with the cell's own
+    # measured order: 3 and 3.  Growth by (dev / (eps/2))^(1/n) took 5 and 3
+    ("D(u1,(1))", "sqrt(x1)", 5),
+    ("u1", "x1*log(x1)", 3),
+])
+def test_singular_rhs_plans_without_creeping(monkeypatch, eqs, rhs_text, rounds):
+    # near a singular rhs the drift is sublinear in the side (sqrt(x1)
+    # drifts like side^(1/2) at x1 = 0), so a growth that assumes order 1
+    # under-splits and creeps by one split a round; measuring the order
+    # from the cell's last two rounds keeps the round count down
+    sys_ = parse_system(eqs, 1, 1, 1)
+    rhs = rhs_from_exprs([rhs_text], 1)
+    _, placed = planned_rounds(monkeypatch, sys_, rhs, build_partition(UNIT, 4), 0.1)
+    assert len(placed) <= rounds
 
 
 @pytest.mark.parametrize("eqs,rhs_text,eps,error,x", [
-    # steeper as x1 grows: cell 1 is the first whose next split would fall
+    # steeper as x1 grows: cell 2 is the first whose next split would fall
     # below the floor, and its worst vertex is its upper end
-    ("u1", "10000 * x1^2", 0.01, DeltaCollapse, (0.5,)),
+    ("u1", "10000 * x1^2", 0.01, DeltaCollapse, (0.75,)),
     # unattainable for x1 > 0.45 only: round 0 places at the cell centres
     ("D(u1,(1))^2", "0.5 - x1", 0.1, RangeViolation, (0.625,)),
     # unattainable past x1 = 0.7: the last centre fails before any split
@@ -633,10 +676,11 @@ def test_planner_raises_at_the_first_failing_probe(eqs, rhs_text, eps, error, x)
             ocm.approx._place(sys_, rhs, p, eps)
         assert str(got.value) == str(ref.value)
     else:
-        e = got.value
-        assert e.cell == 1 and e.width < ocm.approx.DELTA_FLOOR_FACTOR
+        e, cell = got.value, int(x[0] * 4) - 1  # the cell whose upper end is x
+        assert e.cell == cell and e.width < ocm.approx.DELTA_FLOOR_FACTOR
         assert not -eps - 1e-9 <= e.residual <= 1e-9
-        assert str(e).startswith(f"cell 1 would need subcells {e.width:g} wide, below the floor 1e-06")
+        assert str(e).startswith(
+            f"cell {cell} would need subcells {e.width:g} wide, below the floor 1e-06")
 
 
 def test_rhs_undefined_at_an_interior_vertex_is_a_range_violation():

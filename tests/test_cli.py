@@ -220,14 +220,14 @@ def test_delta_collapse_exits_4(tmp_path, capsys):
 
 
 def test_plan_over_the_subcell_budget_exits_4(tmp_path, capsys):
-    # log(x1) is unbounded along x1 = 0: the plan places 4, 596 and 167,114
-    # subcells, then proposes 48,275,426, still 1e-4 wide and far above the
+    # log(x1) is unbounded along x1 = 0: the plan places 4 and 8,354
+    # subcells, then proposes 33,554,632, still 1e-4 wide and far above the
     # floor; that proposal is refused before its partition is built
     text = TRANSPORT_2D.replace('"D(u1,(1,0)) + u1"', '"D(u1,(1,0))"').replace('"x1*x2"', '"log(x1)"')
     cfg = write_config(tmp_path, text)
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
-    assert ("delta collapse: the plan would split into 48,275,426 subcells, over the budget of "
+    assert ("delta collapse: the plan would split into 33,554,632 subcells, over the budget of "
             "4,194,304; cell 0 would hold the most") in err
 
 
@@ -397,10 +397,10 @@ def test_selfcheck_empty_is_vacuous():
 
 
 def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
-    # the 2D config has 2x2 cells and 496 subcells at 200 samples each,
+    # the 2D config has 2x2 cells and 253 subcells at 300 samples each,
     # so every certificate spans two of check_residual's 65,536-sample
     # chunks and the pool really splits them
-    text_2d = TRANSPORT_2D.replace("samples_per_cell = 80", "samples_per_cell = 200")
+    text_2d = TRANSPORT_2D.replace("samples_per_cell = 80", "samples_per_cell = 300")
     for name, text in (("1d", TRANSPORT), ("2d", text_2d)):
         cfg = write_config(tmp_path, text, f"{name}.cfg")
         blobs = {}
@@ -416,7 +416,7 @@ def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
                 )
         baseline = blobs[("1", 0)]
         if name == "2d":
-            assert b"\n1,99200," in baseline[0]
+            assert b"\n1,75900," in baseline[0]
         for key, value in blobs.items():
             assert value == baseline, (name, key)
 

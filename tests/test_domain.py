@@ -387,3 +387,23 @@ def test_max_subcell_diameter():
         lo, hi = q.subcell_bounds()
         expect = max(math.sqrt(((h - l) ** 2).sum()) for l, h in zip(lo.T, hi.T))
         assert q.max_subcell_diameter() == expect
+
+
+def test_axis_edges_equal_per_interval_linspace_byte_for_byte():
+    # _axis_edges lays every cell interval of an axis in one vectorised
+    # np.linspace per split count; its values must be the per-interval
+    # np.linspace ones bit for bit, or subcell bounds, centres and every
+    # output digest would move with the numpy release
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        m = int(rng.integers(1, 12))
+        lo = rng.uniform(-5.0, 5.0)
+        e = np.concatenate([[lo], lo + np.cumsum(rng.uniform(1e-3, 3.0, m))])
+        splits = rng.choice([1, 2, 3, 7, 10, 64, 125, 160], size=(m, 1))
+        p = CellPartition(Box((e[0],), (e[-1],)), (e,), splits)
+        edges = p._axis_edges(0)
+        assert sorted(edges) == sorted(set(splits[:, 0].tolist()))
+        for k, got in edges.items():
+            want = np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b in zip(e[:-1], e[1:])]
+                                  + [e[-1:]])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

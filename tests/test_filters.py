@@ -598,6 +598,27 @@ def test_initial_compat_basic_instances():
     assert check_initial_compat(sub, [{"a": "a"}], [t2])
 
 
+def test_initial_structures_need_one_map_per_table():
+    # the maps and tables used to be paired through zip, so an unmatched
+    # map or table was dropped: [id, swap] with [t] ignored swap, and
+    # check_initial_compat(AB, [id], [t, indiscrete]) returned True
+    ident, swap = {"a": "a", "b": "b"}, {"a": "b", "b": "a"}
+    t = close_to_ucs(AB, [])
+    conv = induced_convergence(t)
+    for maps, tables in (([ident, swap], [t]), ([ident], [t, t]), ([ident], [])):
+        want = f"got {len(maps)} maps and {len(tables)} tables"
+        with pytest.raises(ValueError, match=want):
+            initial_ucs(AB, maps, tables)
+        with pytest.raises(ValueError, match=want):
+            initial_convergence(AB, maps, [conv] * len(tables))
+    with pytest.raises(ValueError, match="got 1 maps and 2 tables"):
+        check_initial_compat(AB, [ident], [t, indiscrete_ucs(AB)])
+    # matched lengths still build, including none at all
+    assert check_initial_compat(AB, [ident, swap], [t, t])
+    assert [f.least for f in initial_ucs(AB, [], []).minimal] == [
+        frozenset(itertools.product(AB, AB))]
+
+
 def test_initial_compat_random_instances():
     rng = np.random.default_rng(31)
     grounds = [frozenset(("p", "q")), ABC, frozenset(("p", "q", "r", "s"))]
