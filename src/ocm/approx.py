@@ -63,8 +63,8 @@ import numpy as np
 from . import expr as ex
 # skeleton_of, sample_points and subdivide have no caller here: bench/spans.py
 # wraps them in ocm.approx
-from .domain import (Box, CellPartition, SampleSet, build_partition, sample_points, skeleton_of,
-                     subdivide)
+from .domain import (MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition, sample_points,
+                     skeleton_of, subdivide)
 
 __all__ = [
     "JetPoint",
@@ -92,9 +92,6 @@ BRACKET_WIDTH = BISECT_TOL * 1e-3
 SCAN_LIMIT = 1e6
 SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
-# the most subcells a plan may propose: four times the 1,048,576 the
-# probe plan once certified, and far above any problem the benchmark runs
-MAX_SUBCELLS = 2**22
 # the most a planning round multiplies a cell's split count by, per axis
 SPLIT_GROWTH_CAP = 64
 # the range a cell's measured drift order (dev ~ side^alpha) is clipped to

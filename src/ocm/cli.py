@@ -1,6 +1,6 @@
 """Batch driver: parse a problem file, run solve/refine/selfcheck, emit CSVs.
 
-Config files are sectioned key-value text:
+Config files are TOML:
 
     [domain]
     lo = [0.0]
@@ -22,17 +22,18 @@ Config files are sectioned key-value text:
     seed = 42
     eta = 1e-9
 
-Values are numbers, double-quoted strings, or bracketed arrays of
-either; ``#`` starts a comment.  A section or key not shown above is a
-config error, and so is a key set twice, also across a repeated section
-header.  Both commands require every key above except the last five,
-which have defaults, but each reads only its own: ``solve`` never reads
-``refine_steps``, and ``refine`` never reads ``epsilon`` (its bands are
-1, 1/2, ..., 1/refine_steps).  Exit codes: 0 success, 2 config error
-(also an operator whose equations cannot be given distinct pivot
-slots), 3 range-condition violation or jet-solve non-convergence, 4
-a plan that would split a cell below the subcell-width floor, 5
-certificate or self-check failure.  All
+Numbers are written as TOML writes them (``0.5``, not ``.5``), and an
+array may span lines.  A section or key not shown above is a config
+error, and so is a key set twice, also across a repeated section header;
+a repeated header alone is a TOML error.  Both commands require every
+key above except the last five, which have defaults, but each reads only
+its own: ``solve`` never reads ``refine_steps``, and ``refine`` never
+reads ``epsilon`` (its bands are 1, 1/2, ..., 1/refine_steps).  Exit
+codes: 0 success, 2 config error (also a file that cannot be read as
+UTF-8, a grid of more than ``MAX_SUBCELLS`` cells, and an operator whose
+equations cannot be given distinct pivot slots), 3 range-condition
+violation or jet-solve non-convergence, 4 a plan that would split a cell
+below the subcell-width floor, 5 certificate or self-check failure.  All
 randomness comes from the seed; the env var ``OCM_THREADS`` caps the
 number of threads that run the certificate's chunks (default: machine
 parallelism) and never changes any output byte.
@@ -45,6 +46,7 @@ import os
 import re
 import sys
 import time
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,72 +106,69 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 # config parsing
 
-# the keys each section may hold
+_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
+
+
+def _read(value, kind):
+    """A TOML value as kind, one of _KINDS, or as a tuple of them when kind
+    is one in a tuple, ``(float,)`` say, for an array."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"expected an array, got {value!r}")
+        return tuple(_read(v, kind[0]) for v in value)
+    # type(), not isinstance, since a TOML bool is an int; the bound also
+    # refuses inf, nan and an integer too large for a float
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if not (type(value) is str if kind is str else number and (kind is float or value % 1 == 0)):
+        raise ConfigError(f"expected {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+# the keys each section may hold, each with the kind _read reads it as;
+# every key is a ProblemConfig field, and one with no default there is required
 _SECTIONS = {
-    "domain": ("lo", "hi", "cells"),
-    "system": ("n", "K", "m", "equations", "rhs"),
-    "solve": ("epsilon", "refine_steps", "samples_per_cell", "margin", "seed", "eta"),
+    "domain": {"lo": (float,), "hi": (float,), "cells": (int,)},
+    "system": {"n": int, "K": int, "m": int, "equations": (str,), "rhs": (str,)},
+    "solve": {"epsilon": float, "refine_steps": int, "samples_per_cell": int,
+              "margin": float, "seed": int, "eta": float},
 }
 
-_NUM_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?$")
-
-
-def _parse_value(text: str, line: int):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError("unterminated array", line)
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        parts, cur = [], []
-        in_str = False
-        for ch in inner:
-            if ch == '"':
-                in_str = not in_str
-            if ch == "," and not in_str:
-                parts.append("".join(cur))
-                cur = []
-                continue
-            cur.append(ch)
-        parts.append("".join(cur))
-        return [_parse_value(p, line) for p in parts]
-    if text.startswith('"'):
-        if not (text.endswith('"') and len(text) >= 2):
-            raise ConfigError("unterminated string", line)
-        return text[1:-1]
-    if _NUM_RE.match(text):
-        return float(text)
-    raise ConfigError(f"cannot parse value {text!r}", line)
+# a section header, [[array]] headers too, and a bare key being set
+_HEADER = re.compile(r"\s*\[+([^\]]*)\]")
+_KEY = re.compile(r"\s*([A-Za-z0-9_-]+)\s*=")
+_TOML_AT = re.compile(r"(.*) \(at line (\d+), column (\d+)\)", re.S)
 
 
 def _parse_config_text(text: str) -> dict[str, dict[str, object]]:
-    sections: dict[str, dict[str, object]] = {}
-    set_on: dict[tuple[str, str], int] = {}  # (section, key) -> line that set it
+    """The sections of a TOML config, each holding only its own keys.
+
+    A scan of header and bare ``key =`` lines finds the line of each, and
+    names a key set twice, also across a repeated header, which TOML would
+    report as a repeated header only."""
+    lines: dict[tuple, int] = {}  # (section,) or (section, key) -> its first line
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError("unterminated section header", lineno)
-            current = line[1:-1].strip()
-            if current not in _SECTIONS:
-                raise ConfigError(f"unknown section [{current}]", lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", lineno)
-        if current is None:
-            raise ConfigError("key before any [section]", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTIONS[current]:
-            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
-        first = set_on.setdefault((current, key), lineno)
-        if first != lineno:
-            raise ConfigError(f"key {key!r} in [{current}] repeats line {first}", lineno)
-        sections[current][key] = _parse_value(value, lineno)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if header := _HEADER.match(line):
+            current = header[1].strip()
+            lines.setdefault((current,), lineno)
+        elif (key := _KEY.match(line)) and current is not None:
+            first = lines.setdefault((current, key[1]), lineno)
+            if first != lineno:
+                raise ConfigError(f"key {key[1]!r} in [{current}] repeats line {first}", lineno)
+    try:
+        sections = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as e:
+        at = _TOML_AT.fullmatch(str(e))
+        raise (ConfigError(f"{at[1]} at column {at[3]}", int(at[2])) if at
+               else ConfigError(str(e))) from e
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"top-level key {name!r} is not a [section]", lines.get((name,)))
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]", lines.get((name,)))
+        for key in section:
+            if key not in _SECTIONS[name]:
+                raise ConfigError(f"unknown key {key!r} in [{name}]", lines.get((name, key)))
     return sections
 
 
@@ -191,47 +190,23 @@ class ProblemConfig:
     eta: float = DEFAULT_ETA
 
 
-def _require(section: dict, key: str, section_name: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in [{section_name}]")
-    return section[key]
-
-
 def load_config(path) -> ProblemConfig:
-    text = Path(path).read_text()
+    """Read and check a problem file; the module docstring gives its format."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:  # also a directory, or bytes not UTF-8
+        raise ConfigError(str(e)) from e
     sections = _parse_config_text(text)
-    for name in _SECTIONS:
+    fields = {}
+    for name, kinds in _SECTIONS.items():
         if name not in sections:
             raise ConfigError(f"missing section [{name}]")
-    dom, sys_, slv = sections["domain"], sections["system"], sections["solve"]
-
-    def floats(v):
-        if not (isinstance(v, list)
-                and all(isinstance(x, (int, float)) and np.isfinite(x) for x in v)):
-            raise ConfigError(f"expected finite numbers, got {v!r}")
-        return tuple(float(x) for x in v)
-
-    def ints(v):
-        if not all(x.is_integer() for x in floats(v)):
-            raise ConfigError(f"expected integers, got {v!r}")
-        return tuple(int(x) for x in v)
-
-    cfg = ProblemConfig(
-        lo=floats(_require(dom, "lo", "domain")),
-        hi=floats(_require(dom, "hi", "domain")),
-        cells=ints(_require(dom, "cells", "domain")),
-        n=ints([_require(sys_, "n", "system")])[0],
-        K=ints([_require(sys_, "K", "system")])[0],
-        m=ints([_require(sys_, "m", "system")])[0],
-        equations=tuple(str(s) for s in _require(sys_, "equations", "system")),
-        rhs=tuple(str(s) for s in _require(sys_, "rhs", "system")),
-        epsilon=floats([_require(slv, "epsilon", "solve")])[0],
-        refine_steps=ints([slv.get("refine_steps", ProblemConfig.refine_steps)])[0],
-        samples_per_cell=ints([slv.get("samples_per_cell", ProblemConfig.samples_per_cell)])[0],
-        margin=floats([slv.get("margin", ProblemConfig.margin)])[0],
-        seed=ints([slv.get("seed", ProblemConfig.seed)])[0],
-        eta=floats([slv.get("eta", ProblemConfig.eta)])[0],
-    )
+        for key, kind in kinds.items():
+            if key in sections[name]:
+                fields[key] = _read(sections[name][key], kind)
+            elif not hasattr(ProblemConfig, key):  # a field with no default
+                raise ConfigError(f"missing key {key!r} in [{name}]")
+    cfg = ProblemConfig(**fields)
     if len(cfg.lo) != cfg.n or len(cfg.hi) != cfg.n or len(cfg.cells) != cfg.n:
         raise ConfigError("lo, hi and cells must each have n entries")
     if len(cfg.equations) != cfg.K or len(cfg.rhs) != cfg.K:
@@ -314,8 +289,8 @@ def _run(command: str, config_path, out_dir, construct) -> RunReport:
     rhs, box, partition, workers) returns: the CSV's name and rows, the
     verdict, and the report's certificate or trace."""
     t0 = time.perf_counter()
-    config_text = Path(config_path).read_text()
     cfg = load_config(config_path)
+    config_text = Path(config_path).read_text(encoding="utf-8")
     system, rhs, box, partition = _build_problem(cfg)
     name, rows, ok, evidence = construct(cfg, system, rhs, box, partition, worker_count())
     out = Path(out_dir)
@@ -473,7 +448,7 @@ def main(argv=None) -> int:
             print("\n".join(report.rows))
         print(f"{report.command}: {report.verdict} ({report.wall_time:.3f}s)")
         return report.exit_code
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except RangeViolation as e:

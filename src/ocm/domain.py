@@ -32,6 +32,10 @@ __all__ = [
     "sample_points",
 ]
 
+# the most subcells a partition may hold: four times the 1,048,576 the
+# probe plan once certified, and far above any problem the benchmark runs
+MAX_SUBCELLS = 2**22
+
 
 @dataclass(frozen=True)
 class Box:
@@ -91,17 +95,14 @@ class CellPartition:
     cell's own side.  Subcells are numbered cell-major: cell 0's subcells
     in C order over its own grid, then cell 1's, and so on.  Per-subcell
     arrays (``subcell_bounds``, ``subcell_centers``) are (n, S), subcell
-    axis last; points, as ``locate`` takes them, are (N, n).  ``delta``
-    records the target diameter of a ``subdivide``, the only builder that
-    sets it; a vertex plan (``ocm.approx.plan_partition``) leaves it None.
-    A partition is not changed after construction; ``subdivide`` and each
-    planning round build a new one.
+    axis last; points, as ``locate`` takes them, are (N, n).  A partition
+    is not changed after construction; ``subdivide`` and each planning
+    round build a new one.
     """
 
     bounds: Box
     cell_edges: tuple[np.ndarray, ...]
     splits: np.ndarray
-    delta: float | None = None
     _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -249,13 +250,18 @@ def _axis_counts(bounds: Box, counts, what: str) -> tuple[int, ...]:
 
 def build_partition(bounds: Box, cells_per_axis) -> CellPartition:
     """Tile a box with a uniform grid of cells (no subdivision yet); one
-    integer cell count per axis, or a single one for every axis."""
+    integer cell count per axis, or a single one for every axis.  A grid
+    of more than MAX_SUBCELLS cells is refused before anything is built,
+    since no plan on it could keep to that budget."""
     cells_per_axis = _axis_counts(bounds, cells_per_axis, "cell")
+    total = math.prod(cells_per_axis)
+    if total > MAX_SUBCELLS:
+        raise ValueError(f"a grid of {total:,} cells is over the budget of {MAX_SUBCELLS:,} subcells")
     cell_edges = tuple(
         np.linspace(bounds.lo[d], bounds.hi[d], cells_per_axis[d] + 1) for d in range(bounds.n)
     )
-    splits = np.ones((math.prod(cells_per_axis), bounds.n), dtype=np.int64)
-    return CellPartition(bounds=bounds, cell_edges=cell_edges, splits=splits, delta=None)
+    splits = np.ones((total, bounds.n), dtype=np.int64)
+    return CellPartition(bounds=bounds, cell_edges=cell_edges, splits=splits)
 
 
 def subdivide(p: CellPartition, delta: float) -> CellPartition:
@@ -273,7 +279,7 @@ def subdivide(p: CellPartition, delta: float) -> CellPartition:
     # tiny slack keeps exact ratios from rounding up to an extra part
     parts = np.maximum(1, np.ceil(widths * math.sqrt(p.n) / delta - 1e-9)).astype(np.int64)
     splits = np.where(conforming[:, None], p.splits, p.splits * parts)
-    return CellPartition(bounds=p.bounds, cell_edges=p.cell_edges, splits=splits, delta=delta)
+    return CellPartition(bounds=p.bounds, cell_edges=p.cell_edges, splits=splits)
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,19 @@ def test_load_config_missing_section(tmp_path):
     ("[solve]", "[solver]", "unknown section [solver] (line 14)"),
     ("seed = 42", "seed = 1\nseed = 2", "key 'seed' in [solve] repeats line 19 (line 20)"),
     ("eta = 1e-9", "eta = 1e-9\n[solve]\nseed = 7", "key 'seed' in [solve] repeats line 19 (line 22)"),
-], ids=["misspelled key", "plural key", "unknown section", "repeated key", "key repeated under a repeated header"])
+    ("eta = 1e-9", "eta = 1e-9\n[solve]", "Cannot declare ('solve',) twice at column 7 (line 21)"),
+    ("seed = 42", "solve.seed = 1", "unknown key 'solve' in [solve]"),
+    ("seed = 42", '"seeds" = 5', "unknown key 'seeds' in [solve]"),
+    ("[domain]", "x = 1\n[domain]", "top-level key 'x' is not a [section]"),
+    ("[solve]", "[[solve]]", "top-level key 'solve' is not a [section] (line 14)"),
+], ids=["misspelled key", "plural key", "unknown section", "repeated key",
+        "key repeated under a repeated header", "repeated header alone", "dotted key", "quoted key",
+        "top-level key", "array of tables"])
 def test_unknown_section_or_key_exits_2(tmp_path, capsys, old, new, message):
-    # each was accepted silently, solving with the default it failed to set
-    # or with the last value given
+    # the first six were accepted silently, solving with the default they
+    # failed to set or with the last value given; a dotted or quoted key,
+    # which the line scan does not read, is held to the same keys, and a
+    # top-level value that is not a table is no section
     cfg = write_config(tmp_path, TRANSPORT.replace(old, new))
     with pytest.raises(cli.ConfigError, match=re.escape(message)):
         cli.load_config(cfg)
@@ -117,6 +126,34 @@ def test_console_main_exits_with_the_command_s_code(tmp_path, monkeypatch, args,
     with pytest.raises(SystemExit) as exc:
         cli.console_main()
     assert exc.value.code == code
+
+
+def test_load_config_reads_arrays_across_lines(tmp_path):
+    # a K = 2 system with one entry per line and a comment among them: this
+    # was "unterminated array"
+    text = TRANSPORT.replace("K = 1", "K = 2").replace(
+        'equations = ["D(u1,(1))"]\nrhs = ["x1"]',
+        'equations = [\n    "D(u1,(1))",\n    "D(u2,(1))",\n]\n'
+        'rhs = [\n    "x1",  # for u1\n    "1",\n]')
+    path = write_config(tmp_path, text)
+    cfg = cli.load_config(path)
+    assert cfg.equations == ("D(u1,(1))", "D(u2,(1))") and cfg.rhs == ("x1", "1")
+    assert cli.main(["solve", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(TRANSPORT.replace("x1", "x\xe91").encode("latin-1")),
+     "'utf-8' codec can't decode byte 0xe9"),
+], ids=["missing", "directory", "not UTF-8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make, message):
+    # the last two were a traceback and exit 1
+    path = tmp_path / "problem.cfg"
+    make(path)
+    assert cli.main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_load_config_bad_value_reports_line(tmp_path):
@@ -168,6 +205,11 @@ def test_malformed_expression_exits_2(tmp_path):
     ("refine_steps = 10", "refine_steps = 2.5"),
     ("epsilon = 0.1", "epsilon = 1e999"),
     ("hi = [1.0]", "hi = [1e999]"),
+    ("seed = 42", "seed = true"),
+    ("seed = 42", "seed = 2026-10-20"),
+    ("epsilon = 0.1", "epsilon = .5"),
+    ('equations = ["D(u1,(1))"]', "equations = [1]"),
+    ("cells = [10]", "cells = [1e12]"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, old, new):
     assert old in TRANSPORT

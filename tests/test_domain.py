@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ocm.domain import (Box, CellPartition, SampleSet, build_partition, sample_points,
-                        skeleton_of, subdivide)
+from ocm.domain import (MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition,
+                        sample_points, skeleton_of, subdivide)
 
 
 def test_build_uniform_1d():
@@ -41,6 +41,15 @@ def test_build_partition_needs_one_integer_count_per_axis(counts):
     for one in (3, np.int64(3), (3,), [np.int32(3)]):
         assert build_partition(Box((0.0,), (1.0,)), one).cells_per_axis == (3,)
     assert build_partition(Box((0.0, 0.0), (1.0, 1.0)), 2).cells_per_axis == (2, 2)
+
+
+@pytest.mark.parametrize("counts", [(10**12,), (2**11, 2**11 + 1)])
+def test_build_partition_refuses_a_grid_over_the_subcell_budget(counts):
+    # 10**12 cells reached numpy's 7.28 TiB allocation error; neither grid
+    # is allocated now
+    box = Box((0.0,) * len(counts), (1.0,) * len(counts))
+    with pytest.raises(ValueError, match=f"cells is over the budget of {MAX_SUBCELLS:,} subcells"):
+        build_partition(box, counts)
 
 
 @pytest.mark.parametrize("counts", [True, (True,), (np.int64(2), True)])
