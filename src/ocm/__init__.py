@@ -22,8 +22,6 @@ from .expr import (
 from .baire import (
     EnvelopePair,
     GridFn,
-    classify_semicontinuity,
-    embed_piecewise,
     lower_baire,
     make_lattice,
     nlsc_regularize,
@@ -49,10 +47,7 @@ from .order import (
     OrderIntervalSeq,
     SolutionTrace,
     cauchy_gap,
-    le_off_skeleton,
-    nested_interval_valid,
     order_converges,
-    pullback_le,
     refine_solution,
 )
 

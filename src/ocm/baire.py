@@ -21,7 +21,6 @@ can arise.
 
 ``operator_image`` is the one path from a piecewise polynomial to grid
 functions: T(x, D)u at the lattice nodes off the skeleton, regularized.
-``embed_piecewise`` is that image with T the identity system u1..uK.
 """
 
 from __future__ import annotations
@@ -38,15 +37,12 @@ from .domain import Box, _axis_counts
 __all__ = [
     "GridFn",
     "EnvelopePair",
-    "SemicontinuityFlags",
     "make_lattice",
     "lattice_nodes",
     "lower_baire",
     "upper_baire",
     "nlsc_regularize",
-    "classify_semicontinuity",
     "operator_image",
-    "embed_piecewise",
 ]
 
 
@@ -105,22 +101,6 @@ class EnvelopePair:
 
     lower: GridFn
     upper: GridFn
-
-    def is_consistent(self) -> bool:
-        off = ~(self.lower.mask_array() | self.upper.mask_array())
-        ordered = bool(np.all(self.lower.values <= self.upper.values))
-        finite = bool(np.all(np.isfinite(self.lower.values[off]))) and bool(
-            np.all(np.isfinite(self.upper.values[off]))
-        )
-        return ordered and finite
-
-
-@dataclass(frozen=True)
-class SemicontinuityFlags:
-    lsc: bool
-    usc: bool
-    nlsc: bool
-    nusc: bool
 
 
 def make_lattice(bounds: Box, counts) -> tuple[np.ndarray, ...]:
@@ -192,17 +172,6 @@ def nlsc_regularize(f: GridFn) -> GridFn:
     return lower_baire(upper_baire(f))
 
 
-def classify_semicontinuity(f: GridFn) -> SemicontinuityFlags:
-    lower = lower_baire(f)
-    upper = upper_baire(f)
-    return SemicontinuityFlags(
-        lsc=np.array_equal(lower.values, f.values),
-        usc=np.array_equal(upper.values, f.values),
-        nlsc=np.array_equal(lower_baire(upper).values, f.values),
-        nusc=np.array_equal(upper_baire(lower).values, f.values),
-    )
-
-
 def operator_image(system: ex.PdeSystem, u: PiecewisePoly, axes) -> list[GridFn]:
     """The operator applied to a piecewise polynomial u, embedded as
     regularized grid functions, one per component.
@@ -234,11 +203,3 @@ def _located_image(system: ex.PdeSystem, u: PiecewisePoly, axes: tuple, nodes: n
     mask = on_face.reshape(tuple(len(a) for a in axes))
     return [nlsc_regularize(GridFn(axes, v.reshape(mask.shape), mask)) for v in vals]
 
-
-def embed_piecewise(u: PiecewisePoly, axes) -> list[GridFn]:
-    """Sample a piecewise polynomial on a lattice and regularize: the
-    operator_image of the identity system u1..uK."""
-    n = u.partition.n
-    identity = ex.PdeSystem(n=n, K=u.K, m=max(map(sum, u.alphas)),
-                            components=tuple(ex.Jet(j, (0,) * n) for j in range(1, u.K + 1)))
-    return operator_image(identity, u, axes)

@@ -188,6 +188,8 @@ class ProblemConfig:
     margin: float = DEFAULT_MARGIN
     seed: int = 0
     eta: float = DEFAULT_ETA
+    # the file as load_config read it, which report.txt echoes
+    text: str = field(default="", compare=False, repr=False)
 
 
 def load_config(path) -> ProblemConfig:
@@ -206,7 +208,7 @@ def load_config(path) -> ProblemConfig:
                 fields[key] = _read(sections[name][key], kind)
             elif not hasattr(ProblemConfig, key):  # a field with no default
                 raise ConfigError(f"missing key {key!r} in [{name}]")
-    cfg = ProblemConfig(**fields)
+    cfg = ProblemConfig(**fields, text=text)
     if len(cfg.lo) != cfg.n or len(cfg.hi) != cfg.n or len(cfg.cells) != cfg.n:
         raise ConfigError("lo, hi and cells must each have n entries")
     if len(cfg.equations) != cfg.K or len(cfg.rhs) != cfg.K:
@@ -290,13 +292,12 @@ def _run(command: str, config_path, out_dir, construct) -> RunReport:
     verdict, and the report's certificate or trace."""
     t0 = time.perf_counter()
     cfg = load_config(config_path)
-    config_text = Path(config_path).read_text(encoding="utf-8")
     system, rhs, box, partition = _build_problem(cfg)
     name, rows, ok, evidence = construct(cfg, system, rhs, box, partition, worker_count())
     out = Path(out_dir)
     _write(out / name, rows)
     report = RunReport(
-        command=command, config_text=config_text, verdict="pass" if ok else "fail",
+        command=command, config_text=cfg.text, verdict="pass" if ok else "fail",
         exit_code=EXIT_OK if ok else EXIT_FAIL, wall_time=time.perf_counter() - t0,
         rows=rows, outputs=[str(out / name)], **evidence,
     )

@@ -1,10 +1,9 @@
-"""Order comparison off skeletons, order convergence, and the refinement
-driver that produces a Cauchy sequence of certified approximants.
+"""Order convergence, and the refinement driver that produces a Cauchy
+sequence of certified approximants.
 
-Grid functions are compared only at nodes that avoid the given skeleton
-and both masks: equality and order modulo a closed nowhere dense set.
 Approximants are compared through their operator images, built by
-``ocm.baire.operator_image`` (re-exported here).
+``ocm.baire.operator_image`` (re-exported here), at lattice nodes off
+the skeleton masks.
 The refinement driver plans one partition (the one the finest step
 needs, from one vertex plan) and makes every step on it the same way,
 placing its pieces and certifying them, so the operator images rise
@@ -28,17 +27,14 @@ from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertifi
                      global_approx)
 from .baire import (GridFn, EnvelopePair, _lattice_axes, _located_image, lattice_nodes,
                     nlsc_regularize, operator_image)
-from .domain import CellPartition, SampleSet, Skeleton
+from .domain import CellPartition, SampleSet
 
 __all__ = [
     "OrderIntervalSeq",
     "StepRecord",
     "SolutionTrace",
-    "le_off_skeleton",
     "operator_image",
-    "pullback_le",
     "order_converges",
-    "nested_interval_valid",
     "refine_solution",
     "cauchy_gap",
     "trace_csv_rows",
@@ -47,12 +43,8 @@ __all__ = [
 
 @dataclass
 class OrderIntervalSeq:
-    """A sequence of order intervals [lower_n, upper_n] of grid functions.
-
-    Well-formed sequences have lower_n <= upper_n off the masks at every
-    step; emptiness probes (lower exceeding upper) are allowed as inputs
-    to nested_interval_valid, which detects them.
-    """
+    """A sequence of order intervals [lower_n, upper_n] of grid functions,
+    the witnesses order_converges checks a sequence against."""
 
     pairs: list[tuple[GridFn, GridFn]]
 
@@ -74,25 +66,6 @@ def _off_mask(*fns: GridFn) -> np.ndarray:
 
 def _below(f: GridFn, g: GridFn, sel: np.ndarray) -> bool:
     return bool(np.all(f.values[sel] <= g.values[sel]))
-
-
-def le_off_skeleton(f: GridFn, g: GridFn, gamma: Skeleton | None = None) -> bool:
-    """True iff f <= g at every node off gamma and off both masks."""
-    _require_same_lattice(f, g)
-    sel = _off_mask(f, g)
-    if gamma is not None:
-        nodes = lattice_nodes(f.axes)
-        sel &= ~gamma.contains_batch(nodes).reshape(f.shape)
-    return _below(f, g, sel)
-
-
-def pullback_le(system: ex.PdeSystem, U: PiecewisePoly, V: PiecewisePoly, axes) -> bool:
-    """Order on approximants pulled back through the operator:
-    U <= V iff every component of the embedded image of U lies below
-    the corresponding component for V off both skeleton masks."""
-    img_u = operator_image(system, U, axes)
-    img_v = operator_image(system, V, axes)
-    return all(le_off_skeleton(a, b) for a, b in zip(img_u, img_v))
 
 
 def order_converges(xs, x: GridFn, witnesses: OrderIntervalSeq, tol: float) -> bool:
@@ -121,39 +94,6 @@ def order_converges(xs, x: GridFn, witnesses: OrderIntervalSeq, tol: float) -> b
     lo_N, up_N = witnesses.pairs[-1]
     sel = _off_mask(lo_N, up_N)
     return bool(np.all(up_N.values[sel] - lo_N.values[sel] <= tol))
-
-
-def nested_interval_valid(seq: OrderIntervalSeq, subboxes, tol: float) -> bool:
-    """Nesting plus a local singleton test.
-
-    Condition 1: the intervals nest (lowers nondecreasing, uppers
-    nonincreasing, off masks).  Condition 2: on every given subbox the
-    final gap is at most tol, or the intersection has emptied there
-    (final lower exceeds final upper somewhere in the subbox).  Subboxes
-    containing no lattice nodes pass vacuously.
-    """
-    if not seq.pairs:
-        raise ValueError("empty interval sequence")
-    for (lo_a, up_a), (lo_b, up_b) in zip(seq.pairs, seq.pairs[1:]):
-        sel = _off_mask(lo_a, up_a, lo_b, up_b)
-        if not (_below(lo_a, lo_b, sel) and _below(up_b, up_a, sel)):
-            return False
-    lo_N, up_N = seq.pairs[-1]
-    nodes = lattice_nodes(lo_N.axes)
-    sel = _off_mask(lo_N, up_N).ravel()
-    for box in subboxes:
-        inside = np.all(
-            (nodes >= np.asarray(box.lo)) & (nodes <= np.asarray(box.hi)), axis=1
-        ) & sel
-        if not inside.any():
-            continue
-        gap = up_N.values.ravel()[inside] - lo_N.values.ravel()[inside]
-        if np.max(gap) <= tol:
-            continue
-        if np.any(gap < 0):
-            continue
-        return False
-    return True
 
 
 @dataclass

@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from ocm.baire import (
     GridFn,
-    classify_semicontinuity,
-    embed_piecewise,
     lower_baire,
     make_lattice,
     nlsc_regularize,
@@ -129,32 +127,6 @@ def test_regularize_filler_independent():
     np.testing.assert_array_equal(a.values, b.values)
 
 
-def test_classify_continuous_all_true():
-    axes = (np.linspace(0, 1, 11),)
-    flags = classify_semicontinuity(GridFn(axes, np.sin(axes[0])))
-    assert flags.lsc and flags.usc and flags.nlsc and flags.nusc
-
-
-def test_classify_lower_step():
-    # value 0 at the jump, limit from the right 1: lsc but not usc
-    axes = (np.linspace(-1, 1, 21),)
-    vals = np.where(axes[0] < 0, 0.0, 1.0)
-    vals[10] = 0.0
-    mask = np.zeros(21, dtype=bool)
-    mask[10] = True
-    flags = classify_semicontinuity(GridFn(axes, vals, mask))
-    assert flags.lsc and not flags.usc
-    assert flags.nlsc and not flags.nusc
-
-
-def test_classify_dip_not_nlsc():
-    axes = (np.asarray([0.0, 1.0, 2.0, 3.0, 4.0]),)
-    vals = np.asarray([0.0, 1.0, -5.0, 3.0, 4.0])
-    mask = np.asarray([False, False, True, False, False])
-    flags = classify_semicontinuity(GridFn(axes, vals, mask))
-    assert not flags.nlsc
-
-
 def test_laws_on_random_gridfns_against_oracle():
     rng = np.random.default_rng(11)
     more = np.random.default_rng(12)
@@ -199,6 +171,10 @@ def test_property_idempotence_and_duality(values, maskbits):
     np.testing.assert_array_equal(lower_baire(neg).values, -upper_baire(f).values)
 
 
+# the identity operator's image is u itself, sampled off the skeleton and regularized
+IDENTITY = parse_system("u1", 1, 1, 1)
+
+
 def _line_poly(partition, slope, intercept=0.0):
     centers = partition.subcell_centers().T  # taylor_poly takes centre points
     return taylor_poly(partition, centers, [{(1, (0,)): intercept + slope * c[0], (1, (1,)): slope}
@@ -219,7 +195,7 @@ def test_embed_single_piece_identity_off_skeleton():
     partition = build_partition(Box((0.0,), (1.0,)), 1)
     u = _line_poly(partition, 1.0)  # u(x) = x globally
     axes = make_lattice(Box((0.0,), (1.0,)), 16)
-    (g,) = embed_piecewise(u, axes)
+    (g,) = operator_image(IDENTITY, u, axes)
     assert g.mask is None or not g.mask.any()
     np.testing.assert_allclose(g.values, axes[0], atol=1e-12)
 
@@ -228,7 +204,7 @@ def test_embed_two_pieces_same_polynomial():
     partition = build_partition(Box((0.0,), (1.0,)), 2)
     u = _line_poly(partition, 2.0, intercept=-0.5)
     axes = (np.asarray([0.1, 0.3, 0.5, 0.7, 0.9]),)  # 0.5 on the interior face
-    (g,) = embed_piecewise(u, axes)
+    (g,) = operator_image(IDENTITY, u, axes)
     off = ~g.mask_array()
     np.testing.assert_allclose(g.values[off], 2.0 * axes[0][off] - 0.5, atol=1e-12)
     # interior face node is regularized from neighbors (within lattice pitch)
@@ -243,11 +219,11 @@ def test_embed_jump_takes_lower_value():
     u = taylor_poly(partition, centers, [{(1, (0,)): 0.0 if c[0] < 0.5 else 1.0, (1, (1,)): 0.0}
                                          for c in centers])
     axes = (np.asarray([0.1, 0.3, 0.5, 0.7, 0.9]),)
-    (g,) = embed_piecewise(u, axes)
+    (g,) = operator_image(IDENTITY, u, axes)
     assert g.values[2] == 0.0
 
 
-def _uneven_2d_poly(K):
+def _uneven_2d_poly():
     """Random linear pieces on 2x2 cells with unequal split counts; the
     lattice below puts nodes on cell edges and on interior splits."""
     halves = np.asarray([0.0, 0.5, 1.0])
@@ -256,24 +232,11 @@ def _uneven_2d_poly(K):
     rng = np.random.default_rng(4)
     alphas = multi_indices(2, 1)
     return PiecewisePoly(partition=p, alphas=alphas,
-                         coeffs=rng.normal(size=(K, len(alphas), p.total_subcells)),
+                         coeffs=rng.normal(size=(1, len(alphas), p.total_subcells)),
                          centers=p.subcell_centers())
 
 
 UNEVEN_AXES = (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17))
-
-
-@pytest.mark.parametrize("K", [1, 2])
-def test_embed_is_the_identity_operator_image(K):
-    u = _uneven_2d_poly(K)
-    identity = parse_system("\n".join(f"u{j}" for j in range(1, K + 1)), 2, K, 1)
-    embedded = embed_piecewise(u, UNEVEN_AXES)
-    imaged = operator_image(identity, u, UNEVEN_AXES)
-    assert len(embedded) == len(imaged) == K
-    for e, g in zip(embedded, imaged):
-        assert e.mask_array().any() and not e.mask_array().all()
-        np.testing.assert_array_equal(e.mask_array(), g.mask_array())
-        np.testing.assert_array_equal(e.values, g.values)
 
 
 def test_image_locates_the_lattice_once(monkeypatch):
@@ -286,12 +249,10 @@ def test_image_locates_the_lattice_once(monkeypatch):
         return locate(self, pts)
 
     monkeypatch.setattr(CellPartition, "locate", spy)
-    u = _uneven_2d_poly(1)
+    u = _uneven_2d_poly()
     nodes = len(UNEVEN_AXES[0]) * len(UNEVEN_AXES[1])
     operator_image(parse_system("D(u1,(1,0)) * u1", 2, 1, 1), u, UNEVEN_AXES)
     assert calls == [nodes]
-    embed_piecewise(u, UNEVEN_AXES)
-    assert calls == [nodes, nodes]
 
 
 def test_gridfn_rejects_nan_and_bad_shapes():

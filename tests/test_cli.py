@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +179,33 @@ def test_solve_transport(tmp_path):
     assert fields[6] == "true"
     report_text = (out / "report.txt").read_text()
     assert "cells:" in report_text and "(0.0,) (0.1,)" in report_text
+
+
+def test_solve_reads_its_config_once(tmp_path, monkeypatch):
+    # report.txt echoes the text that was solved, even when the file
+    # changes after load_config read it; the echo used to read it again
+    cfg = write_config(tmp_path)
+    reads = []
+    read_text = Path.read_text
+
+    def spy(self, *args, **kwargs):
+        reads.append(self)
+        text = read_text(self, *args, **kwargs)
+        self.write_text(text.replace("seed = 42", "seed = 7"))
+        return text
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    report = cli.run_solve(cfg, tmp_path / "out")
+    monkeypatch.undo()
+    assert reads == [cfg]
+    assert report.exit_code == 0 and report.config_text == TRANSPORT
+    echoed = (tmp_path / "out" / "report.txt").read_text()
+    assert "  seed = 42\n" in echoed and "seed = 7" not in echoed
+    # the text rides along, out of compare and repr
+    plain = cli.load_config(write_config(tmp_path, name="plain.cfg"))
+    commented = cli.load_config(write_config(tmp_path, "# again\n" + TRANSPORT, name="copy.cfg"))
+    assert plain == commented and repr(plain) == repr(commented)
+    assert plain.text == TRANSPORT
 
 
 def test_main_solve_exit_zero(tmp_path):

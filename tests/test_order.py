@@ -1,20 +1,17 @@
-"""Order comparison, order convergence, and refinement trace laws."""
+"""Operator images, order convergence, and refinement trace laws."""
 
 import numpy as np
 import pytest
 
 from ocm.approx import RangeViolation, place_and_certify, rhs_from_exprs, taylor_poly
 from ocm.baire import GridFn, make_lattice
-from ocm.domain import TARGET_SAMPLES, Box, SampleSet, build_partition, skeleton_of
+from ocm.domain import TARGET_SAMPLES, Box, SampleSet, build_partition
 from ocm.expr import parse_system
 from ocm.order import (
     OrderIntervalSeq,
     cauchy_gap,
-    le_off_skeleton,
-    nested_interval_valid,
     operator_image,
     order_converges,
-    pullback_le,
     refine_solution,
     trace_csv_rows,
 )
@@ -27,53 +24,12 @@ def const_grid(c, mask=None):
     return GridFn(AXES, np.full(10, float(c)), mask)
 
 
-def test_le_equal_off_gamma_both_ways():
-    p = build_partition(UNIT, 4)
-    gamma = skeleton_of(p)
-    axes = (np.asarray([0.1, 0.25, 0.6]),)  # 0.25 lies on the skeleton
-    f = GridFn(axes, np.asarray([1.0, 5.0, 2.0]))
-    g = GridFn(axes, np.asarray([1.0, -5.0, 2.0]))
-    assert le_off_skeleton(f, g, gamma)
-    assert le_off_skeleton(g, f, gamma)
-    # mutual comparison means equality off gamma
-    off = ~gamma.contains_batch(np.stack([axes[0]], axis=1))
-    np.testing.assert_array_equal(f.values[off], g.values[off])
-
-
-def test_le_strict_order():
-    f = GridFn(AXES, AXES[0])
-    g = GridFn(AXES, AXES[0] + 1.0)
-    assert le_off_skeleton(f, g)
-    assert not le_off_skeleton(g, f)
-
-
-def test_le_lattice_mismatch():
-    f = GridFn(AXES, np.zeros(10))
-    g = GridFn((np.linspace(0, 1, 5),), np.zeros(5))
-    with pytest.raises(ValueError):
-        le_off_skeleton(f, g)
-
-
-def _slope_poly(slope):
-    return taylor_poly(build_partition(UNIT, 1), [(0.5,)], [{(1, (0,)): 0.0, (1, (1,)): slope}])
-
-
-def test_pullback_reflexive_and_ordered():
-    sys_ = parse_system("D(u1,(1))", 1, 1, 1)
-    u = _slope_poly(0.4)
-    v = _slope_poly(0.5)
-    assert pullback_le(sys_, u, u, AXES)
-    assert pullback_le(sys_, u, v, AXES)  # images are constants 0.4 <= 0.5
-    assert not pullback_le(sys_, v, u, AXES)
-
-
-def test_pullback_mutual_implies_image_equality():
+def test_image_forgets_what_the_operator_does_not_read():
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     # different representatives, same image: intercepts differ, slopes equal
     partition = build_partition(UNIT, 1)
     u = taylor_poly(partition, [(0.5,)], [{(1, (0,)): 0.0, (1, (1,)): 0.7}])
     v = taylor_poly(partition, [(0.5,)], [{(1, (0,)): 9.0, (1, (1,)): 0.7}])
-    assert pullback_le(sys_, u, v, AXES) and pullback_le(sys_, v, u, AXES)
     (img_u,) = operator_image(sys_, u, AXES)
     (img_v,) = operator_image(sys_, v, AXES)
     off = ~(img_u.mask_array() | img_v.mask_array())
@@ -93,39 +49,19 @@ def test_order_converges_constant_sequence():
     assert order_converges(xs, const_grid(1.0), wit, tol=0.0)
 
 
+def test_order_converges_lattice_mismatch():
+    other = GridFn((np.linspace(0, 1, 5),), np.zeros(5))
+    wit = OrderIntervalSeq([(const_grid(0.0), const_grid(0.0))])
+    with pytest.raises(ValueError, match="different lattices"):
+        order_converges([other], const_grid(0.0), wit, tol=0.0)
+    with pytest.raises(ValueError, match="different lattices"):
+        order_converges([const_grid(0.0)], other, wit, tol=0.0)
+
+
 def test_order_converges_rejects_nonvanishing_gap():
     xs = [const_grid((-1.0) ** n) for n in range(1, 21)]
     wit = OrderIntervalSeq([(const_grid(-1.0), const_grid(1.0)) for _ in range(20)])
     assert not order_converges(xs, const_grid(0.0), wit, tol=0.5)
-
-
-def test_nested_intervals_shrinking_singleton():
-    c = 0.7
-    seq = OrderIntervalSeq([(const_grid(c - 1.0 / n), const_grid(c + 1.0 / n)) for n in range(1, 30)])
-    assert nested_interval_valid(seq, [UNIT], tol=0.1)
-
-
-def test_nested_intervals_persistent_gap_rejected():
-    seq = OrderIntervalSeq([(const_grid(0.0), const_grid(1.0)) for _ in range(10)])
-    assert not nested_interval_valid(seq, [UNIT], tol=0.1)
-    # a subbox that holds no lattice node passes vacuously
-    assert nested_interval_valid(seq, [Box((0.0,), (0.04,))], tol=0.1)
-
-
-def test_nested_intervals_non_nested_rejected():
-    pairs = [(const_grid(0.5), const_grid(1.0)), (const_grid(0.2), const_grid(1.0))]
-    assert not nested_interval_valid(OrderIntervalSeq(pairs), [UNIT], tol=2.0)
-
-
-def test_nested_intervals_emptied_passes():
-    pairs = [(const_grid(0.0), const_grid(1.0)), (const_grid(2.0), const_grid(0.9))]
-    assert nested_interval_valid(OrderIntervalSeq(pairs), [UNIT], tol=0.01)
-    # emptied at one node: the gap elsewhere stays above tol, and still passes
-    lower = np.zeros(10)
-    lower[4] = 2.0
-    pairs = [(const_grid(0.0), const_grid(1.0)), (GridFn(AXES, lower), const_grid(0.9))]
-    assert nested_interval_valid(OrderIntervalSeq(pairs), [UNIT], tol=0.01)
-    assert not nested_interval_valid(OrderIntervalSeq(pairs), [Box((0.0,), (0.4,))], tol=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +268,6 @@ def test_refine_image_hook_counts_repairs(monkeypatch):
         assert np.all(cur.images[0].values[sel] >= prev.images[0].values[sel])
 
 
-def test_trace_feeds_nested_intervals():
-    # lambda_n = image_n, mu_n = f: the squeeze from the refinement trace
-    _, trace = _refine(["D(u1,(1))"], ["x1"], 8)
-    pairs = [(s.images[0], trace.rhs_grid[0]) for s in trace.steps]
-    assert nested_interval_valid(OrderIntervalSeq(pairs), [UNIT, Box((0.2,), (0.4,))], tol=0.2)
-
-
 def test_trace_csv_rows_shape():
     _, trace = _refine(["u1"], ["0"], 3)
     rows = trace_csv_rows(trace)
@@ -348,9 +277,10 @@ def test_trace_csv_rows_shape():
 
 
 def test_envelope_pair_consistency():
-    from ocm.baire import EnvelopePair
-
     _, trace = _refine(["u1"], ["0"], 3)
-    assert all(env.is_consistent() for env in trace.envelope)
-    flipped = EnvelopePair(lower=trace.rhs_grid[0], upper=trace.steps[0].images[0])
-    assert not flipped.is_consistent()
+    for env in trace.envelope:
+        assert np.all(env.lower.values <= env.upper.values)
+        off = ~(env.lower.mask_array() | env.upper.mask_array())
+        assert off.any()
+        assert np.all(np.isfinite(env.lower.values[off]))
+        assert np.all(np.isfinite(env.upper.values[off]))
