@@ -13,9 +13,9 @@ sample set.  ``check_residual`` certifies any number of approximants on
 one partition, as refine_solution's steps are, in one pass over an
 ``ocm.domain.SampleSet``, streamed subcell by subcell and checked to
 lie strictly inside the subcell it was drawn in, so each piece is
-evaluated over its own samples and no sample is looked up.  Both the jet
-solve and the certificate run in chunks of about CHUNK centres or
-samples, so their working memory does not grow with the partition.
+evaluated over its own samples and no sample is looked up.  Placement,
+the vertex pass and the certificate run chunks of about CHUNK points on
+``workers`` threads (_map_chunks), so memory does not grow with the partition.
 ``global_approx`` is the plan and its certificate; ``local_approx``
 halves a ball's radius around a single point until a sampled band check
 on the ball passes.
@@ -744,13 +744,21 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     return float(deltas[0]), PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
 
 
-def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
+def _map_chunks(fn, starts, workers: int) -> list:
+    """[fn(s) for s in starts] on up to workers threads: results and errors in chunk order."""
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, starts))
+    return [fn(s) for s in starts]
+
+
+def _place(system, rhs, fine: CellPartition, eps: float, workers: int = 1) -> PiecewisePoly:
     """One piece per subcell of fine, its jet solved for f - eps/2 at its centre.
 
-    The jets are solved CHUNK centres at a time into one coefficient
-    array.  Every point's jet is the one it gets alone (_solve_jets), and
-    the error raised is the whole batch's: the first hard failure, else
-    the worst residual where the sweeps only failed to converge.
+    The jets are solved CHUNK centres at a time, on workers threads, into
+    one coefficient array.  Every point's jet is the one it gets alone
+    (_solve_jets), and the error raised is the whole batch's: the first
+    hard failure, else the worst residual where the sweeps only stalled.
     """
     _check_band(eps)
     _check_dims(system, fine)
@@ -758,18 +766,19 @@ def _place(system, rhs, fine: CellPartition, eps: float) -> PiecewisePoly:
     centers = fine.subcell_centers()
     S = centers.shape[1]
     coeffs = np.empty((system.K, len(system.alphas), S))
-    stalled = None  # (residual, error) of the worst point that did not converge
-    for s in range(0, S, CHUNK):
+
+    def place(s: int):
+        """Solve chunk s: raise its hard failure, else give its worst stall or None."""
         at = centers[:, s: s + CHUNK]
         solve, coeffs[:, :, s: s + at.shape[1]] = _solve_pieces(system, rhs, at, eps, pivots)
         w = solve.worst()
-        if w is not None:
-            if solve.fail[w] != _NOT_CONVERGED:
-                raise solve.error(w, at[:, w])
-            if stalled is None or solve.residual[w] > stalled[0]:
-                stalled = solve.residual[w], solve.error(w, at[:, w])
-    if stalled is not None:
-        raise stalled[1]
+        if w is not None and solve.fail[w] != _NOT_CONVERGED:
+            raise solve.error(w, at[:, w])
+        return None if w is None else (solve.residual[w], solve.error(w, at[:, w]))
+
+    stalls = [st for st in _map_chunks(place, range(0, S, CHUNK), workers) if st is not None]
+    if stalls:
+        raise max(stalls, key=lambda st: st[0])[1]  # the first of equal residuals
     return PiecewisePoly(partition=fine, alphas=system.alphas, coeffs=coeffs, centers=centers)
 
 
@@ -813,15 +822,17 @@ def _vertex_residuals(system, rhs, U: PiecewisePoly, rows: slice) -> tuple:
     return pts, r
 
 
-def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float) -> np.ndarray:
+def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float,
+                   workers: int = 1) -> np.ndarray:
     """Per subcell of U, the largest |r + eps/2| over its vertex residuals
     r (_vertex_residuals) when one lies outside [-eps - eta, eta]: 0 where
     none does, inf where one is not finite.  One pass over the partition,
-    CHUNK vertices at a time."""
+    CHUNK vertices at a time, on up to workers threads."""
     S = U.partition.total_subcells
     dev = np.empty(S)
     step = max(1, CHUNK // 2 ** U.partition.n)
-    for s in range(0, S, step):
+
+    def excess(s: int) -> None:
         _, r = _vertex_residuals(system, rhs, U, slice(s, s + step))
         r = r.reshape(-1, r.shape[2])
         rmin, rmax = r.min(axis=0), r.max(axis=0)  # nan where any residual is
@@ -829,11 +840,13 @@ def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float) -> np.
         np.maximum(rmax + 0.5 * eps, -0.5 * eps - rmin, out=d)
         d[~np.isfinite(d)] = np.inf
         d[(rmax <= eta) & (rmin >= -eps - eta)] = 0.0
+
+    _map_chunks(excess, range(0, S, step), workers)
     return dev
 
 
 def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
-                   eta: float = DEFAULT_ETA) -> PiecewisePoly:
+                   eta: float = DEFAULT_ETA, workers: int = 1) -> PiecewisePoly:
     """Split p's cells until every piece keeps the band at its subcell's
     vertices; returns the pieces placed on the final partition.
 
@@ -855,7 +868,8 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     rounds end when no cell moves.  A degree-m piece drifts most at its
     subcell's faces, where the vertices sit; the sampled certificate
     stays the band's only proof.  The plan draws no sample and reads no
-    seed.
+    seed, and ``workers`` threads run the chunks of each placement and
+    vertex pass without changing any piece or split.
 
     Range violations come from placement, round 0 at the cell centres.
     Before a partition is built, its split counts are checked against the
@@ -871,8 +885,8 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
                      axis=1)  # (n_cells, n)
     prev = None  # the last round's split counts and rho, 0 where a cell did not move
     while True:
-        U = _place(system, rhs, p, eps)
-        dev = _vertex_excess(system, rhs, U, eps, eta)
+        U = _place(system, rhs, p, eps, workers)
+        dev = _vertex_excess(system, rhs, U, eps, eta, workers)
         offsets = p._offsets
         cell_dev = np.maximum.reduceat(dev, offsets[:-1])
         moves = cell_dev > 0.0
@@ -918,13 +932,14 @@ def place_and_certify(system: ex.PdeSystem, rhs, fine: CellPartition, eps: float
     margin, seed), at least ocm.domain.TARGET_SAMPLES points unless
     samples_per_cell is given, each checked to lie strictly inside the
     subcell of fine it was drawn in (which proves it misses the skeleton
-    and picks its piece).  The set is streamed: ``workers`` threads each draw, check, evaluate and fold
-    whole chunks, and no array of all samples or residuals is built.  This
-    is check_residual on one approximant; refine_solution certifies all
+    and picks its piece).  ``workers`` threads run the placement's chunks,
+    then stream the set: each draws, checks, evaluates and folds whole
+    chunks, and no array of all samples or residuals is built.  This is
+    check_residual on one approximant; refine_solution certifies all
     its steps on the same set in one call.  Placement ends before the set
     is drawn, so a placement error comes before any sample-set error.
     """
-    U = _place(system, rhs, fine, eps)
+    U = _place(system, rhs, fine, eps, workers)
     samples = SampleSet(fine, samples_per_cell, margin, seed)
     return U, check_residual(system, [U], rhs, [eps], samples, eta=eta, workers=workers)[0]
 
@@ -936,10 +951,10 @@ def global_approx(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     """Assemble a certified one-sided approximant over the whole partition:
     plan_partition splits the cells and places the pieces, which are then
     certified as place_and_certify certifies them, on SampleSet(partition,
-    samples_per_cell, margin, seed).  ``workers`` applies to the
-    certificate's chunks only; planning runs without threads.
+    samples_per_cell, margin, seed).  ``workers`` threads run the chunks
+    of planning and of the certificate alike.
     """
-    U = plan_partition(system, rhs, p, eps, eta=eta)
+    U = plan_partition(system, rhs, p, eps, eta=eta, workers=workers)
     samples = SampleSet(U.partition, samples_per_cell, margin, seed)
     return U, check_residual(system, [U], rhs, [eps], samples, eta=eta, workers=workers)[0]
 
@@ -1054,12 +1069,7 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
             out.append([_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)])
         return out
 
-    starts = range(0, p.total_subcells, step)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fold, starts))
-    else:
-        parts = [fold(s) for s in starts]
+    parts = _map_chunks(fold, range(0, p.total_subcells, step), workers)
 
     certs = []
     for k, eps in enumerate(epss):

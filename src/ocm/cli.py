@@ -30,13 +30,14 @@ key above except the last five, which have defaults, but each reads only
 its own: ``solve`` never reads ``refine_steps``, and ``refine`` never
 reads ``epsilon`` (its bands are 1, 1/2, ..., 1/refine_steps).  Exit
 codes: 0 success, 2 config error (also a file that cannot be read as
-UTF-8, a grid of more than ``MAX_SUBCELLS`` cells, and an operator whose
-equations cannot be given distinct pivot slots), 3 range-condition
-violation or jet-solve non-convergence, 4 a plan that would split a cell
-below the subcell-width floor, 5 certificate or self-check failure.  All
+UTF-8, a grid of more than ``MAX_SUBCELLS`` cells, a ``samples_per_cell``
+above ``CHUNK`` = 65,536, and an operator whose equations cannot be
+given distinct pivot slots), 3 range-condition violation or jet-solve
+non-convergence, 4 a plan that would split a cell below the
+subcell-width floor, 5 certificate or self-check failure.  All
 randomness comes from the seed; the env var ``OCM_THREADS`` caps the
-number of threads that run the certificate's chunks (default: machine
-parallelism) and never changes any output byte.
+number of threads that run the chunks of planning and of the certificate
+(default: machine parallelism) and never changes any output byte.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filters as flt
-from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, DeltaCollapse, RangeViolation,
+from .approx import (CHUNK, DEFAULT_ETA, DEFAULT_MARGIN, DeltaCollapse, RangeViolation,
                      certificate_csv_rows, default_pivots, global_approx, rhs_from_exprs)
 from .baire import make_lattice
 from .domain import Box, build_partition
@@ -219,8 +220,8 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError("refine_steps must be >= 1")
     if not (0.0 < cfg.margin < 0.5):
         raise ConfigError("margin must be in (0, 0.5)")
-    if cfg.samples_per_cell < 1:
-        raise ConfigError("samples_per_cell must be >= 1")
+    if not 1 <= cfg.samples_per_cell <= CHUNK:  # so no certificate chunk holds more samples
+        raise ConfigError(f"samples_per_cell must be in [1, {CHUNK:,}]")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.eta < 0:

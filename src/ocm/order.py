@@ -155,15 +155,16 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     steps share centers and skeleton, so the image sequence increases
     pointwise; the running nodewise maximum makes that an invariant and
     repairs count any node where a raw image dropped below the running
-    maximum by more than eta.
+    maximum by more than eta.  ``workers`` threads run the chunks of
+    planning, placement and the certificate; no output depends on them.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     axes = _lattice_axes(axes, p.bounds)
-    finest = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta)
+    finest = approx.plan_partition(system, rhs, p, 1.0 / n_max, eta=eta, workers=workers)
     base = finest.partition
     epss = [1.0 / n for n in range(1, n_max + 1)]
-    placed = [_place(system, rhs, base, eps) for eps in epss[:-1]] + [finest]
+    placed = [_place(system, rhs, base, eps, workers) for eps in epss[:-1]] + [finest]
     samples = SampleSet(base, samples_per_cell, margin, seed)
     # looked up on the module, where bench/spans.py wraps it: a name
     # imported into this module would certify outside that span

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -869,7 +870,8 @@ def test_drawn_sample_outside_its_subcell_is_rejected(monkeypatch, move, message
 @pytest.mark.parametrize("equation,degree", [("D(u1,(1,0)) + u1", 1), ("u1^3 + D(u1,(1,0))", 3)])
 def test_chunked_placement_equals_one_batch(monkeypatch, equation, degree):
     # every point's jet is the one it gets alone, so the chunks give the
-    # one batch's jets bit for bit, on a closed-form pivot and a bisected one
+    # one batch's jets bit for bit, on a closed-form pivot and a bisected
+    # one, whether the chunks run on one thread or two
     sys_ = parse_system(equation, 2, 1, 1)
     assert sys_.slot_degrees[0][default_pivots(sys_)[0]] == degree
     rhs = rhs_from_exprs(["x1*x2"], 2)
@@ -878,8 +880,10 @@ def test_chunked_placement_equals_one_batch(monkeypatch, equation, degree):
     assert S < ocm.approx.CHUNK
     whole = ocm.approx._place(sys_, rhs, fine, 0.1)
     monkeypatch.setattr(ocm.approx, "CHUNK", 7)
-    chunked = ocm.approx._place(sys_, rhs, fine, 0.1)
-    assert S % 7 and chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+    assert S % 7
+    for workers in (1, 2):
+        chunked = ocm.approx._place(sys_, rhs, fine, 0.1, workers)
+        assert chunked.coeffs.tobytes() == whole.coeffs.tobytes(), workers
 
 
 def test_per_subcell_arrays_are_stored_subcell_axis_last():
@@ -903,7 +907,8 @@ def test_per_subcell_arrays_are_stored_subcell_axis_last():
 
 def test_chunked_placement_raises_the_batch_error(monkeypatch):
     # 8 centres in chunks of 3: the worst non-converged residual over all
-    # chunks, and a hard failure in the last chunk over any non-convergence
+    # chunks, and a hard failure in the last chunk over any non-convergence,
+    # on one thread or two
     monkeypatch.setattr(ocm.approx, "CHUNK", 3)
     sys_ = parse_system("exp(u1)", 1, 1, 0)
     p = build_partition(UNIT, 8)
@@ -914,13 +919,53 @@ def test_chunked_placement_raises_the_batch_error(monkeypatch):
     worst = int(np.argmax(resid))
     assert worst >= 3 and resid[worst] > 0.0
     monkeypatch.setattr(ocm.approx, "SOLVE_TOL", 0.0)
-    with pytest.raises(RangeViolation, match="did not converge") as exc:
-        place_and_certify(sys_, rhs, p, 0.1)
-    assert exc.value.x == tuple(U.centers[:, worst])
     pole = rhs_from_exprs(["2 + x1 + 1/(x1 - 0.9375)^2"], 1)
+    for workers in (1, 2):
+        with pytest.raises(RangeViolation, match="did not converge") as exc:
+            place_and_certify(sys_, rhs, p, 0.1, workers=workers)
+        assert exc.value.x == tuple(U.centers[:, worst])
+        with pytest.raises(RangeViolation, match="right-hand side not finite") as exc:
+            place_and_certify(sys_, pole, p, 0.1, workers=workers)
+        assert exc.value.x == (0.9375,)
+
+
+@pytest.mark.parametrize("n,m,eqs,rhs_text", [
+    (2, 1, "D(u1,(1,0))", "x1*x2"),
+    (2, 2, "D(u1,(2,0)) + D(u1,(0,2)) + u1^3", "x1*x2"),
+    (1, 1, "D(u1,(1))^2 + u1", "1 + x1"),
+])
+def test_plan_does_not_depend_on_workers(monkeypatch, n, m, eqs, rhs_text):
+    # chunks of 7 split every round's placement and vertex pass into many
+    # chunks, which the threads write as disjoint slices; 4 threads on a
+    # short switch interval interleave them more than the cores would
+    monkeypatch.setattr(ocm.approx, "CHUNK", 7)
+    sys_ = parse_system(eqs, n, 1, m)
+    rhs = rhs_from_exprs([rhs_text], n)
+    box = Box((0.0,) * n, (1.0,) * n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        one, *threaded = [plan_partition(sys_, rhs, build_partition(box, 4), 0.05,
+                                         workers=workers) for workers in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.n_pieces > 7 * 2 ** n
+    for U in threaded:
+        assert U.coeffs.tobytes() == one.coeffs.tobytes()
+        assert U.centers.tobytes() == one.centers.tobytes()
+        assert U.partition.splits.tobytes() == one.partition.splits.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_vertex_pass_raises_at_the_first_chunk_with_a_pole(monkeypatch, workers):
+    # poles at the interior vertices 0.25 and 0.75 of 16 cells, in the
+    # second and a later chunk of 3 subcells: the second chunk's is raised
+    monkeypatch.setattr(ocm.approx, "CHUNK", 7)
+    sys_ = parse_system("u1", 1, 1, 0)
+    rhs = rhs_from_exprs(["1/(x1-0.75)^2 + 1/(x1-0.25)^2"], 1)
     with pytest.raises(RangeViolation, match="right-hand side not finite") as exc:
-        place_and_certify(sys_, pole, p, 0.1)
-    assert exc.value.x == (0.9375,)
+        plan_partition(sys_, rhs, build_partition(UNIT, 16), 0.1, workers=workers)
+    assert exc.value.x == (0.25,)
 
 
 def test_placement_errors_precede_sample_errors(monkeypatch):

@@ -223,6 +223,8 @@ def test_malformed_expression_exits_2(tmp_path):
 @pytest.mark.parametrize("old, new", [
     ("margin = 0.05", "margin = 0.7"),
     ("samples_per_cell = 60", "samples_per_cell = 0"),
+    ("samples_per_cell = 60", "samples_per_cell = 1000000000000"),
+    ("samples_per_cell = 60", "samples_per_cell = 65537"),
     ("seed = 42", "seed = -1"),
     ("cells = [10]", "cells = [0]"),
     ("lo = [0.0]\nhi = [1.0]", "lo = [1.0]\nhi = [0.0]"),
