@@ -63,8 +63,8 @@ import numpy as np
 from . import expr as ex
 # skeleton_of, sample_points and subdivide have no caller here: bench/spans.py
 # wraps them in ocm.approx
-from .domain import (MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition, sample_points,
-                     skeleton_of, subdivide)
+from .domain import (CHUNK, MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition,
+                     sample_points, skeleton_of, subdivide)
 
 __all__ = [
     "JetPoint",
@@ -101,8 +101,6 @@ DRIFT_ORDER_MIN, DRIFT_ORDER_MAX = 0.25, 1.0
 INWARD = 2.0 ** -20
 DEFAULT_ETA = 1e-9
 DEFAULT_MARGIN = 0.05
-# subcell centres solved, or certificate samples drawn and checked, per batch
-CHUNK = 65_536
 
 
 class RangeViolation(Exception):

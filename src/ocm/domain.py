@@ -35,6 +35,9 @@ __all__ = [
 # the most subcells a partition may hold: four times the 1,048,576 the
 # probe plan once certified, and far above any problem the benchmark runs
 MAX_SUBCELLS = 2**22
+# subcell centres solved, or certificate samples drawn and checked, per
+# batch; also the most samples a SampleSet may draw per subcell
+CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -311,10 +314,10 @@ TARGET_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class SampleSet:
-    """The certificate's sample set: ``per_cell`` points in every subcell
-    of ``partition``, each at least ``margin`` times the subcell width off
-    every face; ``per_cell=None`` takes the fewest that give
-    TARGET_SAMPLES.  Sample i lies in subcell i // per_cell, and the set
+    """The certificate's sample set: ``per_cell`` points, at most CHUNK,
+    in every subcell of ``partition``, each at least ``margin`` times the
+    subcell width off every face; ``per_cell=None`` takes the fewest that
+    give TARGET_SAMPLES.  Sample i lies in subcell i // per_cell, and the set
     is one ``default_rng(seed).random`` draw mapped into the subcells.
     Its length is the sample count.  It is streamed, never held whole:
     ``chunk`` draws any run of subcells and checks each sample strictly
@@ -334,6 +337,8 @@ class SampleSet:
         per_cell = self.per_cell
         if isinstance(per_cell, bool) or not isinstance(per_cell, (int, np.integer)) or per_cell < 1:
             raise ValueError(f"per_cell must be an integer >= 1, got {per_cell!r}")
+        if per_cell > CHUNK:  # checked before a draw could ask for terabytes
+            raise ValueError(f"per_cell must be at most CHUNK = {CHUNK:,}, got {per_cell:,}")
         if not (0.0 < self.margin < 0.5):
             raise ValueError("margin must be in (0, 0.5)")
 
@@ -382,7 +387,7 @@ def sample_points(p: CellPartition, per_cell: int, margin: float, seed: int = 0)
     checked chunks, so no second array of all samples is made."""
     samples = SampleSet(p, per_cell, margin, seed)
     out = np.empty((p.total_subcells, samples.per_cell, p.n))
-    step = max(1, 65_536 // samples.per_cell)  # subcells per chunk, about 65,536 samples
+    step = CHUNK // samples.per_cell  # subcells per chunk, about CHUNK samples
     for first in range(0, p.total_subcells, step):
         out[first: first + step] = samples.chunk(first, step).T
     return out.reshape(-1, p.n)

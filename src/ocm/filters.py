@@ -3,11 +3,11 @@
 Everything here lives on small finite ground sets, where every filter is
 principal: the upward closure of its least member.  Structures are
 stored by their minimal (coarsest) filters; upward closure under
-refinement is then automatic from the representation, and the checkers
-report that axiom as holding by construction.  A table holds the
-maximal-least antichain of the filters it is given, in the given order,
-reduced once when the table is built; the constructions below hand
-their generators over unreduced.
+refinement is then automatic from the representation, so the checkers
+do not test that axiom, axiom (3): the representation guarantees it.
+A table holds the maximal-least antichain of the filters it is given,
+in the given order, reduced once when the table is built; the
+constructions below hand their generators over unreduced.
 
 The checkers rest on the meet of [A] and [B] being [A u B]: no member
 of an antichain holds the union of two distinct members.  So a
@@ -23,29 +23,18 @@ convergence structures) up to ``MAX_RELATION_GROUND`` points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "MAX_GROUND",
     "MAX_RELATION_GROUND",
     "FiniteFilter",
-    "UndefinedComposition",
     "ConvergenceTable",
     "UcsTable",
     "StructureCheck",
-    "filter_from_base",
     "principal",
-    "filter_image",
-    "filter_product",
-    "filter_intersection",
-    "refines",
     "rel_inverse",
     "rel_compose",
-    "rel_image",
-    "relation_inverse",
-    "relation_compose",
-    "relation_apply",
-    "relation_apply_point",
     "discrete_convergence",
     "indiscrete_convergence",
     "discrete_ucs",
@@ -67,10 +56,6 @@ MAX_GROUND = 6
 MAX_RELATION_GROUND = 4
 
 
-class UndefinedComposition(ValueError):
-    """Relation algebra result would contain the empty set."""
-
-
 @dataclass(frozen=True)
 class FiniteFilter:
     """A filter on a finite set: all supersets of its least member."""
@@ -86,11 +71,6 @@ class FiniteFilter:
         if len(self.ground) > MAX_GROUND**2:
             raise ValueError(f"ground set too large (cap {MAX_GROUND**2})")
 
-    @property
-    def base(self) -> tuple[frozenset, ...]:
-        """Canonical minimal base."""
-        return (self.least,)
-
     def members(self) -> list[frozenset]:
         rest = sorted(self.ground - self.least, key=repr)
         out = []
@@ -100,50 +80,8 @@ class FiniteFilter:
         return out
 
 
-def filter_from_base(ground, base) -> FiniteFilter:
-    """The filter generated by a family of sets (closing under
-    intersections and supersets); empty sets or an empty total
-    intersection are rejected."""
-    ground = frozenset(ground)
-    sets = [frozenset(b) for b in base]
-    if not sets:
-        raise ValueError("empty base")
-    if any(not b for b in sets):
-        raise ValueError("empty set in base")
-    least = sets[0]
-    for b in sets[1:]:
-        least &= b
-    if not least:
-        raise ValueError("base has empty intersection; no filter generated")
-    return FiniteFilter(ground=ground, least=least)
-
-
 def principal(ground, x) -> FiniteFilter:
     return FiniteFilter(ground=frozenset(ground), least=frozenset([x]))
-
-
-def filter_image(f: FiniteFilter, mapping: dict, ground_out) -> FiniteFilter:
-    return FiniteFilter(
-        ground=frozenset(ground_out), least=frozenset(mapping[a] for a in f.least)
-    )
-
-
-def filter_product(f: FiniteFilter, g: FiniteFilter) -> FiniteFilter:
-    ground = frozenset(itertools.product(f.ground, g.ground))
-    least = frozenset(itertools.product(f.least, g.least))
-    return FiniteFilter(ground=ground, least=least)
-
-
-def filter_intersection(f: FiniteFilter, g: FiniteFilter) -> FiniteFilter:
-    """Meet of two filters as collections of sets: [A] meet [B] = [A u B]."""
-    if f.ground != g.ground:
-        raise ValueError("filters on different ground sets")
-    return FiniteFilter(ground=f.ground, least=f.least | g.least)
-
-
-def refines(f: FiniteFilter, g: FiniteFilter) -> bool:
-    """True iff f contains every member of g (f is finer than g)."""
-    return f.ground == g.ground and f.least <= g.least
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +103,6 @@ def rel_compose(u, v) -> frozenset:
     """u after v: pairs (x, y) with (x, z) in v and (z, y) in u for some z."""
     rows = _rows(u)
     return frozenset((x, y) for x, z in v for y in rows.get(z, ()))
-
-
-def rel_image(r, a) -> frozenset:
-    return frozenset(y for x, y in r if x in a)
-
-
-def relation_inverse(u: FiniteFilter) -> FiniteFilter:
-    return FiniteFilter(ground=rel_inverse(u.ground) | u.ground, least=rel_inverse(u.least))
-
-
-def relation_compose(u: FiniteFilter, v: FiniteFilter) -> FiniteFilter:
-    least = rel_compose(u.least, v.least)
-    if not least:
-        raise UndefinedComposition("composition of leasts is empty")
-    return FiniteFilter(ground=u.ground | v.ground, least=least)
-
-
-def relation_apply(u: FiniteFilter, f: FiniteFilter) -> FiniteFilter:
-    """The filter generated by relation images U[F]."""
-    least = rel_image(u.least, f.least)
-    if not least:
-        raise UndefinedComposition("relation image of least is empty")
-    ground = frozenset(y for _, y in u.ground) | f.ground
-    return FiniteFilter(ground=ground, least=least)
-
-
-def relation_apply_point(u: FiniteFilter, x) -> FiniteFilter:
-    ground = frozenset(a for a, _ in u.ground) | frozenset(b for _, b in u.ground)
-    return relation_apply(u, principal(ground, x))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +151,6 @@ class ConvergenceTable:
                     raise ValueError("listed filter on wrong ground set")
             minimal[x] = _antichain_max(filters)
         self.minimal = minimal
-
-    def converges(self, f: FiniteFilter, x) -> bool:
-        return any(f.least <= g.least for g in self.minimal[x])
 
 
 @dataclass
@@ -296,7 +202,6 @@ class StructureCheck:
     failed_axiom: int | None = None
     witness: object = None
     hausdorff: bool | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
 
 def check_convergence_structure(t: ConvergenceTable) -> StructureCheck:
@@ -311,7 +216,6 @@ def check_convergence_structure(t: ConvergenceTable) -> StructureCheck:
     at the first point, in repr order, listing more than one filter; its
     first two are the first failing pair in product order.
     """
-    notes = ("axiom (3) upward closure holds by representation",)
     points = sorted(t.ground, key=repr)
     hausdorff = _hausdorff(t, points)
     for x in points:
@@ -319,12 +223,12 @@ def check_convergence_structure(t: ConvergenceTable) -> StructureCheck:
             if x in g.least:
                 break
         else:
-            return StructureCheck(False, 1, x, hausdorff, notes)
+            return StructureCheck(False, 1, x, hausdorff)
     for x in points:
         gens = t.minimal[x]
         if len(gens) > 1:
-            return StructureCheck(False, 2, (x, gens[0].least, gens[1].least), hausdorff, notes)
-    return StructureCheck(True, None, None, hausdorff, notes)
+            return StructureCheck(False, 2, (x, gens[0].least, gens[1].least), hausdorff)
+    return StructureCheck(True, None, None, hausdorff)
 
 
 def _hausdorff(t: ConvergenceTable, points: list) -> bool:
@@ -349,20 +253,19 @@ def check_uniform_convergence(t: UcsTable) -> StructureCheck:
     g, as g[y] within g[x] for each y in g[x].  After axiom (1) g is
     reflexive, so g o g holds g and is never empty.
     """
-    notes = ("axiom (3) upward closure holds by representation",)
     gens = t.minimal
     for x in sorted(t.ground, key=repr):
         if not any((x, x) in g.least for g in gens):
-            return StructureCheck(False, 1, x, None, notes)
+            return StructureCheck(False, 1, x, None)
     if len(gens) > 1:
-        return StructureCheck(False, 2, (gens[0].least, gens[1].least), None, notes)
+        return StructureCheck(False, 2, (gens[0].least, gens[1].least), None)
     for g in gens:
         if not rel_inverse(g.least) <= g.least:
-            return StructureCheck(False, 4, g.least, None, notes)
+            return StructureCheck(False, 4, g.least, None)
         rows = _rows(g.least)
         if not all(rows[y] <= row for row in rows.values() for y in row):
-            return StructureCheck(False, 5, (g.least, g.least), None, notes)
-    return StructureCheck(True, None, None, None, notes)
+            return StructureCheck(False, 5, (g.least, g.least), None)
+    return StructureCheck(True, None, None, None)
 
 
 def induced_convergence(t: UcsTable) -> ConvergenceTable:

@@ -1277,9 +1277,9 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
     S, A = p.total_subcells, len(system.alphas)
     U = PiecewisePoly(partition=p, alphas=system.alphas, coeffs=rng.normal(size=(K, A, S)),
                       centers=p.subcell_centers())
-    # per_cell values that do not divide the 65,536-sample chunk, and one
-    # above it, where a chunk is a single subcell
-    for per_cell in [1, 3, 7, 65536 // S + 5] + ([65539] if (n, K, m) == (1, 1, 1) else []):
+    # per_cell values that do not divide the 65,536-sample chunk, and the
+    # chunk itself, the most a SampleSet takes, where a chunk is a single subcell
+    for per_cell in [1, 3, 7, 65536 // S + 5] + ([65536] if (n, K, m) == (1, 1, 1) else []):
         drawn = SampleSet(p, per_cell, 0.05, per_cell)
         # the whole set in the subcell-last order of a chunk, (n, per_cell,
         # S), and its flat (n, per_cell * S) rows, located point by point

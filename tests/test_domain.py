@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ocm.domain import (MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition,
+from ocm.approx import place_and_certify, rhs_from_exprs
+from ocm.domain import (CHUNK, MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition,
                         sample_points, skeleton_of, subdivide)
+from ocm.expr import parse_system
 
 
 def test_build_uniform_1d():
@@ -297,12 +299,13 @@ def test_sample_i_lies_strictly_inside_subcell_i_div_per_cell():
         np.testing.assert_array_equal(ref, owner)
 
 
-@pytest.mark.parametrize("per_cell", [1, 3, 7, 100, 65539])
+@pytest.mark.parametrize("per_cell", [1, 3, 7, 100, 65536])
 def test_chunked_draws_equal_one_draw(per_cell):
     # each chunk's generator is advanced past the draws of the subcells
     # before it, so any split of the subcells into consecutive chunks, the
     # certificate's own included, gives one default_rng(seed).random draw;
-    # 100 does not divide the 65,536-sample chunk, 65,539 exceeds it
+    # 100 does not divide the 65,536-sample chunk, 65,536 fills it with
+    # one subcell; a SampleSet refuses more samples per subcell than that
     p = _per_cell_partitions()[0]
     S, n, margin, seed = p.total_subcells, p.n, 0.05, 9
     lo, hi = p.subcell_bounds()
@@ -352,6 +355,15 @@ def test_sample_points_validates_args():
             sample_points(p, per_cell=per_cell, margin=0.1)
     with pytest.raises(ValueError):
         sample_points(p, per_cell=1, margin=0.6)
+    # 10**12 used to fail in numpy: "Unable to allocate 7.28 TiB"
+    transport = parse_system("D(u1,(1))", 1, 1, 1), rhs_from_exprs(["x1"], 1)
+    for per_cell in (CHUNK + 1, 10**12):
+        with pytest.raises(ValueError, match=f"per_cell must be at most CHUNK = {CHUNK:,}"):
+            sample_points(p, per_cell=per_cell, margin=0.1)
+        with pytest.raises(ValueError, match=f"per_cell must be at most CHUNK = {CHUNK:,}"):
+            place_and_certify(*transport, build_partition(Box((0.0,), (1.0,)), 10), 0.1,
+                              samples_per_cell=per_cell)
+    assert sample_points(p, per_cell=CHUNK, margin=0.1).shape == (CHUNK, 1)
 
 
 def test_locate_tensor_grid():

@@ -1,4 +1,4 @@
-"""Finite filter algebra and structure checkers against brute-force oracles.
+"""Finite filters and structure checkers against brute-force oracles.
 
 The oracles work on explicit collections of sets wherever feasible.  A
 literal enumeration over all collections of nonempty subsets verifies
@@ -17,7 +17,6 @@ from ocm.filters import (
     ConvergenceTable,
     FiniteFilter,
     UcsTable,
-    UndefinedComposition,
     check_convergence_structure,
     check_initial_compat,
     check_uniform_continuity,
@@ -25,10 +24,6 @@ from ocm.filters import (
     close_to_ucs,
     discrete_convergence,
     discrete_ucs,
-    filter_from_base,
-    filter_image,
-    filter_intersection,
-    filter_product,
     indiscrete_convergence,
     indiscrete_ucs,
     induced_convergence,
@@ -37,12 +32,8 @@ from ocm.filters import (
     is_cauchy,
     principal,
     product_ucs,
-    refines,
     rel_compose,
     rel_inverse,
-    relation_apply,
-    relation_compose,
-    relation_inverse,
     subspace_ucs,
 )
 
@@ -85,52 +76,21 @@ def test_every_finite_filter_is_principal():
 
 
 # ---------------------------------------------------------------------------
-# filter algebra
+# filters
 
 def test_principal_filter_members():
     f = principal(ABC, "a")
-    assert f.base == (frozenset(["a"]),)
     members = f.members()
     assert len(members) == 4  # {a}, {a,b}, {a,c}, {a,b,c}
     assert all("a" in s for s in members)
-
-
-def test_filter_image_principal_to_principal():
-    f = principal(AB, "a")
-    g = filter_image(f, {"a": "b", "b": "a"}, AB)
-    assert g.least == frozenset(["b"])
 
 
 def test_filter_intersection_pairwise_union_base():
     # oracle: the meet of [A] and [B] as collections is the upward closure
     # of {A u B}; check against the literal intersection of member lists
     f, g = principal(ABC, "a"), principal(ABC, "b")
-    met = filter_intersection(f, g)
-    assert met.base == (frozenset(["a", "b"]),)
     literal = set(f.members()) & set(g.members())
-    assert set(met.members()) == literal
-
-
-def test_filter_product_least():
-    f, g = principal(AB, "a"), principal(AB, "b")
-    prod = filter_product(f, g)
-    assert prod.least == frozenset([("a", "b")])
-
-
-def test_filter_from_base_errors():
-    with pytest.raises(ValueError):
-        filter_from_base(AB, [frozenset()])
-    with pytest.raises(ValueError):
-        filter_from_base(AB, [frozenset(["a"]), frozenset(["b"])])
-    with pytest.raises(ValueError):
-        filter_from_base(AB, [])
-
-
-def test_refines_reverses_least_inclusion():
-    fine = principal(AB, "a")
-    coarse = FiniteFilter(AB, AB)
-    assert refines(fine, coarse)
-    assert not refines(coarse, fine)
+    assert set(FiniteFilter(ABC, f.least | g.least).members()) == literal
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +98,6 @@ def test_refines_reverses_least_inclusion():
 
 def _pairs(ground):
     return frozenset(itertools.product(ground, ground))
-
-
-def test_relation_inverse_swaps_pairs():
-    u = FiniteFilter(_pairs(AB), frozenset([("a", "b")]))
-    assert relation_inverse(u).least == frozenset([("b", "a")])
-
-
-def test_relation_compose_single_pair():
-    pg = _pairs(ABC)
-    v = FiniteFilter(pg, frozenset([("a", "b")]))
-    u = FiniteFilter(pg, frozenset([("b", "c")]))
-    assert relation_compose(u, v).least == frozenset([("a", "c")])
-
-
-def test_relation_apply_undefined_when_empty():
-    pg = _pairs(ABC)
-    u = FiniteFilter(pg, frozenset([("a", "b")]))
-    with pytest.raises(UndefinedComposition):
-        relation_apply(u, principal(ABC, "c"))
 
 
 def _oracle_compose(u, v):
@@ -558,7 +499,7 @@ def test_induced_of_indiscrete_converges_everywhere():
     induced = induced_convergence(indiscrete_ucs(AB))
     for x in AB:
         for a in nonempty_subsets(AB):
-            assert induced.converges(FiniteFilter(AB, a), x)
+            assert any(a <= g.least for g in induced.minimal[x])
 
 
 def test_induced_singleton():
@@ -671,24 +612,3 @@ def test_uniform_continuity_examples():
     assert check_uniform_continuity(swap, discrete_ucs(AB), indiscrete_ucs(AB))[0]
     ok, witness = check_uniform_continuity(swap, indiscrete_ucs(AB), discrete_ucs(AB))
     assert not ok and witness is not None
-
-
-def test_relation_apply_point():
-    pg = _pairs(ABC)
-    u = FiniteFilter(pg, frozenset([("a", "b"), ("a", "c")]))
-    from ocm.filters import relation_apply_point
-
-    f = relation_apply_point(u, "a")
-    assert f.least == frozenset(["b", "c"])
-
-
-def test_relation_compose_undefined_is_distinct_from_bad_input():
-    pg = _pairs(AB)
-    u = FiniteFilter(pg, frozenset([("a", "a")]))
-    v = FiniteFilter(pg, frozenset([("b", "b")]))
-    with pytest.raises(UndefinedComposition):
-        relation_compose(u, v)
-    # invalid input (empty least) is a plain ValueError, not UndefinedComposition
-    with pytest.raises(ValueError) as exc:
-        FiniteFilter(pg, frozenset())
-    assert not isinstance(exc.value, UndefinedComposition)
