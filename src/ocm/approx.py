@@ -20,12 +20,12 @@ the vertex pass and the certificate run chunks of about CHUNK points on
 halves a ball's radius around a single point until a sampled band check
 on the ball passes.
 
-Every per-subcell and per-probe array is stored subcell axis last, the
-way the kernels read it: subcell bounds and centres (n, S), piece
-coefficients (K, A, S), jet-solve targets (K, S) and jets (M, S), probe
-points (n, B), and a certificate's samples as (n, per_cell, count)
-chunks and a plan round's vertices as (n, 2^n, count), against which a
-chunk's pieces are sliced to (K, A, 1, count).
+Every per-subcell array is stored subcell axis last, the way the
+kernels read it: subcell bounds and centres (n, S), piece coefficients
+(K, A, S), jet-solve targets (K, S) and jets (M, S), and a
+certificate's samples as (n, per_cell, count) chunks and a plan round's
+vertices as (n, 2^n, count), against which a chunk's pieces are sliced
+to (K, A, 1, count).
 numpy runs its innermost loop along the last axis, so each piece
 broadcast over its own samples is one loop over the chunk's subcells,
 not a loop over n = 2 or 3 coordinates repeated per sample.
@@ -636,42 +636,20 @@ def _check_dims(system, p) -> None:
         raise ValueError(f"the system has n = {system.n} variables but the domain is {p.n}-D")
 
 
-def _ball_points(x0s: np.ndarray, deltas: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic verification samples in the closed ball around each
-    center, clipped to the box, with the center itself last.
-
-    x0s: (n, B), deltas: (B,).  Returns points (n, P, B), centre axis
-    last as in a certificate chunk, and a mask (P, B) of the grid points
-    that lie in their ball.
-    """
-    n, B = x0s.shape
-    lo = x0s - deltas
-    hi = x0s + deltas
-    if n == 1:
-        pts = np.linspace(lo, hi, 33, axis=1)
-        inside = np.ones(pts.shape[1:], dtype=bool)
-    else:
-        per_axis = 9 if n == 2 else 5
-        grids = np.linspace(lo, hi, per_axis, axis=1)  # (n, per_axis, B)
-        mesh = np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")
-        idx = np.stack([g.ravel() for g in mesh])  # (n, P)
-        pts = grids[np.arange(n)[:, None], idx]
-        inside = np.linalg.norm(pts - x0s[:, None], axis=0) <= deltas * (1 + 1e-12)
-    pts = np.clip(pts, np.reshape(box.lo, (n, 1, 1)), np.reshape(box.hi, (n, 1, 1)))
-    pts = np.concatenate([pts, x0s[:, None]], axis=1)
-    inside = np.concatenate([inside, np.ones((1, B), dtype=bool)])
-    return pts, inside
-
-
-def _band_ok(system, rhs, x0s: np.ndarray, coeffs: np.ndarray, deltas: np.ndarray,
-             box: Box, eps: float, eta: float) -> np.ndarray:
-    """Per center x0s (n, B), its piece coeffs (K, A, B): does the residual
-    stay in [-eps - eta, eta] at every sample of its ball?"""
-    pts, inside = _ball_points(x0s, deltas, box)
-    r = _operator_values(system, coeffs[:, :, None], x0s[:, None], pts)
-    r -= rhs(pts.reshape(len(pts), -1).T)
-    ok = np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta), axis=0).reshape(inside.shape)
-    return np.all(ok | ~inside, axis=0)
+def _ball_points(x0: np.ndarray, delta: float, box: Box) -> np.ndarray:
+    """Deterministic verification samples (n, P) in the closed ball of
+    radius delta around the centre x0 (n, 1), clipped to the box, with the
+    centre itself last: a grid of 33, 9 or 5 points per axis in 1-D, 2-D
+    and 3-D, keeping in 2-D and 3-D only the grid points in the ball."""
+    n = len(x0)
+    per_axis = 33 if n == 1 else 9 if n == 2 else 5
+    grids = np.linspace(x0[:, 0] - delta, x0[:, 0] + delta, per_axis, axis=1)  # (n, per_axis)
+    mesh = np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")
+    pts = grids[np.arange(n)[:, None], np.stack([g.ravel() for g in mesh])]
+    if n > 1:
+        pts = pts[:, np.linalg.norm(pts - x0, axis=0) <= delta * (1 + 1e-12)]
+    pts = np.clip(pts, np.reshape(box.lo, (n, 1)), np.reshape(box.hi, (n, 1)))
+    return np.concatenate([pts, x0], axis=1)
 
 
 def _solve_pieces(system, rhs, centers: np.ndarray, eps: float, pivots) -> tuple:
@@ -679,40 +657,6 @@ def _solve_pieces(system, rhs, centers: np.ndarray, eps: float, pivots) -> tuple
     target = _rhs_at(rhs, centers.T, system.K) - 0.5 * eps
     solve = _solve_jets(system, centers, target, None, pivots)
     return solve, _taylor_coeffs(system.alphas, solve.xi)
-
-
-def _probe(system, rhs, x0s: np.ndarray, start: np.ndarray, eps: float, box: Box,
-           eta: float, pivots) -> tuple[np.ndarray, np.ndarray]:
-    """Validity radius (B,) and piece coefficients (K, A, B) at probe points x0s (n, B).
-
-    The jet at each point is solved for f(x0) - eps/2, centering the
-    residual in the band; each point's radius starts at its entry of
-    start and halves until the band check on its ball passes.  Raises
-    the error of the first point, in array order, whose solve fails or
-    whose radius falls below the floor.
-    """
-    B = x0s.shape[1]
-    solve, coeffs = _solve_pieces(system, rhs, x0s, eps, pivots)
-    delta = np.array(start, dtype=float)
-    floor = DELTA_FLOOR_FACTOR * max(box.sides)
-    collapsed = np.zeros(B, dtype=bool)
-    active = solve.fail == 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        passed = _band_ok(system, rhs, x0s[:, idx], coeffs[:, :, idx], delta[idx], box, eps, eta)
-        active[idx[passed]] = False
-        halve = idx[~passed]
-        delta[halve] *= 0.5
-        low = halve[delta[halve] < floor]
-        collapsed[low] = True
-        active[low] = False
-    bad = (solve.fail != 0) | collapsed
-    if bad.any():
-        s = int(np.argmax(bad))
-        if collapsed[s]:
-            raise DeltaCollapse(x0s[:, s], delta[s])
-        raise solve.error(s, x0s[:, s])
-    return delta, coeffs
 
 
 def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
@@ -723,23 +667,35 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
 
     The jet at x0 is solved for the target f(x0) - eps/2, centering the
     residual in the band; the radius starts at start_delta and halves
-    until the sampled band check passes, and raises DeltaCollapse once it
-    falls below DELTA_FLOOR_FACTOR times the largest box side.  x0 must be
-    a point of the closed box.
+    until the residual lies in [-eps - eta, eta] at every sample of the
+    ball (_ball_points), and raises DeltaCollapse once it falls below
+    DELTA_FLOOR_FACTOR times the largest box side.  x0 must be a point of
+    the closed box.
     """
     _check_band(eps, eta)
-    start = float(start_delta) if start_delta is not None else box.diameter
-    if not 0.0 < start < math.inf:
+    delta = float(start_delta) if start_delta is not None else box.diameter
+    if not 0.0 < delta < math.inf:
         raise ValueError(f"start_delta must be positive and finite, got {start_delta!r}")
     _check_dims(system, box)
     x0 = np.asarray(x0, dtype=float).reshape(-1, 1)
-    if x0.shape != (box.n, 1) or not np.all((np.c_[box.lo] <= x0) & (x0 <= np.c_[box.hi])):
+    if x0.shape != (box.n, 1) or not np.all((np.reshape(box.lo, (-1, 1)) <= x0)
+                                            & (x0 <= np.reshape(box.hi, (-1, 1)))):
         raise ValueError(f"x0 = {tuple(x0.ravel().tolist())} lies outside the box "
                          f"[{box.lo}, {box.hi}]")
     if pivots is None:
         pivots = default_pivots(system)
-    deltas, coeffs = _probe(system, rhs, x0, np.asarray([start]), eps, box, eta, pivots)
-    return float(deltas[0]), PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
+    solve, coeffs = _solve_pieces(system, rhs, x0, eps, pivots)
+    if solve.fail[0]:
+        raise solve.error(0, x0[:, 0])
+    floor = DELTA_FLOOR_FACTOR * max(box.sides)
+    while True:
+        pts = _ball_points(x0, delta, box)
+        r = _operator_values(system, coeffs, x0, pts) - rhs(pts.T)
+        if np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta)):
+            return delta, PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
+        delta *= 0.5
+        if delta < floor:
+            raise DeltaCollapse(x0[:, 0], delta)
 
 
 def _map_chunks(fn, starts, workers: int) -> list:

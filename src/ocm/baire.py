@@ -26,6 +26,7 @@ functions: T(x, D)u at the lattice nodes off the skeleton, regularized.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,15 @@ __all__ = [
 ]
 
 
+def _check_axis(a: np.ndarray, lo: float = -math.inf, hi: float = math.inf) -> None:
+    """Raise ValueError unless a is one lattice axis: 1-D, nonempty and
+    strictly increasing, its nodes finite and in [lo, hi]."""
+    if a.ndim != 1 or len(a) == 0 or not np.all(np.diff(a) > 0):
+        raise ValueError("lattice coordinates must be strictly increasing")
+    if not (np.all(np.isfinite(a)) and lo <= a[0] and a[-1] <= hi):
+        raise ValueError("lattice node outside domain")
+
+
 @dataclass
 class GridFn:
     """Extended-real samples on a rectangular lattice with a skeleton mask."""
@@ -56,14 +66,13 @@ class GridFn:
 
     def __post_init__(self):
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        for a in axes:
+            _check_axis(a)
         object.__setattr__(self, "axes", axes)
         values = np.asarray(self.values, dtype=float)
         shape = tuple(len(a) for a in axes)
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} does not match lattice {shape}")
-        for a in axes:
-            if len(a) == 0 or np.any(np.diff(a) <= 0):
-                raise ValueError("lattice coordinates must be strictly increasing")
         if np.any(np.isnan(values)):
             raise ValueError("values must be extended reals, not NaN")
         object.__setattr__(self, "values", values)
@@ -116,16 +125,13 @@ def make_lattice(bounds: Box, counts) -> tuple[np.ndarray, ...]:
 
 
 def _lattice_axes(axes, bounds: Box) -> tuple[np.ndarray, ...]:
-    """axes as float arrays, one nonempty, strictly increasing axis per
-    dimension of bounds with every node inside it."""
+    """axes as float arrays, one lattice axis (_check_axis) per dimension
+    of bounds, inside its bounds."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != bounds.n:
         raise ValueError(f"lattice has {len(axes)} axes, expected {bounds.n}")
     for a, lo, hi in zip(axes, bounds.lo, bounds.hi):
-        if a.ndim != 1 or len(a) == 0 or not np.all(np.diff(a) > 0):
-            raise ValueError("lattice coordinates must be strictly increasing")
-        if not lo <= a[0] <= a[-1] <= hi:
-            raise ValueError("lattice node outside domain")
+        _check_axis(a, lo, hi)
     return axes
 
 

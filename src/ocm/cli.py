@@ -256,11 +256,9 @@ class RunReport:
     rows: list[str] = field(default_factory=list)
     certificate: object | None = None
     trace: object | None = None
-    outputs: list[str] = field(default_factory=list)
 
 
 def _write(path: Path, rows: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(rows) + "\n", newline="\n")
 
 
@@ -288,19 +286,25 @@ def _cell_corners(partition) -> list[str]:
 
 
 def _run(command: str, config_path, out_dir, construct) -> RunReport:
-    """Load and build the problem, then write what construct(cfg, system,
-    rhs, box, partition, workers) returns: the CSV's name and rows, the
-    verdict, and the report's certificate or trace."""
+    """Load and build the problem and make the output directory, then write
+    what construct(cfg, system, rhs, box, partition, workers) returns: the
+    CSV's name and rows, the verdict, and the report's certificate or trace.
+    An output directory that cannot be made is a ConfigError, raised before
+    anything is constructed."""
     t0 = time.perf_counter()
     cfg = load_config(config_path)
     system, rhs, box, partition = _build_problem(cfg)
-    name, rows, ok, evidence = construct(cfg, system, rhs, box, partition, worker_count())
     out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make the --out directory {str(out)!r}: {e.strerror or e}") from e
+    name, rows, ok, evidence = construct(cfg, system, rhs, box, partition, worker_count())
     _write(out / name, rows)
     report = RunReport(
         command=command, config_text=cfg.text, verdict="pass" if ok else "fail",
         exit_code=EXIT_OK if ok else EXIT_FAIL, wall_time=time.perf_counter() - t0,
-        rows=rows, outputs=[str(out / name)], **evidence,
+        rows=rows, **evidence,
     )
     _write_report(out, report, cells=_cell_corners(partition))
     return report

@@ -1183,6 +1183,13 @@ def test_local_approx_rejects_x0_outside_its_box(x0):
         local_approx(sys_, rhs, x0, 0.1, box=UNIT)
     for edge in ((0.0,), (1.0,)):  # the closed box
         local_approx(sys_, rhs, edge, 0.1, box=UNIT)
+    # on a box that is not a cube, each coordinate meets its own axis's bounds
+    # (every coordinate used to be compared with every bound)
+    sys2, rhs2 = parse_system("D(u1,(1,0))", 2, 1, 1), rhs_from_exprs(["x1"], 2)
+    tall = Box((0.0, 0.0), (1.0, 2.0))
+    local_approx(sys2, rhs2, (0.5, 1.5), 0.1, box=tall)
+    with pytest.raises(ValueError, match="lies outside the box"):
+        local_approx(sys2, rhs2, (1.5, 0.5), 0.1, box=tall)
 
 
 def test_a_system_and_partition_of_different_dimension_are_rejected():
@@ -1341,36 +1348,53 @@ def test_read_slot_operator_values_equal_full_jets(n, K, m):
                                       ref)
 
 
-def test_band_ok_equals_repeated_pieces():
-    system = _all_slots_system(2, 2, 2)
-    # a right-hand side far above the operator keeps every residual below
-    # eta, so the verdict turns on the band's lower edge alone
-    rhs = rhs_from_exprs(["x1*x2 + 40", "x1 - x2 + 40"], 2)
+@pytest.mark.parametrize("n,per_axis,in_ball", [(1, 33, 33), (2, 9, 49), (3, 5, 33)])
+def test_ball_points_are_the_grid_points_in_the_ball_clipped_with_the_centre_last(
+        n, per_axis, in_ball):
+    box = Box((0.0,) * n, (1.0,) * n)
+    x0 = np.full((n, 1), 0.5)
+    # an interior ball keeps every grid point in it: 33, 9 and 5 per axis,
+    # in ij order, with the corners of the square and cube dropped
+    pts = ocm.approx._ball_points(x0, 0.25, box)
+    assert pts.shape == (n, in_ball + 1)
+    np.testing.assert_array_equal(pts[:, -1:], x0)
+    steps = np.linspace(-1.0, 1.0, per_axis)
+    grid = [s for s in itertools.product(steps, repeat=n) if n == 1 or np.dot(s, s) <= 1.0 + 1e-12]
+    np.testing.assert_allclose(pts[:, :-1], 0.5 + 0.25 * np.transpose(grid), rtol=0, atol=1e-15)
+    # a ball over the box's corner is clipped to it, and keeps its centre last
+    corner = np.full((n, 1), 0.1)
+    pts = ocm.approx._ball_points(corner, 0.3, box)
+    assert pts.shape == (n, in_ball + 1) and np.all((pts >= 0.0) & (pts <= 1.0))
+    assert np.any(pts == 0.0) and np.array_equal(pts[:, -1:], corner)
+
+
+def test_local_approx_takes_the_first_halved_radius_whose_ball_is_in_the_band():
+    system = _all_slots_system(2, 1, 2)
+    rhs = rhs_from_exprs(["sin(3*x1) + x2*x2 + 1"], 2)
     box = Box((0.0, 0.0), (1.0, 1.0))
     rng = np.random.default_rng(3)
-    B = 40
-    x0s = rng.uniform(0.0, 1.0, (2, B))
-    coeffs = rng.normal(size=(2, len(system.alphas), B))
-    deltas = rng.uniform(0.01, 0.5, B)
-    pts, inside = ocm.approx._ball_points(x0s, deltas, box)
-    P = pts.shape[1]
-    assert pts.shape == (2, P, B) and inside.shape == (P, B)
-    # flat position p * B + b holds ball point p of center b: each piece
-    # repeated once per ball point, in that order
-    flat = pts.reshape(2, -1)
-    ref = ocm.approx._operator_values(system, np.tile(coeffs, P), np.tile(x0s, P), flat)
-    np.testing.assert_array_equal(
-        ocm.approx._operator_values(system, coeffs[:, :, None], x0s[:, None], pts), ref)
-    ref -= rhs(flat.T)
-    assert np.all(ref < 0)
-    # the band width each center needs, from the repeated reference
-    need = -np.where(inside, ref.min(axis=0).reshape(P, B), np.inf).min(axis=0)
-    for eps in np.quantile(need, [0.2, 0.5, 0.8]):
-        ok = np.all(np.isfinite(ref) & (ref <= 1e-9) & (ref >= -eps - 1e-9), axis=0).reshape(P, B)
-        expect = np.all(ok | ~inside, axis=0)
-        assert 0 < expect.sum() < B
-        got = ocm.approx._band_ok(system, rhs, x0s, coeffs, deltas, box, eps, 1e-9)
-        np.testing.assert_array_equal(got, expect)
+    start, eps, eta = 0.8, 0.05, 1e-9
+    random_piece = rng.normal(size=(1, len(system.alphas), 1))
+    halvings = []
+    for x0 in rng.uniform(0.0, 1.0, (12, 2)):
+        delta, U = local_approx(system, rhs, tuple(x0), eps, box=box, start_delta=start, eta=eta)
+        np.testing.assert_array_equal(U.centers, x0[:, None])
+        for k in itertools.count():
+            pts = ocm.approx._ball_points(U.centers, start * 2.0 ** -k, box)
+            P = pts.shape[1]
+            # a piece broadcast over its ball equals the piece repeated once
+            # per point; the reference left in ref is local_approx's piece
+            for coeffs in (random_piece, U.coeffs):
+                ref = ocm.approx._operator_values(system, np.tile(coeffs, P),
+                                                  np.tile(U.centers, P), pts)
+                np.testing.assert_array_equal(
+                    ocm.approx._operator_values(system, coeffs, U.centers, pts), ref)
+            ref -= rhs(pts.T)
+            if np.all(np.isfinite(ref) & (ref <= eta) & (ref >= -eps - eta)):
+                break
+        assert delta == start * 2.0 ** -k
+        halvings.append(k)
+    assert min(halvings) < max(halvings)
 
 
 def test_piece_jets_match_broadcast_copies():

@@ -262,3 +262,8 @@ def test_gridfn_rejects_nan_and_bad_shapes():
         GridFn((np.asarray([0.0, 1.0]),), np.asarray([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         GridFn((np.asarray([1.0, 0.0]),), np.asarray([1.0, 2.0]))
+    # `diff(a) <= 0` is False at a nan, and an infinite node is increasing:
+    # the axis check used to pass all four
+    for axis in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan]):
+        with pytest.raises(ValueError):
+            GridFn((np.asarray(axis),), np.zeros(len(axis)))

@@ -157,6 +157,23 @@ def test_unreadable_config_exits_2(tmp_path, capsys, make, message):
     assert err.startswith("config error: ") and message in err
 
 
+@pytest.mark.parametrize("taken, out, message", [
+    ("out", "out", "File exists"),
+    ("file", "file/out", "Not a directory"),
+], ids=["existing file", "under a file"])
+def test_unmakeable_out_exits_2_before_planning(tmp_path, capsys, monkeypatch, taken, out, message):
+    # used to plan and certify, then die on the mkdir with a traceback and exit 1
+    def never(*args, **kwargs):
+        raise AssertionError("solve planned before making its output directory")
+
+    monkeypatch.setattr(cli, "global_approx", never)
+    (tmp_path / taken).write_text("taken")
+    out = tmp_path / out
+    assert cli.main(["solve", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot make the --out directory {str(out)!r}: {message}\n")
+
+
 def test_load_config_bad_value_reports_line(tmp_path):
     path = write_config(tmp_path, "[domain]\nlo = what\n")
     with pytest.raises(cli.ConfigError) as exc:
