@@ -5,7 +5,8 @@ places one Taylor piece per subcell, with the jet at the subcell center
 solved so that the residual there equals exactly ``-eps/2``.  It runs in
 two stages.  ``plan_partition`` places a piece in every subcell and
 evaluates each at the vertices of its own subcell, splitting every cell
-with a vertex residual outside ``[-eps - eta, eta]`` and placing again
+with a vertex residual outside ``[-eps - eta, eta]``, along the axes its
+residual drifts along, and placing again
 until no cell moves; it returns the pieces of its last round.
 ``place_and_certify`` takes a fixed partition, solves the jet at every
 subcell center, and re-checks the band on an independent off-skeleton
@@ -96,6 +97,8 @@ DELTA_FLOOR_FACTOR = 1e-6
 SPLIT_GROWTH_CAP = 64
 # the range a cell's measured drift order (dev ~ side^alpha) is clipped to
 DRIFT_ORDER_MIN, DRIFT_ORDER_MAX = 0.25, 1.0
+# the share of a cell's summed drift above which an axis counts as drifting
+DRIFT_SHARE_MIN = 1e-3
 # how far the plan moves a boundary vertex whose residual is not finite,
 # as a share of the way to its subcell's centre
 INWARD = 2.0 ** -20
@@ -777,26 +780,47 @@ def _vertex_residuals(system, rhs, U: PiecewisePoly, rows: slice) -> tuple:
 
 
 def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float,
-                   workers: int = 1) -> np.ndarray:
+                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per subcell of U, the largest |r + eps/2| over its vertex residuals
     r (_vertex_residuals) when one lies outside [-eps - eta, eta]: 0 where
-    none does, inf where one is not finite.  One pass over the partition,
-    CHUNK vertices at a time, on up to workers threads."""
-    S = U.partition.total_subcells
+    none does, inf where one is not finite.  Beside it, per cell and axis,
+    (n_cells, n), the largest drift of any of the cell's subcells: half the
+    largest |r(v) - r(v')| over the vertex pairs one step apart along that
+    axis and over all components, nan where a residual is not finite.  One
+    pass over the partition, CHUNK vertices at a time, on up to workers
+    threads; each chunk reduces its drifts to the cells it touches, so no
+    per-subcell drift array is built."""
+    p = U.partition
+    n, S, offsets = p.n, p.total_subcells, p._offsets
     dev = np.empty(S)
-    step = max(1, CHUNK // 2 ** U.partition.n)
+    step = max(1, CHUNK // 2 ** n)
 
-    def excess(s: int) -> None:
+    def excess(s: int) -> tuple[int, np.ndarray]:
         _, r = _vertex_residuals(system, rhs, U, slice(s, s + step))
-        r = r.reshape(-1, r.shape[2])
+        count = r.shape[2]
+        drift, gap = np.zeros((n, count)), np.empty(count)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for d, v in itertools.product(range(n), range(2 ** n)):
+                if not v >> d & 1:  # v and v + 2^d are one step apart along d
+                    for rk in r:
+                        np.subtract(rk[v | 1 << d], rk[v], out=gap)
+                        np.maximum(drift[d], np.abs(gap, out=gap), out=drift[d])
+        first = int(np.searchsorted(offsets, s, side="right")) - 1
+        last = int(np.searchsorted(offsets, s + count, side="left"))
+        starts = np.maximum(offsets[first:last], s) - s
+        r = r.reshape(-1, count)
         rmin, rmax = r.min(axis=0), r.max(axis=0)  # nan where any residual is
         d = dev[s: s + step]
         np.maximum(rmax + 0.5 * eps, -0.5 * eps - rmin, out=d)
         d[~np.isfinite(d)] = np.inf
         d[(rmax <= eta) & (rmin >= -eps - eta)] = 0.0
+        return first, 0.5 * np.maximum.reduceat(drift, starts, axis=1).T
 
-    _map_chunks(excess, range(0, S, step), workers)
-    return dev
+    drift = np.zeros((p.n_cells, n))
+    for first, cells in _map_chunks(excess, range(0, S, step), workers):
+        part = drift[first: first + len(cells)]
+        np.maximum(part, cells, out=part)  # nan stays nan
+    return dev, drift
 
 
 def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
@@ -806,24 +830,35 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
 
     Each round places a piece in every subcell (_place) and evaluates it
     at the 2^n vertices of its own closed subcell (_vertex_excess).  A
-    cell with a vertex residual outside [-eps - eta, eta] moves: with
+    cell with a vertex residual outside [-eps - eta, eta] moves, with
     rho = dev / (eps/2) > 1, dev the largest |r + eps/2| over those
-    vertices (inf where a residual is not finite), its split count k
-    becomes max(k + 1, ceil(k * min(rho^(1/alpha), SPLIT_GROWTH_CAP)))
-    on every axis.  alpha is the cell's drift order, dev ~ side^alpha.
+    vertices (inf where a residual is not finite).  It grows only along
+    the axes its residual drifts along.  With drift_d the cell's largest
+    drift along axis d (_vertex_excess) and share_d = drift_d / sum(drift),
+    each of the n_a axes with share_d > DRIFT_SHARE_MIN whose factor
+    g_d = (rho * share_d * n_a)^(1/alpha) is above 1 takes split count
+    max(k_d + 1, ceil(k_d * min(g_d, SPLIT_GROWTH_CAP))); every other axis
+    keeps its count.  For a linear drift, dev is about sum_d drift_d, and
+    an equal share of eps/2 per drifting axis keeps it in the band on the
+    fewest subcells (the Lagrange optimum of prod k_d).  The axis of
+    largest share grows by at least one split even where its g_d is not
+    above 1, so every moving cell gains subcells.  A cell whose drifts
+    are not all finite, or sum to 0, grows every axis by rho^(1/alpha).
+    alpha is the cell's drift order, dev ~ side^alpha.
     A degree-m piece solved at its subcell's centre drifts linearly in
     the side wherever the operator and rhs are smooth, so alpha is 1,
     whatever n is.  Near a singular rhs the drift is slower (sqrt(x1)
     drifts like side^(1/2) at x1 = 0), and growth at alpha = 1 would
     creep by one split a round; so a cell that also moved in the round
     before, by less than the cap, measures alpha = ln(rho_prev / rho) /
-    ln(k / k_prev), clipped to [DRIFT_ORDER_MIN, DRIFT_ORDER_MAX].  A
-    capped move measures nothing: the cap, not the drift, set it.  The
-    rounds end when no cell moves.  A degree-m piece drifts most at its
-    subcell's faces, where the vertices sit; the sampled certificate
-    stays the band's only proof.  The plan draws no sample and reads no
-    seed, and ``workers`` threads run the chunks of each placement and
-    vertex pass without changing any piece or split.
+    ln(k / k_prev), the logarithm averaged over the axes that grew, clipped
+    to [DRIFT_ORDER_MIN, DRIFT_ORDER_MAX].  A capped move measures nothing:
+    the cap, not the drift, set it.  The rounds end when no cell moves.  A
+    degree-m piece drifts most at its subcell's faces, where the vertices
+    sit; the sampled certificate stays the band's only proof.  The plan
+    draws no sample and reads no seed, and ``workers`` threads run the
+    chunks of each placement and vertex pass without changing any piece
+    or split.
 
     Range violations come from placement, round 0 at the cell centres.
     Before a partition is built, its split counts are checked against the
@@ -840,7 +875,7 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     prev = None  # the last round's split counts and rho, 0 where a cell did not move
     while True:
         U = _place(system, rhs, p, eps, workers)
-        dev = _vertex_excess(system, rhs, U, eps, eta, workers)
+        dev, drift = _vertex_excess(system, rhs, U, eps, eta, workers)
         offsets = p._offsets
         cell_dev = np.maximum.reduceat(dev, offsets[:-1])
         moves = cell_dev > 0.0
@@ -853,11 +888,19 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
             if prev is not None:
                 k_prev, rho_prev = prev
                 measured = moves & (rho_prev > 0.0) & np.all(k < SPLIT_GROWTH_CAP * k_prev, axis=1)
-                order = np.log(rho_prev / rho) / np.log(k / k_prev).mean(axis=1)
+                # ln(k / k_prev) averaged over the axes that grew
+                grew = (k > k_prev).sum(axis=1)
+                order = np.log(rho_prev / rho) * grew / np.log(k / k_prev).sum(axis=1)
                 alpha[measured] = np.clip(order[measured], DRIFT_ORDER_MIN, DRIFT_ORDER_MAX)
-            grow = np.minimum(rho ** (1.0 / alpha), SPLIT_GROWTH_CAP)
-        splits = np.where(moves[:, None], np.maximum(k + 1, np.ceil(k * grow[:, None])),
-                          k).astype(np.int64)
+            total = drift.sum(axis=1, keepdims=True)
+            share = drift / total
+            every = ~(np.isfinite(total) & (total > 0.0))  # grows on every axis
+            drifting = every | (share > DRIFT_SHARE_MIN)
+            aim = np.where(every, 1.0, share * drifting.sum(axis=1, keepdims=True))
+            grow = np.minimum((rho[:, None] * aim) ** (1.0 / alpha[:, None]), SPLIT_GROWTH_CAP)
+            lead = np.arange(p.n) == np.argmax(share, axis=1)[:, None]
+            grows = moves[:, None] & (lead | drifting & (grow > 1.0))
+        splits = np.where(grows, np.maximum(k + 1, np.ceil(k * grow)), k).astype(np.int64)
         width = (sides / splits).min(axis=1)
         low = moves & (width < floor)
         # in floats: split counts near the floor can overflow an int64 product

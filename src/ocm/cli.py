@@ -277,18 +277,20 @@ def _write_report(out_dir: Path, report: RunReport, cells: list[str] | None = No
     _write(out_dir / "report.txt", lines)
 
 
-def _cell_corners(partition) -> list[str]:
+def _cell_lines(partition) -> list[str]:
+    """One line per cell: its corners and its planned split count per axis."""
     out = []
     for i in range(partition.n_cells):
         box = partition.cell_box(i)
-        out.append(f"{box.lo} {box.hi}")
+        out.append(f"{box.lo} {box.hi} splits {tuple(partition.splits[i].tolist())}")
     return out
 
 
 def _run(command: str, config_path, out_dir, construct) -> RunReport:
     """Load and build the problem and make the output directory, then write
     what construct(cfg, system, rhs, box, partition, workers) returns: the
-    CSV's name and rows, the verdict, and the report's certificate or trace.
+    CSV's name and rows, the verdict, the report's certificate or trace, and
+    the planned partition, whose cells and split counts the report lists.
     An output directory that cannot be made is a ConfigError, raised before
     anything is constructed."""
     t0 = time.perf_counter()
@@ -299,14 +301,15 @@ def _run(command: str, config_path, out_dir, construct) -> RunReport:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot make the --out directory {str(out)!r}: {e.strerror or e}") from e
-    name, rows, ok, evidence = construct(cfg, system, rhs, box, partition, worker_count())
+    name, rows, ok, evidence, planned = construct(cfg, system, rhs, box, partition,
+                                                  worker_count())
     _write(out / name, rows)
     report = RunReport(
         command=command, config_text=cfg.text, verdict="pass" if ok else "fail",
         exit_code=EXIT_OK if ok else EXIT_FAIL, wall_time=time.perf_counter() - t0,
         rows=rows, **evidence,
     )
-    _write_report(out, report, cells=_cell_corners(partition))
+    _write_report(out, report, cells=_cell_lines(planned))
     return report
 
 
@@ -318,7 +321,8 @@ def run_solve(config_path, out_dir) -> RunReport:
             eta=cfg.eta, samples_per_cell=cfg.samples_per_cell,
             margin=cfg.margin, seed=cfg.seed, workers=workers,
         )
-        return "certificate.csv", certificate_csv_rows(cert), cert.passed, {"certificate": cert}
+        return ("certificate.csv", certificate_csv_rows(cert), cert.passed,
+                {"certificate": cert}, U.partition)
 
     return _run("solve", config_path, out_dir, construct)
 
@@ -332,7 +336,8 @@ def run_refine(config_path, out_dir) -> RunReport:
             margin=cfg.margin, workers=workers,
         )
         ok = trace.all_certified and trace.total_repairs == 0
-        return "trace.csv", trace_csv_rows(trace), ok, {"trace": trace}
+        return ("trace.csv", trace_csv_rows(trace), ok, {"trace": trace},
+                trace.steps[-1].approximant.partition)
 
     return _run("refine", config_path, out_dir, construct)
 

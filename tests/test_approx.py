@@ -24,7 +24,8 @@ from ocm.approx import (
     taylor_poly,
 )
 from ocm.approx import _solve_jets
-from ocm.domain import Box, CellPartition, SampleSet, build_partition, sample_points, subdivide
+from ocm.domain import (MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition, sample_points,
+                        subdivide)
 from ocm.expr import eval_component_batch, parse_system
 
 UNIT = Box((0.0,), (1.0,))
@@ -576,11 +577,26 @@ def planned_rounds(monkeypatch, sys_, rhs, p, eps):
     return U, rounds
 
 
+def vertex_drifts(r, n):
+    """Per subcell and axis, (S, n), half the largest |r(v) - r(v')| over
+    the vertex pairs of vertex_residuals' r one step apart along the axis,
+    over all components; vertices in itertools.product order."""
+    corners = list(itertools.product((0, 1), repeat=n))
+    out = np.zeros((r.shape[0], n))
+    for i, a in enumerate(corners):
+        for j, b in enumerate(corners):
+            steps = [d for d in range(n) if a[d] != b[d]]
+            if len(steps) == 1:
+                d = steps[0]
+                out[:, d] = np.maximum(out[:, d], 0.5 * np.abs(r[:, i] - r[:, j]).max(axis=1))
+    return out
+
+
 @pytest.mark.parametrize("eqs,rhs_texts,n,K,box,cells,eps,rounds", [
     # each cell's vertex residuals are 0 and -0.1 up to rounding: no split
     ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.1, 1),
     ("D(u1,(1))", ["x1"], 1, 1, UNIT, 10, 0.01, 2),
-    ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1, 3),
+    ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1, 2),
     ("D(u1,(1))\nu2 + D(u1,(1))", ["x1", "1 + x1"], 1, 2, UNIT, 10, 0.05, 2),
     ("D(u1,(1))", ["sqrt(x1)"], 1, 1, UNIT, 4, 0.1, 3),
 ])
@@ -588,9 +604,12 @@ def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts,
                                                      cells, eps, rounds):
     # the plan ends once every piece keeps the band at its subcell's
     # vertices, and in every round a cell moved exactly when one of its
-    # vertex residuals had left the band, by the growth that residual asks
-    # at the drift order its last two rounds measured (1 unless the cell
-    # also moved, uncapped, in the round before)
+    # vertex residuals had left the band; each axis whose share of the
+    # cell's drift is above DRIFT_SHARE_MIN grew by that residual's
+    # growth times its share times the number of such axes, at the drift
+    # order its last two rounds measured (1 unless the cell also moved,
+    # uncapped, in the round before), and the axis of largest share grew
+    # at least by one split
     sys_ = parse_system(eqs, n, K, 1)
     rhs = rhs_from_exprs(rhs_texts, n)
     eta = ocm.approx.DEFAULT_ETA
@@ -603,7 +622,9 @@ def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts,
     last = {}  # cell -> (split counts, rho) of the round before, where it moved
     for before, after in zip(placed, placed[1:]):
         q = before.partition
-        r = vertex_residuals(sys_, rhs, before).reshape(q.total_subcells, -1)
+        r = vertex_residuals(sys_, rhs, before)
+        drifts = vertex_drifts(r, n)
+        r = r.reshape(q.total_subcells, -1)
         dev = np.abs(r + 0.5 * eps).max(axis=1)
         left = ~np.all((r <= eta) & (r >= -eps - eta), axis=1)
         moved = {}
@@ -615,26 +636,118 @@ def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts,
                 rho = dev[cell][left[cell]].max() / (0.5 * eps)
                 alpha = ocm.approx.DRIFT_ORDER_MAX
                 if c in last and all(a < cap * b for a, b in zip(k, last[c][0])):
-                    alpha = math.log(last[c][1] / rho) / math.log(k[0] / last[c][0][0])
+                    grew = [math.log(a / b) for a, b in zip(k, last[c][0]) if a > b]
+                    alpha = math.log(last[c][1] / rho) / (sum(grew) / len(grew))
                     alpha = min(max(alpha, ocm.approx.DRIFT_ORDER_MIN), ocm.approx.DRIFT_ORDER_MAX)
-                grow = min(rho ** (1 / alpha), cap)
-                want = [max(a + 1, math.ceil(a * grow)) for a in k]
+                drift = drifts[cell].max(axis=0)
+                assert np.isfinite(drift).all() and drift.sum() > 0.0
+                share = drift / drift.sum()
+                drifting = share > ocm.approx.DRIFT_SHARE_MIN
+                want = list(k)
+                for d in range(n):
+                    grow = (rho * share[d] * drifting.sum()) ** (1 / alpha)
+                    if drifting[d] and grow > 1 or d == np.argmax(share):
+                        want[d] = max(k[d] + 1, math.ceil(k[d] * min(grow, cap)))
                 moved[c] = k, rho
             np.testing.assert_array_equal(after.partition.splits[c], want)
         last = moved
 
 
+def test_vertex_pass_drift_is_each_cells_largest_subcell_drift(monkeypatch):
+    # chunks of 3 subcells straddle the cells' ends, and each chunk's
+    # drifts are reduced to the cells it touches: the merged maxima are the
+    # reference's per cell, in chunk order or not.  The second component
+    # drifts most along x2, so a drift read off one component falls short
+    monkeypatch.setattr(ocm.approx, "CHUNK", 12)
+    sys_ = parse_system("D(u1,(1,0))\nu2 + D(u1,(1,0))", 2, 2, 1)
+    rhs = rhs_from_exprs(["x1^2 + 0.3*x2", "x1 + 5*x2^2"], 2)
+    q = CellPartition(SQUARE, build_partition(SQUARE, 2).cell_edges,
+                      np.array([[2, 3], [1, 1], [4, 1], [1, 5]]))
+    U = place_and_certify(sys_, rhs, q, 0.05)[0]
+    ref = vertex_drifts(vertex_residuals(sys_, rhs, U), 2)
+    want = np.maximum.reduceat(ref, q._offsets[:-1], axis=0)
+    for workers in (1, 2):
+        dev, drift = ocm.approx._vertex_excess(sys_, rhs, U, 0.05, 0.0, workers)
+        assert dev.shape == (q.total_subcells,) and drift.shape == (4, 2)
+        np.testing.assert_allclose(drift, want, rtol=1e-12, atol=1e-15)
+    assert np.all(want > 0.0)
+
+
+@pytest.mark.parametrize("drift,rho,want", [
+    ([1.0, 1.0], 3.0, [3, 3]),  # equal shares: rho on each axis
+    ([3.0, 1.0], 4.0, [6, 2]),  # rho * share * 2 per axis
+    ([1.0, 0.0005], 4.0, [4, 1]),  # x2's share is under DRIFT_SHARE_MIN
+    ([0.9995, 0.0005], 1.0001, [2, 1]),  # x1's factor is not above 1: one split
+    ([math.nan, 1.0], 3.0, [3, 3]),  # not finite: every axis by rho
+    ([0.0, 0.0], 3.0, [3, 3]),  # sums to 0: every axis by rho
+])
+def test_a_moving_cell_grows_the_axes_its_drift_shares_ask(monkeypatch, drift, rho, want):
+    # one cell, one round at drift order 1, from the vertex pass's dev and
+    # drifts; eps/2 = 0.25 keeps rho exact
+    sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
+    rhs = rhs_from_exprs(["x1*x2"], 2)
+    rounds = []
+
+    def vertex_excess(system, rhs, U, eps, eta, workers=1):
+        rounds.append(U.partition.splits.tolist())
+        if len(rounds) == 1:
+            return np.array([rho * 0.25]), np.array([drift])
+        return np.zeros(U.n_pieces), np.zeros((1, 2))
+
+    monkeypatch.setattr(ocm.approx, "_vertex_excess", vertex_excess)
+    plan_partition(sys_, rhs, build_partition(SQUARE, 1), 0.5)
+    assert rounds == [[[1, 1]], [want]]
+
+
 def test_transport_plan_grows_at_drift_order_one(monkeypatch):
     # a degree-1 piece drifts linearly in its subcell's side, so each cell
-    # grows by dev / (eps/2) per axis: 4 -> 16,384 -> 148,813 subcells, cell
-    # 0 split 1 -> 64 (the cap) -> 125.  Growing by (dev / (eps/2))^(1/2),
-    # as if the drift scaled with the subcell's area, took 5 rounds on
-    # 4 -> 663 -> 12,633 -> 50,532 -> 202,128, cell 0 split up to 160
+    # grows by dev / (eps/2) in all: x1*x2 drifts along both axes, alike in
+    # cell 0, and the plan goes 4 -> 16,384 -> 140,625 subcells, cell 0
+    # split 1 -> 64 (the cap) -> 125 on each axis.  Growing
+    # every axis by the whole dev / (eps/2) planned 148,813 on the same
+    # round counts; growing by (dev / (eps/2))^(1/2), as if the drift
+    # scaled with the subcell's area, took 5 rounds on 4 -> 663 -> 12,633
+    # -> 50,532 -> 202,128, cell 0 split up to 160
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
     rhs = rhs_from_exprs(["x1*x2"], 2)
     _, placed = planned_rounds(monkeypatch, sys_, rhs, build_partition(SQUARE, 2), 0.004)
-    assert [V.partition.total_subcells for V in placed] == [4, 16_384, 148_813]
-    assert [int(V.partition.splits[0, 0]) for V in placed] == [1, 64, 125]
+    assert [V.partition.total_subcells for V in placed] == [4, 16_384, 140_625]
+    assert [V.partition.splits[0].tolist() for V in placed] == [[1, 1], [64, 64], [125, 125]]
+
+
+@pytest.mark.parametrize("eqs,rhs_text,n,cells,subcells", [
+    # every axis grown alike: exit 4 over MAX_SUBCELLS (67,447,524,
+    # 144,167,652 and 100,044,700 proposed), 4,000,000 and 1,000,000
+    ("D(u1,(1,0))", "1/(x1+0.05)", 2, 4, 41_596),
+    ("D(u1,(1,0))", "exp(5*x1)", 2, 4, 103_304),
+    ("D(u1,(1,0))", "sqrt(x1)", 2, 4, 20_236),
+    ("D(u1,(1,0))", "sin(20*x1)", 2, 4, 8_000),
+    ("D(u1,(1,0,0))", "x1", 3, 2, 400),
+])
+def test_residual_drifting_along_one_axis_certifies_on_few_subcells(eqs, rhs_text, n, cells,
+                                                                     subcells):
+    # the residual varies along x1 only, so only x1 is split, and the plan
+    # fits far inside MAX_SUBCELLS and certifies
+    sys_ = parse_system(eqs, n, 1, 1)
+    rhs = rhs_from_exprs([rhs_text], n)
+    box = Box((0.0,) * n, (1.0,) * n)
+    U = plan_partition(sys_, rhs, build_partition(box, cells), 0.01)
+    assert U.partition.total_subcells == subcells < MAX_SUBCELLS
+    cert = check_residual(sys_, [U], rhs, [0.01], SampleSet(U.partition, 4, 0.05, 1))[0]
+    assert cert.passed
+    assert np.all(U.partition.splits[:, 1:] == 1)
+
+
+def test_only_the_drifting_axis_is_split(monkeypatch):
+    # sin(20*x1) varies along x1 only: in every round every cell keeps one
+    # split along x2, while x1 goes 1 -> 64 (the cap) -> 125 per cell
+    sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
+    rhs = rhs_from_exprs(["sin(20*x1)"], 2)
+    _, placed = planned_rounds(monkeypatch, sys_, rhs, build_partition(SQUARE, 4), 0.01)
+    assert [V.partition.total_subcells for V in placed] == [16, 1_024, 8_000]
+    for V in placed:
+        assert np.all(V.partition.splits[:, 1] == 1)
+    assert V.partition.splits[:, 0].max() > 64
 
 
 @pytest.mark.parametrize("eqs,rhs_text,rounds", [
@@ -933,6 +1046,8 @@ def test_chunked_placement_raises_the_batch_error(monkeypatch):
     (2, 1, "D(u1,(1,0))", "x1*x2"),
     (2, 2, "D(u1,(2,0)) + D(u1,(0,2)) + u1^3", "x1*x2"),
     (1, 1, "D(u1,(1))^2 + u1", "1 + x1"),
+    # 736 subcells, split more along x1 than along x2 in 12 of 16 cells
+    (2, 1, "D(u1,(1,0))", "x1^2 + 0.3*x2"),
 ])
 def test_plan_does_not_depend_on_workers(monkeypatch, n, m, eqs, rhs_text):
     # chunks of 7 split every round's placement and vertex pass into many

@@ -309,15 +309,50 @@ def test_delta_collapse_exits_4(tmp_path, capsys):
 
 
 def test_plan_over_the_subcell_budget_exits_4(tmp_path, capsys):
-    # log(x1) is unbounded along x1 = 0: the plan places 4 and 8,354
-    # subcells, then proposes 33,554,632, still 1e-4 wide and far above the
-    # floor; that proposal is refused before its partition is built
+    # exp(3*x1*x2) drifts along both axes, steepest at (1, 1): the plan
+    # places 16 and 58,752 subcells, then proposes 13,050,404, far above
+    # the floor; that proposal is refused before its partition is built
+    text = TRANSPORT_2D.replace('"D(u1,(1,0)) + u1"', '"D(u1,(1,0))"').replace(
+        '"x1*x2"', '"exp(3*x1*x2)"').replace("cells = [2, 2]", "cells = [4, 4]")
+    cfg = write_config(tmp_path, text.replace("epsilon = 0.1", "epsilon = 0.01"))
+    assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert ("delta collapse: the plan would split into 13,050,404 subcells, over the budget of "
+            "4,194,304; cell 15 would hold the most") in err
+
+
+def test_unbounded_rhs_exits_4_at_the_width_floor(tmp_path, capsys):
+    # log(x1) is unbounded along x1 = 0, and only x1 is split: the plan
+    # places 4, 146, 8,212 and 524,308 subcells, then asks cell 0 for
+    # subcells 2.98e-08 wide along x1, below the floor
     text = TRANSPORT_2D.replace('"D(u1,(1,0)) + u1"', '"D(u1,(1,0))"').replace('"x1*x2"', '"log(x1)"')
     cfg = write_config(tmp_path, text)
     assert cli.main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
-    assert ("delta collapse: the plan would split into 33,554,632 subcells, over the budget of "
-            "4,194,304; cell 0 would hold the most") in err
+    assert ("delta collapse: cell 0 would need subcells 2.98023e-08 wide, below the floor "
+            "1e-06") in err
+
+
+def test_report_lists_each_cells_planned_splits(tmp_path):
+    # sin(20*x1) varies along x1 only: every cell is split along x1 alone,
+    # and report.txt says so, for solve (8,000 subcells at eps 0.01) and
+    # refine alike (904 at its last eps, 1/2)
+    text = TRANSPORT_2D.replace('"D(u1,(1,0)) + u1"', '"D(u1,(1,0))"').replace(
+        '"x1*x2"', '"sin(20*x1)"').replace("cells = [2, 2]", "cells = [4, 4]")
+    text = text.replace("epsilon = 0.1", "epsilon = 0.01").replace(
+        "samples_per_cell = 80", "samples_per_cell = 4").replace(
+        "refine_steps = 10", "refine_steps = 2")
+    cfg = write_config(tmp_path, text)
+    for run, planned in ((cli.run_solve, 8_000), (cli.run_refine, 904)):
+        out = tmp_path / run.__name__
+        assert run(cfg, out).exit_code == 0
+        report = (out / "report.txt").read_text()
+        cells = report[report.index("cells:\n") + 7: report.index("rows:\n")].splitlines()
+        assert len(cells) == 16
+        assert cells[0].startswith("  (0.0, 0.0) (0.25, 0.25) splits (")
+        splits = [tuple(map(int, c.split("splits (")[1].rstrip(")").split(", "))) for c in cells]
+        assert all(k2 == 1 < k1 for k1, k2 in splits)
+        assert sum(k1 for k1, _ in splits) == planned
 
 
 @pytest.mark.parametrize("equation,rhs,cells", [
@@ -486,7 +521,7 @@ def test_selfcheck_empty_is_vacuous():
 
 
 def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
-    # the 2D config has 2x2 cells and 253 subcells at 300 samples each,
+    # the 2D config has 2x2 cells and 225 subcells at 300 samples each,
     # so every certificate spans two of check_residual's 65,536-sample
     # chunks and the pool really splits them
     text_2d = TRANSPORT_2D.replace("samples_per_cell = 80", "samples_per_cell = 300")
@@ -505,7 +540,7 @@ def test_deterministic_outputs_across_threads(tmp_path, monkeypatch):
                 )
         baseline = blobs[("1", 0)]
         if name == "2d":
-            assert b"\n1,75900," in baseline[0]
+            assert b"\n1,67500," in baseline[0]
         for key, value in blobs.items():
             assert value == baseline, (name, key)
 
