@@ -99,6 +99,9 @@ SPLIT_GROWTH_CAP = 64
 DRIFT_ORDER_MIN, DRIFT_ORDER_MAX = 0.25, 1.0
 # the share of a cell's summed drift above which an axis counts as drifting
 DRIFT_SHARE_MIN = 1e-3
+# the share of a moving cell's excess over eps/2 that its summed drifts
+# must reach; below it, the cell's face centres are probed (_face_excess)
+DRIFT_EXPLAINS_MIN = 0.5
 # how far the plan moves a boundary vertex whose residual is not finite,
 # as a share of the way to its subcell's centre
 INWARD = 2.0 ** -20
@@ -823,6 +826,31 @@ def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float,
     return dev, drift
 
 
+def _face_excess(system, rhs, U: PiecewisePoly, subcells: np.ndarray, eps: float) -> np.ndarray:
+    """Per axis d of the given subcells of U, (len(subcells), n): the
+    larger |r + eps/2| at the centres of the subcell's two faces across d,
+    over all components, nan where a residual there is not finite.
+
+    A piece solved for f - eps/2 at its centre deviates there by
+    |odd_d| + |even_d|, the odd and even parts of its residual along the
+    line through the centre.  The vertex drifts see only odd parts: a
+    residual even along d gives equal values at the vertices one step
+    apart along d.
+    """
+    p = U.partition
+    n, K, m = p.n, system.K, len(subcells)
+    lo, hi = (b[:, subcells] for b in p.subcell_bounds())
+    centers = U.centers[:, subcells]
+    pts = np.repeat(centers[:, None, :], 2 * n, axis=1)  # (n, 2n, m): axis j // 2, upper if j odd
+    for d in range(n):
+        pts[d, 2 * d], pts[d, 2 * d + 1] = lo[d], hi[d]
+    f = _rhs_at(rhs, pts.reshape(n, -1).T, K)
+    r = _operator_values(system, U.coeffs[:, :, None, subcells], centers[:, None], pts)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        dev = np.abs(r - f + 0.5 * eps).max(axis=0)  # nan where any residual is
+    return dev.reshape(n, 2, m).max(axis=1).T
+
+
 def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
                    eta: float = DEFAULT_ETA, workers: int = 1) -> PiecewisePoly:
     """Split p's cells until every piece keeps the band at its subcell's
@@ -842,8 +870,13 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
     an equal share of eps/2 per drifting axis keeps it in the band on the
     fewest subcells (the Lagrange optimum of prod k_d).  The axis of
     largest share grows by at least one split even where its g_d is not
-    above 1, so every moving cell gains subcells.  A cell whose drifts
-    are not all finite, or sum to 0, grows every axis by rho^(1/alpha).
+    above 1, so every moving cell gains subcells.  The vertices one step
+    apart along d see a residual even along d alike, so a cell whose
+    drifts sum to less than DRIFT_EXPLAINS_MIN of its excess dev - eps/2
+    first raises each drift_d to the excess at the centres of its worst
+    subcell's two faces across d (_face_excess), 2n more residuals for
+    that cell alone.  A cell whose drifts are then not all finite, or sum
+    to 0, grows every axis by rho^(1/alpha).
     alpha is the cell's drift order, dev ~ side^alpha.
     A degree-m piece solved at its subcell's centre drifts linearly in
     the side wherever the operator and rhs are smooth, so alpha is 1,
@@ -882,6 +915,14 @@ def plan_partition(system: ex.PdeSystem, rhs, p: CellPartition, eps: float, *,
         if not moves.any():
             return U
         k = p.splits
+        # drifts that explain too little of the excess over eps/2 miss an
+        # even part: each axis takes at least its face-centre excess
+        unexplained = moves & (drift.sum(axis=1) < DRIFT_EXPLAINS_MIN * (cell_dev - 0.5 * eps))
+        if unexplained.any():
+            cells = np.flatnonzero(unexplained)
+            worst = [offsets[c] + int(np.argmax(dev[offsets[c]: offsets[c + 1]])) for c in cells]
+            face = _face_excess(system, rhs, U, np.array(worst), eps)
+            drift[cells] = np.maximum(drift[cells], face)  # nan stays nan
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rho = cell_dev / (0.5 * eps)
             alpha = np.full(len(rho), DRIFT_ORDER_MAX)

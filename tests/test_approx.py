@@ -565,6 +565,24 @@ def vertex_residuals(sys_, rhs, U):
     return np.stack(out)
 
 
+def face_excess(sys_, rhs, U, s, eps):
+    """Per axis d, (n,), the larger |r + eps/2| of U's piece s at the
+    centres of its subcell's two faces across d, over all components, read
+    through PiecewisePoly.jets on a box strictly containing the domain."""
+    lo, hi = U.partition.subcell_bounds()
+    b = U.partition.bounds
+    wide = build_partition(Box(tuple(v - 1 for v in b.lo), tuple(v + 1 for v in b.hi)), 1)
+    piece = PiecewisePoly(wide, U.alphas, U.coeffs[:, :, s:s + 1], U.centers[:, s:s + 1])
+    out = []
+    for d in range(U.partition.n):
+        pts = np.repeat(U.centers[:, s][None], 2, axis=0)
+        pts[:, d] = lo[d, s], hi[d, s]
+        xi = piece.jets(pts).reshape(2, -1).T
+        values = np.stack([eval_component_batch(sys_, i, pts.T, xi) for i in range(sys_.K)])
+        out.append(np.abs(values - rhs(pts) + 0.5 * eps).max())
+    return np.array(out)
+
+
 def planned_rounds(monkeypatch, sys_, rhs, p, eps):
     """plan_partition's result and the approximant it placed in each round."""
     rounds = []
@@ -599,6 +617,9 @@ def vertex_drifts(r, n):
     ("D(u1,(1,0)) + u1", ["x1*x2"], 2, 1, SQUARE, 4, 0.1, 2),
     ("D(u1,(1))\nu2 + D(u1,(1))", ["x1", "1 + x1"], 1, 2, UNIT, 10, 0.05, 2),
     ("D(u1,(1))", ["sqrt(x1)"], 1, 1, UNIT, 4, 0.1, 3),
+    # even along x2 in the lower cells: their x2 drift is 0, and the face
+    # centres place the excess
+    ("D(u1,(1,0))", ["x1 + 20*(x2-0.25)^2"], 2, 1, SQUARE, 2, 0.1, 3),
 ])
 def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts, n, K, box,
                                                      cells, eps, rounds):
@@ -609,7 +630,9 @@ def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts,
     # growth times its share times the number of such axes, at the drift
     # order its last two rounds measured (1 unless the cell also moved,
     # uncapped, in the round before), and the axis of largest share grew
-    # at least by one split
+    # at least by one split.  Where the drifts sum to less than
+    # DRIFT_EXPLAINS_MIN of the excess over eps/2, an axis's drift is at
+    # least its face-centre excess at the cell's worst subcell
     sys_ = parse_system(eqs, n, K, 1)
     rhs = rhs_from_exprs(rhs_texts, n)
     eta = ocm.approx.DEFAULT_ETA
@@ -640,6 +663,9 @@ def test_vertex_plan_keeps_every_vertex_in_the_band(monkeypatch, eqs, rhs_texts,
                     alpha = math.log(last[c][1] / rho) / (sum(grew) / len(grew))
                     alpha = min(max(alpha, ocm.approx.DRIFT_ORDER_MIN), ocm.approx.DRIFT_ORDER_MAX)
                 drift = drifts[cell].max(axis=0)
+                if drift.sum() < ocm.approx.DRIFT_EXPLAINS_MIN * (dev[cell].max() - 0.5 * eps):
+                    worst = q._offsets[c] + int(np.argmax(dev[cell] * left[cell]))
+                    drift = np.maximum(drift, face_excess(sys_, rhs, before, worst, eps))
                 assert np.isfinite(drift).all() and drift.sum() > 0.0
                 share = drift / drift.sum()
                 drifting = share > ocm.approx.DRIFT_SHARE_MIN
@@ -673,20 +699,26 @@ def test_vertex_pass_drift_is_each_cells_largest_subcell_drift(monkeypatch):
     assert np.all(want > 0.0)
 
 
-@pytest.mark.parametrize("drift,rho,want", [
-    ([1.0, 1.0], 3.0, [3, 3]),  # equal shares: rho on each axis
-    ([3.0, 1.0], 4.0, [6, 2]),  # rho * share * 2 per axis
-    ([1.0, 0.0005], 4.0, [4, 1]),  # x2's share is under DRIFT_SHARE_MIN
-    ([0.9995, 0.0005], 1.0001, [2, 1]),  # x1's factor is not above 1: one split
-    ([math.nan, 1.0], 3.0, [3, 3]),  # not finite: every axis by rho
-    ([0.0, 0.0], 3.0, [3, 3]),  # sums to 0: every axis by rho
+@pytest.mark.parametrize("drift,rho,face,want", [
+    ([1.0, 1.0], 3.0, None, [3, 3]),  # equal shares: rho on each axis
+    ([3.0, 1.0], 4.0, None, [6, 2]),  # rho * share * 2 per axis
+    ([1.0, 0.0005], 4.0, None, [4, 1]),  # x2's share is under DRIFT_SHARE_MIN
+    ([0.9995, 0.0005], 1.0001, None, [2, 1]),  # x1's factor is not above 1: one split
+    ([math.nan, 1.0], 3.0, None, [3, 3]),  # not finite: every axis by rho
+    # the drifts explain half the excess 1 - 0.25: no probe
+    ([0.375, 0.0], 4.0, None, [4, 1]),
+    # they explain less: each axis takes at least its face-centre excess
+    ([0.01, 0.0], 4.0, [0.25, 0.75], [2, 6]),
+    ([0.0, 0.0], 3.0, [0.0, 0.0], [3, 3]),  # sums to 0: every axis by rho
+    ([0.01, 0.0], 4.0, [math.nan, 0.5], [4, 4]),  # not finite: every axis by rho
 ])
-def test_a_moving_cell_grows_the_axes_its_drift_shares_ask(monkeypatch, drift, rho, want):
+def test_a_moving_cell_grows_the_axes_its_drift_shares_ask(monkeypatch, drift, rho, face, want):
     # one cell, one round at drift order 1, from the vertex pass's dev and
-    # drifts; eps/2 = 0.25 keeps rho exact
+    # drifts and, where they explain too little, the cell's face centres;
+    # eps/2 = 0.25 keeps rho exact
     sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
     rhs = rhs_from_exprs(["x1*x2"], 2)
-    rounds = []
+    rounds, probed = [], []
 
     def vertex_excess(system, rhs, U, eps, eta, workers=1):
         rounds.append(U.partition.splits.tolist())
@@ -694,9 +726,52 @@ def test_a_moving_cell_grows_the_axes_its_drift_shares_ask(monkeypatch, drift, r
             return np.array([rho * 0.25]), np.array([drift])
         return np.zeros(U.n_pieces), np.zeros((1, 2))
 
+    def face_excess(system, rhs, U, subcells, eps):
+        probed.append(subcells.tolist())
+        return np.array([face])
+
     monkeypatch.setattr(ocm.approx, "_vertex_excess", vertex_excess)
+    monkeypatch.setattr(ocm.approx, "_face_excess", face_excess)
     plan_partition(sys_, rhs, build_partition(SQUARE, 1), 0.5)
     assert rounds == [[[1, 1]], [want]]
+    assert probed == ([] if face is None else [[0]])
+
+
+def test_face_excess_is_each_subcells_face_centre_excess():
+    # subcells of cells split unevenly, on two components: the second
+    # bends along x2, where the first's x2 slope is small, and falls along
+    # x2, so its lower faces deviate more, while x1^2 deviates more at the
+    # upper faces
+    sys_ = parse_system("D(u1,(1,0))\nu2 + D(u1,(1,0))", 2, 2, 1)
+    rhs = rhs_from_exprs(["x1^2 + 0.3*x2", "x1 + 5*(x2-1)^2"], 2)
+    q = CellPartition(SQUARE, build_partition(SQUARE, 2).cell_edges,
+                      np.array([[2, 3], [1, 1], [4, 1], [1, 5]]))
+    U = place_and_certify(sys_, rhs, q, 0.05)[0]
+    subcells = np.array([13, 0, 6, 7, 15])
+    got = ocm.approx._face_excess(sys_, rhs, U, subcells, 0.05)
+    want = [face_excess(sys_, rhs, U, s, 0.05) for s in subcells]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert np.all(got > 0.0)
+
+
+@pytest.mark.parametrize("rhs_text,cells,subcells", [
+    # the lower cells' x2 vertices sit alike about x2 = 1/4: growing x1
+    # alone on them exited 4 on the width floor; every axis grown alike
+    # planned 55,738
+    ("x1 + 20*(x2-0.25)^2", 2, 10_044),
+    # no vertex drift at all: every axis grown alike planned 40,000
+    ("20*(x2-0.5)^2", 1, 200),
+])
+def test_residual_even_along_an_axis_is_split_along_it(rhs_text, cells, subcells):
+    sys_ = parse_system("D(u1,(1,0))", 2, 1, 1)
+    rhs = rhs_from_exprs([rhs_text], 2)
+    U = plan_partition(sys_, rhs, build_partition(SQUARE, cells), 0.1)
+    assert U.partition.total_subcells == subcells
+    cert = check_residual(sys_, [U], rhs, [0.1], SampleSet(U.partition, 4, 0.05, 1))[0]
+    assert cert.passed
+    assert U.partition.splits[:, 1].min() > 1
+    if cells == 1:  # the residual does not vary along x1
+        assert np.all(U.partition.splits[:, 0] == 1)
 
 
 def test_transport_plan_grows_at_drift_order_one(monkeypatch):

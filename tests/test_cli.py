@@ -355,6 +355,14 @@ def test_report_lists_each_cells_planned_splits(tmp_path):
         assert sum(k1 for k1, _ in splits) == planned
 
 
+def test_rhs_even_along_an_undrifting_axis_certifies(tmp_path):
+    # the lower cells' x2 vertices sit alike about x2 = 1/4, so their
+    # vertex drift along x2 is 0; the plan still splits x2 and certifies
+    text = TRANSPORT_2D.replace('"D(u1,(1,0)) + u1"', '"D(u1,(1,0))"').replace(
+        '"x1*x2"', '"x1 + 20*(x2-0.25)^2"').replace("samples_per_cell = 80", "samples_per_cell = 4")
+    assert cli.main(["solve", str(write_config(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("equation,rhs,cells", [
     ("D(u1,(1))", "sqrt(x1)", 4), ("D(u1,(1))", "1/(x1+0.02)", 2), ("u1", "x1*log(x1)", 4),
 ])
