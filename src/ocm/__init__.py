@@ -10,10 +10,8 @@ finite ground sets.
 
 from .domain import Box, CellPartition, SampleSet, Skeleton, build_partition, sample_points, skeleton_of, subdivide
 from .expr import (
-    EvalDomainError,
     ParseError,
     PdeSystem,
-    eval_operator,
     parse_rhs,
     parse_system,
     print_expr,
@@ -30,7 +28,6 @@ from .baire import (
 )
 from .approx import (
     DeltaCollapse,
-    JetPoint,
     PiecewisePoly,
     RangeViolation,
     ResidualCertificate,
@@ -40,8 +37,6 @@ from .approx import (
     place_and_certify,
     plan_partition,
     rhs_from_exprs,
-    solve_jet,
-    taylor_poly,
 )
 from .order import (
     OrderIntervalSeq,

@@ -35,7 +35,7 @@ loop numpy runs innermost, not the operations on any element, so it
 cannot move a certificate.  Only the point-first public boundaries
 transpose: ``sample_points`` returns (N, n), a right-hand side maps
 (N, n) to (K, N), ``PiecewisePoly.jets`` maps (N, n) to (N, K, A), and
-``taylor_poly`` and ``local_approx`` take centre points.
+``local_approx`` takes a centre point.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation, the first unused slot of one preference list.  The
@@ -68,14 +68,11 @@ from .domain import (CHUNK, MAX_SUBCELLS, Box, CellPartition, SampleSet, build_p
                      sample_points, skeleton_of, subdivide)
 
 __all__ = [
-    "JetPoint",
     "PiecewisePoly",
     "ComponentStats",
     "ResidualCertificate",
     "RangeViolation",
     "DeltaCollapse",
-    "taylor_poly",
-    "solve_jet",
     "default_pivots",
     "local_approx",
     "plan_partition",
@@ -168,20 +165,6 @@ class DeltaCollapse(Exception):
                        f"{floor:g}, for its worst vertex x={self.x} (residual {residual:g}) "
                        "to reach the band")
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """Prescribed derivative values at a point: (component, alpha) -> value."""
-
-    x0: tuple[float, ...]
-    values: dict[tuple[int, tuple[int, ...]], float]
-
-    def as_vector(self, system: ex.PdeSystem) -> np.ndarray:
-        out = np.zeros(system.M)
-        for (j, alpha), v in self.values.items():
-            out[system.slot(j, alpha)] = v
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -316,28 +299,6 @@ def _taylor_coeffs(alphas, jets: np.ndarray) -> np.ndarray:
     (K * A, S) in the slot order of PdeSystem.slot."""
     factorials = np.asarray([ex.multi_factorial(a) for a in alphas])
     return jets.reshape(-1, len(alphas), jets.shape[1]) / factorials[:, None]
-
-
-def taylor_poly(p: CellPartition, centers, xis) -> PiecewisePoly:
-    """The piecewise polynomial on p whose piece s realizes the jet xis[s]
-    at centers[s]; a single-centre polynomial is the one piece on
-    build_partition(box, 1).
-
-    Each xis[s] may be a JetPoint or a complete mapping (j, alpha) -> value
-    over all components and all multi-indices of order <= m, in the same
-    layout for every piece.
-    """
-    values = [xi.values if isinstance(xi, JetPoint) else dict(xi) for xi in xis]
-    centers = np.asarray(centers, dtype=float)
-    if len(values) != p.total_subcells or centers.shape != (len(values), p.n):
-        raise ValueError("need exactly one center and one jet per subcell")
-    K = max(j for j, _ in values[0])
-    alphas = ex.multi_indices(p.n, max(sum(alpha) for _, alpha in values[0]))
-    keys = [(j, a) for j in range(1, K + 1) for a in alphas]
-    if any(set(v) != set(keys) for v in values):
-        raise ValueError("jet is not complete over components x multi-indices")
-    jets = np.asarray([[v[k] for v in values] for k in keys], dtype=float)
-    return PiecewisePoly(p, alphas, _taylor_coeffs(alphas, jets), centers.T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +468,9 @@ class _JetSolve:
 def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots) -> _JetSolve:
     """Solve the pivot slots so every component meets its target at its center.
 
-    centers: (n, S); targets: (K, S).  Each sweep solves the equations in
+    centers: (n, S); targets: (K, S).  Every slot starts at the anchor, a
+    jet vector (M,), or at 0 when anchor is None, and only the pivot slots
+    (pivots, one per equation) move.  Each sweep solves the equations in
     order, each for its own pivot with the others held; a pivot that
     enters its equation affinely is solved in closed form, and only the
     points that closed form misses go on to the bracket solve, which
@@ -593,37 +556,6 @@ def _solve_jets(system, centers: np.ndarray, targets: np.ndarray, anchor, pivots
     return _JetSolve(xi=XI, fail=fail, component=comp, residual=worst, sweeps=sweeps)
 
 
-def solve_jet(system: ex.PdeSystem, x0, target, anchor: JetPoint | None = None, pivots=None) -> JetPoint:
-    """Find a jet xi with F_i(x0, xi) = target_i for every component.
-
-    All slots keep the anchor value (default 0); only the pivot slots
-    move, one per equation.  A pivot that enters its equation affinely is
-    solved in closed form, t = -g(0) / (g(1) - g(0)), and kept when it lies
-    within SCAN_LIMIT and meets the target within SOLVE_TOL; otherwise,
-    and for every other pivot, it is found by bracket scan plus bisection.
-    """
-    x0 = tuple(float(v) for v in x0)
-    if len(x0) != system.n:
-        raise ValueError(f"x0 has {len(x0)} coordinates, expected n={system.n}")
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    if len(target) != system.K:
-        raise ValueError(f"target has {len(target)} entries, expected K={system.K}")
-    if pivots is None:
-        pivots = default_pivots(system)
-    anchor_vec = None if anchor is None else anchor.as_vector(system)
-    solve = _solve_jets(system, np.reshape(x0, (-1, 1)), target.reshape(-1, 1), anchor_vec, pivots)
-    if solve.fail[0]:
-        raise solve.error(0, x0)
-    XI = solve.xi[:, 0]
-    alphas = system.alphas
-    values = {
-        (j, alpha): float(XI[system.slot(j, alpha)])
-        for j in range(1, system.K + 1)
-        for alpha in alphas
-    }
-    return JetPoint(x0=x0, values=values)
-
-
 # ---------------------------------------------------------------------------
 # local and global construction
 
@@ -696,7 +628,9 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     floor = DELTA_FLOOR_FACTOR * max(box.sides)
     while True:
         pts = _ball_points(x0, delta, box)
-        r = _operator_values(system, coeffs, x0, pts) - rhs(pts.T)
+        r = _operator_values(system, coeffs, x0, pts)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            r -= rhs(pts.T)
         if np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta)):
             return delta, PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
         delta *= 0.5
@@ -1103,7 +1037,8 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
         for U, eps, j in zip(Us, epss, share):
             r = _operator_values(system, U.coeffs[:, :, None, rows], U.centers[:, None, rows], at,
                                  memos[j])
-            r -= f
+            with np.errstate(invalid="ignore"):  # inf - inf
+                r -= f
             out.append([_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)])
         return out
 

@@ -12,8 +12,7 @@ walk of its tree: into an evaluator with every slot resolved to its row
 of the jet vector, and into ``slot_degrees``, the degree of the
 component as a polynomial in each slot it reads.  Only this module
 knows the node classes.  There is one way to evaluate,
-``eval_component_batch``, vectorised over points; ``eval_operator`` is a
-batch of one of it.
+``eval_component_batch``, vectorised over points.
 
 Grammar (whitespace insignificant, one expression per line or ``;``):
 
@@ -50,7 +49,6 @@ __all__ = [
     "Expr",
     "PdeSystem",
     "ParseError",
-    "EvalDomainError",
     "multi_indices",
     "multi_factorial",
     "parse_system",
@@ -58,7 +56,6 @@ __all__ = [
     "parse_rhs",
     "print_expr",
     "print_system",
-    "eval_operator",
     "eval_component_batch",
 ]
 
@@ -72,15 +69,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
-
-
-class EvalDomainError(ArithmeticError):
-    """Expression undefined (log/sqrt/division) or overflowing at the
-    evaluation point."""
-
-    def __init__(self, message: str, x):
-        super().__init__(f"{message}; evaluation undefined at x={tuple(x)}")
-        self.x = tuple(x)
 
 
 @dataclass(frozen=True)
@@ -425,33 +413,6 @@ def print_system(system: PdeSystem) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def eval_operator(system: PdeSystem, x, xi) -> tuple[float, ...]:
-    """Evaluate all K component expressions at point x with jet vector xi.
-
-    A batch of one through eval_component_batch.  Pure and deterministic;
-    raises EvalDomainError wherever a component comes out non-finite (an
-    undefined log, sqrt or division, or an overflow), ValueError on
-    non-finite inputs.
-    """
-    x = tuple(float(v) for v in x)
-    xi = tuple(float(v) for v in xi)
-    if len(x) != system.n:
-        raise ValueError(f"x has {len(x)} coordinates, expected {system.n}")
-    if len(xi) != system.M:
-        raise ValueError(f"jet vector has {len(xi)} entries, expected {system.M}")
-    if not all(math.isfinite(v) for v in x) or not all(math.isfinite(v) for v in xi):
-        raise ValueError("x and xi must be finite")
-    X = np.asarray(x).reshape(-1, 1)
-    XI = np.asarray(xi).reshape(-1, 1)
-    out = []
-    for i in range(system.K):
-        v = float(eval_component_batch(system, i, X, XI)[0])
-        if not math.isfinite(v):
-            raise EvalDomainError(f"component {i + 1} is not finite", x)
-        out.append(v)
-    return tuple(out)
-
 
 def eval_component_batch(system: PdeSystem, comp_index: int, X: np.ndarray, XI: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of one component over S points.

@@ -20,13 +20,11 @@ from ocm.approx import (
     place_and_certify,
     plan_partition,
     rhs_from_exprs,
-    solve_jet,
-    taylor_poly,
 )
-from ocm.approx import _solve_jets
+from ocm.approx import _solve_jets, _taylor_coeffs
 from ocm.domain import (MAX_SUBCELLS, Box, CellPartition, SampleSet, build_partition, sample_points,
                         subdivide)
-from ocm.expr import eval_component_batch, parse_system
+from ocm.expr import eval_component_batch, multi_indices, parse_system
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -54,9 +52,12 @@ def bisect_oracle(g, lo, hi, tol=1e-12):
 WIDE = Box((-1.0,), (2.0,))
 
 
-def _taylor(x0, xi, box):
-    """The single-centre polynomial realizing the jet xi at x0, on one cell of box."""
-    return taylor_poly(build_partition(box, 1), [x0], [xi])
+def _taylor(x0, xi, box, m=1):
+    """The single-centre polynomial on one cell of box whose u1 has the
+    derivatives xi at x0, listed in multi_indices(n, m) order."""
+    alphas = multi_indices(len(x0), m)
+    coeffs = _taylor_coeffs(alphas, np.reshape(xi, (-1, 1)))
+    return PiecewisePoly(build_partition(box, 1), alphas, coeffs, np.reshape(x0, (-1, 1)))
 
 
 def _values(U, pts, beta=None):
@@ -66,23 +67,22 @@ def _values(U, pts, beta=None):
 
 
 def test_taylor_line_by_hand():
-    piece = _taylor((0.5,), {(1, (0,)): 0.0, (1, (1,)): 0.45}, WIDE)
+    piece = _taylor((0.5,), [0.0, 0.45], WIDE)
     # P(x) = 0.45 (x - 0.5)
     xs = np.asarray([[0.0], [0.5], [1.0]])
     np.testing.assert_allclose(_values(piece, xs), [-0.225, 0.0, 0.225], atol=1e-15)
 
 
 def test_taylor_zero_jet_is_zero_polynomial():
-    piece = _taylor((0.3,), {(1, (0,)): 0.0, (1, (1,)): 0.0}, WIDE)
+    piece = _taylor((0.3,), [0.0, 0.0], WIDE)
     xs = np.linspace(0, 1, 7).reshape(-1, 1)
     np.testing.assert_array_equal(_values(piece, xs), np.zeros(7))
 
 
 def test_taylor_2d_pure_second_order():
     # xi_{(2,0)} = 2, everything else 0, x0 = origin: P(x) = x1^2
-    xi = {(1, a): 0.0 for a in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]}
-    xi[(1, (2, 0))] = 2.0
-    piece = _taylor((0.0, 0.0), xi, Box((-4.0, -4.0), (4.0, 4.0)))
+    xi = [0.0, 0.0, 0.0, 0.0, 0.0, 2.0]  # (0,0), (0,1), (0,2), (1,0), (1,1), (2,0)
+    piece = _taylor((0.0, 0.0), xi, Box((-4.0, -4.0), (4.0, 4.0)), m=2)
     pts = np.asarray([[0.5, 0.7], [1.0, -1.0], [0.0, 3.0]])
     np.testing.assert_allclose(_values(piece, pts), pts[:, 0] ** 2, atol=1e-14)
     # finite-difference check of the (2,0) coefficient: f(h,0)-2f(0,0)+f(-h,0) over h^2
@@ -95,15 +95,10 @@ def test_taylor_2d_pure_second_order():
 def test_taylor_poly_one_piece_per_subcell():
     # two cells, each with its own line through its own centre
     p = build_partition(UNIT, 2)
-    U = taylor_poly(p, [(0.25,), (0.75,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0},
-                                            {(1, (0,)): -1.0, (1, (1,)): 0.5}])
-    assert U.partition is p and U.K == 1 and U.alphas == ((0,), (1,))
-    np.testing.assert_array_equal(U.centers, [[0.25, 0.75]])
+    U = PiecewisePoly(p, ((0,), (1,)), np.asarray([[[1.0, -1.0], [2.0, 0.5]]]),
+                      np.asarray([[0.25, 0.75]]))
     np.testing.assert_allclose(_values(U, [[0.1], [0.9]]), [1.0 - 0.3, -1.0 + 0.075], atol=1e-15)
-    with pytest.raises(ValueError, match="not complete"):
-        taylor_poly(p, [(0.25,), (0.75,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0}, {(1, (0,)): 1.0}])
-    with pytest.raises(ValueError, match="one jet per subcell"):
-        taylor_poly(p, [(0.25,)], [{(1, (0,)): 1.0, (1, (1,)): 2.0}])
+    np.testing.assert_allclose(_values(U, [[0.1], [0.9]], beta=(1,)), [2.0, 0.5], atol=1e-15)
 
 
 def _fd_derivative(fn, x0, order, h):
@@ -122,61 +117,72 @@ def test_jet_identity_finite_differences_1d():
     rng = np.random.default_rng(5)
     hs = {0: 1e-3, 1: 1e-4, 2: 1e-3, 3: 1e-2}
     for _ in range(25):
-        xi = {(1, (k,)): float(rng.uniform(-3, 3)) for k in range(4)}
+        xi = [float(rng.uniform(-3, 3)) for _ in range(4)]
         x0 = float(rng.uniform(-1, 1))
-        piece = _taylor((x0,), xi, Box((-2.0,), (2.0,)))
+        piece = _taylor((x0,), xi, Box((-2.0,), (2.0,)), m=3)
 
         def fn(t):
             return _values(piece, [[t]])[0]
 
         for k in range(4):
             fd = _fd_derivative(fn, x0, k, hs[k])
-            assert abs(fd - xi[(1, (k,))]) <= 1e-6 * (1 + abs(xi[(1, (k,))]))
+            assert abs(fd - xi[k]) <= 1e-6 * (1 + abs(xi[k]))
 
 
 def test_jet_identity_exact_at_center():
     rng = np.random.default_rng(6)
-    alphas = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-    xi = {(1, a): float(rng.uniform(-2, 2)) for a in alphas}
-    piece = _taylor((0.3, -0.2), xi, Box((-1.0, -1.0), (1.0, 1.0)))
-    for a in alphas:
+    alphas = multi_indices(2, 2)
+    xi = [float(rng.uniform(-2, 2)) for _ in alphas]
+    piece = _taylor((0.3, -0.2), xi, Box((-1.0, -1.0), (1.0, 1.0)), m=2)
+    for a, want in zip(alphas, xi):
         got = _values(piece, [[0.3, -0.2]], beta=a)[0]
-        assert got == pytest.approx(xi[(1, a)], abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # jet solving
 
+def _solve_one(system, x0, target, anchor=None, pivots=None):
+    """The jet vector (M,) that _solve_jets solves at the one point x0, or
+    the RangeViolation it gives that point, raised."""
+    pivots = default_pivots(system) if pivots is None else pivots
+    solve = _solve_jets(system, np.reshape(x0, (-1, 1)), np.reshape(target, (-1, 1)), anchor,
+                        pivots)
+    if solve.fail[0]:
+        raise solve.error(0, x0)
+    return solve.xi[:, 0]
+
+
 def test_solve_jet_linear_slot():
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
-    jet = solve_jet(sys_, (0.0,), (0.45,))
-    assert jet.values[(1, (1,))] == pytest.approx(0.45, abs=1e-10)
-    assert jet.values[(1, (0,))] == 0.0
+    xi = _solve_one(sys_, (0.0,), (0.45,))
+    assert xi[sys_.slot(1, (1,))] == pytest.approx(0.45, abs=1e-10)
+    assert xi[sys_.slot(1, (0,))] == 0.0
 
 
 def test_solve_jet_against_bisection_oracle():
     # F = xi1^2 + xi0, target 3, pivot is the zeroth slot, anchor 0
     sys_ = parse_system("D(u1,(1))^2 + u1", 1, 1, 1)
     assert default_pivots(sys_) == ((1, (0,)),)
-    jet = solve_jet(sys_, (0.0,), (3.0,))
+    xi = _solve_one(sys_, (0.0,), (3.0,))
     expected = bisect_oracle(lambda t: t - 3.0, -8.0, 8.0)
-    assert jet.values[(1, (0,))] == pytest.approx(expected, abs=1e-10)
-    assert jet.values[(1, (1,))] == 0.0
+    assert xi[sys_.slot(1, (0,))] == pytest.approx(expected, abs=1e-10)
+    assert xi[sys_.slot(1, (1,))] == 0.0
 
 
 def test_solve_jet_nonlinear_pivot():
     # F = exp(xi0), target 2: root log(2) via the oracle
     sys_ = parse_system("exp(u1)", 1, 1, 0)
-    jet = solve_jet(sys_, (0.0,), (2.0,))
+    (u,) = _solve_one(sys_, (0.0,), (2.0,))
     expected = bisect_oracle(lambda t: math.exp(t) - 2.0, 0.0, 2.0)
-    assert jet.values[(1, (0,))] == pytest.approx(expected, abs=1e-9)
-    assert jet.values[(1, (0,))] == pytest.approx(math.log(2.0), abs=1e-9)
+    assert u == pytest.approx(expected, abs=1e-9)
+    assert u == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_solve_jet_range_violation_sine():
     sys_ = parse_system("sin(u1)", 1, 1, 0)
     with pytest.raises(RangeViolation) as exc:
-        solve_jet(sys_, (0.0,), (2.0,))
+        _solve_one(sys_, (0.0,), (2.0,))
     assert exc.value.component == 1
 
 
@@ -196,11 +202,8 @@ def test_default_pivot_takes_any_referenced_slot_and_keeps_pivots_distinct():
 
 def test_solve_jet_coupled_system_meets_both_targets():
     sys_ = parse_system("D(u1,(1))\nu2 + D(u1,(1))", 1, 2, 1)
-    jet = solve_jet(sys_, (0.25,), (0.2, 1.2))
-    from ocm.expr import eval_operator
-
-    xi = jet.as_vector(sys_)
-    got = eval_operator(sys_, (0.25,), xi)
+    xi = _solve_one(sys_, (0.25,), (0.2, 1.2)).reshape(-1, 1)
+    got = [eval_component_batch(sys_, i, np.asarray([[0.25]]), xi)[0] for i in range(2)]
     assert got[0] == pytest.approx(0.2, abs=1e-10)
     assert got[1] == pytest.approx(1.2, abs=1e-10)
 
@@ -215,7 +218,7 @@ def test_solve_jet_non_convergence_names_the_worst_component(monkeypatch, eqs, K
     monkeypatch.setattr("ocm.approx.SOLVE_TOL", 0.0)
     sys_ = parse_system(eqs, 1, K, 0)
     with pytest.raises(RangeViolation) as exc:
-        solve_jet(sys_, (0.25,), target)
+        _solve_one(sys_, (0.25,), target)
     assert exc.value.component == component
     assert exc.value.x == (0.25,)
     assert "did not converge" in str(exc.value)
@@ -233,16 +236,9 @@ def test_solve_jet_non_convergence_names_the_worst_component(monkeypatch, eqs, K
 def test_solve_jet_failure_reasons(eqs, K, target, component, reason):
     sys_ = parse_system(eqs, 1, K, 0)
     with pytest.raises(RangeViolation) as exc:
-        solve_jet(sys_, (0.25,), target)
+        _solve_one(sys_, (0.25,), target)
     assert exc.value.component == component
     assert str(exc.value) == f"component {component} at x=(0.25,): {reason}"
-
-
-def test_solve_jet_rejects_a_point_of_the_wrong_dimension():
-    sys_ = parse_system("D(u1,(1)) + x1", 1, 1, 1)
-    for x0 in [(0.1, 0.7), ()]:
-        with pytest.raises(ValueError, match=f"x0 has {len(x0)} coordinates, expected n=1"):
-            solve_jet(sys_, x0, [0.3])
 
 
 def test_rhs_rejects_points_of_the_wrong_dimension():
@@ -376,7 +372,7 @@ def test_a_sweep_that_moves_no_pivot_ends_the_sweeps(monkeypatch):
     assert list(solve.fail) == [4] and list(solve.component) == [1]
     assert solve.residual[0] == 6.661338147750939e-16
     with pytest.raises(RangeViolation, match="6.66134e-16 above 0 after 2 pivot sweeps$"):
-        solve_jet(sys_, (0.25,), (2.0,))
+        _solve_one(sys_, (0.25,), (2.0,))
 
 
 def test_coupled_pivots_sweep_while_they_move(monkeypatch):
@@ -416,7 +412,7 @@ def test_affine_root_beyond_the_scan_window_is_a_range_violation():
     # runs and reports its own failure
     sys_ = parse_system("1e-7*u1", 1, 1, 0)
     with pytest.raises(RangeViolation) as exc:
-        solve_jet(sys_, (0.25,), (1.0,))
+        _solve_one(sys_, (0.25,), (1.0,))
     assert str(exc.value) == (
         "component 1 at x=(0.25,): bracket scan found no sign change within "
         "|t| <= 1e+06 (range condition violated or pivot ill-chosen)"
@@ -424,8 +420,8 @@ def test_affine_root_beyond_the_scan_window_is_a_range_violation():
 
 
 def test_affine_zero_root_is_positive_zero():
-    jet = solve_jet(parse_system("u1", 1, 1, 0), (0.25,), (0.0,))
-    assert math.copysign(1.0, jet.values[(1, (0,))]) == 1.0
+    (u,) = _solve_one(parse_system("u1", 1, 1, 0), (0.25,), (0.0,))
+    assert math.copysign(1.0, u) == 1.0
 
 
 def _solve_without_closed_form(sys_, x, targets):
@@ -540,6 +536,23 @@ def test_local_delta_collapse_on_steep_rhs():
     rhs = rhs_from_exprs(["10000 * x1"], 1)
     with pytest.raises(DeltaCollapse):
         local_approx(sys_, rhs, (0.5,), 0.01, box=UNIT, start_delta=1.0)
+
+
+# u1 + exp(800*x1) = exp(800*x1): past x1 = 0.887 both sides overflow, so the
+# residual there is inf - inf, undefined, and must be reported without a warning
+INF_BOTH = parse_system("u1 + exp(800*x1)", 1, 1, 0), rhs_from_exprs(["exp(800*x1)"], 1)
+
+
+def test_a_certificate_where_operator_and_rhs_are_both_infinite_names_nan_offenders():
+    _, cert = place_and_certify(*INF_BOTH, build_partition(UNIT, 1), 0.1, samples_per_cell=100)
+    (stats,) = cert.components
+    assert not cert.passed and stats.offenders
+    assert all(math.isnan(r) for _, r in stats.offenders)
+
+
+def test_local_approx_halves_past_an_operator_and_rhs_both_infinite():
+    delta, _ = local_approx(*INF_BOTH, (0.5,), 0.1, box=UNIT)
+    assert delta == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -1084,12 +1097,10 @@ def test_per_subcell_arrays_are_stored_subcell_axis_last():
     S, A = fine.total_subcells, len(sys_.alphas)
     U, _ = place_and_certify(sys_, rhs, fine, 0.1, samples_per_cell=3)
     _, one = local_approx(sys_, rhs, (0.5, 0.5), 0.1, box=SQUARE)
-    line = taylor_poly(build_partition(UNIT, 2), [(0.25,), (0.75,)],
-                       [{(1, (0,)): 1.0, (1, (1,)): 2.0}, {(1, (0,)): -1.0, (1, (1,)): 0.5}])
     lo, hi = fine.subcell_bounds()
     for a, shape in [(lo, (2, S)), (hi, (2, S)), (fine.subcell_centers(), (2, S)),
                      (U.centers, (2, S)), (U.coeffs, (2, A, S)), (one.centers, (2, 1)),
-                     (one.coeffs, (2, A, 1)), (line.centers, (1, 2)), (line.coeffs, (1, 2, 2))]:
+                     (one.coeffs, (2, A, 1))]:
         assert a.shape == shape and a.flags.c_contiguous, shape
 
 
@@ -1265,7 +1276,7 @@ def test_streamed_certificate_peaks_below_one_sample_array():
 
 def _three_approximants():
     """Two placed approximants on one 2D partition, which share centres,
-    and a taylor_poly on it whose centres are shifted off them."""
+    and a third on it with random pieces whose centres are shifted off them."""
     sys_ = parse_system("D(u1,(2,0)) + u1 + D(u1,(0,1))^2", 2, 1, 2)
     rhs = rhs_from_exprs(["x1*x2"], 2)
     fine = plan_partition(sys_, rhs, build_partition(SQUARE, 2), 0.05).partition
@@ -1273,9 +1284,8 @@ def _three_approximants():
     U2 = ocm.approx._place(sys_, rhs, fine, 0.05)
     rng = np.random.default_rng(21)
     centers = fine.subcell_centers().T + rng.uniform(-0.01, 0.01, (fine.total_subcells, 2))
-    xis = [{(1, alpha): v for alpha, v in zip(sys_.alphas, rng.normal(size=len(sys_.alphas)))}
-           for _ in centers]
-    U3 = taylor_poly(fine, centers, xis)
+    coeffs = rng.normal(size=(1, len(sys_.alphas), fine.total_subcells))
+    U3 = PiecewisePoly(fine, sys_.alphas, coeffs, centers.T.copy())
     return sys_, rhs, fine, [U1, U2, U3], [0.1, 0.05, 0.2]
 
 
@@ -1437,14 +1447,13 @@ def test_rhs_with_the_wrong_row_count_is_rejected(texts):
 
 
 def test_solve_jet_respects_anchor_and_explicit_pivot():
-    from ocm.approx import JetPoint
-
     sys_ = parse_system("D(u1,(1))^2 + u1", 1, 1, 1)
-    anchor = JetPoint((0.0,), {(1, (0,)): 0.0, (1, (1,)): 2.0})
-    jet = solve_jet(sys_, (0.0,), (5.0,), anchor=anchor, pivots=((1, (0,)),))
+    anchor = np.zeros(sys_.M)
+    anchor[sys_.slot(1, (1,))] = 2.0
+    xi = _solve_one(sys_, (0.0,), (5.0,), anchor=anchor, pivots=((1, (0,)),))
     # the derivative slot keeps its anchor value; the pivot absorbs the rest
-    assert jet.values[(1, (1,))] == 2.0
-    assert jet.values[(1, (0,))] == pytest.approx(1.0, abs=1e-10)
+    assert xi[sys_.slot(1, (1,))] == 2.0
+    assert xi[sys_.slot(1, (0,))] == pytest.approx(1.0, abs=1e-10)
 
 
 def _all_slots_system(n, K, m):

@@ -21,7 +21,7 @@ from ocm.baire import (
     operator_image,
     upper_baire,
 )
-from ocm.approx import PiecewisePoly, taylor_poly
+from ocm.approx import PiecewisePoly
 from ocm.domain import Box, CellPartition, build_partition
 from ocm.expr import multi_indices, parse_system
 
@@ -175,10 +175,15 @@ def test_property_idempotence_and_duality(values, maskbits):
 IDENTITY = parse_system("u1", 1, 1, 1)
 
 
+def _pieces(partition, values, slopes):
+    """One line per subcell of the 1-D partition, through values at its
+    centre with slopes there."""
+    coeffs = np.stack(np.broadcast_arrays(values, slopes))[None].astype(float)
+    return PiecewisePoly(partition, IDENTITY.alphas, coeffs, partition.subcell_centers())
+
+
 def _line_poly(partition, slope, intercept=0.0):
-    centers = partition.subcell_centers().T  # taylor_poly takes centre points
-    return taylor_poly(partition, centers, [{(1, (0,)): intercept + slope * c[0], (1, (1,)): slope}
-                                            for c in centers])
+    return _pieces(partition, intercept + slope * partition.subcell_centers()[0], slope)
 
 
 @pytest.mark.parametrize("counts", [(4,), (4, 4, 4), (4, 0), 0, (4, 2.5)])
@@ -215,9 +220,7 @@ def test_embed_two_pieces_same_polynomial():
 def test_embed_jump_takes_lower_value():
     # pieces 0 on [0, .5], 1 on [.5, 1]: the face node gets 0
     partition = build_partition(Box((0.0,), (1.0,)), 2)
-    centers = partition.subcell_centers().T
-    u = taylor_poly(partition, centers, [{(1, (0,)): 0.0 if c[0] < 0.5 else 1.0, (1, (1,)): 0.0}
-                                         for c in centers])
+    u = _pieces(partition, [0.0, 1.0], 0.0)
     axes = (np.asarray([0.1, 0.3, 0.5, 0.7, 0.9]),)
     (g,) = operator_image(IDENTITY, u, axes)
     assert g.values[2] == 0.0

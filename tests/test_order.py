@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocm.approx import RangeViolation, place_and_certify, rhs_from_exprs, taylor_poly
+from ocm.approx import PiecewisePoly, RangeViolation, place_and_certify, rhs_from_exprs
 from ocm.baire import GridFn, make_lattice
 from ocm.domain import TARGET_SAMPLES, Box, SampleSet, build_partition
 from ocm.expr import parse_system
@@ -28,8 +28,8 @@ def test_image_forgets_what_the_operator_does_not_read():
     sys_ = parse_system("D(u1,(1))", 1, 1, 1)
     # different representatives, same image: intercepts differ, slopes equal
     partition = build_partition(UNIT, 1)
-    u = taylor_poly(partition, [(0.5,)], [{(1, (0,)): 0.0, (1, (1,)): 0.7}])
-    v = taylor_poly(partition, [(0.5,)], [{(1, (0,)): 9.0, (1, (1,)): 0.7}])
+    u, v = (PiecewisePoly(partition, sys_.alphas, np.asarray([[[c], [0.7]]]), np.asarray([[0.5]]))
+            for c in (0.0, 9.0))
     (img_u,) = operator_image(sys_, u, AXES)
     (img_v,) = operator_image(sys_, v, AXES)
     off = ~(img_u.mask_array() | img_v.mask_array())
