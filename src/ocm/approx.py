@@ -33,9 +33,10 @@ not a loop over n = 2 or 3 coordinates repeated per sample.
 Only the jet slots the system reads are built.  The layout decides which
 loop numpy runs innermost, not the operations on any element, so it
 cannot move a certificate.  Only the point-first public boundaries
-transpose: ``sample_points`` returns (N, n), a right-hand side maps
-(N, n) to (K, N), ``PiecewisePoly.jets`` maps (N, n) to (N, K, A), and
-``local_approx`` takes a centre point.
+transpose: ``sample_points`` returns (N, n), ``PiecewisePoly.jets`` maps
+(N, n) to (N, K, A), ``local_approx`` takes a centre point, and a
+right-hand side maps (N, n) to (K, N): ``_rhs_at``, its one caller,
+takes points (n, ...), and ``_residual`` forms every T(P) - f.
 
 The jet solve is deterministic by construction: one designated pivot
 slot per equation, the first unused slot of one preference list.  The
@@ -84,9 +85,8 @@ __all__ = [
 ]
 
 SOLVE_TOL = 1e-10
-BISECT_TOL = 1e-12
-# bisection stops once every bracket is at most this wide (about 1e-15)
-BRACKET_WIDTH = BISECT_TOL * 1e-3
+# bisection stops once every bracket is at most this wide
+BRACKET_WIDTH = 1e-15
 SCAN_LIMIT = 1e6
 SWEEPS = 8
 DELTA_FLOOR_FACTOR = 1e-6
@@ -274,6 +274,12 @@ class PiecewisePoly:
     coeffs: np.ndarray  # (K, A, S)
     centers: np.ndarray  # (n, S)
 
+    def __post_init__(self):
+        S, A, shape = self.partition.total_subcells, len(self.alphas), np.shape(self.coeffs)
+        if shape[1:] != (A, S) or np.shape(self.centers) != (self.partition.n, S):
+            raise ValueError(f"coeffs {shape} and centers {np.shape(self.centers)} do not match "
+                             f"the partition: need (K, {A}, {S}) and ({self.partition.n}, {S})")
+
     @property
     def K(self) -> int:
         return self.coeffs.shape[0]
@@ -325,11 +331,22 @@ def rhs_from_exprs(texts, n: int):
 
 
 def _rhs_at(rhs, pts: np.ndarray, K: int) -> np.ndarray:
-    """rhs at pts (N, n), checked to give one row per equation: (K, N)."""
-    f = rhs(pts)
+    """rhs at pts (n, ...), checked to give one row per equation: (K, ...);
+    the one call of a right-hand side, and the one transpose to (N, n)."""
+    f = rhs(pts.reshape(len(pts), -1).T)
     if len(f) != K:
         raise ValueError(f"right-hand side gives {len(f)} rows, expected K={K}, one per equation")
-    return f
+    return np.reshape(f, (K,) + pts.shape[1:])
+
+
+def _residual(system, coeffs: np.ndarray, centers: np.ndarray, pts: np.ndarray, f: np.ndarray,
+              memo: dict | None = None) -> np.ndarray:
+    """T(P) - f at pts (n, ...), f = _rhs_at(rhs, pts, K): a fresh (K, ...)
+    array, pieces as in _operator_values, nan where both sides are infinite."""
+    r = _operator_values(system, coeffs, centers, pts, memo).reshape(f.shape)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        r -= f
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +609,7 @@ def _ball_points(x0: np.ndarray, delta: float, box: Box) -> np.ndarray:
 
 def _solve_pieces(system, rhs, centers: np.ndarray, eps: float, pivots) -> tuple:
     """Jets solved for f - eps/2 at centers (n, S), and their pieces (K, A, S)."""
-    target = _rhs_at(rhs, centers.T, system.K) - 0.5 * eps
+    target = _rhs_at(rhs, centers, system.K) - 0.5 * eps
     solve = _solve_jets(system, centers, target, None, pivots)
     return solve, _taylor_coeffs(system.alphas, solve.xi)
 
@@ -628,9 +645,7 @@ def local_approx(system: ex.PdeSystem, rhs, x0, eps: float, *, box: Box,
     floor = DELTA_FLOOR_FACTOR * max(box.sides)
     while True:
         pts = _ball_points(x0, delta, box)
-        r = _operator_values(system, coeffs, x0, pts)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            r -= rhs(pts.T)
+        r = _residual(system, coeffs, x0, pts, _rhs_at(rhs, pts, system.K))
         if np.all(np.isfinite(r) & (r <= eta) & (r >= -eps - eta)):
             return delta, PiecewisePoly(build_partition(box, 1), system.alphas, coeffs, x0)
         delta *= 0.5
@@ -677,9 +692,9 @@ def _place(system, rhs, fine: CellPartition, eps: float, workers: int = 1) -> Pi
 
 
 def _vertex_residuals(system, rhs, U: PiecewisePoly, rows: slice) -> tuple:
-    """The pieces of U's subcells rows at the 2^n vertices of their own
-    closed subcells: points (n, V, count) and residuals (K, V, count),
-    V = 2^n, vertex v taking the upper end on axis d where bit d of v is set.
+    """The pieces of U's subcells rows, read by _residual at the V = 2^n
+    vertices of their own closed subcells: points (n, V, count) and
+    residuals (K, V, count), vertex v upper on axis d where bit d of v is set.
 
     The band is required on the open domain, so a vertex on the outer
     boundary whose residual is not finite (x1*log(x1) at x1 = 0) is moved
@@ -690,25 +705,19 @@ def _vertex_residuals(system, rhs, U: PiecewisePoly, rows: slice) -> tuple:
     p = U.partition
     n, K, V = p.n, system.K, 2 ** p.n
     coeffs, centers = U.coeffs[:, :, None, rows], U.centers[:, None, rows]
-
-    def residual(pts):
-        f = _rhs_at(rhs, pts.reshape(n, -1).T, K).reshape(K, V, -1)
-        r = _operator_values(system, coeffs, centers, pts).reshape(K, V, -1)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            r -= f
-        return f, r
-
     upper = ((np.arange(V) >> np.arange(n)[:, None]) & 1).astype(bool)[:, :, None]  # (n, V, 1)
     lo, hi = (b[:, None, rows] for b in p.subcell_bounds())
     pts = np.where(upper, hi, lo)
-    f, r = residual(pts)
+    f = _rhs_at(rhs, pts, K)
+    r = _residual(system, coeffs, centers, pts, f)
     undefined = ~np.isfinite(r).all(axis=0)  # (V, count)
     if undefined.any():
         box_lo, box_hi = (np.reshape(c, (n, 1, 1)) for c in (p.bounds.lo, p.bounds.hi))
         moved = undefined & ~np.all((box_lo < pts) & (pts < box_hi), axis=0)
         if moved.any():
             pts = np.where(moved, pts + INWARD * (centers - pts), pts)
-            f, r = residual(pts)
+            f = _rhs_at(rhs, pts, K)
+            r = _residual(system, coeffs, centers, pts, f)
         pole = ~np.isfinite(f)
         if pole.any():
             j, k, v = np.unravel_index(np.argmax(pole.transpose(2, 0, 1)), (pts.shape[2], K, V))
@@ -763,7 +772,7 @@ def _vertex_excess(system, rhs, U: PiecewisePoly, eps: float, eta: float,
 def _face_excess(system, rhs, U: PiecewisePoly, subcells: np.ndarray, eps: float) -> np.ndarray:
     """Per axis d of the given subcells of U, (len(subcells), n): the
     larger |r + eps/2| at the centres of the subcell's two faces across d,
-    over all components, nan where a residual there is not finite.
+    over all components of _residual, nan where one there is not finite.
 
     A piece solved for f - eps/2 at its centre deviates there by
     |odd_d| + |even_d|, the odd and even parts of its residual along the
@@ -772,16 +781,15 @@ def _face_excess(system, rhs, U: PiecewisePoly, subcells: np.ndarray, eps: float
     apart along d.
     """
     p = U.partition
-    n, K, m = p.n, system.K, len(subcells)
+    n, m = p.n, len(subcells)
     lo, hi = (b[:, subcells] for b in p.subcell_bounds())
     centers = U.centers[:, subcells]
     pts = np.repeat(centers[:, None, :], 2 * n, axis=1)  # (n, 2n, m): axis j // 2, upper if j odd
     for d in range(n):
         pts[d, 2 * d], pts[d, 2 * d + 1] = lo[d], hi[d]
-    f = _rhs_at(rhs, pts.reshape(n, -1).T, K)
-    r = _operator_values(system, U.coeffs[:, :, None, subcells], centers[:, None], pts)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        dev = np.abs(r - f + 0.5 * eps).max(axis=0)  # nan where any residual is
+    r = _residual(system, U.coeffs[:, :, None, subcells], centers[:, None], pts,
+                  _rhs_at(rhs, pts, system.K))
+    dev = np.abs(r + 0.5 * eps).max(axis=0)  # (2n, m), nan where any residual is
     return dev.reshape(n, 2, m).max(axis=1).T
 
 
@@ -965,12 +973,10 @@ class ResidualCertificate:
         return max((c.max_residual for c in self.components), default=math.nan)
 
 
-def _fold(r: np.ndarray, X: np.ndarray, first: int, per_cell: int, eps: float,
-          eta: float) -> tuple:
-    """One component's residuals r (N,) at the points X (n, N) of a chunk
-    of N // per_cell subcells from subcell first on, in the chunk's
-    subcell-last order: flat position j is sample (first + j % count) *
-    per_cell + j // count of the set, count = N // per_cell.  Returns min
+def _fold(r: np.ndarray, pts: np.ndarray, first: int, eps: float, eta: float) -> tuple:
+    """One component's residuals r (per_cell, count) at the points pts (n,
+    per_cell, count) of a chunk of subcells first, ..., first + count - 1:
+    r[k, s] is sample (first + s) * per_cell + k of the set.  Returns min
     and max of the finite residuals (inf and -inf when there are none),
     the count of the others, and up to 5 offenders (excess, sample index,
     point, residual) ordered by excess descending, then index; a
@@ -978,18 +984,17 @@ def _fold(r: np.ndarray, X: np.ndarray, first: int, per_cell: int, eps: float,
     offender."""
     finite = np.isfinite(r)
     vals = r if finite.all() else r[finite]  # no copy unless a residual is undefined
-    rmin, rmax = (float(np.min(vals)), float(np.max(vals))) if len(vals) else (math.inf, -math.inf)
+    rmin, rmax = (float(np.min(vals)), float(np.max(vals))) if vals.size else (math.inf, -math.inf)
     worst = []
-    if len(vals) < len(r) or rmin < -eps - eta or rmax > eta:
-        bad = np.flatnonzero(~finite | (r > eta) | (r < -eps - eta))
-        count = len(r) // per_cell
-        index = (first + bad % count) * per_cell + bad // count
-        rb = r[bad]
-        excess = np.where(finite[bad], np.maximum(rb - eta, (-eps - eta) - rb), np.inf)
+    if vals.size < r.size or rmin < -eps - eta or rmax > eta:
+        k, s = np.nonzero(~finite | (r > eta) | (r < -eps - eta))
+        index = (first + s) * len(r) + k
+        rb = r[k, s]
+        excess = np.where(finite[k, s], np.maximum(rb - eta, (-eps - eta) - rb), np.inf)
         for w in np.lexsort((index, -excess))[:5]:
-            worst.append((float(excess[w]), int(index[w]), tuple(map(float, X[:, bad[w]])),
+            worst.append((float(excess[w]), int(index[w]), tuple(map(float, pts[:, k[w], s[w]])),
                           float(rb[w])))
-    return rmin, rmax, len(r) - len(vals), worst
+    return rmin, rmax, r.size - vals.size, worst
 
 
 def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float = DEFAULT_ETA,
@@ -1030,16 +1035,13 @@ def check_residual(system: ex.PdeSystem, Us, rhs, epss, samples, *, eta: float =
     def fold(s: int) -> list[list[tuple]]:
         at = samples.chunk(s, step)
         rows = slice(s, s + at.shape[2])
-        X = at.reshape(system.n, -1)
-        f = _rhs_at(rhs, X.T, system.K)
+        f = _rhs_at(rhs, at, system.K)
         memos = [{} for _ in Us]
         out = []
         for U, eps, j in zip(Us, epss, share):
-            r = _operator_values(system, U.coeffs[:, :, None, rows], U.centers[:, None, rows], at,
-                                 memos[j])
-            with np.errstate(invalid="ignore"):  # inf - inf
-                r -= f
-            out.append([_fold(r[i], X, s, per_cell, eps, eta) for i in range(system.K)])
+            r = _residual(system, U.coeffs[:, :, None, rows], U.centers[:, None, rows], at, f,
+                          memos[j])
+            out.append([_fold(r[i], at, s, eps, eta) for i in range(system.K)])
         return out
 
     parts = _map_chunks(fold, range(0, p.total_subcells, step), workers)

@@ -24,7 +24,7 @@ import numpy as np
 from . import approx, expr as ex
 # global_approx has no caller here: it is bound because bench/spans.py wraps ocm.order.global_approx
 from .approx import (DEFAULT_ETA, DEFAULT_MARGIN, PiecewisePoly, ResidualCertificate, _place,
-                     global_approx)
+                     _rhs_at, global_approx)
 from .baire import (GridFn, EnvelopePair, _lattice_axes, _located_image, lattice_nodes,
                     nlsc_regularize, operator_image)
 from .domain import CellPartition, SampleSet
@@ -169,10 +169,10 @@ def refine_solution(system: ex.PdeSystem, rhs, p: CellPartition, n_max: int, axe
     # looked up on the module, where bench/spans.py wraps it: a name
     # imported into this module would certify outside that span
     certs = approx.check_residual(system, placed, rhs, epss, samples, eta=eta, workers=workers)
-    shape = tuple(len(a) for a in axes)
     nodes = lattice_nodes(axes)
-    fvals = rhs(nodes)
-    rhs_grid = [GridFn(axes, fvals[i].reshape(shape)) for i in range(system.K)]
+    # the rhs on the lattice as one (n, *shape) grid gives one grid per equation
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
+    rhs_grid = [GridFn(axes, f) for f in _rhs_at(rhs, grid, system.K)]
     # every step shares base, so one lookup of the lattice serves all images
     on_base = base.locate(nodes)
 

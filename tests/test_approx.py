@@ -101,6 +101,30 @@ def test_taylor_poly_one_piece_per_subcell():
     np.testing.assert_allclose(_values(U, [[0.1], [0.9]], beta=(1,)), [2.0, 0.5], atol=1e-15)
 
 
+def test_a_piecewise_poly_must_match_its_partition():
+    # one slope-1 piece on a 2-subcell partition used to certify D(u1,(1)) = 1
+    # (check_residual broadcast it over both subcells' samples) while jets
+    # raised a bare IndexError at x = 0.9
+    sys_ = parse_system("D(u1,(1))", 1, 1, 1)
+    p = build_partition(UNIT, 2)
+    piece, centre = np.asarray([[[0.0], [1.0]]]), np.asarray([[0.5]])
+    need = r"need \(K, 2, 2\) and \(1, 2\)"
+    with pytest.raises(ValueError, match=r"coeffs \(1, 2, 1\) and centers \(1, 1\) do not "
+                                         r"match the partition: " + need):
+        PiecewisePoly(p, sys_.alphas, piece, centre)
+    for coeffs, centers in [(np.tile(piece, 2), centre),  # centres alone
+                            (piece, np.asarray([[0.25, 0.75]])),  # pieces alone
+                            (np.tile(piece, 2)[:, :1], np.asarray([[0.25, 0.75]])),  # one alpha
+                            (np.tile(piece, 2)[0], np.asarray([[0.25, 0.75]])),  # no K axis
+                            (np.tile(piece, 2), np.asarray([0.25, 0.75]))]:  # no n axis
+        with pytest.raises(ValueError, match=need):
+            PiecewisePoly(p, sys_.alphas, coeffs, centers)
+    U = PiecewisePoly(p, sys_.alphas, np.tile(piece, 2), np.asarray([[0.25, 0.75]]))
+    (cert,) = check_residual(sys_, [U], rhs_from_exprs(["1"], 1), [0.1], SampleSet(p, 3, 0.05, 0))
+    assert cert.passed
+    np.testing.assert_array_equal(U.jets([[0.9]]), [[[0.9 - 0.75, 1.0]]])
+
+
 def _fd_derivative(fn, x0, order, h):
     if order == 0:
         return fn(x0)
@@ -1475,7 +1499,8 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
     # certificate the extremes, verdict and count of those residuals
     rng = np.random.default_rng(100 * n + 10 * K + m)
     system = _all_slots_system(n, K, m)
-    rhs = rhs_from_exprs([f"x1*x{n}"] * K, n)
+    # rows that differ, so a (K, ...) layout with its rows swapped shows
+    rhs = rhs_from_exprs([f"x1*x{n}", f"x{n} - x1"][:K], n)
     lo = rng.uniform(-1.0, 0.0, n)
     box = Box(tuple(lo), tuple(lo + rng.uniform(0.5, 1.5, n)))
     p = build_partition(box, tuple(rng.integers(1, 3, n)))
@@ -1498,6 +1523,12 @@ def test_located_certificate_equals_lookup_bit_for_bit(n, K, m):
             located)
         r = located - rhs(flat.T)
         assert np.isfinite(r).all()
+        # the one residual path, on the grouped samples, gives the same numbers
+        f = ocm.approx._rhs_at(rhs, grouped, K)
+        assert f.shape == (K, per_cell, S)
+        residual = ocm.approx._residual(system, U.coeffs[:, :, None], U.centers[:, None],
+                                        grouped, f)
+        np.testing.assert_array_equal(residual.reshape(K, -1), r)
         # a band the residuals overshoot, and one that holds them all
         for eps, eta in ((0.1, ocm.approx.DEFAULT_ETA), (1e3, 1e3)):
             want = [(S * per_cell, float(ri.min()), float(ri.max()),
